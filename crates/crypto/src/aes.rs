@@ -2,10 +2,23 @@
 //!
 //! Only the 128-bit key size is implemented because it is the one mandated
 //! by OMA DRM 2 for both content encryption (AES-CBC) and key wrapping
-//! (AES-WRAP). The S-box and its inverse are computed at construction time
-//! from the GF(2⁸) inverse and the affine transform rather than hard-coded,
-//! and the implementation is validated against the FIPS 197 and NIST SP
-//! 800-38A test vectors in the unit tests.
+//! (AES-WRAP).
+//!
+//! The cipher is the classic 32-bit table realisation: the state is four
+//! big-endian column words and a round is four table look-ups and XORs per
+//! column. Nothing is pasted in: the S-box is derived at compile time from
+//! the GF(2⁸) inverse and the affine transform, and the round tables
+//! `TE`/`TD` from the S-boxes and the MixColumns / InvMixColumns
+//! coefficients, all by `const fn` (8 KiB of tables + 512 B of S-boxes in
+//! `static`s, nothing computed at run time). Decryption is FIPS 197 §5.3.5's
+//! *equivalent inverse cipher*: the same round shape as encryption over a
+//! second key schedule whose middle round keys went through InvMixColumns.
+//!
+//! Table look-ups indexed by secret bytes are not constant-time; see
+//! `docs/ARCHITECTURE.md` ("Symmetric bulk path") for why that is inside
+//! this model's threat model. The implementation is validated against the
+//! FIPS 197, SP 800-38A and AESAVS vectors, and against an independent
+//! byte-wise transcription of FIPS 197 kept under `tests/`.
 
 /// Block size of AES in bytes.
 pub const BLOCK_SIZE: usize = 16;
@@ -16,7 +29,179 @@ pub const KEY_SIZE: usize = 16;
 /// Number of rounds for AES-128.
 const ROUNDS: usize = 10;
 
-/// An AES-128 block cipher instance with an expanded key schedule.
+/// Multiplication in GF(2⁸) with the AES reduction polynomial x⁸+x⁴+x³+x+1.
+const fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+    let mut p = 0u8;
+    while b != 0 {
+        if b & 1 != 0 {
+            p ^= a;
+        }
+        let hi = a & 0x80;
+        a <<= 1;
+        if hi != 0 {
+            a ^= 0x1b;
+        }
+        b >>= 1;
+    }
+    p
+}
+
+/// Multiplicative inverse in GF(2⁸) by exponentiation (a²⁵⁴); 0 maps to 0,
+/// as the S-box definition requires.
+const fn gf_inverse(a: u8) -> u8 {
+    let mut result = 1u8;
+    let mut base = a;
+    let mut exp = 254u8;
+    while exp > 0 {
+        if exp & 1 == 1 {
+            result = gf_mul(result, base);
+        }
+        base = gf_mul(base, base);
+        exp >>= 1;
+    }
+    result
+}
+
+/// The S-box: GF(2⁸) inverse followed by the affine transform
+/// `b ^ rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4) ^ 0x63`.
+const fn build_sbox() -> [u8; 256] {
+    let mut sbox = [0u8; 256];
+    let mut x = 0usize;
+    while x < 256 {
+        let inv = gf_inverse(x as u8);
+        sbox[x] = inv
+            ^ inv.rotate_left(1)
+            ^ inv.rotate_left(2)
+            ^ inv.rotate_left(3)
+            ^ inv.rotate_left(4)
+            ^ 0x63;
+        x += 1;
+    }
+    sbox
+}
+
+/// The inverse permutation of `sbox`.
+const fn invert(sbox: &[u8; 256]) -> [u8; 256] {
+    let mut inverse = [0u8; 256];
+    let mut x = 0usize;
+    while x < 256 {
+        inverse[sbox[x] as usize] = x as u8;
+        x += 1;
+    }
+    inverse
+}
+
+/// Round tables: `tables[0][x]` is the column `coefficients · sbox[x]` as a
+/// big-endian word (SubBytes and MixColumns of one state byte in one
+/// look-up); `tables[j]` is `tables[0]` rotated right by `j` bytes, for the
+/// byte that ShiftRows brings into row `j`.
+const fn build_round_tables(sbox: &[u8; 256], coefficients: [u8; 4]) -> [[u32; 256]; 4] {
+    let mut tables = [[0u32; 256]; 4];
+    let mut x = 0usize;
+    while x < 256 {
+        let s = sbox[x];
+        let word = u32::from_be_bytes([
+            gf_mul(s, coefficients[0]),
+            gf_mul(s, coefficients[1]),
+            gf_mul(s, coefficients[2]),
+            gf_mul(s, coefficients[3]),
+        ]);
+        let mut j = 0usize;
+        while j < 4 {
+            tables[j][x] = word.rotate_right(8 * j as u32);
+            j += 1;
+        }
+        x += 1;
+    }
+    tables
+}
+
+static SBOX: [u8; 256] = build_sbox();
+static INV_SBOX: [u8; 256] = invert(&SBOX);
+/// Encryption round tables (first column of the MixColumns matrix).
+static TE: [[u32; 256]; 4] = build_round_tables(&SBOX, [2, 1, 1, 3]);
+/// Decryption round tables (first column of the InvMixColumns matrix).
+static TD: [[u32; 256]; 4] = build_round_tables(&INV_SBOX, [14, 9, 13, 11]);
+
+/// Byte `row` (0 = most significant) of a state word, as a table index.
+#[inline(always)]
+fn byte(word: u32, row: u32) -> usize {
+    (word >> (24 - 8 * row)) as u8 as usize
+}
+
+/// One column of a middle round: the look-ups for the four bytes that the
+/// row shift brings into this column, XORed with the round-key word.
+#[inline(always)]
+fn column(t: &[[u32; 256]; 4], s: [u32; 4], k: u32) -> u32 {
+    t[0][byte(s[0], 0)] ^ t[1][byte(s[1], 1)] ^ t[2][byte(s[2], 2)] ^ t[3][byte(s[3], 3)] ^ k
+}
+
+/// One column of the final round, which has no (Inv)MixColumns: plain
+/// S-box bytes.
+#[inline(always)]
+fn last_column(sbox: &[u8; 256], s: [u32; 4], k: u32) -> u32 {
+    u32::from_be_bytes([
+        sbox[byte(s[0], 0)],
+        sbox[byte(s[1], 1)],
+        sbox[byte(s[2], 2)],
+        sbox[byte(s[3], 3)],
+    ]) ^ k
+}
+
+/// One cipher round over the whole state. Column `c` takes its row-`j` byte
+/// from column `c + j·step`: `step` 1 is ShiftRows, `step` 3 InvShiftRows.
+#[inline(always)]
+fn round(s: [u32; 4], k: &[u32; 4], step: usize, col: impl Fn([u32; 4], u32) -> u32) -> [u32; 4] {
+    std::array::from_fn(|c| {
+        col(
+            [
+                s[c],
+                s[(c + step) % 4],
+                s[(c + 2 * step) % 4],
+                s[(c + 3 * step) % 4],
+            ],
+            k[c],
+        )
+    })
+}
+
+/// The ten rounds, shared by both directions, over `N` independent blocks
+/// side by side: each round is applied to every block before the next, so
+/// one block's look-ups are in flight while another's are combined.
+#[inline(always)]
+fn cipher<const N: usize>(
+    blocks: [&[u8; BLOCK_SIZE]; N],
+    keys: &[[u32; 4]; ROUNDS + 1],
+    step: usize,
+    tables: &[[u32; 256]; 4],
+    sbox: &[u8; 256],
+) -> [[u8; BLOCK_SIZE]; N] {
+    let mut s: [[u32; 4]; N] = std::array::from_fn(|n| {
+        std::array::from_fn(|c| {
+            u32::from_be_bytes([
+                blocks[n][4 * c],
+                blocks[n][4 * c + 1],
+                blocks[n][4 * c + 2],
+                blocks[n][4 * c + 3],
+            ]) ^ keys[0][c]
+        })
+    });
+    for k in &keys[1..ROUNDS] {
+        for lane in &mut s {
+            *lane = round(*lane, k, step, |s, k| column(tables, s, k));
+        }
+    }
+    s.map(|s| {
+        let s = round(s, &keys[ROUNDS], step, |s, k| last_column(sbox, s, k));
+        let mut out = [0u8; BLOCK_SIZE];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(s) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    })
+}
+
+/// An AES-128 block cipher instance with both expanded key schedules.
 ///
 /// # Example
 ///
@@ -32,8 +217,12 @@ const ROUNDS: usize = 10;
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    /// Round keys: 11 round keys of 16 bytes each.
-    round_keys: [[u8; 16]; ROUNDS + 1],
+    /// Encryption round keys, one `[u32; 4]` of big-endian column words per
+    /// round.
+    encrypt_keys: [[u32; 4]; ROUNDS + 1],
+    /// Round keys of the equivalent inverse cipher: the encryption keys in
+    /// reverse order, the nine middle ones through InvMixColumns.
+    decrypt_keys: [[u32; 4]; ROUNDS + 1],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -43,72 +232,8 @@ impl std::fmt::Debug for Aes128 {
     }
 }
 
-/// The AES S-box and inverse S-box, computed once.
-struct SBoxes {
-    forward: [u8; 256],
-    inverse: [u8; 256],
-}
-
-fn sboxes() -> &'static SBoxes {
-    use std::sync::OnceLock;
-    static SBOXES: OnceLock<SBoxes> = OnceLock::new();
-    SBOXES.get_or_init(|| {
-        let mut forward = [0u8; 256];
-        let mut inverse = [0u8; 256];
-        for x in 0u16..256 {
-            let x = x as u8;
-            let inv = if x == 0 { 0 } else { gf_inverse(x) };
-            // Affine transform: b ^= rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4) ^ 0x63
-            let mut b = inv;
-            let mut res = inv;
-            for _ in 0..4 {
-                b = b.rotate_left(1);
-                res ^= b;
-            }
-            res ^= 0x63;
-            forward[x as usize] = res;
-            inverse[res as usize] = x;
-        }
-        SBoxes { forward, inverse }
-    })
-}
-
-/// Multiplication in GF(2⁸) with the AES reduction polynomial x⁸+x⁴+x³+x+1.
-fn gf_mul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        let hi = a & 0x80;
-        a <<= 1;
-        if hi != 0 {
-            a ^= 0x1b;
-        }
-        b >>= 1;
-    }
-    p
-}
-
-/// Multiplicative inverse in GF(2⁸) by exponentiation (a²⁵⁴).
-fn gf_inverse(a: u8) -> u8 {
-    debug_assert_ne!(a, 0);
-    // a^254 = a^-1 in GF(2^8)*
-    let mut result = 1u8;
-    let mut base = a;
-    let mut exp = 254u8;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            result = gf_mul(result, base);
-        }
-        base = gf_mul(base, base);
-        exp >>= 1;
-    }
-    result
-}
-
 impl Aes128 {
-    /// Expands `key` into the round-key schedule.
+    /// Expands `key` into the round-key schedules.
     ///
     /// # Panics
     ///
@@ -124,146 +249,71 @@ impl Aes128 {
     ///
     /// Returns [`crate::CryptoError::InvalidKeyLength`] if `key` is not 16 bytes.
     pub fn try_new(key: &[u8]) -> Result<Self, crate::CryptoError> {
-        if key.len() != KEY_SIZE {
-            return Err(crate::CryptoError::InvalidKeyLength {
-                expected: KEY_SIZE,
-                actual: key.len(),
-            });
+        check_key(key)?;
+        const RCON: [u8; ROUNDS] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
+        let mut encrypt_keys = [[0u32; 4]; ROUNDS + 1];
+        for (word, bytes) in encrypt_keys[0].iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
-        let sbox = &sboxes().forward;
-        // Key expansion into 44 words.
-        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
-        for i in 0..4 {
-            w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
-        }
-        let rcon: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
-        for i in 4..4 * (ROUNDS + 1) {
-            let mut temp = w[i - 1];
-            if i % 4 == 0 {
-                temp.rotate_left(1);
-                for byte in &mut temp {
-                    *byte = sbox[*byte as usize];
-                }
-                temp[0] ^= rcon[i / 4 - 1];
-            }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
-        }
-        let mut round_keys = [[0u8; 16]; ROUNDS + 1];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
+        for r in 1..=ROUNDS {
+            let previous = encrypt_keys[r - 1];
+            // RotWord, SubWord, Rcon on the last word of the previous key.
+            let rotated = previous[3].rotate_left(8);
+            let mut temp = last_column(&SBOX, [rotated; 4], (RCON[r - 1] as u32) << 24);
             for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
+                temp ^= previous[c];
+                encrypt_keys[r][c] = temp;
             }
         }
-        Ok(Aes128 { round_keys })
-    }
-
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for (s, k) in state.iter_mut().zip(rk.iter()) {
-            *s ^= k;
-        }
-    }
-
-    fn sub_bytes(state: &mut [u8; 16]) {
-        let sbox = &sboxes().forward;
-        for b in state.iter_mut() {
-            *b = sbox[*b as usize];
-        }
-    }
-
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        let sbox = &sboxes().inverse;
-        for b in state.iter_mut() {
-            *b = sbox[*b as usize];
-        }
-    }
-
-    /// State layout: `state[4*c + r]` is row `r`, column `c`
-    /// (i.e. bytes are stored column-major exactly as the block bytes).
-    fn shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[4 * c + r] = s[4 * ((c + r) % 4) + r];
+        let mut decrypt_keys = encrypt_keys;
+        decrypt_keys.reverse();
+        for k in &mut decrypt_keys[1..ROUNDS] {
+            for word in k {
+                // TD holds InvMixColumns ∘ InvSubBytes, so undo the latter.
+                let subbed = last_column(&SBOX, [*word; 4], 0);
+                *word = column(&TD, [subbed; 4], 0);
             }
         }
-    }
-
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[4 * ((c + r) % 4) + r] = s[4 * c + r];
-            }
-        }
-    }
-
-    fn mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gf_mul(col[0], 2) ^ gf_mul(col[1], 3) ^ col[2] ^ col[3];
-            state[4 * c + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
-            state[4 * c + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
-            state[4 * c + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
-        }
-    }
-
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] =
-                gf_mul(col[0], 14) ^ gf_mul(col[1], 11) ^ gf_mul(col[2], 13) ^ gf_mul(col[3], 9);
-            state[4 * c + 1] =
-                gf_mul(col[0], 9) ^ gf_mul(col[1], 14) ^ gf_mul(col[2], 11) ^ gf_mul(col[3], 13);
-            state[4 * c + 2] =
-                gf_mul(col[0], 13) ^ gf_mul(col[1], 9) ^ gf_mul(col[2], 14) ^ gf_mul(col[3], 11);
-            state[4 * c + 3] =
-                gf_mul(col[0], 11) ^ gf_mul(col[1], 13) ^ gf_mul(col[2], 9) ^ gf_mul(col[3], 14);
-        }
+        Ok(Aes128 {
+            encrypt_keys,
+            decrypt_keys,
+        })
     }
 
     /// Encrypts a single 16-byte block.
-    pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut state = *block;
-        Self::add_round_key(&mut state, &self.round_keys[0]);
-        for round in 1..ROUNDS {
-            Self::sub_bytes(&mut state);
-            Self::shift_rows(&mut state);
-            Self::mix_columns(&mut state);
-            Self::add_round_key(&mut state, &self.round_keys[round]);
-        }
-        Self::sub_bytes(&mut state);
-        Self::shift_rows(&mut state);
-        Self::add_round_key(&mut state, &self.round_keys[ROUNDS]);
-        state
+    #[inline]
+    pub fn encrypt_block(&self, block: &[u8; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
+        let [out] = cipher([block], &self.encrypt_keys, 1, &TE, &SBOX);
+        out
     }
 
     /// Decrypts a single 16-byte block.
-    pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut state = *block;
-        Self::add_round_key(&mut state, &self.round_keys[ROUNDS]);
-        for round in (1..ROUNDS).rev() {
-            Self::inv_shift_rows(&mut state);
-            Self::inv_sub_bytes(&mut state);
-            Self::add_round_key(&mut state, &self.round_keys[round]);
-            Self::inv_mix_columns(&mut state);
-        }
-        Self::inv_shift_rows(&mut state);
-        Self::inv_sub_bytes(&mut state);
-        Self::add_round_key(&mut state, &self.round_keys[0]);
-        state
+    #[inline]
+    pub fn decrypt_block(&self, block: &[u8; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
+        let [out] = cipher([block], &self.decrypt_keys, 3, &TD, &INV_SBOX);
+        out
     }
+
+    /// Decrypts two independent blocks side by side (see
+    /// `cbc::chain_decrypt_interleaved`).
+    #[inline]
+    pub(crate) fn decrypt_block_pair(
+        &self,
+        blocks: [&[u8; BLOCK_SIZE]; 2],
+    ) -> [[u8; BLOCK_SIZE]; 2] {
+        cipher(blocks, &self.decrypt_keys, 3, &TD, &INV_SBOX)
+    }
+}
+
+/// Rejects a key that is not [`KEY_SIZE`] bytes.
+pub(crate) fn check_key(key: &[u8]) -> Result<(), crate::CryptoError> {
+    if key.len() != KEY_SIZE {
+        return Err(crate::CryptoError::InvalidKeyLength {
+            expected: KEY_SIZE,
+            actual: key.len(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -279,25 +329,25 @@ mod tests {
 
     #[test]
     fn sbox_known_values() {
-        let sb = &sboxes().forward;
+        let sb = &SBOX;
         assert_eq!(sb[0x00], 0x63);
         assert_eq!(sb[0x01], 0x7c);
         assert_eq!(sb[0x53], 0xed);
         assert_eq!(sb[0xff], 0x16);
-        let inv = &sboxes().inverse;
+        let inv = &INV_SBOX;
         assert_eq!(inv[0x63], 0x00);
         assert_eq!(inv[0xed], 0x53);
     }
 
     #[test]
     fn sbox_is_a_permutation() {
-        let sb = &sboxes().forward;
+        let sb = &SBOX;
         let mut seen = [false; 256];
         for &v in sb.iter() {
             assert!(!seen[v as usize]);
             seen[v as usize] = true;
         }
-        let inv = &sboxes().inverse;
+        let inv = &INV_SBOX;
         for x in 0..256 {
             assert_eq!(inv[sb[x] as usize] as usize, x);
         }

@@ -10,7 +10,9 @@
 //! granularity of the paper's Table 1:
 //!
 //! * AES-128 **block** encryption/decryption plus the per-invocation key
-//!   schedule ([`CryptoBackend::aes_schedule`]),
+//!   schedule ([`CryptoBackend::aes_schedule`]), and a CBC run over whole
+//!   blocks ([`CryptoBackend::aes_cbc_blocks`]) that costs exactly its
+//!   blocks — the bulk path every DCF access takes,
 //! * SHA-1 and HMAC-SHA-1 over a message, charged per 128 bits of data
 //!   (Table 1's unit; internally this is the compression-function work),
 //! * the RSA public/private **exponentiations** (RSAEP/RSAVP1 and
@@ -35,10 +37,10 @@
 //! trace are two views of the same accounting and are cross-checked in the
 //! test suites.
 
-use crate::aes::Aes128;
+use crate::aes::{Aes128, BLOCK_SIZE};
 use crate::provider::{Algorithm, OpCount};
 use crate::rsa::{RsaPrivateKey, RsaPublicKey};
-use crate::{hmac, sha1, CryptoError};
+use crate::{cbc, hmac, sha1, CryptoError};
 use oma_bignum::BigUint;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -254,15 +256,17 @@ pub trait CryptoBackend: Send + Sync + fmt::Debug {
     // ----- AES-128 (block granularity) --------------------------------------
 
     /// Runs the AES key schedule for `direction`, charging the
-    /// per-invocation offset of the corresponding Table 1 row.
+    /// per-invocation offset of the corresponding Table 1 row (nothing for a
+    /// rejected key).
     ///
     /// # Errors
     ///
     /// Returns [`CryptoError::InvalidKeyLength`] for a key that is not 16
     /// bytes.
     fn aes_schedule(&self, key: &[u8], direction: AesDirection) -> Result<Aes128, CryptoError> {
+        let cipher = Aes128::try_new(key)?;
         self.charge(direction.algorithm(), 1, 0);
-        Aes128::try_new(key)
+        Ok(cipher)
     }
 
     /// Encrypts one 128-bit block, charging one block of `AesEncrypt`.
@@ -275,6 +279,39 @@ pub trait CryptoBackend: Send + Sync + fmt::Debug {
     fn aes_decrypt_block(&self, cipher: &Aes128, block: &[u8; 16]) -> [u8; 16] {
         self.charge(Algorithm::AesDecrypt, 0, 1);
         cipher.decrypt_block(block)
+    }
+
+    /// CBC-chains the whole blocks of `input` into `output` in `direction`,
+    /// starting from `iv`, charging one block per block.
+    ///
+    /// The default runs every block through
+    /// [`aes_encrypt_block`](Self::aes_encrypt_block) /
+    /// [`aes_decrypt_block`](Self::aes_decrypt_block), so a backend that
+    /// overrides only those still sees each block. A backend whose block
+    /// operations are the plain cipher overrides this with
+    /// [`charged_cbc_blocks`]: one charge for the run, then a loop over
+    /// `cipher` alone. Bytes and cycles are identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `input` and `output` are the same whole number of
+    /// blocks long.
+    fn aes_cbc_blocks(
+        &self,
+        cipher: &Aes128,
+        direction: AesDirection,
+        iv: &[u8; BLOCK_SIZE],
+        input: &[u8],
+        output: &mut [u8],
+    ) {
+        match direction {
+            AesDirection::Encrypt => cbc::chain_encrypt(iv, input, output, |block| {
+                self.aes_encrypt_block(cipher, block)
+            }),
+            AesDirection::Decrypt => cbc::chain_decrypt(iv, input, output, |block| {
+                self.aes_decrypt_block(cipher, block)
+            }),
+        }
     }
 
     // ----- hashing (per 128 bits of message data) ---------------------------
@@ -312,6 +349,26 @@ pub trait CryptoBackend: Send + Sync + fmt::Debug {
     fn rsa_private_exp(&self, key: &RsaPrivateKey, c: &BigUint) -> Result<BigUint, CryptoError> {
         self.charge(Algorithm::RsaPrivate, 1, 1);
         key.rsadp(c)
+    }
+}
+
+/// [`CryptoBackend::aes_cbc_blocks`] for a backend whose block operations are
+/// the plain cipher plus a charge: the whole run is charged at once and the
+/// loop makes no call through the backend.
+pub fn charged_cbc_blocks(
+    backend: &dyn CryptoBackend,
+    cipher: &Aes128,
+    direction: AesDirection,
+    iv: &[u8; BLOCK_SIZE],
+    input: &[u8],
+    output: &mut [u8],
+) {
+    backend.charge(direction.algorithm(), 0, (input.len() / BLOCK_SIZE) as u64);
+    match direction {
+        AesDirection::Encrypt => {
+            cbc::chain_encrypt(iv, input, output, |block| cipher.encrypt_block(block))
+        }
+        AesDirection::Decrypt => cbc::chain_decrypt_interleaved(iv, input, output, cipher),
     }
 }
 
@@ -366,6 +423,17 @@ impl CryptoBackend for SoftwareBackend {
 
     fn meter(&self) -> &CycleMeter {
         &self.meter
+    }
+
+    fn aes_cbc_blocks(
+        &self,
+        cipher: &Aes128,
+        direction: AesDirection,
+        iv: &[u8; BLOCK_SIZE],
+        input: &[u8],
+        output: &mut [u8],
+    ) {
+        charged_cbc_blocks(self, cipher, direction, iv, input, output);
     }
 }
 
@@ -453,6 +521,17 @@ impl CryptoBackend for HwMacroBackend {
     fn meter(&self) -> &CycleMeter {
         &self.meter
     }
+
+    fn aes_cbc_blocks(
+        &self,
+        cipher: &Aes128,
+        direction: AesDirection,
+        iv: &[u8; BLOCK_SIZE],
+        input: &[u8],
+        output: &mut [u8],
+    ) {
+        charged_cbc_blocks(self, cipher, direction, iv, input, output);
+    }
 }
 
 /// A zero-cost pass-through backend used by the plain module functions
@@ -484,6 +563,17 @@ impl CryptoBackend for Unmetered {
     }
 
     fn charge(&self, _algorithm: Algorithm, _invocations: u64, _blocks: u64) {}
+
+    fn aes_cbc_blocks(
+        &self,
+        cipher: &Aes128,
+        direction: AesDirection,
+        iv: &[u8; BLOCK_SIZE],
+        input: &[u8],
+        output: &mut [u8],
+    ) {
+        charged_cbc_blocks(self, cipher, direction, iv, input, output);
+    }
 }
 
 #[cfg(test)]

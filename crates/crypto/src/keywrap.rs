@@ -5,7 +5,7 @@
 //! Agent re-wraps the same keys under its device key `K_DEV` at installation
 //! time to form `C2dev` (Figure 3 of the paper).
 
-use crate::aes::BLOCK_SIZE;
+use crate::aes::{check_key, BLOCK_SIZE};
 use crate::backend::{AesDirection, CryptoBackend, Unmetered};
 use crate::CryptoError;
 
@@ -40,6 +40,7 @@ pub fn wrap(kek: &[u8], key_data: &[u8]) -> Result<Vec<u8>, CryptoError> {
 
 /// [`wrap`] routed through a [`CryptoBackend`]: one key schedule plus the
 /// real 6·n block-cipher invocations run (and are charged) on the backend.
+/// Nothing is charged when the arguments are rejected.
 ///
 /// # Errors
 ///
@@ -49,43 +50,24 @@ pub fn wrap_with(
     kek: &[u8],
     key_data: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
+    check_wrap_args(kek, key_data)?;
     let cipher = backend.aes_schedule(kek, AesDirection::Encrypt)?;
-    if key_data.len() < 16 || !key_data.len().is_multiple_of(8) {
-        return Err(CryptoError::InvalidInputLength {
-            expected: "key data of >= 16 bytes, multiple of 8",
-            actual: key_data.len(),
-        });
-    }
-    let n = key_data.len() / 8;
-    let mut a = DEFAULT_IV;
-    let mut r: Vec<[u8; 8]> = key_data
-        .chunks_exact(8)
-        .map(|c| {
-            let mut block = [0u8; 8];
-            block.copy_from_slice(c);
-            block
-        })
-        .collect();
+    let n = (key_data.len() / 8) as u64;
+    // The output buffer is the working state: A in its first 8 bytes, then R[1..=n].
+    let mut out = Vec::with_capacity(key_data.len() + 8);
+    out.extend_from_slice(&DEFAULT_IV);
+    out.extend_from_slice(key_data);
+    let (a, r) = out.split_at_mut(8);
 
-    for j in 0..6u64 {
-        for (i, ri) in r.iter_mut().enumerate() {
+    for j in 0..6 {
+        for (i, ri) in r.chunks_exact_mut(8).enumerate() {
             let mut block = [0u8; BLOCK_SIZE];
-            block[..8].copy_from_slice(&a);
+            block[..8].copy_from_slice(a);
             block[8..].copy_from_slice(ri);
             let b = backend.aes_encrypt_block(&cipher, &block);
-            let t = (n as u64) * j + (i as u64 + 1);
-            a.copy_from_slice(&b[..8]);
-            for (k, byte) in t.to_be_bytes().iter().enumerate() {
-                a[k] ^= byte;
-            }
+            a.copy_from_slice(&xor_counter(&b, n * j + i as u64 + 1)[..8]);
             ri.copy_from_slice(&b[8..]);
         }
-    }
-
-    let mut out = Vec::with_capacity(key_data.len() + 8);
-    out.extend_from_slice(&a);
-    for block in &r {
-        out.extend_from_slice(block);
     }
     Ok(out)
 }
@@ -112,49 +94,61 @@ pub fn unwrap_with(
     kek: &[u8],
     wrapped: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
+    check_unwrap_args(kek, wrapped)?;
     let cipher = backend.aes_schedule(kek, AesDirection::Decrypt)?;
-    if wrapped.len() < 24 || !wrapped.len().is_multiple_of(8) {
-        return Err(CryptoError::InvalidInputLength {
-            expected: "wrapped data of >= 24 bytes, multiple of 8",
-            actual: wrapped.len(),
-        });
-    }
-    let n = wrapped.len() / 8 - 1;
+    let n = (wrapped.len() / 8 - 1) as u64;
     let mut a = [0u8; 8];
     a.copy_from_slice(&wrapped[..8]);
-    let mut r: Vec<[u8; 8]> = wrapped[8..]
-        .chunks_exact(8)
-        .map(|c| {
-            let mut block = [0u8; 8];
-            block.copy_from_slice(c);
-            block
-        })
-        .collect();
+    // The output buffer is the working state R[1..=n].
+    let mut out = wrapped[8..].to_vec();
 
-    for j in (0..6u64).rev() {
-        for i in (0..n).rev() {
-            let t = (n as u64) * j + (i as u64 + 1);
-            let mut a_x = a;
-            for (k, byte) in t.to_be_bytes().iter().enumerate() {
-                a_x[k] ^= byte;
-            }
+    for j in (0..6).rev() {
+        for (i, ri) in out.chunks_exact_mut(8).enumerate().rev() {
             let mut block = [0u8; BLOCK_SIZE];
-            block[..8].copy_from_slice(&a_x);
-            block[8..].copy_from_slice(&r[i]);
-            let b = backend.aes_decrypt_block(&cipher, &block);
+            block[..8].copy_from_slice(&a);
+            block[8..].copy_from_slice(ri);
+            let b = backend.aes_decrypt_block(&cipher, &xor_counter(&block, n * j + i as u64 + 1));
             a.copy_from_slice(&b[..8]);
-            r[i].copy_from_slice(&b[8..]);
+            ri.copy_from_slice(&b[8..]);
         }
     }
 
     if a != DEFAULT_IV {
         return Err(CryptoError::KeyUnwrapIntegrity);
     }
-    let mut out = Vec::with_capacity(n * 8);
-    for block in &r {
-        out.extend_from_slice(block);
-    }
     Ok(out)
+}
+
+/// `block` with the step counter `t` XORed into its first 8 bytes
+/// (`MSB(64, B) ^ t` of RFC 3394).
+fn xor_counter(block: &[u8; BLOCK_SIZE], t: u64) -> [u8; BLOCK_SIZE] {
+    (u128::from_be_bytes(*block) ^ (u128::from(t) << 64)).to_be_bytes()
+}
+
+/// Validates the arguments of [`wrap_with`]. The engine calls it before
+/// recording, so that a rejected call leaves the trace and the cycle meter
+/// equally untouched.
+pub(crate) fn check_wrap_args(kek: &[u8], key_data: &[u8]) -> Result<(), CryptoError> {
+    check_key(kek)?;
+    if key_data.len() < 16 || !key_data.len().is_multiple_of(8) {
+        return Err(CryptoError::InvalidInputLength {
+            expected: "key data of >= 16 bytes, multiple of 8",
+            actual: key_data.len(),
+        });
+    }
+    Ok(())
+}
+
+/// Validates the arguments of [`unwrap_with`].
+pub(crate) fn check_unwrap_args(kek: &[u8], wrapped: &[u8]) -> Result<(), CryptoError> {
+    check_key(kek)?;
+    if wrapped.len() < 24 || !wrapped.len().is_multiple_of(8) {
+        return Err(CryptoError::InvalidInputLength {
+            expected: "wrapped data of >= 24 bytes, multiple of 8",
+            actual: wrapped.len(),
+        });
+    }
+    Ok(())
 }
 
 /// Number of AES block-cipher invocations performed when wrapping or

@@ -414,6 +414,7 @@ impl CryptoEngine {
         iv: &[u8],
         plaintext: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
+        cbc::check_encrypt_args(key, iv)?;
         self.record(
             Algorithm::AesEncrypt,
             1,
@@ -433,6 +434,7 @@ impl CryptoEngine {
         iv: &[u8],
         ciphertext: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
+        cbc::check_decrypt_args(key, iv, ciphertext)?;
         self.record(Algorithm::AesDecrypt, 1, (ciphertext.len() / 16) as u64);
         cbc::decrypt_with(self.backend.as_ref(), key, iv, ciphertext)
     }
@@ -443,6 +445,7 @@ impl CryptoEngine {
     ///
     /// See [`keywrap::wrap`].
     pub fn aes_wrap(&self, kek: &[u8], key_data: &[u8]) -> Result<Vec<u8>, CryptoError> {
+        keywrap::check_wrap_args(kek, key_data)?;
         self.record(
             Algorithm::AesEncrypt,
             1,
@@ -457,11 +460,11 @@ impl CryptoEngine {
     ///
     /// See [`keywrap::unwrap`].
     pub fn aes_unwrap(&self, kek: &[u8], wrapped: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let data_len = wrapped.len().saturating_sub(8);
+        keywrap::check_unwrap_args(kek, wrapped)?;
         self.record(
             Algorithm::AesDecrypt,
             1,
-            keywrap::block_operations(data_len),
+            keywrap::block_operations(wrapped.len() - 8),
         );
         keywrap::unwrap_with(self.backend.as_ref(), kek, wrapped)
     }

@@ -58,92 +58,96 @@ impl Sha1 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == BLOCK_SIZE {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            } else {
+            if self.buffer_len < BLOCK_SIZE {
                 // Buffer still partially filled and all input consumed.
                 return;
             }
+            compress(&mut self.state, &self.buffer);
         }
-        let mut chunks = data.chunks_exact(BLOCK_SIZE);
-        for chunk in &mut chunks {
-            // `chunk` borrows the caller's input, not `self.buffer`, so the
-            // compression can run directly over the slice without staging a copy.
-            let block: &[u8; BLOCK_SIZE] =
-                chunk.try_into().expect("chunks_exact yields full blocks");
-            self.compress(block);
-        }
-        let rest = chunks.remainder();
+        // The whole blocks are compressed where they lie in the caller's
+        // input; only the tail is staged.
+        let (whole, rest) = data.split_at(data.len() - data.len() % BLOCK_SIZE);
+        compress(&mut self.state, whole);
         self.buffer[..rest.len()].copy_from_slice(rest);
         self.buffer_len = rest.len();
     }
 
     /// Finishes the hash and returns the 20-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_SIZE] {
+        // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit bit length —
+        // one block, or two when fewer than 8 bytes are free after the 0x80.
+        const LENGTH_AT: usize = BLOCK_SIZE - 8;
+        let mut padding = [0u8; 2 * BLOCK_SIZE];
+        padding[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        padding[self.buffer_len] = 0x80;
+        let padded_len = if self.buffer_len < LENGTH_AT {
+            BLOCK_SIZE
+        } else {
+            2 * BLOCK_SIZE
+        };
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zeros until 56 mod 64, then the 64-bit length.
-        self.update_padding(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update_padding(&[0x00]);
-        }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        padding[padded_len - 8..padded_len].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &padding[..padded_len]);
         let mut out = [0u8; DIGEST_SIZE];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// Like `update` but without counting toward the message length
-    /// (used only for the padding bytes).
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffer_len] = b;
-            self.buffer_len += 1;
-            if self.buffer_len == BLOCK_SIZE {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-    }
+/// The 16-word circular message schedule: returns `W[t]` for `t >= 16` and
+/// stores it over `W[t - 16]`.
+#[inline(always)]
+fn schedule(w: &mut [u32; 16], t: usize) -> u32 {
+    w[t % 16] = (w[(t + 13) % 16] ^ w[(t + 8) % 16] ^ w[(t + 2) % 16] ^ w[t % 16]).rotate_left(1);
+    w[t % 16]
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_SIZE]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// One round over `[a, b, c, d, e]` with round function `f(b, c, d)`.
+#[inline(always)]
+fn round([a, b, c, d, e]: [u32; 5], f: impl Fn(u32, u32, u32) -> u32, k: u32, w: u32) -> [u32; 5] {
+    let a_next = a
+        .rotate_left(5)
+        .wrapping_add(f(b, c, d))
+        .wrapping_add(e)
+        .wrapping_add(k)
+        .wrapping_add(w);
+    [a_next, a, b.rotate_left(30), c, d]
+}
+
+/// Compresses a run of whole blocks into `state`.
+fn compress(state: &mut [u32; 5], blocks: &[u8]) {
+    debug_assert!(blocks.len().is_multiple_of(BLOCK_SIZE));
+    let choose = |b, c, d| d ^ (b & (c ^ d));
+    let parity = |b, c, d| b ^ c ^ d;
+    let majority = |b, c, d| (b & c) | (d & (b | c));
+    for block in blocks.chunks_exact(BLOCK_SIZE) {
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        let mut v = *state;
+        // The 80 rounds as four groups of 20, one round function and
+        // constant each; only the first 16 read the block directly.
+        for wt in w {
+            v = round(v, choose, 0x5a827999, wt);
         }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5a827999),
-                20..=39 => (b ^ c ^ d, 0x6ed9eba1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
-                _ => (b ^ c ^ d, 0xca62c1d6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
+        for t in 16..20 {
+            v = round(v, choose, 0x5a827999, schedule(&mut w, t));
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        for t in 20..40 {
+            v = round(v, parity, 0x6ed9eba1, schedule(&mut w, t));
+        }
+        for t in 40..60 {
+            v = round(v, majority, 0x8f1bbcdc, schedule(&mut w, t));
+        }
+        for t in 60..80 {
+            v = round(v, parity, 0xca62c1d6, schedule(&mut w, t));
+        }
+        for (s, x) in state.iter_mut().zip(v) {
+            *s = s.wrapping_add(x);
+        }
     }
 }
 

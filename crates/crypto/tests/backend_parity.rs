@@ -3,13 +3,24 @@
 //! hashes, MACs, wrapped keys and signatures for random inputs — the
 //! hardware macros implement the same standardised algorithms, only their
 //! cycle bill differs.
+//!
+//! The same holds *within* a backend between the bulk CBC path (one charge,
+//! then a loop over the cipher) and the per-block path a wrapper backend
+//! gets from the trait's default: identical bytes, identical cycles, every
+//! block seen. And the priced [`OpTrace`](oma_crypto::OpTrace) equals the
+//! cycle meter after rejected calls too.
 
-use oma_crypto::backend::{CryptoBackend, HwMacroBackend, Realisation, SoftwareBackend};
+use oma_crypto::aes::Aes128;
+use oma_crypto::backend::{
+    AlgorithmCost, CryptoBackend, CycleMeter, HwMacroBackend, Realisation, SoftwareBackend,
+};
 use oma_crypto::rsa::{RsaKeyPair, RsaPrivateKey};
-use oma_crypto::{cbc, kdf, kem, keywrap, pss, Algorithm, CryptoEngine};
+use oma_crypto::sha1::{sha1, Sha1};
+use oma_crypto::{cbc, kdf, kem, keywrap, pss, Algorithm, CryptoEngine, CryptoError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A fixed 512-bit test key pair (RSA keygen dominates the suite's runtime;
@@ -28,8 +39,197 @@ fn backends() -> Vec<Box<dyn CryptoBackend>> {
     ]
 }
 
+/// A backend in the shape of the benchmark's `TimedBackend`: it overrides
+/// only the per-block AES methods (counting the blocks it sees) and leaves
+/// `aes_cbc_blocks` to the trait's default.
+#[derive(Debug, Default)]
+struct PerBlock {
+    inner: SoftwareBackend,
+    blocks_seen: AtomicU64,
+}
+
+impl CryptoBackend for PerBlock {
+    fn name(&self) -> &str {
+        "per-block"
+    }
+
+    fn realisation(&self, algorithm: Algorithm) -> Realisation {
+        self.inner.realisation(algorithm)
+    }
+
+    fn cost(&self, algorithm: Algorithm) -> AlgorithmCost {
+        self.inner.cost(algorithm)
+    }
+
+    fn meter(&self) -> &CycleMeter {
+        self.inner.meter()
+    }
+
+    fn aes_encrypt_block(&self, cipher: &Aes128, block: &[u8; 16]) -> [u8; 16] {
+        self.blocks_seen.fetch_add(1, Ordering::Relaxed);
+        self.inner.aes_encrypt_block(cipher, block)
+    }
+
+    fn aes_decrypt_block(&self, cipher: &Aes128, block: &[u8; 16]) -> [u8; 16] {
+        self.blocks_seen.fetch_add(1, Ordering::Relaxed);
+        self.inner.aes_decrypt_block(cipher, block)
+    }
+}
+
+/// CBC-encrypts and decrypts `plaintext` on the bulk path and on the
+/// per-block path and compares bytes, cycles and the blocks the wrapper saw.
+fn assert_bulk_matches_per_block(key: &[u8; 16], iv: &[u8; 16], plaintext: &[u8]) {
+    let blocks = (plaintext.len() / 16 + 1) as u64;
+    let (bulk, per_block) = (SoftwareBackend::new(), PerBlock::default());
+
+    let ciphertext = cbc::encrypt_with(&bulk, key, iv, plaintext).unwrap();
+    assert_eq!(
+        cbc::encrypt_with(&per_block, key, iv, plaintext).unwrap(),
+        ciphertext
+    );
+    assert_eq!(per_block.blocks_seen.swap(0, Ordering::Relaxed), blocks);
+
+    assert_eq!(
+        cbc::decrypt_with(&bulk, key, iv, &ciphertext).unwrap(),
+        plaintext
+    );
+    assert_eq!(
+        cbc::decrypt_with(&per_block, key, iv, &ciphertext).unwrap(),
+        plaintext
+    );
+    assert_eq!(per_block.blocks_seen.swap(0, Ordering::Relaxed), blocks);
+
+    for (algorithm, offset) in [(Algorithm::AesEncrypt, 360), (Algorithm::AesDecrypt, 950)] {
+        let cycles = bulk.meter().cycles_of(algorithm);
+        assert_eq!(cycles, offset + 830 * blocks, "{algorithm}");
+        assert_eq!(
+            per_block.meter().cycles_of(algorithm),
+            cycles,
+            "{algorithm}"
+        );
+    }
+}
+
+#[test]
+fn bulk_cbc_matches_per_block_on_the_papers_dcf_sizes() {
+    // The 30 KiB ringtone and the 3.5 MiB music track.
+    for len in [30_720usize, 3_670_016] {
+        let plaintext: Vec<u8> = (0..len).map(|i| (i * 131 + i / 251) as u8).collect();
+        assert_bulk_matches_per_block(&[0x42; 16], &[0x24; 16], &plaintext);
+    }
+}
+
+/// The cycles `backend` charges for everything in the engine's trace.
+fn priced_trace(engine: &CryptoEngine) -> u64 {
+    let trace = engine.trace();
+    Algorithm::ALL
+        .into_iter()
+        .map(|alg| engine.backend().cost(alg).cycles(trace.count(alg)))
+        .sum()
+}
+
+#[test]
+fn trace_and_meter_agree_after_rejected_calls() {
+    let backends: [Arc<dyn CryptoBackend>; 3] = [
+        Arc::new(SoftwareBackend::new()),
+        Arc::new(HwMacroBackend::hybrid()),
+        Arc::new(HwMacroBackend::full()),
+    ];
+    for backend in backends {
+        let name = backend.name().to_string();
+        let engine = CryptoEngine::with_backend(backend, 7);
+        let (key, iv) = ([1u8; 16], [2u8; 16]);
+
+        // Rejected before any work: nothing recorded, nothing charged.
+        let rejected = [
+            engine.aes_cbc_encrypt(&key[..15], &iv, b"x").unwrap_err(),
+            engine.aes_cbc_encrypt(&key, &iv[..8], b"x").unwrap_err(),
+            engine
+                .aes_cbc_decrypt(&key[..15], &iv, &[0; 32])
+                .unwrap_err(),
+            engine
+                .aes_cbc_decrypt(&key, &iv[..8], &[0; 32])
+                .unwrap_err(),
+            engine.aes_cbc_decrypt(&key, &iv, &[0; 40]).unwrap_err(),
+            engine.aes_cbc_decrypt(&key, &iv, &[]).unwrap_err(),
+            engine.aes_wrap(&key[..15], &[0; 32]).unwrap_err(),
+            engine.aes_wrap(&key, &[0; 8]).unwrap_err(),
+            engine.aes_unwrap(&key[..15], &[0; 40]).unwrap_err(),
+            engine.aes_unwrap(&key, &[0; 16]).unwrap_err(),
+            engine.aes_unwrap(&key, &[0; 7]).unwrap_err(),
+        ];
+        for error in rejected {
+            assert!(
+                matches!(
+                    error,
+                    CryptoError::InvalidKeyLength { .. } | CryptoError::InvalidInputLength { .. }
+                ),
+                "{error:?} on {name}"
+            );
+        }
+        assert!(engine.trace().is_empty(), "trace on {name}");
+        assert_eq!(engine.charged_cycles(), 0, "meter on {name}");
+
+        // Failures only the finished work reveals are recorded *and* charged.
+        let ciphertext = engine.aes_cbc_encrypt(&key, &iv, &[0xaa; 100]).unwrap();
+        let garbled = &ciphertext[..ciphertext.len() - 16];
+        assert_eq!(
+            engine.aes_cbc_decrypt(&key, &iv, garbled),
+            Err(CryptoError::InvalidPadding)
+        );
+        let wrapped = engine.aes_wrap(&key, &[5; 32]).unwrap();
+        assert_eq!(
+            engine.aes_unwrap(&[3; 16], &wrapped),
+            Err(CryptoError::KeyUnwrapIntegrity)
+        );
+        assert_eq!(priced_trace(&engine), engine.charged_cycles(), "on {name}");
+        assert!(engine.charged_cycles() > 0);
+    }
+}
+
+#[test]
+fn sha1_one_million_a_in_one_call() {
+    // FIPS 180 appendix A.3; one `update` over the whole message, so the
+    // compression runs over one 15 625-block slice.
+    let digest: String = sha1(&vec![b'a'; 1_000_000])
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(digest, "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn bulk_cbc_matches_per_block(key in any::<[u8; 16]>(), iv in any::<[u8; 16]>(),
+                                  plaintext in proptest::collection::vec(any::<u8>(), 0..4096)) {
+        assert_bulk_matches_per_block(&key, &iv, &plaintext);
+    }
+
+    /// Lengths within a few bytes of every boundary of the padding logic
+    /// (55/56: the length field no longer fits; 63/64: a block fills; 119/120
+    /// and 127/128: the same one block later), cut into arbitrary chunks.
+    #[test]
+    fn sha1_chunked_update_matches_one_shot(
+        boundary in 0usize..8,
+        offset in 0usize..5,
+        cuts in proptest::collection::vec(0usize..140, 0..6),
+        seed in any::<u8>(),
+    ) {
+        let len = [55usize, 56, 63, 64, 119, 120, 127, 128][boundary] + offset - 2;
+        let data: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+        cuts.sort_unstable();
+        let mut hasher = Sha1::new();
+        let mut start = 0;
+        for cut in cuts {
+            hasher.update(&data[start..cut]);
+            start = cut;
+        }
+        hasher.update(&data[start..]);
+        prop_assert_eq!(hasher.finalize(), sha1(&data), "len {}", len);
+    }
 
     #[test]
     fn cbc_ciphertexts_are_byte_identical(key in any::<[u8; 16]>(), iv in any::<[u8; 16]>(),
