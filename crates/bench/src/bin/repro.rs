@@ -10,21 +10,8 @@
 //! repro fig7          # Figure 7 only
 //! repro energy        # §3 energy estimate
 //! repro measured      # measured (protocol-run) cross-check of the model
-//!
-//! repro --emit-bench [--smoke] [PATH]      # write a BENCH_*.json snapshot
-//! repro --check-bench BASELINE FRESH       # fail on throughput regression
-//! repro --emit-trace [PATH]                # dump a fleet span trace (JSONL)
 //! ```
-//!
-//! `--emit-bench` writes a performance snapshot (default path
-//! `BENCH_pr10.json`); `--smoke` limits it to the small CI-sized section.
-//! `--check-bench` compares two snapshots and exits non-zero when the fresh
-//! one's smoke fleet throughput regressed beyond the tolerated drop, or
-//! when the fresh snapshot's observability-overhead ratio fell below the
-//! CI floor. `--emit-trace` runs an obs-enabled smoke fleet and writes the
-//! per-frame span ring as JSON Lines (one span per served frame).
 
-use oma_bench::snapshot::{check_regression, BenchSnapshot};
 use oma_bench::{Experiment, FIGURE6_PAPER_MS, FIGURE7_PAPER_MS};
 use oma_perf::energy::EnergyModel;
 use oma_perf::report;
@@ -134,138 +121,8 @@ fn print_measured(experiment: &Experiment) {
     }
 }
 
-/// `repro --emit-bench [--smoke] [PATH]`: measure and write a snapshot.
-fn emit_bench(args: &[String]) -> Result<(), String> {
-    let smoke_only = args.iter().any(|a| a == "--smoke");
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("BENCH_pr10.json");
-    // "BENCH_pr10.json" -> trajectory label "pr10".
-    let label = std::path::Path::new(path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .map(|s| s.strip_prefix("BENCH_").unwrap_or(s))
-        .unwrap_or("bench");
-    eprintln!(
-        "measuring {} bench snapshot '{label}'...",
-        if smoke_only { "smoke" } else { "smoke + full" }
-    );
-    let snapshot = BenchSnapshot::capture(label, smoke_only)?;
-    std::fs::write(path, snapshot.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-    let section = snapshot.full.as_ref().unwrap_or(&snapshot.smoke);
-    println!(
-        "wrote {path}: rsa private {:.0} us ({}x vs per-call contexts), fleet {:.1} reg/s, journaling x{:.2}, replay {:.0} us",
-        section.rsa.private_op_micros,
-        (section.rsa.private_speedup * 10.0).round() / 10.0,
-        section.fleet.registrations_per_sec,
-        section.durability.journaling_overhead_ratio,
-        section.durability.wal_replay_micros,
-    );
-    if let Some(cluster) = &section.cluster {
-        println!(
-            "  cluster: {} shards, replication {:.0} rec/s, failover {:.0} us, failed-over fleet {:.1} reg/s",
-            cluster.shards,
-            cluster.replication_records_per_sec,
-            cluster.failover_micros,
-            cluster.fleet_registrations_per_sec,
-        );
-    }
-    if let Some(session) = &section.session {
-        println!(
-            "  session: {} concurrent machines, {} states ({} distinct) at {:.0} states/s, {} fuzz attacks rejected",
-            session.sessions,
-            session.states_explored,
-            session.distinct_states,
-            session.states_per_sec,
-            session.fuzz_attacks,
-        );
-    }
-    if let Some(latency) = &section.latency {
-        println!(
-            "  latency: registration p50/p95/p99 {:.0}/{:.0}/{:.0} us (threads) {:.0}/{:.0}/{:.0} us (event), acquisition p50 {:.0}/{:.0} us, obs overhead ratio {:.3}",
-            latency.threads_registration_p50_micros,
-            latency.threads_registration_p95_micros,
-            latency.threads_registration_p99_micros,
-            latency.event_registration_p50_micros,
-            latency.event_registration_p95_micros,
-            latency.event_registration_p99_micros,
-            latency.threads_acquisition_p50_micros,
-            latency.event_acquisition_p50_micros,
-            latency.obs_overhead_ratio,
-        );
-    }
-    Ok(())
-}
-
-/// `repro --emit-trace [PATH]`: run an obs-enabled smoke fleet and write
-/// the span ring as JSON Lines — the CI artifact that shows what one
-/// serving window looked like, frame by frame.
-fn emit_trace(args: &[String]) -> Result<(), String> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("fleet_trace.jsonl");
-    let obs = oma_obs::Obs::new();
-    let spec = oma_load::FleetSpec::smoke();
-    oma_load::run_fleet_tcp_obs(
-        &spec,
-        oma_load::TcpBackend::ThreadPool,
-        &oma_obs::ObsConfig::On(std::sync::Arc::clone(&obs)),
-    )
-    .map_err(|e| format!("trace fleet failed: {e}"))?;
-    let spans = obs.spans();
-    std::fs::write(path, spans.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
-    println!(
-        "wrote {path}: {} spans ({} recorded, {} dropped)",
-        spans.spans().len(),
-        spans.recorded(),
-        spans.dropped()
-    );
-    Ok(())
-}
-
-/// `repro --check-bench BASELINE FRESH`: compare two snapshot files.
-fn check_bench(args: &[String]) -> Result<(), String> {
-    let [baseline_path, fresh_path] = args else {
-        return Err("usage: repro --check-bench <baseline.json> <fresh.json>".to_string());
-    };
-    let load = |path: &String| {
-        std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {path}: {e}"))
-            .and_then(|doc| BenchSnapshot::from_json(&doc).map_err(|e| format!("{path}: {e}")))
-    };
-    let verdict = check_regression(&load(baseline_path)?, &load(fresh_path)?)?;
-    println!("{verdict}");
-    Ok(())
-}
-
 fn main() {
     let selection: Vec<String> = std::env::args().skip(1).collect();
-    if selection.first().map(String::as_str) == Some("--emit-bench") {
-        if let Err(e) = emit_bench(&selection[1..]) {
-            eprintln!("emit-bench failed: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if selection.first().map(String::as_str) == Some("--check-bench") {
-        if let Err(e) = check_bench(&selection[1..]) {
-            eprintln!("check-bench failed: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if selection.first().map(String::as_str) == Some("--emit-trace") {
-        if let Err(e) = emit_trace(&selection[1..]) {
-            eprintln!("emit-trace failed: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
     let experiment = Experiment::new();
     let want = |name: &str| selection.is_empty() || selection.iter().any(|s| s == name);
 

@@ -1,7 +1,8 @@
-//! Shared helpers for the benchmark harness and the `repro` binary.
+//! Shared helpers for the paper-artefact benches and the `repro` binary.
 //!
 //! The benches in `benches/` regenerate, one per file, every table and
-//! figure of the paper's evaluation:
+//! figure of the paper's evaluation (the serving stack is measured by the
+//! standalone `benchmark/` package, not here):
 //!
 //! | Bench | Paper artefact |
 //! |---|---|
@@ -13,8 +14,6 @@
 //!
 //! The `repro` binary prints the same rows/series as text so the numbers can
 //! be compared against the paper without running Criterion.
-
-pub mod snapshot;
 
 use oma_drm::DrmError;
 use oma_perf::arch::Architecture;

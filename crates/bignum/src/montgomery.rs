@@ -336,8 +336,8 @@ impl Montgomery {
 
     /// Montgomery reduction of a double-width product held in `t` — the
     /// pre-optimisation implementation, allocating a fresh `BigUint` per
-    /// reduction. Kept verbatim so [`Self::modpow_bitwise`] measures what
-    /// the code cost before the in-place kernel landed.
+    /// reduction. Kept verbatim so [`Self::modpow_bitwise`] shares no code
+    /// with the in-place kernel it is the reference for.
     fn redc_alloc(&self, mut t: Vec<u64>) -> BigUint {
         let k = self.limbs;
         let n = self.modulus.limbs();
@@ -377,10 +377,9 @@ impl Montgomery {
 
     /// `base^exponent mod n` exactly as the pre-optimisation code computed
     /// it: bit-at-a-time square-and-multiply over the allocating
-    /// `mont_mul_alloc` kernel (fresh vectors per squaring). Kept as
-    /// an independent reference for equivalence testing and as the measured
-    /// baseline in `BENCH_*.json` perf snapshots — [`Self::modpow`] is the
-    /// optimised path.
+    /// `mont_mul_alloc` kernel (fresh vectors per squaring). Kept only as
+    /// an independent reference for equivalence testing — [`Self::modpow`]
+    /// is the optimised path.
     pub fn modpow_bitwise(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
         if self.modulus.is_one() {
             return BigUint::zero();

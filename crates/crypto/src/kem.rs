@@ -153,7 +153,7 @@ pub fn unwrap_keys_with(
     recipient: &RsaPrivateKey,
     wrapped: &WrappedKeys,
 ) -> Result<([u8; SYMMETRIC_KEY_LEN], [u8; SYMMETRIC_KEY_LEN]), CryptoError> {
-    let c1 = BigUint::from_bytes_be(&wrapped.c1);
+    let c1 = check_unwrap_args(recipient, wrapped)?;
     let z = backend.rsa_private_exp(recipient, &c1)?;
     let z_octets = z
         .to_bytes_be_padded(recipient.public().modulus_bytes())
@@ -170,6 +170,22 @@ pub fn unwrap_keys_with(
     kmac.copy_from_slice(&key_material[..SYMMETRIC_KEY_LEN]);
     krek.copy_from_slice(&key_material[SYMMETRIC_KEY_LEN..]);
     Ok((kmac, krek))
+}
+
+/// Validates the arguments of [`unwrap_keys_with`] and returns `C1` as an
+/// integer: `C1 < n`, and `C2` of a length AES-unwrap accepts. Past this
+/// check every stage runs, so the engine calls it before recording and a
+/// rejected call leaves the trace and the cycle meter equally untouched.
+pub(crate) fn check_unwrap_args(
+    recipient: &RsaPrivateKey,
+    wrapped: &WrappedKeys,
+) -> Result<BigUint, CryptoError> {
+    let c1 = BigUint::from_bytes_be(&wrapped.c1);
+    if &c1 >= recipient.public().modulus() {
+        return Err(CryptoError::MessageRepresentativeOutOfRange);
+    }
+    keywrap::check_wrapped_len(&wrapped.c2)?;
+    Ok(c1)
 }
 
 #[cfg(test)]

@@ -142,6 +142,12 @@ pub(crate) fn check_wrap_args(kek: &[u8], key_data: &[u8]) -> Result<(), CryptoE
 /// Validates the arguments of [`unwrap_with`].
 pub(crate) fn check_unwrap_args(kek: &[u8], wrapped: &[u8]) -> Result<(), CryptoError> {
     check_key(kek)?;
+    check_wrapped_len(wrapped)
+}
+
+/// The length half of [`check_unwrap_args`], for callers (the KEM) whose
+/// KEK does not exist yet when they validate.
+pub(crate) fn check_wrapped_len(wrapped: &[u8]) -> Result<(), CryptoError> {
     if wrapped.len() < 24 || !wrapped.len().is_multiple_of(8) {
         return Err(CryptoError::InvalidInputLength {
             expected: "wrapped data of >= 24 bytes, multiple of 8",

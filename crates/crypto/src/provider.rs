@@ -576,16 +576,19 @@ impl CryptoEngine {
         recipient: &RsaPrivateKey,
         wrapped: &WrappedKeys,
     ) -> Result<([u8; SYMMETRIC_KEY_LEN], [u8; SYMMETRIC_KEY_LEN]), CryptoError> {
+        kem::check_unwrap_args(recipient, wrapped)?;
         self.record(Algorithm::RsaPrivate, 1, 1);
         self.record(
             Algorithm::Sha1,
             1,
             kdf::hash_blocks(recipient.public().modulus_bytes(), SYMMETRIC_KEY_LEN),
         );
+        // Charged for the C2 actually unwrapped, which only a well-formed
+        // Rights Object makes two 128-bit keys long.
         self.record(
             Algorithm::AesDecrypt,
             1,
-            keywrap::block_operations(2 * SYMMETRIC_KEY_LEN),
+            keywrap::block_operations(wrapped.c2.len() - 8),
         );
         kem::unwrap_keys_with(self.backend.as_ref(), recipient, wrapped)
     }

@@ -30,6 +30,12 @@ fn test_pair() -> &'static RsaKeyPair {
     PAIR.get_or_init(|| RsaKeyPair::generate(512, &mut StdRng::seed_from_u64(0x9a17)))
 }
 
+/// A second key pair, whose KEM ciphertexts `test_pair` cannot unwrap.
+fn other_pair() -> &'static RsaKeyPair {
+    static PAIR: OnceLock<RsaKeyPair> = OnceLock::new();
+    PAIR.get_or_init(|| RsaKeyPair::generate(512, &mut StdRng::seed_from_u64(0x07e2)))
+}
+
 /// The three backend configurations of the paper's evaluation.
 fn backends() -> Vec<Box<dyn CryptoBackend>> {
     vec![
@@ -139,6 +145,7 @@ fn trace_and_meter_agree_after_rejected_calls() {
         let name = backend.name().to_string();
         let engine = CryptoEngine::with_backend(backend, 7);
         let (key, iv) = ([1u8; 16], [2u8; 16]);
+        let mut rng = StdRng::seed_from_u64(0xc1c2);
 
         // Rejected before any work: nothing recorded, nothing charged.
         let rejected = [
@@ -167,6 +174,31 @@ fn trace_and_meter_agree_after_rejected_calls() {
                 "{error:?} on {name}"
             );
         }
+        // The KEM validates C1 and the shape of C2 before its first stage.
+        let pair = test_pair();
+        let good = kem::wrap_keys(pair.public(), &[7; 16], &[8; 16], &mut rng).unwrap();
+        let bad_c1 = kem::WrappedKeys {
+            c1: vec![0xff; good.c1.len()],
+            c2: good.c2.clone(),
+        };
+        assert_eq!(
+            engine.kem_unwrap(pair.private(), &bad_c1),
+            Err(CryptoError::MessageRepresentativeOutOfRange),
+            "on {name}"
+        );
+        for len in [16, 39] {
+            let short_c2 = kem::WrappedKeys {
+                c1: good.c1.clone(),
+                c2: good.c2[..len].to_vec(),
+            };
+            assert!(
+                matches!(
+                    engine.kem_unwrap(pair.private(), &short_c2),
+                    Err(CryptoError::InvalidInputLength { .. })
+                ),
+                "C2 of {len} bytes on {name}"
+            );
+        }
         assert!(engine.trace().is_empty(), "trace on {name}");
         assert_eq!(engine.charged_cycles(), 0, "meter on {name}");
 
@@ -182,6 +214,20 @@ fn trace_and_meter_agree_after_rejected_calls() {
             engine.aes_unwrap(&[3; 16], &wrapped),
             Err(CryptoError::KeyUnwrapIntegrity)
         );
+        // A KEM ciphertext for somebody else's key, or with a C2 longer
+        // than two keys, runs all three stages before the wrap's integrity
+        // check fails.
+        let wrong_key =
+            kem::wrap_keys(other_pair().public(), &[7; 16], &[8; 16], &mut rng).unwrap();
+        let mut long_c2 = good.clone();
+        long_c2.c2.extend_from_slice(&[0; 8]);
+        for wrapped in [&wrong_key, &long_c2] {
+            assert_eq!(
+                engine.kem_unwrap(pair.private(), wrapped),
+                Err(CryptoError::KeyUnwrapIntegrity),
+                "on {name}"
+            );
+        }
         assert_eq!(priced_trace(&engine), engine.charged_cycles(), "on {name}");
         assert!(engine.charged_cycles() > 0);
     }

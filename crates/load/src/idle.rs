@@ -191,7 +191,7 @@ pub fn drive_idle_clients_with(
             std::thread::sleep(offset - elapsed);
         }
         let client = RoapClient::new(&transports[device - range.start]);
-        let outcome = drive_device_via(&spec.fleet, device, &ri_id, &client, &ca, &catalog, None)?;
+        let outcome = drive_device_via(&spec.fleet, device, &ri_id, &client, &ca, &catalog)?;
         let expected = drive_device(&spec.fleet, device, &reference, &ca, &catalog)?;
         if outcome != expected {
             return Err(DrmError::Transport(format!(

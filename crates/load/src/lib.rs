@@ -17,33 +17,29 @@
 //! single-threaded reference run — which is exactly what the concurrency
 //! test suite asserts to prove the sharded service loses no updates.
 //!
-//! [`run_fleet_wire`] drives the same fleet **over the wire**: every ROAP
-//! exchange is encoded into [`RoapPdu`] frames and pushed through
-//! [`RiService::dispatch_batch`] in fleet-wide waves, measuring the
-//! serialized protocol path next to the in-process numbers. Its outcomes
-//! `match` the in-process driver's, frame codec and all.
+//! Six drivers run that fleet, each changing one thing relative to the
+//! in-process reference, and each is what one byte-identity suite calls:
 //!
-//! [`run_fleet_tcp`] goes the last rung down: the frames cross **real
-//! loopback TCP connections** into a bounded-pool
-//! [`oma_net::RoapTcpServer`], one connection per device life-cycle, and
-//! the outcomes still `match` the in-process reference — transport is the
-//! only thing that changed.
+//! | Driver | What changes | Called by |
+//! |---|---|---|
+//! | [`run_fleet`] | nothing: direct calls from `workers` threads | `tests/ri_service_concurrency.rs` |
+//! | [`run_sequential`] | `run_fleet` on one thread — the reference every other driver must `match` | every suite below |
+//! | [`run_fleet_wire`] | every exchange is an encoded [`RoapPdu`] frame pushed through [`RiService::dispatch_batch`] in fleet-wide waves | `examples/fleet.rs`, this crate's unit tests |
+//! | [`run_fleet_tcp`] | the frames cross **real loopback TCP**, one connection per device, into the server core a [`TcpBackend`] names | `tests/net_lifecycle.rs` (thread pool), `tests/event_loop.rs` (both cores) |
+//! | [`run_fleet_durable`] | the wire waves run against a **journaled** service over a caller-supplied `oma_store::RiStore`, killed after a chosen number of served frames, recovered from WAL + snapshot; reports every raw `RoResponse` frame and the final state image | `tests/durable_recovery.rs` |
+//! | [`run_fleet_cluster`] | the wire waves are routed over sharded, replicated primaries, one of which is killed and failed over | `tests/cluster_failover.rs` |
 //!
-//! [`run_fleet_durable`] turns the harness into a crash lab: the same wire
-//! waves run against a **journaled** service (`oma_store::RiStore`), the
-//! service is killed after a chosen number of served frames — mid-wave —
-//! recovered from WAL + snapshot, and the remaining devices finish against
-//! the recovered instance. The run reports every raw `RoResponse` frame, so
-//! tests can assert byte-identity against an uninterrupted reference run:
-//! recovery restores not just the tables but the random stream, signatures
-//! and all.
+//! The reports' wall-clock fields are there to print, not to claim: the
+//! runs are short, the keys test-sized, and device key generation sits
+//! inside the timed window. Performance figures come from the standalone
+//! `benchmark/` package, which does not use this crate.
 //!
 //! All drivers share two pieces of machinery: a worker-pool index fan-out
 //! for per-device life-cycles, and one wave engine
 //! (`hello_wave`/`registration_wave`/`acquisition_wave` over a pluggable
-//! batch-dispatch function) for the wire-shaped drivers — the durable
-//! variant is the wire driver with a different dispatch closure, not a
-//! fourth copy of the protocol.
+//! batch-dispatch function) for the wire-shaped drivers — the durable and
+//! cluster variants are the wire driver with a different dispatch closure,
+//! not further copies of the protocol.
 //!
 //! # Example
 //!
@@ -84,7 +80,6 @@ use oma_drm::roap::{
 use oma_drm::wire::RoapPdu;
 use oma_drm::{ContentIssuer, Dcf, DrmAgent, DrmError, Permission, RiService, RightsTemplate};
 use oma_net::{RoapEventServer, RoapTcpServer, ServerConfig, TcpTransport};
-use oma_obs::{Histogram, ObsConfig};
 use oma_perf::phases::PhaseTraces;
 use oma_perf::report::FleetSummary;
 use oma_perf::runner::PhaseCycles;
@@ -174,27 +169,6 @@ impl FleetSpec {
     pub fn with_acquisitions(mut self, acquisitions_per_device: usize) -> Self {
         self.acquisitions_per_device = acquisitions_per_device;
         self
-    }
-}
-
-/// Pre-resolved fleet-phase histogram handles: per-device wall-clock of
-/// the two ROAP exchanges the paper prices — registration and
-/// Rights-Object acquisition. One sample per device (registration) or per
-/// acquisition round, recorded by the worker that drove the device, so a
-/// fleet run yields a full latency *distribution*, not just a mean.
-struct FleetObs {
-    registration_nanos: Arc<Histogram>,
-    acquisition_nanos: Arc<Histogram>,
-}
-
-impl FleetObs {
-    /// Resolves the `fleet_registration_nanos` / `fleet_acquisition_nanos`
-    /// histograms, or `None` when observability is off.
-    fn from_config(obs: &ObsConfig) -> Option<FleetObs> {
-        obs.obs().map(|obs| FleetObs {
-            registration_nanos: obs.registry().histogram("fleet_registration_nanos"),
-            acquisition_nanos: obs.registry().histogram("fleet_acquisition_nanos"),
-        })
     }
 }
 
@@ -414,7 +388,6 @@ fn drive_device(
         &RoapClient::in_proc(service),
         ca,
         catalog,
-        None,
     )
 }
 
@@ -429,7 +402,6 @@ fn drive_device_via<T: RoapTransport>(
     client: &RoapClient<T>,
     ca: &Mutex<CertificationAuthority>,
     catalog: &[CatalogItem],
-    obs: Option<&FleetObs>,
 ) -> Result<DeviceOutcome, DrmError> {
     let (mut agent, backend) = provision_device(spec, index, ca);
     let device_id = spec.device_id(index);
@@ -439,11 +411,7 @@ fn drive_device_via<T: RoapTransport>(
     agent.engine().reset_trace();
     backend.take_charged_cycles();
 
-    let started = Instant::now();
     agent.register_via(client, now())?;
-    if let Some(obs) = obs {
-        obs.registration_nanos.record_duration(started.elapsed());
-    }
     traces.registration.merge(&agent.engine().take_trace());
     cycles.registration += backend.take_charged_cycles();
 
@@ -452,11 +420,7 @@ fn drive_device_via<T: RoapTransport>(
     for k in 0..spec.acquisitions_per_device {
         let item = &catalog[(index + k) % catalog.len()];
 
-        let started = Instant::now();
         let response = agent.acquire_rights_via(client, ri_id, &item.content_id, now())?;
-        if let Some(obs) = obs {
-            obs.acquisition_nanos.record_duration(started.elapsed());
-        }
         traces.acquisition.merge(&agent.engine().take_trace());
         cycles.acquisition += backend.take_charged_cycles();
 
@@ -549,28 +513,6 @@ pub fn run_sequential(spec: &FleetSpec) -> Result<FleetReport, DrmError> {
     run_fleet(&spec.clone().with_workers(1))
 }
 
-/// Runs the fleet **over loopback TCP**: a [`RoapTcpServer`] (worker pool
-/// sized like the client side, clock pinned to the fleet's fixed protocol
-/// timestamp) serves one shared [`RiService`], and every device opens its
-/// own connection, drives its full life-cycle through a
-/// `RoapClient<TcpTransport>`, and disconnects — so a run of N devices is
-/// also N accept/serve/hang-up cycles, the connection-churn pattern the
-/// in-process drivers cannot express.
-///
-/// The device-driving code path is byte-for-byte the one [`run_fleet`]
-/// uses; only the transport differs. The deterministic observables —
-/// per-device RO ids, recovered-content digests, per-phase operation traces
-/// and cycle bills — therefore `match` the in-process reference exactly:
-/// `run_fleet_tcp(spec)?.matches(&run_sequential(spec)?)` holds.
-///
-/// # Errors
-///
-/// See [`run_fleet`]; additionally [`DrmError::Transport`] when the server
-/// cannot bind or a connection fails mid-protocol.
-pub fn run_fleet_tcp(spec: &FleetSpec) -> Result<FleetReport, DrmError> {
-    run_fleet_tcp_with(spec, TcpBackend::ThreadPool)
-}
-
 /// Which server core a TCP fleet run binds. Both backends speak the same
 /// wire protocol behind the same [`ServerConfig`], so a fleet driven
 /// against either produces byte-identical per-device observables — that
@@ -620,37 +562,26 @@ impl AnyServer {
     }
 }
 
-/// [`run_fleet_tcp`] with an explicit choice of server core.
+/// Runs the fleet **over loopback TCP**: the server core `backend` names
+/// (worker pool sized like the client side, clock pinned to the fleet's
+/// fixed protocol timestamp) serves one shared [`RiService`], and every
+/// device opens its own connection, drives its full life-cycle through a
+/// `RoapClient<TcpTransport>`, and disconnects — so a run of N devices is
+/// also N accept/serve/hang-up cycles, the connection-churn pattern the
+/// in-process drivers cannot express.
 ///
-/// The report (and every per-device observable inside it) is independent
-/// of the backend: `run_fleet_tcp_with(spec, TcpBackend::EventLoop)`
-/// matches the sequential in-process reference exactly, just as the
-/// thread-pool run does.
-///
-/// # Errors
-///
-/// See [`run_fleet_tcp`].
-pub fn run_fleet_tcp_with(spec: &FleetSpec, backend: TcpBackend) -> Result<FleetReport, DrmError> {
-    run_fleet_tcp_obs(spec, backend, &ObsConfig::Off)
-}
-
-/// [`run_fleet_tcp_with`] with an observability surface attached to *both*
-/// ends of the wire: the server core records its per-frame latency
-/// histograms into `obs`'s registry, and every client worker records the
-/// wall-clock of each device's registration and RO-acquisition exchange
-/// into the `fleet_registration_nanos` / `fleet_acquisition_nanos`
-/// histograms — the paper's two priced protocol phases, as latency
-/// distributions instead of means. With [`ObsConfig::Off`] this is exactly
-/// [`run_fleet_tcp_with`].
+/// The device-driving code path is byte-for-byte the one [`run_fleet`]
+/// uses; only the transport differs. The deterministic observables —
+/// per-device RO ids, recovered-content digests, per-phase operation traces
+/// and cycle bills — therefore `match` the in-process reference exactly,
+/// whichever core serves:
+/// `run_fleet_tcp(spec, backend)?.matches(&run_sequential(spec)?)` holds.
 ///
 /// # Errors
 ///
-/// See [`run_fleet_tcp`].
-pub fn run_fleet_tcp_obs(
-    spec: &FleetSpec,
-    backend: TcpBackend,
-    obs: &ObsConfig,
-) -> Result<FleetReport, DrmError> {
+/// See [`run_fleet`]; additionally [`DrmError::Transport`] when the server
+/// cannot bind or a connection fails mid-protocol.
+pub fn run_fleet_tcp(spec: &FleetSpec, backend: TcpBackend) -> Result<FleetReport, DrmError> {
     let (ca, service, catalog) = build_world(spec);
     let service = Arc::new(service);
     let workers = spec.workers.max(1);
@@ -660,26 +591,16 @@ pub fn run_fleet_tcp_obs(
         ServerConfig {
             workers,
             clock: Some(now()),
-            obs: obs.clone(),
             ..ServerConfig::default()
         },
     )?;
     let addr = server.local_addr();
-    let fleet_obs = FleetObs::from_config(obs);
 
     let started = Instant::now();
     let devices = device_pool(spec.devices, workers, |index| {
         TcpTransport::connect(addr).and_then(|transport| {
             let client = RoapClient::new(transport);
-            drive_device_via(
-                spec,
-                index,
-                service.id(),
-                &client,
-                &ca,
-                &catalog,
-                fleet_obs.as_ref(),
-            )
+            drive_device_via(spec, index, service.id(), &client, &ca, &catalog)
         })
     })?;
     let elapsed = started.elapsed();
@@ -1158,10 +1079,12 @@ pub struct DurableReport {
     pub final_state: oma_drm::RiStateImage,
 }
 
-/// Runs the fleet against a journaled service backed by an in-memory store
-/// and — when `kill_after_frames` is `Some(k)` — kills the service after it
-/// has served `k` frames, recovers it from WAL + snapshot, and finishes the
-/// remaining devices against the recovered instance.
+/// Runs the fleet against a journaled service over the caller-supplied
+/// (fresh, empty) `store` — [`RiStore::in_memory`], or a `FileLog`-backed
+/// one so the crash actually spans bytes on disk — and, when
+/// `kill_after_frames` is `Some(k)`, kills the service after it has served
+/// `k` frames, recovers it from WAL + snapshot, and finishes the remaining
+/// devices against the recovered instance.
 ///
 /// `kill_after_frames = None` is the uninterrupted reference: same
 /// journaling, same dispatch path, no crash. The crash-recovery invariant
@@ -1173,16 +1096,7 @@ pub struct DurableReport {
 ///
 /// See [`run_fleet`]; additionally [`DrmError::Store`] when the store
 /// cannot persist or recover state.
-pub fn run_fleet_durable(
-    spec: &FleetSpec,
-    kill_after_frames: Option<u64>,
-) -> Result<DurableReport, DrmError> {
-    run_fleet_durable_with(spec, Arc::new(RiStore::in_memory()), kill_after_frames)
-}
-
-/// [`run_fleet_durable`] over a caller-supplied (fresh, empty) store —
-/// e.g. a `FileLog`-backed one, so the crash actually spans bytes on disk.
-pub fn run_fleet_durable_with<L: Wal + 'static>(
+pub fn run_fleet_durable<L: Wal + 'static>(
     spec: &FleetSpec,
     store: Arc<RiStore<L>>,
     kill_after_frames: Option<u64>,
@@ -1676,7 +1590,7 @@ mod tests {
     #[test]
     fn tcp_fleet_matches_in_proc_reference() {
         let spec = FleetSpec::new(5, 3).with_acquisitions(2);
-        let tcp = run_fleet_tcp(&spec).unwrap();
+        let tcp = run_fleet_tcp(&spec, TcpBackend::ThreadPool).unwrap();
         let reference = run_sequential(&spec).unwrap();
         assert_eq!(tcp.registrations, spec.devices as u64);
         assert!(
@@ -1687,53 +1601,19 @@ mod tests {
     }
 
     #[test]
-    fn obs_enabled_tcp_fleet_records_distributions_and_stays_deterministic() {
-        let spec = FleetSpec::smoke();
-        let obs = oma_obs::Obs::new();
-        let run = run_fleet_tcp_obs(
-            &spec,
-            TcpBackend::ThreadPool,
-            &ObsConfig::On(Arc::clone(&obs)),
-        )
-        .unwrap();
-        // Observation must not perturb any deterministic observable.
-        let reference = run_sequential(&spec).unwrap();
-        assert!(run.matches(&reference));
-
-        // One registration sample per device, one acquisition sample per
-        // acquisition round, plus the server-side per-frame histograms.
-        let registry = obs.registry();
-        let registrations = registry
-            .find_histogram("fleet_registration_nanos")
-            .expect("fleet histograms registered");
-        assert_eq!(registrations.snapshot().count(), spec.devices as u64);
-        let acquisitions = registry
-            .find_histogram("fleet_acquisition_nanos")
-            .expect("fleet histograms registered");
-        assert_eq!(
-            acquisitions.snapshot().count(),
-            (spec.devices * spec.acquisitions_per_device) as u64
-        );
-        let frames = registry
-            .find_histogram("net_frame_nanos")
-            .expect("server core registered its histograms");
-        assert!(frames.snapshot().count() > 0);
-    }
-
-    #[test]
     fn tcp_fleet_single_worker_matches_concurrent_tcp() {
         // Connection churn and request interleaving across the socket must
         // not leak into any deterministic observable.
         let spec = FleetSpec::smoke();
-        let concurrent = run_fleet_tcp(&spec).unwrap();
-        let single = run_fleet_tcp(&spec.clone().with_workers(1)).unwrap();
+        let concurrent = run_fleet_tcp(&spec, TcpBackend::ThreadPool).unwrap();
+        let single = run_fleet_tcp(&spec.clone().with_workers(1), TcpBackend::ThreadPool).unwrap();
         assert!(concurrent.matches(&single));
     }
 
     #[test]
     fn durable_uninterrupted_matches_plain_reference() {
         let spec = FleetSpec::smoke();
-        let durable = run_fleet_durable(&spec, None).unwrap();
+        let durable = run_fleet_durable(&spec, Arc::new(RiStore::in_memory()), None).unwrap();
         let reference = run_sequential(&spec).unwrap();
         assert_eq!(durable.recoveries, 0);
         assert!(
@@ -1745,9 +1625,9 @@ mod tests {
     #[test]
     fn durable_kill_and_recover_is_indistinguishable() {
         let spec = FleetSpec::new(4, 2).with_acquisitions(2);
-        let reference = run_fleet_durable(&spec, None).unwrap();
+        let reference = run_fleet_durable(&spec, Arc::new(RiStore::in_memory()), None).unwrap();
         // Kill mid-registration-wave: 4 hellos + 2 of 4 registrations.
-        let killed = run_fleet_durable(&spec, Some(6)).unwrap();
+        let killed = run_fleet_durable(&spec, Arc::new(RiStore::in_memory()), Some(6)).unwrap();
         assert_eq!(killed.recoveries, 1);
         assert!(killed.events_replayed > 0);
         assert!(killed.fleet.matches(&reference.fleet));

@@ -208,14 +208,21 @@ impl Connection {
     /// was processed: a leftover partial frame starts (or keeps) its
     /// clock, an empty buffer clears it. Call after draining
     /// [`FrameMachine::next_frame`].
-    pub fn note_frame_progress(&mut self) {
+    ///
+    /// Returns `true` when this call *started* the clock: the connection
+    /// now has a deadline earlier than the one it was last filed under, so
+    /// the caller must file it in the deadline wheel again at
+    /// [`next_due`](Connection::next_due).
+    pub fn note_frame_progress(&mut self) -> bool {
         if self.machine.has_partial_frame() {
             if self.frame_started_at.is_none() {
                 self.frame_started_at = Some(Instant::now());
+                return true;
             }
         } else {
             self.frame_started_at = None;
         }
+        false
     }
 
     /// Checks both reaping deadlines at `now`. The frame deadline is
@@ -329,7 +336,8 @@ mod tests {
         let frame = Duration::from_millis(10);
         assert_eq!(conn.expired(Instant::now(), idle, frame), None);
         conn.machine().ingest(b"ROAP"); // a frame has started
-        conn.note_frame_progress();
+        assert!(conn.note_frame_progress(), "stopped -> running edge");
+        assert!(!conn.note_frame_progress(), "a running clock is kept");
         let later = Instant::now() + Duration::from_millis(20);
         assert_eq!(conn.expired(later, idle, frame), Some(Expiry::PartialFrame));
         // next_due is the frame deadline, well before the idle one.

@@ -472,7 +472,13 @@ impl EventLoop {
                     }
                 }
                 Ok(None) => {
-                    conn.note_frame_progress();
+                    // The connection is filed under its idle deadline; a
+                    // frame clock that just started is due sooner. The
+                    // stale later entry is harmless (see `DeadlineWheel`).
+                    if conn.note_frame_progress() {
+                        let due = conn.next_due(self.idle_timeout, self.frame_timeout);
+                        self.wheel.insert(token, due, Instant::now());
+                    }
                     return true;
                 }
                 Err(e) => {
@@ -692,36 +698,48 @@ mod tests {
 
     #[test]
     fn slowloris_is_reaped_by_the_frame_deadline() {
+        let frame_timeout = Duration::from_millis(300);
         let service = service();
         let server = RoapEventServer::bind(
             Arc::clone(&service),
             ServerConfig {
                 idle_timeout: Duration::from_secs(600),
-                frame_timeout: Duration::from_millis(300),
+                frame_timeout,
                 ..pinned()
             },
         )
         .unwrap();
         let frame = RoapPdu::DeviceHello(DeviceHello::new("slow")).encode();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        // The read timeout doubles as the trickle pace.
         stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
+            .set_read_timeout(Some(Duration::from_millis(50)))
             .unwrap();
-        // Trickle a byte every 100ms: never idle, never complete.
-        let mut reaped = false;
-        for byte in &frame {
-            if stream.write_all(&[*byte]).is_err() {
-                reaped = true;
-                break;
-            }
-            thread::sleep(Duration::from_millis(100));
-            let mut buf = [0u8; 1];
-            if let Ok(0) = stream.peek(&mut buf) {
-                reaped = true;
-                break;
+        // The wheel may fire a deadline one tick early and re-file it one
+        // tick out, and a sweep waits for the next poll tick; the slack is
+        // for scheduling (2 s in total). The idle deadline (600 s, clamped
+        // to one wheel revolution of ~102 s) is far outside it.
+        let slack = Duration::from_millis(1_475);
+        let limit = frame_timeout + 2 * WHEEL_TICK + POLL_INTERVAL + slack;
+        // Trickle a byte every 50ms and withhold the last one: never idle,
+        // never complete.
+        let mut trickle = frame[..frame.len() - 1].iter();
+        let started = Instant::now();
+        let mut reaped_after = None;
+        while reaped_after.is_none() && started.elapsed() < limit {
+            let hung_up = trickle
+                .next()
+                .is_some_and(|byte| stream.write_all(&[*byte]).is_err())
+                || matches!(stream.peek(&mut [0u8; 1]), Ok(0));
+            if hung_up {
+                reaped_after = Some(started.elapsed());
             }
         }
-        assert!(reaped, "slowloris must be cut off mid-frame");
+        let reaped_after = reaped_after.expect("slowloris must be cut off by the frame deadline");
+        assert!(
+            reaped_after >= frame_timeout,
+            "reaped after {reaped_after:?}, before the frame deadline"
+        );
         let snapshot = server.metrics().snapshot();
         assert_eq!(snapshot.reaped_frame, 1, "metrics: {snapshot}");
         // The loop is free again for an honest client.

@@ -1608,4 +1608,53 @@ mod tests {
         });
         assert_eq!(received, frame);
     }
+
+    #[test]
+    fn obs_on_instruments_every_frame_and_changes_no_response_byte() {
+        const FRAMES: usize = 6;
+        /// One connection, `FRAMES` hello exchanges, the raw answers.
+        fn converse(addr: SocketAddr) -> Vec<Vec<u8>> {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            (0..FRAMES)
+                .map(|i| {
+                    let hello = DeviceHello::new(&format!("dev-{i}"));
+                    stream
+                        .write_all(&RoapPdu::DeviceHello(hello).encode())
+                        .unwrap();
+                    read_frame(&mut stream).unwrap()
+                })
+                .collect()
+        }
+        /// `serve` binds a core over a fresh service, converses and shuts
+        /// down — which joins the serving threads, so every frame's write
+        /// phase is on record by the time it returns.
+        fn check(core: &str, serve: impl Fn(ServerConfig) -> Vec<Vec<u8>>) {
+            let obs = Obs::new();
+            let observed = serve(ServerConfig {
+                obs: ObsConfig::On(Arc::clone(&obs)),
+                ..pinned()
+            });
+            assert_eq!(observed, serve(pinned()), "{core}: obs changed a response");
+            for name in ["net_frame_nanos", "net_dispatch_nanos", "net_write_nanos"] {
+                let histogram = obs.registry().find_histogram(name);
+                let count = histogram.map(|h| h.snapshot().count());
+                assert_eq!(count, Some(FRAMES as u64), "{core}: {name}");
+            }
+            assert_eq!(obs.spans().spans().len(), FRAMES, "{core}");
+            assert_eq!(obs.spans().recorded(), FRAMES as u64, "{core}");
+            assert_eq!(obs.spans().dropped(), 0, "{core}");
+        }
+        check("thread pool", |config| {
+            let server = RoapTcpServer::bind(service(), config).unwrap();
+            let answers = converse(server.local_addr());
+            server.shutdown();
+            answers
+        });
+        check("event loop", |config| {
+            let server = RoapEventServer::bind(service(), config).unwrap();
+            let answers = converse(server.local_addr());
+            server.shutdown();
+            answers
+        });
+    }
 }

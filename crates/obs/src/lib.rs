@@ -22,15 +22,15 @@
 //! structs. [`ObsConfig::Off`] (the default) costs one `Option` check
 //! per instrumentation site — recording handles are pre-resolved
 //! `Option<Arc<_>>`s, so the off path does no hashing, no locking and
-//! no allocation. The bench trajectory gates the on-path overhead at a
-//! few percent of fleet throughput (see `crates/bench`).
+//! no allocation. The `benchmark/` package reports the on-path overhead
+//! per workload as `obs.overhead_ratio`.
 //!
 //! ## Naming scheme
 //!
 //! Metric names are `<layer>_<what>_<unit>`: `net_frame_nanos`,
-//! `store_fsync_nanos`, `repl_ship_ack_nanos`, `fleet_registration_nanos`,
-//! counters end in `_total` (`net_shed_total`), gauges are bare nouns
-//! (`net_active`, `repl_follower_lag`).
+//! `store_fsync_nanos`, `repl_ship_ack_nanos`; counters end in `_total`
+//! (`net_shed_total`), gauges are bare nouns (`net_active`,
+//! `repl_follower_lag`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

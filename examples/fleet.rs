@@ -11,7 +11,10 @@
 
 use oma_drm2::load::{
     run_fleet, run_fleet_durable, run_fleet_tcp, run_fleet_wire, run_sequential, FleetSpec,
+    TcpBackend,
 };
+use oma_drm2::store::RiStore;
+use std::sync::Arc;
 
 fn main() {
     let spec = FleetSpec {
@@ -68,7 +71,7 @@ fn main() {
     );
 
     println!("\nre-running the same fleet over loopback TCP (one connection per device)...\n");
-    let tcp = run_fleet_tcp(&spec).expect("tcp fleet run");
+    let tcp = run_fleet_tcp(&spec, TcpBackend::ThreadPool).expect("tcp fleet run");
     println!("{}", tcp.summary("Loopback-TCP fleet"));
     assert!(
         tcp.matches(&sequential),
@@ -82,7 +85,8 @@ fn main() {
     println!(
         "\nre-running the same fleet against a journaled service (WAL on every mutation)...\n"
     );
-    let durable = run_fleet_durable(&spec, None).expect("durable fleet run");
+    let durable =
+        run_fleet_durable(&spec, Arc::new(RiStore::in_memory()), None).expect("durable fleet run");
     println!("{}", durable.fleet.summary("Durable (journaled) fleet"));
     assert!(
         durable.fleet.matches(&sequential),

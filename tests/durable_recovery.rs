@@ -13,25 +13,30 @@
 //!
 //! Run under `--release` in CI.
 
-use oma_drm2::load::{run_fleet_durable, run_fleet_durable_with, run_sequential, FleetSpec};
-use oma_drm2::store::{RiStore, StoreConfig};
+use oma_drm2::load::{run_fleet_durable, run_sequential, FleetSpec};
+use oma_drm2::store::{MemLog, RiStore, StoreConfig};
 use std::sync::Arc;
 
 fn spec() -> FleetSpec {
     FleetSpec::new(5, 3).with_acquisitions(2)
 }
 
+/// A fresh in-memory store: each run journals into its own.
+fn mem_store() -> Arc<RiStore<MemLog>> {
+    Arc::new(RiStore::in_memory())
+}
+
 #[test]
 fn kill_at_every_wave_boundary_class_recovers_indistinguishably() {
     let spec = spec();
-    let reference = run_fleet_durable(&spec, None).expect("reference run");
+    let reference = run_fleet_durable(&spec, mem_store(), None).expect("reference run");
     assert_eq!(reference.recoveries, 0);
 
     // Total frames served: 5 hellos + 5 registrations + 2 rounds x 5 ROs.
     // Kill points cover: mid-hello-wave, mid-registration-wave, mid-first
     // and mid-second acquisition round.
     for kill_after in [2u64, 7, 12, 17] {
-        let killed = run_fleet_durable(&spec, Some(kill_after)).expect("killed run");
+        let killed = run_fleet_durable(&spec, mem_store(), Some(kill_after)).expect("killed run");
         assert_eq!(killed.recoveries, 1, "kill point {kill_after} must fire");
         assert!(
             killed.events_replayed > 0,
@@ -64,7 +69,7 @@ fn durable_fleet_matches_the_plain_sequential_reference() {
     // killed-and-recovered fleet still matches the plain (storeless)
     // sequential driver in every deterministic observable.
     let spec = spec();
-    let killed = run_fleet_durable(&spec, Some(9)).expect("killed run");
+    let killed = run_fleet_durable(&spec, mem_store(), Some(9)).expect("killed run");
     let plain = run_sequential(&spec).expect("sequential reference");
     assert!(killed.fleet.matches(&plain));
 }
@@ -81,10 +86,10 @@ fn crash_spans_real_disk_bytes() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = FleetSpec::smoke();
-    let reference = run_fleet_durable(&spec, None).expect("reference run");
+    let reference = run_fleet_durable(&spec, mem_store(), None).expect("reference run");
 
     let store = Arc::new(RiStore::open_dir(&dir, StoreConfig::default()).expect("open store"));
-    let killed = run_fleet_durable_with(&spec, store, Some(4)).expect("killed run on disk");
+    let killed = run_fleet_durable(&spec, store, Some(4)).expect("killed run on disk");
     assert_eq!(killed.recoveries, 1);
     assert_eq!(killed.ro_response_frames, reference.ro_response_frames);
     assert_eq!(killed.final_state, reference.final_state);

@@ -10,7 +10,7 @@
 //! could, while still answering the few devices that wake up.
 
 use oma_drm2::load::{
-    run_fleet_tcp_with, run_idle_fleet, run_sequential, FleetSpec, IdleFleetSpec, TcpBackend,
+    run_fleet_tcp, run_idle_fleet, run_sequential, FleetSpec, IdleFleetSpec, TcpBackend,
 };
 
 /// A fleet big enough to overlap connections but small enough for CI.
@@ -21,7 +21,7 @@ fn spec() -> FleetSpec {
 #[test]
 fn event_loop_fleet_matches_the_sequential_reference() {
     let spec = spec();
-    let event = run_fleet_tcp_with(&spec, TcpBackend::EventLoop).expect("event-loop fleet");
+    let event = run_fleet_tcp(&spec, TcpBackend::EventLoop).expect("event-loop fleet");
     let reference = run_sequential(&spec).expect("sequential reference");
     assert!(
         event.matches(&reference),
@@ -32,8 +32,8 @@ fn event_loop_fleet_matches_the_sequential_reference() {
 #[test]
 fn event_loop_and_thread_pool_are_byte_identical() {
     let spec = spec();
-    let event = run_fleet_tcp_with(&spec, TcpBackend::EventLoop).expect("event-loop fleet");
-    let threads = run_fleet_tcp_with(&spec, TcpBackend::ThreadPool).expect("thread-pool fleet");
+    let event = run_fleet_tcp(&spec, TcpBackend::EventLoop).expect("event-loop fleet");
+    let threads = run_fleet_tcp(&spec, TcpBackend::ThreadPool).expect("thread-pool fleet");
     assert!(
         event.matches(&threads),
         "the two server cores disagreed about identical devices"

@@ -13,7 +13,7 @@ use oma_drm2::drm::client::RoapClient;
 use oma_drm2::drm::{
     ContentIssuer, Dcf, DrmAgent, DrmError, Permission, RiService, RightsTemplate, RoapPdu,
 };
-use oma_drm2::load::{run_fleet_tcp, run_sequential, FleetSpec};
+use oma_drm2::load::{run_fleet_tcp, run_sequential, FleetSpec, TcpBackend};
 use oma_drm2::net::{read_frame, RoapTcpServer, ServerConfig, TcpTransport};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use rand::rngs::StdRng;
@@ -231,7 +231,7 @@ fn split_and_coalesced_frames_decode_identically() {
 #[test]
 fn tcp_fleet_matches_sequential_reference() {
     let spec = FleetSpec::new(6, 3);
-    let tcp = run_fleet_tcp(&spec).unwrap();
+    let tcp = run_fleet_tcp(&spec, TcpBackend::ThreadPool).unwrap();
     let reference = run_sequential(&spec).unwrap();
     assert_eq!(tcp.registrations, spec.devices as u64);
     assert!(tcp.duplicate_ro_ids().is_empty());
