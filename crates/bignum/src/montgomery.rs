@@ -6,16 +6,22 @@
 //! modulus and exposes Montgomery multiplication and exponentiation on
 //! values reduced modulo that modulus.
 //!
-//! The multiplication kernel works in place on fixed-width limb slices: a
-//! context for a `k`-limb modulus moves `k`-limb operands through one
-//! reusable `2k+1`-limb scratch buffer, so an entire exponentiation
-//! allocates a handful of buffers up front instead of two fresh vectors per
-//! squaring. Exponentiation scans the exponent with a sliding fixed window
-//! (up to [`MAX_WINDOW_BITS`] bits) over a precomputed table of odd powers,
-//! trading `2^(w-1)` table multiplications for a factor-`w` reduction in
-//! per-bit multiplications, and routes the dominant squaring steps through a
-//! dedicated squaring kernel that computes each off-diagonal limb product
-//! once.
+//! Every product goes through one kernel, [`mont_mul`]: a CIOS
+//! (coarsely integrated operand scanning) multiply-reduce whose width is a
+//! compile-time constant. The context zero-pads its modulus to the smallest
+//! width class in [`WIDTH_CLASSES`] that holds it, so `R = 2^(64·W)`: a
+//! 512-bit RSA CRT leg runs at 8 limbs, a 1024-bit modulus at 16. A fixed
+//! width drops every bounds check, keeps the accumulator on the stack (in
+//! registers at 8 limbs, with the limb loop unrolled) and needs no scratch
+//! buffer. Squaring uses the same kernel: a dedicated fixed-width squaring
+//! was measured no faster on the 512-bit CRT legs (see
+//! `docs/ARCHITECTURE.md`). A modulus wider than the widest class gets no
+//! context, exactly like an even one.
+//!
+//! Exponentiation scans the exponent with a sliding window (up to
+//! [`MAX_WINDOW_BITS`] bits) over a precomputed table of odd powers, trading
+//! `2^(w-1)` table multiplications for a factor-`w` reduction in per-bit
+//! multiplications.
 
 use crate::BigUint;
 
@@ -23,7 +29,12 @@ use crate::BigUint;
 /// of a 1024-bit RSA CRT leg; shorter exponents get narrower windows).
 pub const MAX_WINDOW_BITS: usize = 5;
 
-/// Precomputed Montgomery reduction context for an odd modulus.
+/// The fixed kernel widths, in 64-bit limbs. A context runs at the smallest
+/// one that holds its modulus; [`Montgomery::new`] declines wider moduli.
+const WIDTH_CLASSES: [usize; 4] = [4, 8, 16, 32];
+
+/// Precomputed Montgomery reduction context for an odd modulus of at most
+/// 2048 bits.
 ///
 /// # Example
 ///
@@ -38,13 +49,13 @@ pub const MAX_WINDOW_BITS: usize = 5;
 #[derive(Debug, Clone)]
 pub struct Montgomery {
     modulus: BigUint,
-    /// Number of 64-bit limbs in the modulus.
-    limbs: usize,
+    /// The modulus zero-padded to its width class `W`.
+    n: Vec<u64>,
     /// `-modulus⁻¹ mod 2⁶⁴`.
     n_prime: u64,
-    /// `R² mod modulus` where `R = 2^(64·limbs)`, as `limbs` fixed limbs.
+    /// `R² mod modulus` where `R = 2^(64·W)`, as `W` limbs.
     r_squared: Vec<u64>,
-    /// `R mod modulus` — the Montgomery representation of 1.
+    /// `R mod modulus` — the Montgomery representation of 1 — as `W` limbs.
     r_one: Vec<u64>,
 }
 
@@ -52,12 +63,16 @@ impl Montgomery {
     /// Creates a context for `modulus`.
     ///
     /// Returns `None` if the modulus is zero or even (Montgomery reduction
-    /// requires an odd modulus).
+    /// requires an odd modulus), or wider than 32 limbs (2048 bits), the
+    /// widest fixed kernel. [`BigUint::modpow`] serves both cases through
+    /// [`BigUint::modpow_naive`].
     pub fn new(modulus: BigUint) -> Option<Self> {
         if modulus.is_zero() || modulus.is_even() {
             return None;
         }
-        let limbs = modulus.limbs().len();
+        let width = WIDTH_CLASSES
+            .into_iter()
+            .find(|&w| w >= modulus.limbs().len())?;
         let n0 = modulus.limbs()[0];
         // Newton iteration: invert n0 modulo 2^64, then negate.
         let mut inv: u64 = 1;
@@ -65,29 +80,20 @@ impl Montgomery {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
         }
         debug_assert_eq!(n0.wrapping_mul(inv), 1);
-        let n_prime = inv.wrapping_neg();
 
-        // R^2 mod n with R = 2^(64*limbs), computed once per context by the
-        // one full division the context exists to amortise away.
-        let r_squared_value = BigUint::one().shl_bits(64 * limbs * 2).rem_of(&modulus);
-        let mut r_squared = vec![0u64; limbs];
-        r_squared[..r_squared_value.limbs().len()].copy_from_slice(r_squared_value.limbs());
-
-        let mut ctx = Montgomery {
-            modulus,
-            limbs,
-            n_prime,
-            r_squared,
-            r_one: Vec::new(),
+        let padded = |value: &BigUint| {
+            let mut out = vec![0u64; width];
+            out[..value.limbs().len()].copy_from_slice(value.limbs());
+            out
         };
-        // R mod n = to_mont(1): derived from R² with one reduction.
-        let mut r_one = vec![0u64; limbs];
-        let mut one = vec![0u64; limbs];
-        one[0] = 1;
-        let mut scratch = vec![0u64; 2 * limbs + 1];
-        ctx.mont_mul_into(&mut r_one, &one, &ctx.r_squared, &mut scratch);
-        ctx.r_one = r_one;
-        Some(ctx)
+        let r = BigUint::one().shl_bits(64 * width);
+        Some(Montgomery {
+            n: padded(&modulus),
+            n_prime: inv.wrapping_neg(),
+            r_squared: padded(&r.square().rem_of(&modulus)),
+            r_one: padded(&r.rem_of(&modulus)),
+            modulus,
+        })
     }
 
     /// The modulus this context reduces by.
@@ -95,157 +101,38 @@ impl Montgomery {
         &self.modulus
     }
 
-    /// Copies a reduced value into a fixed `limbs`-wide little-endian buffer.
-    fn to_fixed(&self, value: &BigUint) -> Vec<u64> {
-        debug_assert!(value.limbs().len() <= self.limbs);
-        let mut out = vec![0u64; self.limbs];
+    /// Copies `value mod n` into a `N`-limb buffer, reducing it first only
+    /// when it is not already below the modulus.
+    fn to_fixed<const N: usize>(&self, value: &BigUint) -> [u64; N] {
+        let reduced;
+        let value = if value < &self.modulus {
+            value
+        } else {
+            reduced = value.rem_of(&self.modulus);
+            &reduced
+        };
+        let mut out = [0u64; N];
         out[..value.limbs().len()].copy_from_slice(value.limbs());
         out
     }
 
-    /// Montgomery product `out = a · b · R⁻¹ mod n`, entirely in place.
-    ///
-    /// `a`, `b` and `out` are fixed `limbs`-wide buffers holding values below
-    /// the modulus; `scratch` is a reusable `2·limbs + 1` buffer. Nothing is
-    /// allocated: the double-width product is accumulated into `scratch`,
-    /// reduced there (REDC), and conditionally-subtracted into `out`.
-    fn mont_mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64], scratch: &mut [u64]) {
-        let k = self.limbs;
-        debug_assert_eq!(out.len(), k);
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(b.len(), k);
-        debug_assert_eq!(scratch.len(), 2 * k + 1);
-
-        // scratch = a * b (schoolbook, accumulating rows in place).
-        scratch.fill(0);
-        for (i, &ai) in a.iter().enumerate() {
-            if ai == 0 {
-                continue;
-            }
-            let mut carry = 0u128;
-            for (j, &bj) in b.iter().enumerate() {
-                let cur = scratch[i + j] as u128 + (ai as u128) * (bj as u128) + carry;
-                scratch[i + j] = cur as u64;
-                carry = cur >> 64;
-            }
-            scratch[i + k] = carry as u64;
-        }
-
-        self.redc_into(out, scratch);
-    }
-
-    /// Montgomery square `out = a · a · R⁻¹ mod n`, in place.
-    ///
-    /// Each off-diagonal limb product `aᵢ·aⱼ` (i ≠ j) appears twice in the
-    /// schoolbook square; computing it once and doubling cuts the multiply
-    /// count of the squaring steps — which dominate an exponentiation —
-    /// nearly in half versus routing squares through [`Self::mont_mul_into`].
-    fn mont_sqr_into(&self, out: &mut [u64], a: &[u64], scratch: &mut [u64]) {
-        let k = self.limbs;
-        debug_assert_eq!(out.len(), k);
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(scratch.len(), 2 * k + 1);
-
-        // scratch = Σ aᵢ·aⱼ over i < j (each product computed once).
-        scratch.fill(0);
-        for i in 0..k {
-            let ai = a[i];
-            if ai == 0 {
-                continue;
-            }
-            let mut carry = 0u128;
-            for j in (i + 1)..k {
-                let cur = scratch[i + j] as u128 + (ai as u128) * (a[j] as u128) + carry;
-                scratch[i + j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                let cur = scratch[idx] as u128 + carry;
-                scratch[idx] = cur as u64;
-                carry = cur >> 64;
-                idx += 1;
-            }
-        }
-        // Double it (aᵢ·aⱼ occurs for (i,j) and (j,i))...
-        let mut carry = 0u64;
-        for limb in scratch.iter_mut() {
-            let doubled = (u128::from(*limb) << 1) | u128::from(carry);
-            *limb = doubled as u64;
-            carry = (doubled >> 64) as u64;
-        }
-        debug_assert_eq!(carry, 0, "a² overflows the double-width scratch");
-        // ...then add the diagonal squares aᵢ² at position 2i.
-        let mut carry = 0u128;
-        for i in 0..k {
-            let sq = (a[i] as u128) * (a[i] as u128);
-            let lo = scratch[2 * i] as u128 + (sq as u64) as u128 + carry;
-            scratch[2 * i] = lo as u64;
-            let hi = scratch[2 * i + 1] as u128 + (sq >> 64) + (lo >> 64);
-            scratch[2 * i + 1] = hi as u64;
-            carry = hi >> 64;
-        }
-        debug_assert_eq!(carry, 0, "a² overflows the double-width scratch");
-
-        self.redc_into(out, scratch);
-    }
-
-    /// The REDC phase shared by the multiply and square kernels: reduces the
-    /// double-width value accumulated in `scratch` and writes the `[0, n)`
-    /// result to `out`.
-    fn redc_into(&self, out: &mut [u64], scratch: &mut [u64]) {
-        let k = self.limbs;
-        let n = self.modulus.limbs();
-
-        // Fold in m·n row by row so the low k limbs cancel to zero.
-        for i in 0..k {
-            let m = scratch[i].wrapping_mul(self.n_prime);
-            let mut carry = 0u128;
-            for (j, &nj) in n.iter().enumerate() {
-                let cur = scratch[i + j] as u128 + (m as u128) * (nj as u128) + carry;
-                scratch[i + j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                let cur = scratch[idx] as u128 + carry;
-                scratch[idx] = cur as u64;
-                carry = cur >> 64;
-                idx += 1;
-            }
-        }
-
-        // The result t = scratch[k..=2k] is below 2n; one conditional
-        // subtraction lands it in [0, n).
-        let needs_sub = scratch[2 * k] != 0 || !limbs_less_than(&scratch[k..2 * k], n);
-        if needs_sub {
-            let mut borrow = 0u64;
-            for j in 0..k {
-                let (d1, b1) = scratch[k + j].overflowing_sub(n[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                out[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-        } else {
-            out.copy_from_slice(&scratch[k..2 * k]);
-        }
-    }
-
-    /// Computes `a * b mod n` for values reduced modulo `n`.
+    /// Computes `a * b mod n`. Operands of any size are reduced first.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let k = self.limbs;
-        let mut scratch = vec![0u64; 2 * k + 1];
-        let mut am = vec![0u64; k];
-        let mut bm = vec![0u64; k];
-        let mut product = vec![0u64; k];
-        self.mont_mul_into(&mut am, &self.to_fixed(a), &self.r_squared, &mut scratch);
-        self.mont_mul_into(&mut bm, &self.to_fixed(b), &self.r_squared, &mut scratch);
-        self.mont_mul_into(&mut product, &am, &bm, &mut scratch);
-        // Leaving the domain: one more reduction against plain 1.
-        let mut one = vec![0u64; k];
-        one[0] = 1;
-        self.mont_mul_into(&mut am, &product, &one, &mut scratch);
-        BigUint::from_limbs(am)
+        match self.n.len() {
+            4 => self.mul_mod_fixed::<4>(a, b),
+            8 => self.mul_mod_fixed::<8>(a, b),
+            16 => self.mul_mod_fixed::<16>(a, b),
+            32 => self.mul_mod_fixed::<32>(a, b),
+            w => unreachable!("{w} is not a width class"),
+        }
+    }
+
+    fn mul_mod_fixed<const N: usize>(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let (n, n_prime) = (fixed::<N>(&self.n), self.n_prime);
+        // (a·R²·R⁻¹)·b·R⁻¹ = a·b: entering the domain with one operand only
+        // means the second product lands back outside it.
+        let a_m = mont_mul(&self.to_fixed(a), fixed(&self.r_squared), n, n_prime);
+        BigUint::from_limbs(mont_mul(&a_m, &self.to_fixed(b), n, n_prime).to_vec())
     }
 
     /// Window width for an exponent of `exp_bits` bits: wide enough that the
@@ -262,50 +149,47 @@ impl Montgomery {
         }
     }
 
-    /// Computes `base^exponent mod n` by fixed-window exponentiation over a
-    /// precomputed table of odd powers, in the Montgomery domain.
+    /// Computes `base^exponent mod n` by sliding-window exponentiation over
+    /// a precomputed table of odd powers, in the Montgomery domain.
     ///
     /// `base` does not have to be reduced; it is reduced modulo `n` first.
     pub fn modpow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
         if self.modulus.is_one() {
             return BigUint::zero();
         }
-        let base = base.rem_of(&self.modulus);
         if exponent.is_zero() {
             return BigUint::one();
         }
-        let k = self.limbs;
-        let mut scratch = vec![0u64; 2 * k + 1];
-        let mut tmp = vec![0u64; k];
+        match self.n.len() {
+            4 => self.modpow_fixed::<4>(base, exponent),
+            8 => self.modpow_fixed::<8>(base, exponent),
+            16 => self.modpow_fixed::<16>(base, exponent),
+            32 => self.modpow_fixed::<32>(base, exponent),
+            w => unreachable!("{w} is not a width class"),
+        }
+    }
 
-        let mut base_m = vec![0u64; k];
-        self.mont_mul_into(
-            &mut base_m,
-            &self.to_fixed(&base),
-            &self.r_squared,
-            &mut scratch,
-        );
+    fn modpow_fixed<const N: usize>(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+        let (n, n_prime) = (fixed::<N>(&self.n), self.n_prime);
+        let mul = |a: &[u64; N], b: &[u64; N]| mont_mul(a, b, n, n_prime);
 
+        let base_m = mul(&self.to_fixed(base), fixed(&self.r_squared));
         let window = Self::window_bits(exponent.bits());
         // table[i] = base^(2i+1) in the Montgomery domain.
-        let mut table = Vec::with_capacity(1 << (window - 1));
-        table.push(base_m.clone());
+        let mut table = [[0u64; N]; 1 << (MAX_WINDOW_BITS - 1)];
+        table[0] = base_m;
         if window > 1 {
-            let mut base_sq = vec![0u64; k];
-            self.mont_sqr_into(&mut base_sq, &base_m, &mut scratch);
+            let base_sq = mul(&base_m, &base_m);
             for i in 1..(1 << (window - 1)) {
-                let mut next = vec![0u64; k];
-                self.mont_mul_into(&mut next, &table[i - 1], &base_sq, &mut scratch);
-                table.push(next);
+                table[i] = mul(&table[i - 1], &base_sq);
             }
         }
 
-        let mut acc = self.r_one.clone();
+        let mut acc = *fixed::<N>(&self.r_one);
         let mut i = exponent.bits();
         while i > 0 {
             if !exponent.bit(i - 1) {
-                self.mont_sqr_into(&mut tmp, &acc, &mut scratch);
-                std::mem::swap(&mut acc, &mut tmp);
+                acc = mul(&acc, &acc);
                 i -= 1;
                 continue;
             }
@@ -320,104 +204,86 @@ impl Montgomery {
                 value = (value << 1) | exponent.bit(b) as usize;
             }
             for _ in 0..(i - low) {
-                self.mont_sqr_into(&mut tmp, &acc, &mut scratch);
-                std::mem::swap(&mut acc, &mut tmp);
+                acc = mul(&acc, &acc);
             }
-            self.mont_mul_into(&mut tmp, &acc, &table[value >> 1], &mut scratch);
-            std::mem::swap(&mut acc, &mut tmp);
+            acc = mul(&acc, odd_power(&table, value));
             i = low;
         }
 
-        let mut one = vec![0u64; k];
+        // Leaving the domain: one more reduction against plain 1.
+        let mut one = [0u64; N];
         one[0] = 1;
-        self.mont_mul_into(&mut tmp, &acc, &one, &mut scratch);
-        BigUint::from_limbs(tmp)
-    }
-
-    /// Montgomery reduction of a double-width product held in `t` — the
-    /// pre-optimisation implementation, allocating a fresh `BigUint` per
-    /// reduction. Kept verbatim so [`Self::modpow_bitwise`] shares no code
-    /// with the in-place kernel it is the reference for.
-    fn redc_alloc(&self, mut t: Vec<u64>) -> BigUint {
-        let k = self.limbs;
-        let n = self.modulus.limbs();
-        t.resize(2 * k + 1, 0);
-        for i in 0..k {
-            let m = t[i].wrapping_mul(self.n_prime);
-            let mut carry = 0u128;
-            for (j, &nj) in n.iter().enumerate() {
-                let cur = t[i + j] as u128 + (m as u128) * (nj as u128) + carry;
-                t[i + j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                let cur = t[idx] as u128 + carry;
-                t[idx] = cur as u64;
-                carry = cur >> 64;
-                idx += 1;
-            }
-        }
-        let reduced = BigUint::from_limbs(t[k..].to_vec());
-        if reduced.cmp_magnitude(&self.modulus) != std::cmp::Ordering::Less {
-            &reduced - &self.modulus
-        } else {
-            reduced
-        }
-    }
-
-    /// Montgomery product through general `BigUint` multiplication plus
-    /// [`Self::redc_alloc`] — the pre-optimisation multiplication step.
-    fn mont_mul_alloc(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let product = a * b;
-        let mut limbs = product.limbs().to_vec();
-        limbs.resize(2 * self.limbs + 1, 0);
-        self.redc_alloc(limbs)
-    }
-
-    /// `base^exponent mod n` exactly as the pre-optimisation code computed
-    /// it: bit-at-a-time square-and-multiply over the allocating
-    /// `mont_mul_alloc` kernel (fresh vectors per squaring). Kept only as
-    /// an independent reference for equivalence testing — [`Self::modpow`]
-    /// is the optimised path.
-    pub fn modpow_bitwise(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        if self.modulus.is_one() {
-            return BigUint::zero();
-        }
-        let base = base.rem_of(&self.modulus);
-        if exponent.is_zero() {
-            return BigUint::one();
-        }
-        let r_squared = BigUint::from_limbs(self.r_squared.clone());
-        let base_m = self.mont_mul_alloc(&base, &r_squared);
-        let mut acc = self.mont_mul_alloc(&BigUint::one(), &r_squared);
-        for i in (0..exponent.bits()).rev() {
-            acc = self.mont_mul_alloc(&acc, &acc);
-            if exponent.bit(i) {
-                acc = self.mont_mul_alloc(&acc, &base_m);
-            }
-        }
-        self.mont_mul_alloc(&acc, &BigUint::one())
+        BigUint::from_limbs(mul(&acc, &one).to_vec())
     }
 }
 
-/// Fixed-width magnitude comparison: `a < b` over equal-length limb slices.
-fn limbs_less_than(a: &[u64], b: &[u64]) -> bool {
-    debug_assert!(a.len() >= b.len());
-    for idx in (0..a.len()).rev() {
-        let bv = b.get(idx).copied().unwrap_or(0);
-        if a[idx] != bv {
-            return a[idx] < bv;
+/// Views a context constant as its width class's array.
+fn fixed<const N: usize>(limbs: &[u64]) -> &[u64; N] {
+    limbs
+        .try_into()
+        .expect("context constants are width-class wide")
+}
+
+/// `base^value` for an odd window `value`, from a table holding the odd
+/// powers. This is the one lookup whose address depends on exponent bits; a
+/// constant-time exponentiation would replace it with a scan of the whole
+/// table.
+fn odd_power<const N: usize>(table: &[[u64; N]], value: usize) -> &[u64; N] {
+    &table[value >> 1]
+}
+
+/// Montgomery product `a · b · R⁻¹ mod n` for `R = 2^(64·N)`, by CIOS.
+///
+/// Requires `n` odd and `a, b < n`. Each outer step adds one row `aᵢ·b` and
+/// the `m·n` that clears the low limb to the `N + 1`-limb stack accumulator
+/// and drops that limb, so the accumulator stays below `2n` throughout. It
+/// can therefore end with a carry-out in limb `N` only when `n ≥ R/2`; one
+/// conditional subtraction, forced by that carry, lands the result in
+/// `[0, n)`.
+fn mont_mul<const N: usize>(a: &[u64; N], b: &[u64; N], n: &[u64; N], n_prime: u64) -> [u64; N] {
+    let mut t = [0u64; N];
+    let mut t_hi = 0u64;
+    for &ai in a {
+        // t = (t + aᵢ·b + m·n) / 2⁶⁴, with m chosen so the low limb cancels:
+        // the multiply row (carry `c_mul`) and the reduce row (carry
+        // `c_red`) advance together, one limb of each per step.
+        let s = u128::from(ai) * u128::from(b[0]) + u128::from(t[0]);
+        let m = (s as u64).wrapping_mul(n_prime);
+        let r = u128::from(m) * u128::from(n[0]) + u128::from(s as u64);
+        let (mut c_mul, mut c_red) = ((s >> 64) as u64, (r >> 64) as u64);
+        for j in 1..N {
+            let s = u128::from(ai) * u128::from(b[j]) + u128::from(t[j]) + u128::from(c_mul);
+            let r = u128::from(m) * u128::from(n[j]) + u128::from(s as u64) + u128::from(c_red);
+            t[j - 1] = r as u64;
+            (c_mul, c_red) = ((s >> 64) as u64, (r >> 64) as u64);
         }
+        let top = u128::from(t_hi) + u128::from(c_mul) + u128::from(c_red);
+        t[N - 1] = top as u64;
+        t_hi = (top >> 64) as u64;
     }
-    false
+
+    let mut reduced = [0u64; N];
+    let mut borrow = false;
+    for ((r, &tj), &nj) in reduced.iter_mut().zip(&t).zip(n) {
+        let (d1, b1) = tj.overflowing_sub(nj);
+        let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+        *r = d2;
+        borrow = b1 || b2;
+    }
+    if t_hi != 0 || !borrow {
+        reduced
+    } else {
+        t
+    }
 }
 
 impl BigUint {
     /// Computes `self^exponent mod modulus`.
     ///
-    /// For odd moduli this uses fixed-window Montgomery exponentiation; for
-    /// even moduli it falls back to [`BigUint::modpow_naive`].
+    /// For odd moduli of at most 2048 bits this uses sliding-window
+    /// Montgomery exponentiation; for even or wider moduli (where
+    /// [`Montgomery::new`] returns `None`) it falls back to
+    /// [`BigUint::modpow_naive`].
     ///
     /// # Panics
     ///
@@ -434,10 +300,10 @@ impl BigUint {
     }
 
     /// `self^exponent mod modulus` by square-and-multiply with an explicit
-    /// division per step. Total over every modulus parity (the even-modulus
-    /// path of [`BigUint::modpow`], which Montgomery reduction cannot
-    /// serve), and deliberately free of Montgomery machinery so equivalence
-    /// tests have an independent reference.
+    /// division per step. Total over every modulus (the even- and
+    /// wide-modulus path of [`BigUint::modpow`], which the Montgomery kernel
+    /// cannot serve), and deliberately free of Montgomery machinery so
+    /// equivalence tests have an independent reference.
     ///
     /// # Panics
     ///
@@ -475,6 +341,20 @@ mod tests {
         let ctx = Montgomery::new(BigUint::from_u64(97)).unwrap();
         let r = ctx.mul_mod(&BigUint::from_u64(45), &BigUint::from_u64(67));
         assert_eq!(r.to_u64(), Some(45 * 67 % 97));
+    }
+
+    #[test]
+    fn mul_mod_reduces_operands_wider_than_the_modulus() {
+        // Operands of two limbs and of five (wider than the 4-limb width
+        // class) against a one-limb modulus.
+        let n = BigUint::from_u64((1 << 63) + 1);
+        let ctx = Montgomery::new(n.clone()).unwrap();
+        let a = BigUint::from_u128(u128::MAX);
+        let b = BigUint::from_u64(u64::MAX);
+        assert_eq!(ctx.mul_mod(&a, &b), (&a * &b).rem_of(&n));
+        let wide = &BigUint::one().shl_bits(300) - &BigUint::one();
+        assert_eq!(ctx.mul_mod(&wide, &a), (&wide * &a).rem_of(&n));
+        assert_eq!(ctx.mul_mod(&b, &n), BigUint::zero());
     }
 
     #[test]
@@ -524,7 +404,8 @@ mod tests {
     #[test]
     fn fixed_window_matches_bitwise_ladder() {
         // Dense and sparse exponents wide enough to cross several windows,
-        // against a deliberately multi-limb modulus.
+        // against a deliberately multi-limb modulus; the reference is the
+        // bit-at-a-time `modpow_naive`.
         let m = &BigUint::from_u128((1u128 << 127) - 1) * &BigUint::from_u64(0xffff_ffff_ffff_fc5f);
         let ctx = Montgomery::new(m.clone()).unwrap();
         let base = BigUint::from_hex("deadbeefcafebabe0123456789abcdef55aa55aa55aa55aa").unwrap();
@@ -539,7 +420,7 @@ mod tests {
             let e = BigUint::from_hex(exp_hex).unwrap();
             assert_eq!(
                 ctx.modpow(&base, &e),
-                ctx.modpow_bitwise(&base, &e),
+                base.modpow_naive(&e, &m),
                 "exp={exp_hex}"
             );
         }
@@ -557,8 +438,8 @@ mod tests {
             "8000000000000000000000000000000000000001",
         ] {
             let a = BigUint::from_hex(hexv).unwrap();
-            // modpow(a, 2) squares through mont_sqr_into; mul_mod(a, a)
-            // multiplies through mont_mul_into — they must agree exactly.
+            // modpow(a, 2) squares in the domain; mul_mod(a, a) enters it
+            // with one operand only — they must agree exactly.
             assert_eq!(ctx.modpow(&a, &two), ctx.mul_mod(&a, &a), "a={hexv}");
         }
     }
@@ -580,6 +461,20 @@ mod tests {
         assert_eq!(Montgomery::window_bits(17), 1); // e = 65537
         assert_eq!(Montgomery::window_bits(192), 4); // 384-bit CRT leg
         assert_eq!(Montgomery::window_bits(512), 5); // 1024-bit CRT leg
+    }
+
+    #[test]
+    fn width_classes_pad_rsa_moduli() {
+        let width = |bits: usize| {
+            let n = &BigUint::one().shl_bits(bits - 1) + &BigUint::one();
+            Montgomery::new(n).map(|ctx| ctx.n.len())
+        };
+        assert_eq!(width(64), Some(4));
+        assert_eq!(width(512), Some(8));
+        assert_eq!(width(513), Some(16));
+        assert_eq!(width(1024), Some(16));
+        assert_eq!(width(2048), Some(32));
+        assert_eq!(width(2049), None);
     }
 
     fn naive_modpow(mut b: u64, mut e: u64, m: u64) -> u64 {

@@ -4,7 +4,7 @@
 //! [`rand::RngCore`] source, sieves them against a table of small primes and
 //! then applies the Miller–Rabin probabilistic primality test.
 
-use crate::BigUint;
+use crate::{BigUint, Montgomery};
 use rand::RngCore;
 
 /// Small primes used to cheaply reject composite candidates before running
@@ -45,11 +45,10 @@ pub fn is_probable_prime<R: RngCore + ?Sized>(
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let p_big = BigUint::from_u64(p);
-        if candidate == &p_big {
+        if candidate.to_u64() == Some(p) {
             return true;
         }
-        if candidate.rem_of(&p_big).is_zero() {
+        if candidate.div_rem_u64(p).1 == 0 {
             return false;
         }
     }
@@ -57,10 +56,18 @@ pub fn is_probable_prime<R: RngCore + ?Sized>(
 }
 
 /// Miller–Rabin probabilistic primality test on an odd candidate `> 3`.
+///
+/// One Montgomery context serves every round's exponentiation and
+/// squarings; a candidate too wide for one squares by plain division.
 fn miller_rabin<R: RngCore + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
     let one = BigUint::one();
     let two = BigUint::from_u64(2);
     let n_minus_1 = n - &one;
+    let ctx = Montgomery::new(n.clone());
+    let square = |x: &BigUint| match &ctx {
+        Some(ctx) => ctx.mul_mod(x, x),
+        None => x.mul_mod(x, n),
+    };
 
     // n - 1 = 2^s * d with d odd
     let mut d = n_minus_1.clone();
@@ -72,12 +79,15 @@ fn miller_rabin<R: RngCore + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) ->
 
     'witness: for _ in 0..rounds {
         let a = random_in_range(&two, &(&n_minus_1 - &one), rng);
-        let mut x = a.modpow(&d, n);
+        let mut x = match &ctx {
+            Some(ctx) => ctx.modpow(&a, &d),
+            None => a.modpow_naive(&d, n),
+        };
         if x.is_one() || x == n_minus_1 {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = x.modpow(&two, n);
+            x = square(&x);
             if x == n_minus_1 {
                 continue 'witness;
             }

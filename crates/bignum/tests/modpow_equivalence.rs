@@ -1,10 +1,14 @@
-//! Equivalence of the fixed-window Montgomery exponentiation against the
-//! independent reference paths: the naive square-and-multiply over plain
-//! modular arithmetic, and the pre-optimisation allocating bit-at-a-time
-//! Montgomery ladder (`modpow_bitwise`). The three implementations share no
-//! multiplication kernel, so agreement over random operands pins down the
-//! window gathering, the squaring kernel, and the REDC fold all at once.
+//! Equivalence of the fixed-width Montgomery kernel and its windowed
+//! exponentiation against the independent reference paths: the naive
+//! square-and-multiply over plain modular arithmetic (`modpow_naive`), and
+//! the allocating bit-at-a-time Montgomery ladder in `common/`. The three
+//! share no multiplication kernel, so agreement over random operands pins
+//! down the window gathering, the CIOS fold and the width-class padding all
+//! at once.
 
+mod common;
+
+use common::{div_rem_shift_subtract, from_limbs, modpow_ladder};
 use oma_bignum::{BigUint, Montgomery};
 use proptest::prelude::*;
 
@@ -99,8 +103,43 @@ proptest! {
         modulus in odd_modulus_strategy(),
     ) {
         prop_assume!(!modulus.is_one());
-        let ctx = Montgomery::new(modulus).expect("odd modulus above one");
-        prop_assert_eq!(ctx.modpow(&base, &exponent), ctx.modpow_bitwise(&base, &exponent));
+        let ctx = Montgomery::new(modulus.clone()).expect("odd modulus above one");
+        prop_assert_eq!(ctx.modpow(&base, &exponent), modpow_ladder(&base, &exponent, &modulus));
+    }
+
+    #[test]
+    fn kernel_matches_oracles_in_every_width_class(
+        size in 0usize..9,
+        modulus_limbs in any::<[u64; 32]>(),
+        all_ones_top in any::<bool>(),
+        a_limbs in any::<[u64; 32]>(),
+        b_limbs in any::<[u64; 32]>(),
+        exponent in any::<u64>(),
+    ) {
+        // Moduli that fill their width class (4, 8, 16, 32 limbs) and ones
+        // padded inside it (1, 3, 5, 9, 17); an all-ones top limb puts
+        // n above R/2, where the kernel's carry-out word is live.
+        let limbs = [1usize, 3, 4, 5, 8, 9, 16, 17, 32][size];
+        let mut n = modulus_limbs[..limbs].to_vec();
+        n[0] |= 1;
+        if all_ones_top {
+            n[limbs - 1] = u64::MAX;
+        }
+        n[limbs - 1] = n[limbs - 1].max(1);
+        let n = from_limbs(&n);
+        let ctx = Montgomery::new(n.clone()).expect("odd modulus within 32 limbs");
+        let below_n = |l: &[u64]| div_rem_shift_subtract(&from_limbs(&l[..limbs]), &n).1;
+        let n_minus_1 = &n - &BigUint::one();
+        let exponent = BigUint::from_u64(exponent);
+        for a in [BigUint::zero(), BigUint::one(), n_minus_1.clone(), below_n(&a_limbs)] {
+            for b in [BigUint::zero(), BigUint::one(), n_minus_1.clone(), below_n(&b_limbs)] {
+                prop_assert_eq!(
+                    ctx.mul_mod(&a, &b),
+                    div_rem_shift_subtract(&(&a * &b), &n).1
+                );
+            }
+            prop_assert_eq!(ctx.modpow(&a, &exponent), modpow_ladder(&a, &exponent, &n));
+        }
     }
 
     #[test]
@@ -111,10 +150,31 @@ proptest! {
     ) {
         prop_assume!(!modulus.is_one());
         let ctx = Montgomery::new(modulus.clone()).expect("odd modulus above one");
-        // `Montgomery::mul_mod` requires inputs already reduced mod n.
-        let (a, b) = (a.rem_of(&modulus), b.rem_of(&modulus));
+        // Operands are drawn wider than the modulus as often as not.
         prop_assert_eq!(ctx.mul_mod(&a, &b), a.mul_mod(&b, &modulus));
     }
+}
+
+#[test]
+fn no_context_above_32_limbs_and_modpow_still_correct() {
+    let base = from_limbs(&[0x0123_4567_89ab_cdef; 20]);
+    let exponent = BigUint::from_u64(0x1_0001);
+    for limbs in [33usize, 40] {
+        let mut n = vec![0xfedc_ba98_7654_3210u64; limbs];
+        n[0] |= 1;
+        let n = from_limbs(&n);
+        assert!(Montgomery::new(n.clone()).is_none(), "{limbs} limbs");
+        assert_eq!(
+            base.modpow(&exponent, &n),
+            modpow_ladder(&base, &exponent, &n),
+            "{limbs} limbs"
+        );
+    }
+    let widest = &BigUint::one().shl_bits(2048) - &BigUint::one();
+    assert!(
+        Montgomery::new(widest).is_some(),
+        "32 limbs is a width class"
+    );
 }
 
 /// Wide operands cross all the window-size tiers (1, 3, 4 and 5 bits) that
@@ -134,7 +194,7 @@ fn window_tiers_agree_on_wide_operands() {
     for bits in [1usize, 24, 25, 80, 81, 240, 241, 1024] {
         let exponent = &BigUint::one().shl_bits(bits) - &BigUint::from_u64(1);
         let fast = ctx.modpow(&base, &exponent);
-        let ladder = ctx.modpow_bitwise(&base, &exponent);
+        let ladder = modpow_ladder(&base, &exponent, &modulus);
         assert_eq!(fast, ladder, "window path diverged at {bits}-bit exponent");
         assert_eq!(
             fast,
