@@ -1,7 +1,12 @@
 //! The replication wire protocol: framed PDUs a primary and a follower
-//! exchange to ship the WAL, in the same envelope style as
-//! `oma_drm::wire` — fixed magic, version byte, type tag, big-endian
-//! length, total bounds-checked decode that never panics on hostile input.
+//! exchange to ship the WAL. The envelope is its own — magic `OMRP`,
+//! version byte, type tag, big-endian body length capped at
+//! [`MAX_REPL_BODY_LEN`] — and the body fields are written with the shared
+//! binary codec, [`oma_pki::codec`]: decoding is total (it never panics on
+//! hostile input, and a list count the body cannot hold is rejected before
+//! allocating) and canonical (every accepted frame re-encodes to itself).
+//! Shipped WAL records and snapshots travel as opaque byte strings, exactly
+//! as `oma_store::codec` framed them.
 //!
 //! Every PDU after the handshake carries the sender's **epoch**. The epoch
 //! is the fencing token of failover: a follower rejects records stamped
@@ -22,6 +27,7 @@
 //! ```
 
 use crate::ClusterError;
+use oma_pki::codec::{put_bytes, put_str, DecodeError, Reader};
 
 /// Frame magic of every replication PDU.
 pub const REPL_MAGIC: [u8; 4] = *b"OMRP";
@@ -249,20 +255,11 @@ impl ReplPdu {
                     _ => return Err(malformed("bad snapshot presence byte")),
                 },
             },
-            TAG_RECORDS => {
-                let epoch = r.u64()?;
-                let count = r.u32()? as usize;
-                // Every frame costs at least a length prefix; reject counts
-                // the remaining body cannot possibly hold before allocating.
-                if count > r.remaining() / 4 {
-                    return Err(malformed("record count exceeds body"));
-                }
-                let mut frames = Vec::with_capacity(count);
-                for _ in 0..count {
-                    frames.push(r.bytes()?);
-                }
-                ReplPdu::Records { epoch, frames }
-            }
+            TAG_RECORDS => ReplPdu::Records {
+                epoch: r.u64()?,
+                // Every frame costs at least its length prefix.
+                frames: r.list(4, Reader::bytes)?,
+            },
             TAG_ACK => ReplPdu::Ack {
                 epoch: r.u64()?,
                 last_sequence: r.u64()?,
@@ -286,64 +283,9 @@ fn malformed(reason: &str) -> ClusterError {
     ClusterError::Malformed(reason.into())
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-struct Reader<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(rest: &'a [u8]) -> Self {
-        Reader { rest }
-    }
-
-    fn remaining(&self) -> usize {
-        self.rest.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
-        if self.rest.len() < n {
-            return Err(malformed("truncated body"));
-        }
-        let (head, rest) = self.rest.split_at(n);
-        self.rest = rest;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, ClusterError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ClusterError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ClusterError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, ClusterError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn str(&mut self) -> Result<String, ClusterError> {
-        String::from_utf8(self.bytes()?).map_err(|_| malformed("invalid utf-8"))
-    }
-
-    fn finish(&self) -> Result<(), ClusterError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(malformed("trailing bytes"))
-        }
+impl From<DecodeError> for ClusterError {
+    fn from(e: DecodeError) -> Self {
+        malformed(e.0)
     }
 }
 
@@ -407,11 +349,16 @@ mod tests {
             let mut long = frame.clone();
             long.push(0);
             assert!(ReplPdu::decode(&long).is_err());
-            // Every single-byte flip either still decodes or errors cleanly.
+            // Every flipped or zeroed byte either errors cleanly or still
+            // decodes — to a PDU whose encoding is exactly those bytes.
             for i in 0..frame.len() {
-                let mut bent = frame.clone();
-                bent[i] ^= 0xFF;
-                let _ = ReplPdu::decode(&bent);
+                for mutated in [frame[i] ^ 0xFF, 0] {
+                    let mut bent = frame.clone();
+                    bent[i] = mutated;
+                    if let Ok(pdu) = ReplPdu::decode(&bent) {
+                        assert_eq!(pdu.encode(), bent, "{pdu:?} at byte {i}");
+                    }
+                }
             }
         }
         assert!(matches!(

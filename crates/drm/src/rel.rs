@@ -7,6 +7,7 @@
 //! per-access counting for the ringtone if desired, datetime and interval
 //! constraints for expiry scenarios).
 
+use oma_pki::codec::{Decode, DecodeError, Encode, Reader};
 use oma_pki::{Timestamp, ValidityPeriod};
 
 /// A usage permission verb.
@@ -77,26 +78,60 @@ pub enum Constraint {
 }
 
 impl Constraint {
-    /// Stable byte encoding used in the canonical Rights Object form.
+    /// Stable byte encoding used in the canonical Rights Object form: the
+    /// codec encoding, which is also the constraint's wire and journal form.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(17);
+        self.encode(&mut out);
+        out
+    }
+}
+
+impl Encode for Permission {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(self.code());
+    }
+}
+
+impl Decode for Permission {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let code = r.u8()?;
+        Permission::ALL
+            .into_iter()
+            .find(|p| p.code() == code)
+            .ok_or(DecodeError("unknown permission"))
+    }
+}
+
+impl Encode for Constraint {
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Constraint::Unconstrained => vec![0],
+            Constraint::Unconstrained => out.push(0),
             Constraint::Count(n) => {
-                let mut v = vec![1];
-                v.extend_from_slice(&n.to_be_bytes());
-                v
+                out.push(1);
+                out.extend_from_slice(&n.to_be_bytes());
             }
-            Constraint::Datetime(period) => {
-                let mut v = vec![2];
-                v.extend_from_slice(&period.to_bytes());
-                v
+            Constraint::Datetime(window) => {
+                out.push(2);
+                window.encode(out);
             }
             Constraint::Interval(secs) => {
-                let mut v = vec![3];
-                v.extend_from_slice(&secs.to_be_bytes());
-                v
+                out.push(3);
+                out.extend_from_slice(&secs.to_be_bytes());
             }
         }
+    }
+}
+
+impl Decode for Constraint {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(match r.u8()? {
+            0 => Constraint::Unconstrained,
+            1 => Constraint::Count(r.u32()?),
+            2 => Constraint::Datetime(Decode::decode(r)?),
+            3 => Constraint::Interval(r.u64()?),
+            _ => return Err(DecodeError("unknown constraint")),
+        })
     }
 }
 
@@ -149,15 +184,41 @@ impl Rights {
     }
 
     /// Canonical byte encoding included in the MAC-protected Rights Object.
+    /// Not the codec encoding: this is the XML-like `<rights>` element whose
+    /// size the paper's HMAC cost model charges, so it keeps its tags and
+    /// carries no grant count.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.grants.len() * 24);
         out.extend_from_slice(b"<rights>");
         for grant in &self.grants {
-            out.push(grant.permission.code());
-            out.extend_from_slice(&grant.constraint.to_bytes());
+            grant.permission.encode(&mut out);
+            grant.constraint.encode(&mut out);
         }
         out.extend_from_slice(b"</rights>");
         out
+    }
+}
+
+impl Encode for Rights {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.grants.len() as u32).to_be_bytes());
+        for grant in &self.grants {
+            grant.permission.encode(out);
+            grant.constraint.encode(out);
+        }
+    }
+}
+
+impl Decode for Rights {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        // A grant is at least a permission byte and a constraint tag.
+        let grants = r.list(2, |r| {
+            Ok(PermissionGrant {
+                permission: Decode::decode(r)?,
+                constraint: Decode::decode(r)?,
+            })
+        })?;
+        Ok(Rights { grants })
     }
 }
 

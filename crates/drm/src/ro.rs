@@ -19,6 +19,7 @@ use crate::rel::Rights;
 use oma_crypto::kem::WrappedKeys;
 use oma_crypto::pss::PssSignature;
 use oma_crypto::sha1::DIGEST_SIZE;
+use oma_pki::codec::{put_bytes, put_str, Decode, DecodeError, Encode, Reader};
 use oma_pki::Timestamp;
 use std::fmt;
 
@@ -73,16 +74,6 @@ impl KeyProtection {
     pub fn is_domain(&self) -> bool {
         matches!(self, KeyProtection::Domain { .. })
     }
-
-    /// Size in bytes of the key-protection material carried in the RO.
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            KeyProtection::Device(wrapped) => wrapped.len(),
-            KeyProtection::Domain {
-                wrapped, domain_id, ..
-            } => wrapped.len() + domain_id.as_str().len() + 4,
-        }
-    }
 }
 
 /// The MAC-protected body of a Rights Object.
@@ -110,7 +101,8 @@ impl RightsObjectPayload {
     ///
     /// The encoding mirrors the XML Rights Object of the standard closely
     /// enough to give realistic message sizes (roughly 300–600 bytes plus
-    /// rights), which is what the HMAC cost in the model depends on.
+    /// rights), which is what the HMAC cost in the model depends on — so it
+    /// is not the codec encoding the wire and the journal carry.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(512);
         out.extend_from_slice(b"<ro:payload version=\"2.0\">");
@@ -166,14 +158,79 @@ impl ProtectedRightsObject {
     pub fn is_domain_ro(&self) -> bool {
         self.key_protection.is_domain()
     }
+}
 
-    /// Approximate size in bytes of the Rights Object on the wire
-    /// (payload, key material, MAC and signature).
-    pub fn encoded_len(&self) -> usize {
-        self.payload.to_bytes().len()
-            + self.key_protection.encoded_len()
-            + self.mac.len()
-            + self.signature.as_ref().map_or(0, PssSignature::len)
+impl Encode for ProtectedRightsObject {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let payload = &self.payload;
+        put_str(out, payload.id.as_str());
+        put_str(out, &payload.rights_issuer);
+        put_str(out, &payload.content_id);
+        payload.rights.encode(out);
+        out.extend_from_slice(&payload.dcf_hash);
+        put_bytes(out, &payload.encrypted_cek);
+        payload.issued_at.encode(out);
+        match &self.key_protection {
+            KeyProtection::Device(wrapped) => {
+                out.push(0);
+                put_bytes(out, &wrapped.c1);
+                put_bytes(out, &wrapped.c2);
+            }
+            KeyProtection::Domain {
+                domain_id,
+                generation,
+                wrapped,
+            } => {
+                out.push(1);
+                put_str(out, domain_id.as_str());
+                out.extend_from_slice(&generation.to_be_bytes());
+                put_bytes(out, wrapped);
+            }
+        }
+        out.extend_from_slice(&self.mac);
+        match &self.signature {
+            None => out.push(0),
+            Some(signature) => {
+                out.push(1);
+                signature.encode(out);
+            }
+        }
+    }
+}
+
+impl Decode for ProtectedRightsObject {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let payload = RightsObjectPayload {
+            id: RightsObjectId(r.str()?),
+            rights_issuer: r.str()?,
+            content_id: r.str()?,
+            rights: Decode::decode(r)?,
+            dcf_hash: r.array()?,
+            encrypted_cek: r.bytes()?,
+            issued_at: Decode::decode(r)?,
+        };
+        let key_protection = match r.u8()? {
+            0 => KeyProtection::Device(WrappedKeys {
+                c1: r.bytes()?,
+                c2: r.bytes()?,
+            }),
+            1 => KeyProtection::Domain {
+                domain_id: DomainId::new(&r.str()?),
+                generation: r.u32()?,
+                wrapped: r.bytes()?,
+            },
+            _ => return Err(DecodeError("unknown key protection")),
+        };
+        Ok(ProtectedRightsObject {
+            payload,
+            key_protection,
+            mac: r.array()?,
+            signature: match r.u8()? {
+                0 => None,
+                1 => Some(Decode::decode(r)?),
+                _ => return Err(DecodeError("bad signature presence byte")),
+            },
+        })
     }
 }
 
@@ -241,7 +298,6 @@ mod tests {
         assert_eq!(ro.id().as_str(), "ro-1");
         assert_eq!(ro.content_id(), "cid:track-1");
         assert!(!ro.is_domain_ro());
-        assert!(ro.encoded_len() > 128 + 40 + 20);
     }
 
     #[test]
@@ -252,7 +308,6 @@ mod tests {
             wrapped: vec![0u8; 40],
         };
         assert!(kp.is_domain());
-        assert!(kp.encoded_len() >= 40 + 6);
         assert!(!KeyProtection::Device(oma_crypto::kem::WrappedKeys {
             c1: vec![],
             c2: vec![]

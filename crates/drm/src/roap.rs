@@ -108,18 +108,6 @@ impl DeviceHello {
             ],
         }
     }
-
-    /// Approximate on-the-wire size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.device_id.len()
-            + self.version.len()
-            + self
-                .supported_algorithms
-                .iter()
-                .map(String::len)
-                .sum::<usize>()
-            + 32
-    }
 }
 
 /// Pass 2: the Rights Issuer answers with its identity and a session id.
@@ -172,20 +160,6 @@ impl RegistrationRequest {
         push_field(&mut out, "certificate", &certificate.tbs().to_bytes());
         out
     }
-
-    /// Approximate on-the-wire size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        Self::signed_bytes(
-            self.session_id,
-            &self.device_id,
-            &self.device_nonce,
-            self.request_time,
-            &self.certificate,
-        )
-        .len()
-            + self.certificate.signature().len()
-            + self.signature.len()
-    }
 }
 
 /// Pass 4: the Rights Issuer accepts the registration.
@@ -222,21 +196,6 @@ impl RegistrationResponse {
         push_field(&mut out, "certificate", &ri_certificate.tbs().to_bytes());
         push_field(&mut out, "ocsp", &ocsp_response.tbs().to_bytes());
         out
-    }
-
-    /// Approximate on-the-wire size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        Self::signed_bytes(
-            self.session_id,
-            &self.ri_id,
-            &self.device_nonce,
-            &self.ri_certificate,
-            &self.ocsp_response,
-        )
-        .len()
-            + self.ri_certificate.signature().len()
-            + self.ocsp_response.signature().len()
-            + self.signature.len()
     }
 }
 
@@ -280,20 +239,6 @@ impl RoRequest {
         push_field(&mut out, "nonce", device_nonce);
         out.extend_from_slice(&request_time.to_bytes());
         out
-    }
-
-    /// Approximate on-the-wire size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        Self::signed_bytes(
-            &self.device_id,
-            &self.ri_id,
-            &self.content_id,
-            self.domain_id.as_ref(),
-            &self.device_nonce,
-            self.request_time,
-        )
-        .len()
-            + self.signature.len()
     }
 }
 
@@ -366,19 +311,6 @@ impl RoResponse {
             return Err(RoapError::SignatureInvalid);
         }
         Ok(())
-    }
-
-    /// Approximate on-the-wire size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        Self::signed_bytes(
-            &self.device_id,
-            &self.ri_id,
-            &self.device_nonce,
-            &self.rights_object,
-        )
-        .len()
-            + self.rights_object.key_protection.encoded_len()
-            + self.signature.len()
     }
 }
 
@@ -472,7 +404,6 @@ mod tests {
             .supported_algorithms
             .iter()
             .any(|a| a == "AES-128-WRAP"));
-        assert!(hello.encoded_len() > hello.device_id.len());
     }
 
     #[test]

@@ -35,32 +35,32 @@
 //! inside a known body are rejected as [`RoapError::Malformed`]. New fields
 //! therefore require a version bump — there is no silent skipping.
 //!
-//! The codec is strictly layered *around* the existing signing encoders
-//! (`signed_bytes`, `TbsCertificate::to_bytes`, …): signatures cover the
-//! same canonical bytes whether a PDU travelled through [`RoapPdu::encode`]
-//! or was passed as an in-process struct, so signature bytes — and the
+//! The body fields are written with the shared binary codec,
+//! [`oma_pki::codec`]: certificates, OCSP responses, rights and Rights
+//! Objects are the very byte strings the write-ahead log stores, and a
+//! certificate's or OCSP response's bytes are its signed `to_bytes()` minus
+//! the domain tag, followed by the signature. Signatures cover the same
+//! canonical bytes whether a PDU travelled through [`RoapPdu::encode`] or
+//! was passed as an in-process struct, so signature bytes — and the
 //! measured crypto cycle counts of the paper's Figures 6/7 — are identical
 //! on both paths.
 //!
-//! Decoding is total: `decode` returns `Err(RoapError)` on every malformed
-//! input (truncation, bit flips, oversized length fields, trailing garbage)
-//! and never panics; the `wire_codec` test suite fuzzes this property.
+//! Decoding is total and canonical: `decode` returns `Err(RoapError)` on
+//! every malformed input (truncation, bit flips, oversized length fields,
+//! trailing garbage) and never panics, and every frame it accepts is the
+//! one [`RoapPdu::encode`] produces for the result — in particular a big
+//! integer with a leading `0x00` byte is rejected. The `wire_codec` test
+//! suite fuzzes both properties. Rights lists follow the codec's one list
+//! rule (a count must fit the remaining body); the hello PDUs' string lists
+//! are further capped at 4096 entries.
 
 use crate::domain::DomainId;
 use crate::error::DrmError;
-use crate::rel::{Constraint, Permission, Rights};
-use crate::ro::{KeyProtection, ProtectedRightsObject, RightsObjectId, RightsObjectPayload};
 use crate::roap::{
     DeviceHello, JoinDomainRequest, JoinDomainResponse, RegistrationRequest, RegistrationResponse,
     RiHello, RoRequest, RoResponse, RoapError,
 };
-use oma_bignum::BigUint;
-use oma_crypto::kem::WrappedKeys;
-use oma_crypto::pss::PssSignature;
-use oma_crypto::rsa::RsaPublicKey;
-use oma_crypto::sha1::DIGEST_SIZE;
-use oma_pki::ocsp::{CertificateStatus, OcspResponse, TbsOcspResponse};
-use oma_pki::{Certificate, EntityRole, TbsCertificate, Timestamp, ValidityPeriod};
+use oma_pki::codec::{put_bytes, put_str, Decode, DecodeError, Encode, Reader};
 
 /// Envelope magic, the first four bytes of every frame.
 pub const WIRE_MAGIC: [u8; 4] = *b"ROAP";
@@ -76,7 +76,9 @@ pub const HEADER_LEN: usize = 18;
 /// prefix costs the server nothing.
 pub const MAX_BODY_LEN: usize = 1 << 20;
 
-/// Upper bound on the element count of any encoded list.
+/// Upper bound on the element count of a ROAP string list (the algorithm
+/// and authority lists of the hello PDUs), on top of the codec's own rule
+/// that a count must fit the remaining body.
 const MAX_LIST_LEN: usize = 1 << 12;
 
 const TAG_DEVICE_HELLO: u8 = 1;
@@ -195,6 +197,13 @@ impl From<&DrmError> for RoapStatus {
 impl From<RoapError> for RoapStatus {
     fn from(e: RoapError) -> Self {
         RoapStatus::Roap(e)
+    }
+}
+
+impl From<DecodeError> for RoapError {
+    /// Every body-level codec failure is a malformed PDU on the wire.
+    fn from(_: DecodeError) -> Self {
+        RoapError::Malformed
     }
 }
 
@@ -418,16 +427,16 @@ impl RoapPdu {
             RoapPdu::RegistrationRequest(r) => {
                 put_str(&mut out, &r.device_id);
                 put_bytes(&mut out, &r.device_nonce);
-                put_timestamp(&mut out, r.request_time);
-                put_certificate(&mut out, &r.certificate);
-                put_signature(&mut out, &r.signature);
+                r.request_time.encode(&mut out);
+                r.certificate.encode(&mut out);
+                r.signature.encode(&mut out);
             }
             RoapPdu::RegistrationResponse(r) => {
                 put_str(&mut out, &r.ri_id);
                 put_bytes(&mut out, &r.device_nonce);
-                put_certificate(&mut out, &r.ri_certificate);
-                put_ocsp(&mut out, &r.ocsp_response);
-                put_signature(&mut out, &r.signature);
+                r.ri_certificate.encode(&mut out);
+                r.ocsp_response.encode(&mut out);
+                r.signature.encode(&mut out);
             }
             RoapPdu::RoRequest(r) => {
                 put_str(&mut out, &r.device_id);
@@ -441,23 +450,23 @@ impl RoapPdu {
                     }
                 }
                 put_bytes(&mut out, &r.device_nonce);
-                put_timestamp(&mut out, r.request_time);
-                put_signature(&mut out, &r.signature);
+                r.request_time.encode(&mut out);
+                r.signature.encode(&mut out);
             }
             RoapPdu::RoResponse(r) => {
                 put_str(&mut out, &r.device_id);
                 put_str(&mut out, &r.ri_id);
                 put_bytes(&mut out, &r.device_nonce);
-                put_protected_ro(&mut out, &r.rights_object);
-                put_signature(&mut out, &r.signature);
+                r.rights_object.encode(&mut out);
+                r.signature.encode(&mut out);
             }
             RoapPdu::JoinDomainRequest(r) => {
                 put_str(&mut out, &r.device_id);
                 put_str(&mut out, &r.ri_id);
                 put_str(&mut out, r.domain_id.as_str());
                 put_bytes(&mut out, &r.device_nonce);
-                put_timestamp(&mut out, r.request_time);
-                put_signature(&mut out, &r.signature);
+                r.request_time.encode(&mut out);
+                r.signature.encode(&mut out);
             }
             RoapPdu::JoinDomainResponse(r) => {
                 put_str(&mut out, &r.device_id);
@@ -466,7 +475,7 @@ impl RoapPdu {
                 out.extend_from_slice(&r.generation.to_be_bytes());
                 put_bytes(&mut out, &r.encrypted_domain_key);
                 put_bytes(&mut out, &r.device_nonce);
-                put_signature(&mut out, &r.signature);
+                r.signature.encode(&mut out);
             }
             RoapPdu::LeaveDomainRequest {
                 device_id,
@@ -492,30 +501,30 @@ impl RoapPdu {
             TAG_DEVICE_HELLO => RoapPdu::DeviceHello(DeviceHello {
                 device_id: r.str()?,
                 version: r.str()?,
-                supported_algorithms: r.str_list()?,
+                supported_algorithms: str_list(r)?,
             }),
             TAG_RI_HELLO => RoapPdu::RiHello(RiHello {
                 ri_id: r.str()?,
                 session_id,
                 ri_nonce: r.bytes()?,
-                selected_algorithms: r.str_list()?,
-                trusted_authorities: r.str_list()?,
+                selected_algorithms: str_list(r)?,
+                trusted_authorities: str_list(r)?,
             }),
             TAG_REGISTRATION_REQUEST => RoapPdu::RegistrationRequest(RegistrationRequest {
                 session_id,
                 device_id: r.str()?,
                 device_nonce: r.bytes()?,
-                request_time: r.timestamp()?,
-                certificate: r.certificate()?,
-                signature: r.signature()?,
+                request_time: Decode::decode(r)?,
+                certificate: Decode::decode(r)?,
+                signature: Decode::decode(r)?,
             }),
             TAG_REGISTRATION_RESPONSE => RoapPdu::RegistrationResponse(RegistrationResponse {
                 session_id,
                 ri_id: r.str()?,
                 device_nonce: r.bytes()?,
-                ri_certificate: r.certificate()?,
-                ocsp_response: r.ocsp()?,
-                signature: r.signature()?,
+                ri_certificate: Decode::decode(r)?,
+                ocsp_response: Decode::decode(r)?,
+                signature: Decode::decode(r)?,
             }),
             TAG_RO_REQUEST => RoapPdu::RoRequest(RoRequest {
                 device_id: r.str()?,
@@ -527,23 +536,23 @@ impl RoapPdu {
                     _ => return Err(RoapError::Malformed),
                 },
                 device_nonce: r.bytes()?,
-                request_time: r.timestamp()?,
-                signature: r.signature()?,
+                request_time: Decode::decode(r)?,
+                signature: Decode::decode(r)?,
             }),
             TAG_RO_RESPONSE => RoapPdu::RoResponse(RoResponse {
                 device_id: r.str()?,
                 ri_id: r.str()?,
                 device_nonce: r.bytes()?,
-                rights_object: r.protected_ro()?,
-                signature: r.signature()?,
+                rights_object: Decode::decode(r)?,
+                signature: Decode::decode(r)?,
             }),
             TAG_JOIN_DOMAIN_REQUEST => RoapPdu::JoinDomainRequest(JoinDomainRequest {
                 device_id: r.str()?,
                 ri_id: r.str()?,
                 domain_id: DomainId::new(&r.str()?),
                 device_nonce: r.bytes()?,
-                request_time: r.timestamp()?,
-                signature: r.signature()?,
+                request_time: Decode::decode(r)?,
+                signature: Decode::decode(r)?,
             }),
             TAG_JOIN_DOMAIN_RESPONSE => RoapPdu::JoinDomainResponse(JoinDomainResponse {
                 device_id: r.str()?,
@@ -552,7 +561,7 @@ impl RoapPdu {
                 generation: r.u32()?,
                 encrypted_domain_key: r.bytes()?,
                 device_nonce: r.bytes()?,
-                signature: r.signature()?,
+                signature: Decode::decode(r)?,
             }),
             TAG_LEAVE_DOMAIN_REQUEST => RoapPdu::LeaveDomainRequest {
                 device_id: r.str()?,
@@ -584,17 +593,6 @@ pub fn decode_stream(mut stream: &[u8]) -> Result<Vec<RoapPdu>, RoapError> {
     Ok(pdus)
 }
 
-// ----- field encoders --------------------------------------------------------
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
 fn put_str_list(out: &mut Vec<u8>, list: &[String]) {
     out.extend_from_slice(&(list.len() as u32).to_be_bytes());
     for s in list {
@@ -602,304 +600,13 @@ fn put_str_list(out: &mut Vec<u8>, list: &[String]) {
     }
 }
 
-fn put_timestamp(out: &mut Vec<u8>, t: Timestamp) {
-    out.extend_from_slice(&t.seconds().to_be_bytes());
-}
-
-fn put_signature(out: &mut Vec<u8>, s: &PssSignature) {
-    put_bytes(out, s.as_bytes());
-}
-
-fn put_public_key(out: &mut Vec<u8>, key: &RsaPublicKey) {
-    put_bytes(out, &key.modulus().to_bytes_be());
-    put_bytes(out, &key.exponent().to_bytes_be());
-}
-
-fn put_certificate(out: &mut Vec<u8>, cert: &Certificate) {
-    let tbs = cert.tbs();
-    out.extend_from_slice(&tbs.serial.to_be_bytes());
-    put_str(out, &tbs.issuer);
-    put_str(out, &tbs.subject);
-    out.push(tbs.role.code());
-    put_public_key(out, &tbs.public_key);
-    out.extend_from_slice(&tbs.validity.not_before().seconds().to_be_bytes());
-    out.extend_from_slice(&tbs.validity.not_after().seconds().to_be_bytes());
-    put_signature(out, cert.signature());
-}
-
-fn put_ocsp(out: &mut Vec<u8>, ocsp: &OcspResponse) {
-    let tbs = ocsp.tbs();
-    put_str(out, &tbs.responder);
-    out.extend_from_slice(&tbs.serial.to_be_bytes());
-    out.push(tbs.status.code());
-    put_timestamp(out, tbs.produced_at);
-    put_bytes(out, &tbs.nonce);
-    put_signature(out, ocsp.signature());
-}
-
-fn put_rights(out: &mut Vec<u8>, rights: &Rights) {
-    let grants = rights.grants();
-    out.extend_from_slice(&(grants.len() as u32).to_be_bytes());
-    for grant in grants {
-        out.push(grant.permission.code());
-        match grant.constraint {
-            Constraint::Unconstrained => out.push(0),
-            Constraint::Count(n) => {
-                out.push(1);
-                out.extend_from_slice(&n.to_be_bytes());
-            }
-            Constraint::Datetime(window) => {
-                out.push(2);
-                out.extend_from_slice(&window.not_before().seconds().to_be_bytes());
-                out.extend_from_slice(&window.not_after().seconds().to_be_bytes());
-            }
-            Constraint::Interval(secs) => {
-                out.push(3);
-                out.extend_from_slice(&secs.to_be_bytes());
-            }
-        }
+/// A ROAP string list: the codec's list rule plus the wire's own cap.
+fn str_list(r: &mut Reader<'_>) -> Result<Vec<String>, RoapError> {
+    let count = r.count(4)?;
+    if count > MAX_LIST_LEN {
+        return Err(RoapError::Malformed);
     }
-}
-
-fn put_protected_ro(out: &mut Vec<u8>, ro: &ProtectedRightsObject) {
-    put_str(out, ro.payload.id.as_str());
-    put_str(out, &ro.payload.rights_issuer);
-    put_str(out, &ro.payload.content_id);
-    put_rights(out, &ro.payload.rights);
-    out.extend_from_slice(&ro.payload.dcf_hash);
-    put_bytes(out, &ro.payload.encrypted_cek);
-    put_timestamp(out, ro.payload.issued_at);
-    match &ro.key_protection {
-        KeyProtection::Device(wrapped) => {
-            out.push(0);
-            put_bytes(out, &wrapped.c1);
-            put_bytes(out, &wrapped.c2);
-        }
-        KeyProtection::Domain {
-            domain_id,
-            generation,
-            wrapped,
-        } => {
-            out.push(1);
-            put_str(out, domain_id.as_str());
-            out.extend_from_slice(&generation.to_be_bytes());
-            put_bytes(out, wrapped);
-        }
-    }
-    out.extend_from_slice(&ro.mac);
-    match &ro.signature {
-        None => out.push(0),
-        Some(signature) => {
-            out.push(1);
-            put_signature(out, signature);
-        }
-    }
-}
-
-// ----- bounded reader --------------------------------------------------------
-
-/// A bounds-checked cursor over one PDU body. Every read validates lengths
-/// before touching (or allocating for) the payload, so arbitrary input can
-/// never cause a panic or an oversized allocation.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RoapError> {
-        if self.buf.len() - self.pos < n {
-            return Err(RoapError::Malformed);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn finish(&self) -> Result<(), RoapError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(RoapError::Malformed)
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, RoapError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, RoapError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, RoapError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, RoapError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn str(&mut self) -> Result<String, RoapError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| RoapError::Malformed)
-    }
-
-    fn str_list(&mut self) -> Result<Vec<String>, RoapError> {
-        let count = self.u32()? as usize;
-        if count > MAX_LIST_LEN {
-            return Err(RoapError::Malformed);
-        }
-        let mut list = Vec::with_capacity(count.min(64));
-        for _ in 0..count {
-            list.push(self.str()?);
-        }
-        Ok(list)
-    }
-
-    fn timestamp(&mut self) -> Result<Timestamp, RoapError> {
-        Ok(Timestamp::new(self.u64()?))
-    }
-
-    fn validity(&mut self) -> Result<ValidityPeriod, RoapError> {
-        let not_before = self.timestamp()?;
-        let not_after = self.timestamp()?;
-        // ValidityPeriod::new asserts ordering; reject instead of panicking.
-        if not_after < not_before {
-            return Err(RoapError::Malformed);
-        }
-        Ok(ValidityPeriod::new(not_before, not_after))
-    }
-
-    fn signature(&mut self) -> Result<PssSignature, RoapError> {
-        Ok(PssSignature::from_bytes(self.bytes()?))
-    }
-
-    fn public_key(&mut self) -> Result<RsaPublicKey, RoapError> {
-        let modulus = BigUint::from_bytes_be(&self.bytes()?);
-        let exponent = BigUint::from_bytes_be(&self.bytes()?);
-        Ok(RsaPublicKey::new(modulus, exponent))
-    }
-
-    fn role(&mut self) -> Result<EntityRole, RoapError> {
-        Ok(match self.u8()? {
-            0x01 => EntityRole::CertificationAuthority,
-            0x02 => EntityRole::RightsIssuer,
-            0x03 => EntityRole::DrmAgent,
-            _ => return Err(RoapError::Malformed),
-        })
-    }
-
-    fn certificate(&mut self) -> Result<Certificate, RoapError> {
-        let tbs = TbsCertificate {
-            serial: self.u64()?,
-            issuer: self.str()?,
-            subject: self.str()?,
-            role: self.role()?,
-            public_key: self.public_key()?,
-            validity: self.validity()?,
-        };
-        let signature = self.signature()?;
-        Ok(Certificate::new(tbs, signature))
-    }
-
-    fn ocsp(&mut self) -> Result<OcspResponse, RoapError> {
-        let tbs = TbsOcspResponse {
-            responder: self.str()?,
-            serial: self.u64()?,
-            status: match self.u8()? {
-                0x00 => CertificateStatus::Good,
-                0x01 => CertificateStatus::Revoked,
-                0x02 => CertificateStatus::Unknown,
-                _ => return Err(RoapError::Malformed),
-            },
-            produced_at: self.timestamp()?,
-            nonce: self.bytes()?,
-        };
-        let signature = self.signature()?;
-        Ok(OcspResponse::new(tbs, signature))
-    }
-
-    fn permission(&mut self) -> Result<Permission, RoapError> {
-        Ok(match self.u8()? {
-            1 => Permission::Play,
-            2 => Permission::Display,
-            3 => Permission::Execute,
-            4 => Permission::Print,
-            5 => Permission::Export,
-            _ => return Err(RoapError::Malformed),
-        })
-    }
-
-    fn constraint(&mut self) -> Result<Constraint, RoapError> {
-        Ok(match self.u8()? {
-            0 => Constraint::Unconstrained,
-            1 => Constraint::Count(self.u32()?),
-            2 => Constraint::Datetime(self.validity()?),
-            3 => Constraint::Interval(self.u64()?),
-            _ => return Err(RoapError::Malformed),
-        })
-    }
-
-    fn rights(&mut self) -> Result<Rights, RoapError> {
-        let count = self.u32()? as usize;
-        if count > MAX_LIST_LEN {
-            return Err(RoapError::Malformed);
-        }
-        let mut rights = Rights::new();
-        for _ in 0..count {
-            let permission = self.permission()?;
-            let constraint = self.constraint()?;
-            rights = rights.grant(permission, constraint);
-        }
-        Ok(rights)
-    }
-
-    fn digest(&mut self) -> Result<[u8; DIGEST_SIZE], RoapError> {
-        Ok(self.take(DIGEST_SIZE)?.try_into().expect("digest size"))
-    }
-
-    fn protected_ro(&mut self) -> Result<ProtectedRightsObject, RoapError> {
-        let payload = RightsObjectPayload {
-            id: RightsObjectId::new(&self.str()?),
-            rights_issuer: self.str()?,
-            content_id: self.str()?,
-            rights: self.rights()?,
-            dcf_hash: self.digest()?,
-            encrypted_cek: self.bytes()?,
-            issued_at: self.timestamp()?,
-        };
-        let key_protection = match self.u8()? {
-            0 => KeyProtection::Device(WrappedKeys {
-                c1: self.bytes()?,
-                c2: self.bytes()?,
-            }),
-            1 => KeyProtection::Domain {
-                domain_id: DomainId::new(&self.str()?),
-                generation: self.u32()?,
-                wrapped: self.bytes()?,
-            },
-            _ => return Err(RoapError::Malformed),
-        };
-        let mac = self.digest()?;
-        let signature = match self.u8()? {
-            0 => None,
-            1 => Some(self.signature()?),
-            _ => return Err(RoapError::Malformed),
-        };
-        Ok(ProtectedRightsObject {
-            payload,
-            key_protection,
-            mac,
-            signature,
-        })
-    }
+    (0..count).map(|_| Ok(r.str()?)).collect()
 }
 
 #[cfg(test)]

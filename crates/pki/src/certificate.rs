@@ -1,6 +1,7 @@
 //! Certificates: the signed binding between an entity, its role and its
 //! RSA public key.
 
+use crate::codec::Encode;
 use crate::{Timestamp, ValidityPeriod};
 use oma_crypto::pss::PssSignature;
 use oma_crypto::rsa::RsaPublicKey;
@@ -77,25 +78,16 @@ pub struct TbsCertificate {
 
 impl TbsCertificate {
     /// Canonical byte encoding: the exact bytes the CA signs and a verifier
-    /// hashes. A length-prefixed field concatenation is used instead of DER
-    /// (see DESIGN.md §5).
+    /// hashes — a domain tag followed by the [`codec`](crate::codec) body
+    /// that also travels in ROAP frames and journal records. A
+    /// length-prefixed field concatenation is used instead of DER (see
+    /// DESIGN.md §5).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
         out.extend_from_slice(b"oma-drm2:certificate:v1\n");
-        out.extend_from_slice(&self.serial.to_be_bytes());
-        push_field(&mut out, self.issuer.as_bytes());
-        push_field(&mut out, self.subject.as_bytes());
-        out.push(self.role.code());
-        push_field(&mut out, &self.public_key.modulus().to_bytes_be());
-        push_field(&mut out, &self.public_key.exponent().to_bytes_be());
-        out.extend_from_slice(&self.validity.to_bytes());
+        self.encode(&mut out);
         out
     }
-}
-
-fn push_field(out: &mut Vec<u8>, field: &[u8]) {
-    out.extend_from_slice(&(field.len() as u32).to_be_bytes());
-    out.extend_from_slice(field);
 }
 
 /// A certificate: a [`TbsCertificate`] plus the issuer's RSA-PSS signature
@@ -156,12 +148,6 @@ impl Certificate {
     /// and revocation are checked by [`crate::verify`]).
     pub fn is_valid_at(&self, at: Timestamp) -> bool {
         self.tbs.validity.contains(at)
-    }
-
-    /// Size in bytes of the certificate as transferred inside ROAP messages
-    /// (canonical encoding plus signature).
-    pub fn encoded_len(&self) -> usize {
-        self.tbs.to_bytes().len() + self.signature.len()
     }
 }
 
@@ -234,7 +220,6 @@ mod tests {
         assert_eq!(cert.role(), EntityRole::DrmAgent);
         assert!(cert.is_valid_at(Timestamp::new(50)));
         assert!(!cert.is_valid_at(Timestamp::new(101)));
-        assert_eq!(cert.encoded_len(), cert.tbs().to_bytes().len() + 3);
         assert_eq!(cert.validity().not_after().seconds(), 100);
         assert!(!cert.signature().is_empty());
         assert!(cert.public_key().modulus_bits() > 0);

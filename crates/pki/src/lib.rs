@@ -18,7 +18,9 @@
 //!   and operates revocation,
 //! * [`ocsp`] — OCSP-style signed certificate-status responses with nonces,
 //! * [`verify`] — chain and validity verification entry points used by the
-//!   DRM layer.
+//!   DRM layer,
+//! * [`codec`] — the binary codec every envelope of the stack (ROAP wire,
+//!   write-ahead log, replication) encodes its structures with.
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@
 
 mod authority;
 mod certificate;
+pub mod codec;
 mod error;
 pub mod ocsp;
 mod time;

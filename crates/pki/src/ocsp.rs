@@ -7,6 +7,7 @@
 //! model charges for it.
 
 use crate::certificate::Certificate;
+use crate::codec::Encode;
 use crate::error::PkiError;
 use crate::Timestamp;
 use oma_crypto::pss::PssSignature;
@@ -59,17 +60,12 @@ pub struct TbsOcspResponse {
 }
 
 impl TbsOcspResponse {
-    /// Canonical byte encoding (the bytes that are signed and hashed).
+    /// Canonical byte encoding (the bytes that are signed and hashed): a
+    /// domain tag followed by the [`codec`](crate::codec) body.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.nonce.len());
         out.extend_from_slice(b"oma-drm2:ocsp:v1\n");
-        out.extend_from_slice(&(self.responder.len() as u32).to_be_bytes());
-        out.extend_from_slice(self.responder.as_bytes());
-        out.extend_from_slice(&self.serial.to_be_bytes());
-        out.push(self.status.code());
-        out.extend_from_slice(&self.produced_at.to_bytes());
-        out.extend_from_slice(&(self.nonce.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.nonce);
+        self.encode(&mut out);
         out
     }
 }
@@ -105,11 +101,6 @@ impl OcspResponse {
     /// Serial the response covers.
     pub fn serial(&self) -> u64 {
         self.tbs.serial
-    }
-
-    /// Size in bytes as carried inside ROAP messages.
-    pub fn encoded_len(&self) -> usize {
-        self.tbs.to_bytes().len() + self.signature.len()
     }
 
     /// Verifies this response against a certificate and the CA trust anchor.
@@ -208,7 +199,6 @@ mod tests {
                 3600
             )
             .is_ok());
-        assert!(resp.encoded_len() > 0);
         assert_eq!(resp.serial(), f.cert.serial());
     }
 

@@ -57,16 +57,18 @@ impl ValidityPeriod {
     ///
     /// # Panics
     ///
-    /// Panics if `not_after < not_before`.
+    /// Panics if `not_after < not_before`; [`ValidityPeriod::try_new`] is
+    /// the fallible form for untrusted input.
     pub fn new(not_before: Timestamp, not_after: Timestamp) -> Self {
-        assert!(
-            not_after >= not_before,
-            "validity period ends before it begins"
-        );
-        ValidityPeriod {
+        Self::try_new(not_before, not_after).expect("validity period ends before it begins")
+    }
+
+    /// Creates a validity period, or `None` if `not_after < not_before`.
+    pub fn try_new(not_before: Timestamp, not_after: Timestamp) -> Option<Self> {
+        (not_after >= not_before).then_some(ValidityPeriod {
             not_before,
             not_after,
-        }
+        })
     }
 
     /// A period starting at `start` and lasting `duration_seconds`.

@@ -1,12 +1,16 @@
 //! Binary encodings of journal records and state snapshots.
 //!
-//! The discipline mirrors `oma_drm::wire`: encoding is canonical (one byte
-//! string per value), decoding is *total* — every malformed input returns
-//! [`StoreError::Corrupt`], never panics, and length fields are validated
-//! before any allocation, so a hostile or bit-rotted log cannot blow up
-//! recovery. On top of the wire-style field codec, every record and the
-//! snapshot carry a CRC-32 over their payload: storage that lies (torn
-//! writes, flipped bits) is *detected*, not merely tolerated.
+//! The fields are written with the shared binary codec,
+//! [`oma_pki::codec`]: a certificate, OCSP response or rights value is the
+//! same byte string here as inside a ROAP frame. Encoding is canonical (one
+//! byte string per value — a big integer is its minimal big-endian
+//! magnitude, and a leading `0x00` byte is rejected), decoding is *total* —
+//! every malformed input returns [`StoreError::Corrupt`], never panics, and
+//! length fields and list counts are validated before any allocation, so a
+//! hostile or bit-rotted log cannot blow up recovery. On top of the codec,
+//! every record and the snapshot carry a CRC-32 over their payload: storage
+//! that lies (torn writes, flipped bits) is *detected*, not merely
+//! tolerated.
 //!
 //! ```text
 //! record   := u32 payload_len | u32 crc32(payload) | payload
@@ -16,16 +20,14 @@
 //! ```
 
 use crate::StoreError;
-use oma_bignum::BigUint;
-use oma_crypto::rsa::{RsaKeyPair, RsaPrivateKey, RsaPublicKey};
+use oma_crypto::rsa::{RsaKeyPair, RsaPrivateKey};
 use oma_crypto::sha1::DIGEST_SIZE;
 use oma_drm::domain::DomainId;
 use oma_drm::journal::{
     ContentImage, DomainImage, RegisteredImage, RiEvent, RiStateImage, SessionImage,
 };
-use oma_drm::rel::{Constraint, Permission, Rights, RightsTemplate};
-use oma_pki::ocsp::{CertificateStatus, OcspResponse, TbsOcspResponse};
-use oma_pki::{Certificate, EntityRole, TbsCertificate, Timestamp, ValidityPeriod};
+use oma_drm::rel::RightsTemplate;
+use oma_pki::codec::{put_bytes, put_str, Decode, DecodeError, Encode, Reader};
 
 /// Magic + version prefix of a snapshot blob.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"OMSS";
@@ -87,17 +89,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-// ----- field encoders --------------------------------------------------------
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_be_bytes());
 }
@@ -106,209 +97,9 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
-fn put_timestamp(out: &mut Vec<u8>, t: Timestamp) {
-    put_u64(out, t.seconds());
-}
-
-fn put_biguint(out: &mut Vec<u8>, n: &BigUint) {
-    put_bytes(out, &n.to_bytes_be());
-}
-
-fn put_public_key(out: &mut Vec<u8>, key: &RsaPublicKey) {
-    put_biguint(out, key.modulus());
-    put_biguint(out, key.exponent());
-}
-
-fn put_certificate(out: &mut Vec<u8>, cert: &Certificate) {
-    let tbs = cert.tbs();
-    put_u64(out, tbs.serial);
-    put_str(out, &tbs.issuer);
-    put_str(out, &tbs.subject);
-    out.push(tbs.role.code());
-    put_public_key(out, &tbs.public_key);
-    put_timestamp(out, tbs.validity.not_before());
-    put_timestamp(out, tbs.validity.not_after());
-    put_bytes(out, cert.signature().as_bytes());
-}
-
-fn put_ocsp(out: &mut Vec<u8>, ocsp: &OcspResponse) {
-    let tbs = ocsp.tbs();
-    put_str(out, &tbs.responder);
-    put_u64(out, tbs.serial);
-    out.push(tbs.status.code());
-    put_timestamp(out, tbs.produced_at);
-    put_bytes(out, &tbs.nonce);
-    put_bytes(out, ocsp.signature().as_bytes());
-}
-
-fn put_rights(out: &mut Vec<u8>, rights: &Rights) {
-    let grants = rights.grants();
-    put_u32(out, grants.len() as u32);
-    for grant in grants {
-        out.push(grant.permission.code());
-        match grant.constraint {
-            Constraint::Unconstrained => out.push(0),
-            Constraint::Count(n) => {
-                out.push(1);
-                put_u32(out, n);
-            }
-            Constraint::Datetime(window) => {
-                out.push(2);
-                put_timestamp(out, window.not_before());
-                put_timestamp(out, window.not_after());
-            }
-            Constraint::Interval(secs) => {
-                out.push(3);
-                put_u64(out, secs);
-            }
-        }
-    }
-}
-
-// ----- bounded reader --------------------------------------------------------
-
-/// A bounds-checked cursor over one payload; every read validates lengths
-/// before allocating, so arbitrary bytes can never panic the decoder.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.buf.len() - self.pos < n {
-            return Err(corrupt("truncated field"));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn finish(&self) -> Result<(), StoreError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(corrupt("trailing bytes"))
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, StoreError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn str(&mut self) -> Result<String, StoreError> {
-        String::from_utf8(self.bytes()?).map_err(|_| corrupt("invalid utf-8"))
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
-        Ok(self.take(N)?.try_into().expect("fixed size"))
-    }
-
-    fn timestamp(&mut self) -> Result<Timestamp, StoreError> {
-        Ok(Timestamp::new(self.u64()?))
-    }
-
-    fn validity(&mut self) -> Result<ValidityPeriod, StoreError> {
-        let not_before = self.timestamp()?;
-        let not_after = self.timestamp()?;
-        if not_after < not_before {
-            return Err(corrupt("inverted validity period"));
-        }
-        Ok(ValidityPeriod::new(not_before, not_after))
-    }
-
-    fn biguint(&mut self) -> Result<BigUint, StoreError> {
-        Ok(BigUint::from_bytes_be(&self.bytes()?))
-    }
-
-    fn public_key(&mut self) -> Result<RsaPublicKey, StoreError> {
-        let modulus = self.biguint()?;
-        let exponent = self.biguint()?;
-        Ok(RsaPublicKey::new(modulus, exponent))
-    }
-
-    fn role(&mut self) -> Result<EntityRole, StoreError> {
-        Ok(match self.u8()? {
-            0x01 => EntityRole::CertificationAuthority,
-            0x02 => EntityRole::RightsIssuer,
-            0x03 => EntityRole::DrmAgent,
-            _ => return Err(corrupt("unknown entity role")),
-        })
-    }
-
-    fn signature(&mut self) -> Result<oma_crypto::pss::PssSignature, StoreError> {
-        Ok(oma_crypto::pss::PssSignature::from_bytes(self.bytes()?))
-    }
-
-    fn certificate(&mut self) -> Result<Certificate, StoreError> {
-        let tbs = TbsCertificate {
-            serial: self.u64()?,
-            issuer: self.str()?,
-            subject: self.str()?,
-            role: self.role()?,
-            public_key: self.public_key()?,
-            validity: self.validity()?,
-        };
-        let signature = self.signature()?;
-        Ok(Certificate::new(tbs, signature))
-    }
-
-    fn ocsp(&mut self) -> Result<OcspResponse, StoreError> {
-        let tbs = TbsOcspResponse {
-            responder: self.str()?,
-            serial: self.u64()?,
-            status: match self.u8()? {
-                0x00 => CertificateStatus::Good,
-                0x01 => CertificateStatus::Revoked,
-                0x02 => CertificateStatus::Unknown,
-                _ => return Err(corrupt("unknown certificate status")),
-            },
-            produced_at: self.timestamp()?,
-            nonce: self.bytes()?,
-        };
-        let signature = self.signature()?;
-        Ok(OcspResponse::new(tbs, signature))
-    }
-
-    fn rights(&mut self) -> Result<Rights, StoreError> {
-        let count = self.u32()? as usize;
-        let mut rights = Rights::new();
-        for _ in 0..count {
-            let permission = match self.u8()? {
-                1 => Permission::Play,
-                2 => Permission::Display,
-                3 => Permission::Execute,
-                4 => Permission::Print,
-                5 => Permission::Export,
-                _ => return Err(corrupt("unknown permission")),
-            };
-            let constraint = match self.u8()? {
-                0 => Constraint::Unconstrained,
-                1 => Constraint::Count(self.u32()?),
-                2 => Constraint::Datetime(self.validity()?),
-                3 => Constraint::Interval(self.u64()?),
-                _ => return Err(corrupt("unknown constraint")),
-            };
-            rights = rights.grant(permission, constraint);
-        }
-        Ok(rights)
+impl From<DecodeError> for StoreError {
+    fn from(e: DecodeError) -> Self {
+        corrupt(e.0)
     }
 }
 
@@ -328,7 +119,7 @@ pub fn encode_event(event: &RiEvent) -> Vec<u8> {
             put_str(&mut out, content_id);
             out.extend_from_slice(cek);
             out.extend_from_slice(dcf_hash);
-            put_rights(&mut out, template.rights());
+            template.rights().encode(&mut out);
         }
         RiEvent::SessionOpened {
             session_id,
@@ -340,7 +131,7 @@ pub fn encode_event(event: &RiEvent) -> Vec<u8> {
             put_u64(&mut out, *session_id);
             put_str(&mut out, device_id);
             put_bytes(&mut out, ri_nonce);
-            put_timestamp(&mut out, *opened_at);
+            opened_at.encode(&mut out);
         }
         RiEvent::DeviceRegistered {
             session_id,
@@ -350,7 +141,7 @@ pub fn encode_event(event: &RiEvent) -> Vec<u8> {
             out.push(TAG_DEVICE_REGISTERED);
             put_u64(&mut out, *session_id);
             put_str(&mut out, device_id);
-            put_certificate(&mut out, certificate);
+            certificate.encode(&mut out);
         }
         RiEvent::RoIssued { scope, sequence } => {
             out.push(TAG_RO_ISSUED);
@@ -391,11 +182,11 @@ pub fn encode_event(event: &RiEvent) -> Vec<u8> {
         }
         RiEvent::OcspRefreshed { response } => {
             out.push(TAG_OCSP_REFRESHED);
-            put_ocsp(&mut out, response);
+            response.encode(&mut out);
         }
         RiEvent::SessionsSwept { now, session_ids } => {
             out.push(TAG_SESSIONS_SWEPT);
-            put_timestamp(&mut out, *now);
+            now.encode(&mut out);
             put_u32(&mut out, session_ids.len() as u32);
             for id in session_ids {
                 put_u64(&mut out, *id);
@@ -415,18 +206,18 @@ fn decode_event(r: &mut Reader<'_>) -> Result<RiEvent, StoreError> {
             content_id: r.str()?,
             cek: r.array()?,
             dcf_hash: r.array::<DIGEST_SIZE>()?,
-            template: RightsTemplate::from_rights(r.rights()?),
+            template: RightsTemplate::from_rights(Decode::decode(r)?),
         },
         TAG_SESSION_OPENED => RiEvent::SessionOpened {
             session_id: r.u64()?,
             device_id: r.str()?,
             ri_nonce: r.bytes()?,
-            opened_at: r.timestamp()?,
+            opened_at: Decode::decode(r)?,
         },
         TAG_DEVICE_REGISTERED => RiEvent::DeviceRegistered {
             session_id: r.u64()?,
             device_id: r.str()?,
-            certificate: r.certificate()?,
+            certificate: Decode::decode(r)?,
         },
         TAG_RO_ISSUED => RiEvent::RoIssued {
             scope: r.str()?,
@@ -449,18 +240,11 @@ fn decode_event(r: &mut Reader<'_>) -> Result<RiEvent, StoreError> {
             device_id: r.str()?,
         },
         TAG_OCSP_REFRESHED => RiEvent::OcspRefreshed {
-            response: r.ocsp()?,
+            response: Decode::decode(r)?,
         },
         TAG_SESSIONS_SWEPT => RiEvent::SessionsSwept {
-            now: r.timestamp()?,
-            session_ids: {
-                let count = r.u32()? as usize;
-                let mut ids = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    ids.push(r.u64()?);
-                }
-                ids
-            },
+            now: Decode::decode(r)?,
+            session_ids: r.list(8, Reader::u64)?,
         },
         TAG_SESSION_TTL_SET => RiEvent::SessionTtlSet { seconds: r.u64()? },
         _ => return Err(corrupt("unknown event tag")),
@@ -559,13 +343,13 @@ pub fn encode_image(image: &RiStateImage) -> Vec<u8> {
     put_str(&mut out, &image.id);
     let private = image.keys.private();
     let (p, q) = private.primes();
-    put_public_key(&mut out, image.keys.public());
-    put_biguint(&mut out, private.d());
-    put_biguint(&mut out, p);
-    put_biguint(&mut out, q);
-    put_certificate(&mut out, &image.certificate);
-    put_certificate(&mut out, &image.ca_root);
-    put_ocsp(&mut out, &image.ocsp);
+    image.keys.public().encode(&mut out);
+    private.d().encode(&mut out);
+    p.encode(&mut out);
+    q.encode(&mut out);
+    image.certificate.encode(&mut out);
+    image.ca_root.encode(&mut out);
+    image.ocsp.encode(&mut out);
     put_u64(&mut out, image.next_session);
     put_u64(&mut out, image.issued_ros);
     put_u64(&mut out, image.session_ttl);
@@ -574,19 +358,19 @@ pub fn encode_image(image: &RiStateImage) -> Vec<u8> {
         put_u64(&mut out, session.session_id);
         put_str(&mut out, &session.device_id);
         put_bytes(&mut out, &session.ri_nonce);
-        put_timestamp(&mut out, session.opened_at);
+        session.opened_at.encode(&mut out);
     }
     put_u32(&mut out, image.registered.len() as u32);
     for device in &image.registered {
         put_str(&mut out, &device.device_id);
-        put_certificate(&mut out, &device.certificate);
+        device.certificate.encode(&mut out);
     }
     put_u32(&mut out, image.content.len() as u32);
     for content in &image.content {
         put_str(&mut out, &content.content_id);
         out.extend_from_slice(&content.cek);
         out.extend_from_slice(&content.dcf_hash);
-        put_rights(&mut out, content.template.rights());
+        content.template.rights().encode(&mut out);
     }
     put_u32(&mut out, image.domains.len() as u32);
     for domain in &image.domains {
@@ -617,90 +401,59 @@ pub fn encode_image(image: &RiStateImage) -> Vec<u8> {
 pub fn decode_image(bytes: &[u8]) -> Result<RiStateImage, StoreError> {
     let mut r = Reader::new(bytes);
     let id = r.str()?;
-    let public = r.public_key()?;
-    let d = r.biguint()?;
-    let p = r.biguint()?;
-    let q = r.biguint()?;
-    let private = RsaPrivateKey::from_components(public, d, p, q)
-        .map_err(|_| corrupt("inconsistent RSA key components"))?;
-    let keys = RsaKeyPair::from_private(private);
-    let certificate = r.certificate()?;
-    let ca_root = r.certificate()?;
-    let ocsp = r.ocsp()?;
-    let next_session = r.u64()?;
-    let issued_ros = r.u64()?;
-    let session_ttl = r.u64()?;
-    let count = r.u32()? as usize;
-    let mut sessions = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        sessions.push(SessionImage {
-            session_id: r.u64()?,
-            device_id: r.str()?,
-            ri_nonce: r.bytes()?,
-            opened_at: r.timestamp()?,
-        });
-    }
-    let count = r.u32()? as usize;
-    let mut registered = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        registered.push(RegisteredImage {
-            device_id: r.str()?,
-            certificate: r.certificate()?,
-        });
-    }
-    let count = r.u32()? as usize;
-    let mut content = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        content.push(ContentImage {
-            content_id: r.str()?,
-            cek: r.array()?,
-            dcf_hash: r.array::<DIGEST_SIZE>()?,
-            template: RightsTemplate::from_rights(r.rights()?),
-        });
-    }
-    let count = r.u32()? as usize;
-    let mut domains = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let domain_id = DomainId::new(&r.str()?);
-        let key = r.array()?;
-        let generation = r.u32()?;
-        let max_members = r.u64()?;
-        let member_count = r.u32()? as usize;
-        let mut members = Vec::with_capacity(member_count.min(1024));
-        for _ in 0..member_count {
-            members.push(r.str()?);
-        }
-        domains.push(DomainImage {
-            domain_id,
-            key,
-            generation,
-            max_members,
-            members,
-        });
-    }
-    let count = r.u32()? as usize;
-    let mut ro_sequences = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        ro_sequences.push((r.str()?, r.u64()?));
-    }
-    let rng_state = r.array()?;
-    r.finish()?;
-    Ok(RiStateImage {
+    let public = Decode::decode(&mut r)?;
+    let private = RsaPrivateKey::from_components(
+        public,
+        Decode::decode(&mut r)?,
+        Decode::decode(&mut r)?,
+        Decode::decode(&mut r)?,
+    )
+    .map_err(|_| corrupt("inconsistent RSA key components"))?;
+    let image = RiStateImage {
         id,
-        keys,
-        certificate,
-        ca_root,
-        ocsp,
-        next_session,
-        issued_ros,
-        session_ttl,
-        sessions,
-        registered,
-        content,
-        domains,
-        ro_sequences,
-        rng_state,
-    })
+        keys: RsaKeyPair::from_private(private),
+        certificate: Decode::decode(&mut r)?,
+        ca_root: Decode::decode(&mut r)?,
+        ocsp: Decode::decode(&mut r)?,
+        next_session: r.u64()?,
+        issued_ros: r.u64()?,
+        session_ttl: r.u64()?,
+        sessions: r.list(8 + 4 + 4 + 8, |r| {
+            Ok(SessionImage {
+                session_id: r.u64()?,
+                device_id: r.str()?,
+                ri_nonce: r.bytes()?,
+                opened_at: Decode::decode(r)?,
+            })
+        })?,
+        registered: r.list(4, |r| {
+            Ok(RegisteredImage {
+                device_id: r.str()?,
+                certificate: Decode::decode(r)?,
+            })
+        })?,
+        content: r.list(4 + 16 + DIGEST_SIZE + 4, |r| {
+            Ok(ContentImage {
+                content_id: r.str()?,
+                cek: r.array()?,
+                dcf_hash: r.array()?,
+                template: RightsTemplate::from_rights(Decode::decode(r)?),
+            })
+        })?,
+        domains: r.list(4 + 16 + 4 + 8 + 4, |r| {
+            Ok(DomainImage {
+                domain_id: DomainId::new(&r.str()?),
+                key: r.array()?,
+                generation: r.u32()?,
+                max_members: r.u64()?,
+                members: r.list(4, Reader::str)?,
+            })
+        })?,
+        ro_sequences: r.list(4 + 8, |r| Ok((r.str()?, r.u64()?)))?,
+        rng_state: r.array()?,
+    };
+    r.finish()?;
+    Ok(image)
 }
 
 /// Encodes a snapshot blob: header, coverage watermark and CRC-protected
@@ -749,6 +502,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(RiStateImage, u64), StoreError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oma_pki::Timestamp;
 
     #[test]
     fn crc32_known_vectors() {

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RightsIssuer, RightsTemplate};
+use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RightsIssuer, RightsTemplate, RoapPdu};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use rand::SeedableRng;
 
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "acquired rights object {} ({} bytes on the wire)",
         response.ro_id(),
-        response.encoded_len()
+        RoapPdu::RoResponse(response.clone()).encode().len()
     );
 
     let ro_id = agent.install_rights(&response, now)?;

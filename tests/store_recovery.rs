@@ -15,12 +15,19 @@
 //!    can only truncate history, never corrupt the surviving part
 //!    (the CRC sees to that).
 //!
+//! A third property holds below the CRC: **canonicality** — a damaged
+//! record or snapshot whose checksum is recomputed either fails to decode
+//! or re-encodes to exactly its own bytes.
+//!
 //! Run under `--release` in CI (the corpus loops over every byte position).
 
 use oma_drm2::drm::journal::RiJournal;
 use oma_drm2::drm::roap::DeviceHello;
 use oma_drm2::drm::{RiService, RightsTemplate};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
+use oma_drm2::store::codec::{
+    crc32, decode_record_prefix, decode_snapshot, encode_record, encode_snapshot, RECORD_HEADER_LEN,
+};
 use oma_drm2::store::log::SEGMENT_HEADER;
 use oma_drm2::store::{MemLog, RiStore, StoreConfig, StoreError, Wal};
 use proptest::prelude::*;
@@ -163,6 +170,46 @@ fn missing_segment_header_drops_the_whole_segment() {
         report.events_applied, 0,
         "unscannable segment yields nothing"
     );
+}
+
+/// Canonicality: every record and the snapshot image, with a byte flipped
+/// or zeroed and the CRC recomputed (so the codec, not the checksum, meets
+/// the damage), either fails to decode or re-encodes to exactly its bytes.
+#[test]
+fn decodable_mutations_reencode_byte_for_byte() {
+    // "OMSS", version, watermark, payload length, CRC.
+    const SNAPSHOT_HEADER_LEN: usize = 4 + 1 + 8 + 4 + 4;
+    let fx = fixture();
+    let mutations = |bytes: &[u8], from: usize| {
+        let mut out = Vec::new();
+        for pos in from..bytes.len() {
+            for value in [bytes[pos] ^ (1 << (pos % 8)), 0] {
+                let mut bent = bytes.to_vec();
+                bent[pos] = value;
+                out.push(bent);
+            }
+        }
+        out
+    };
+    let mut rest = &fx.segment[SEGMENT_HEADER.len()..];
+    while !rest.is_empty() {
+        let (_, consumed) = decode_record_prefix(rest).unwrap();
+        for mut bent in mutations(&rest[..consumed], RECORD_HEADER_LEN) {
+            let crc = crc32(&bent[RECORD_HEADER_LEN..]);
+            bent[4..8].copy_from_slice(&crc.to_be_bytes());
+            if let Ok((record, _)) = decode_record_prefix(&bent) {
+                assert_eq!(encode_record(&record), bent, "{record:?}");
+            }
+        }
+        rest = &rest[consumed..];
+    }
+    for mut bent in mutations(&fx.snapshot, SNAPSHOT_HEADER_LEN) {
+        let crc = crc32(&bent[SNAPSHOT_HEADER_LEN..]);
+        bent[SNAPSHOT_HEADER_LEN - 4..SNAPSHOT_HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
+        if let Ok((image, last_sequence)) = decode_snapshot(&bent) {
+            assert_eq!(encode_snapshot(&image, last_sequence), bent);
+        }
+    }
 }
 
 proptest! {
