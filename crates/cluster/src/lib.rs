@@ -27,7 +27,7 @@
 //! Replication is observable through the ordinary per-server metrics
 //! surface: [`ServerMetrics`](oma_net::ServerMetrics) carries records
 //! shipped/acked, follower lag and the serving epoch next to the
-//! connection counters both server cores already publish.
+//! connection counters the server already publishes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,8 +7,8 @@
 //! pure function of the seed: calling [`build_corpus`] twice with the same
 //! seed yields byte-identical worlds and byte-identical attack frames,
 //! which is what lets `tests/roap_adversarial.rs` replay one corpus
-//! through all three server cores (in-process dispatch, thread-pool TCP,
-//! readiness event loop) and demand byte-identical status frames back.
+//! in-process and through the readiness event loop over TCP and demand
+//! byte-identical status frames back.
 //!
 //! None of the attacks mutates server state: each one is rejected before
 //! the handler reaches a state-changing step, so the corpus can be

@@ -6,10 +6,10 @@
 //! rights-issuer deployment looks nothing like that: almost every
 //! connected handset is idle almost all the time, and acquisitions arrive
 //! sparsely and randomly. A thread-per-connection core cannot hold that
-//! shape — each parked socket pins a worker thread, so `workers` parked
-//! devices starve everyone else (the PR-6 starvation bug). The readiness
-//! event loop exists precisely for this population, so the scenario binds
-//! [`RoapEventServer`] unconditionally.
+//! shape — each parked socket would pin a thread, so a few parked devices
+//! would starve everyone else. The readiness event loop holds every parked
+//! connection as a little state on its one thread, which is the property
+//! this scenario exercises against [`RoapEventServer`].
 //!
 //! [`run_idle_fleet`] runs the whole scenario in one process;
 //! [`drive_idle_clients`] is the client half on its own, taking a device
@@ -47,8 +47,9 @@ const CAP_HEADROOM: usize = 64;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdleFleetSpec {
     /// The underlying fleet: `fleet.devices` is the number of *parked*
-    /// connections; `fleet.workers` is deliberately tiny to prove the
-    /// event loop's concurrency does not depend on it.
+    /// connections. `fleet.workers` is not used: the server serves every
+    /// connection from its one loop thread, and the client side parks with
+    /// [`client_threads`](IdleFleetSpec::client_threads).
     pub fleet: FleetSpec,
     /// How many of the parked devices wake up and run a full
     /// registration-and-acquisition life-cycle.
@@ -65,8 +66,7 @@ pub struct IdleFleetSpec {
 
 impl IdleFleetSpec {
     /// A scenario with `devices` parked connections of which `active`
-    /// wake up, 5 ms mean inter-arrival, driven by one server worker —
-    /// the worst case for a thread pool, routine for the event loop.
+    /// wake up, 5 ms mean inter-arrival.
     pub fn new(devices: usize, active: usize) -> IdleFleetSpec {
         IdleFleetSpec {
             fleet: FleetSpec {
@@ -238,8 +238,7 @@ pub struct IdleFleetReport {
     pub elapsed: Duration,
     /// The server's connection counters at the end of the run. The
     /// load-bearing assertion lives in `peak_active`: it must reach the
-    /// parked population even though the server was configured with a
-    /// single worker.
+    /// parked population, all held open at once by one loop thread.
     pub metrics: MetricsSnapshot,
 }
 
@@ -261,7 +260,6 @@ pub fn bind_idle_server(spec: &IdleFleetSpec) -> Result<RoapEventServer, DrmErro
     RoapEventServer::bind(
         Arc::new(service),
         ServerConfig {
-            workers: spec.fleet.workers,
             clock: Some(now()),
             // Parked is the point: nothing may be reaped for being quiet.
             idle_timeout: Duration::from_secs(600),
@@ -277,10 +275,9 @@ pub fn bind_idle_server(spec: &IdleFleetSpec) -> Result<RoapEventServer, DrmErro
 /// `spec.active` of them on the Poisson schedule, verifies every active
 /// outcome against the in-process reference, and returns the report.
 ///
-/// The server is configured with the spec's (tiny) worker count and a long
-/// idle timeout; the scenario passing with `peak_active >= devices >
-/// workers` is the direct demonstration that event-loop concurrency is
-/// independent of the worker knob.
+/// The server is configured with a long idle timeout; the scenario passing
+/// with `peak_active >= devices` is the direct demonstration that one loop
+/// thread holds the whole parked population.
 ///
 /// # Errors
 ///
@@ -341,16 +338,14 @@ mod tests {
         let report = run_idle_fleet(&spec).expect("idle fleet");
         assert_eq!(report.parked, spec.fleet.devices);
         assert_eq!(report.active.len(), spec.active);
-        // The whole parked population was connected at once, on a server
-        // configured with a single worker: concurrency is the loop's, not
-        // the thread pool's.
+        // The whole parked population was connected at once, served by
+        // the one loop thread.
         assert!(
             report.metrics.peak_active >= spec.fleet.devices as u64,
             "peak_active {} < parked fleet {}",
             report.metrics.peak_active,
             spec.fleet.devices
         );
-        assert_eq!(spec.fleet.workers, 1);
         assert_eq!(report.metrics.shed, 0, "no one was shed");
         assert_eq!(report.metrics.reaped_idle, 0, "no parked device was reaped");
     }

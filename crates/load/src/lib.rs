@@ -25,7 +25,7 @@
 //! | [`run_fleet`] | nothing: direct calls from `workers` threads | `tests/ri_service_concurrency.rs` |
 //! | [`run_sequential`] | `run_fleet` on one thread — the reference every other driver must `match` | every suite below |
 //! | [`run_fleet_wire`] | every exchange is an encoded [`RoapPdu`] frame pushed through [`RiService::dispatch_batch`] in fleet-wide waves | `examples/fleet.rs`, this crate's unit tests |
-//! | [`run_fleet_tcp`] | the frames cross **real loopback TCP**, one connection per device, into the server core a [`TcpBackend`] names | `tests/net_lifecycle.rs` (thread pool), `tests/event_loop.rs` (both cores) |
+//! | [`run_fleet_tcp`] | the frames cross **real loopback TCP**, one connection per device, into a [`RoapEventServer`] | `tests/net_lifecycle.rs`, `tests/event_loop.rs` |
 //! | [`run_fleet_durable`] | the wire waves run against a **journaled** service over a caller-supplied `oma_store::RiStore`, killed after a chosen number of served frames, recovered from WAL + snapshot; reports every raw `RoResponse` frame and the final state image | `tests/durable_recovery.rs` |
 //! | [`run_fleet_cluster`] | the wire waves are routed over sharded, replicated primaries, one of which is killed and failed over | `tests/cluster_failover.rs` |
 //!
@@ -79,7 +79,7 @@ use oma_drm::roap::{
 };
 use oma_drm::wire::RoapPdu;
 use oma_drm::{ContentIssuer, Dcf, DrmAgent, DrmError, Permission, RiService, RightsTemplate};
-use oma_net::{RoapEventServer, RoapTcpServer, ServerConfig, TcpTransport};
+use oma_net::{RoapEventServer, ServerConfig, TcpTransport};
 use oma_perf::phases::PhaseTraces;
 use oma_perf::report::FleetSummary;
 use oma_perf::runner::PhaseCycles;
@@ -513,86 +513,30 @@ pub fn run_sequential(spec: &FleetSpec) -> Result<FleetReport, DrmError> {
     run_fleet(&spec.clone().with_workers(1))
 }
 
-/// Which server core a TCP fleet run binds. Both backends speak the same
-/// wire protocol behind the same [`ServerConfig`], so a fleet driven
-/// against either produces byte-identical per-device observables — that
-/// equivalence is what lets the event loop replace the thread pool without
-/// touching any client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TcpBackend {
-    /// The accept-thread + bounded-worker-pool [`RoapTcpServer`]: one
-    /// blocking OS thread per in-flight connection, up to `workers`.
-    ThreadPool,
-    /// The readiness event loop [`RoapEventServer`]: every connection
-    /// multiplexed onto one thread, concurrency independent of `workers`.
-    EventLoop,
-}
-
-/// Either server core behind one bind/addr/metrics/shutdown surface, so
-/// the fleet drivers are written once.
-enum AnyServer {
-    Thread(RoapTcpServer),
-    Event(RoapEventServer),
-}
-
-impl AnyServer {
-    fn bind(
-        backend: TcpBackend,
-        service: Arc<RiService>,
-        config: ServerConfig,
-    ) -> Result<AnyServer, DrmError> {
-        match backend {
-            TcpBackend::ThreadPool => RoapTcpServer::bind(service, config).map(AnyServer::Thread),
-            TcpBackend::EventLoop => RoapEventServer::bind(service, config).map(AnyServer::Event),
-        }
-    }
-
-    fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            AnyServer::Thread(s) => s.local_addr(),
-            AnyServer::Event(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            AnyServer::Thread(s) => s.shutdown(),
-            AnyServer::Event(s) => s.shutdown(),
-        }
-    }
-}
-
-/// Runs the fleet **over loopback TCP**: the server core `backend` names
-/// (worker pool sized like the client side, clock pinned to the fleet's
-/// fixed protocol timestamp) serves one shared [`RiService`], and every
-/// device opens its own connection, drives its full life-cycle through a
-/// `RoapClient<TcpTransport>`, and disconnects — so a run of N devices is
-/// also N accept/serve/hang-up cycles, the connection-churn pattern the
-/// in-process drivers cannot express.
+/// Runs the fleet **over loopback TCP**: a [`RoapEventServer`] (clock
+/// pinned to the fleet's fixed protocol timestamp) serves one shared
+/// [`RiService`], and every device opens its own connection, drives its
+/// full life-cycle through a `RoapClient<TcpTransport>`, and disconnects —
+/// so a run of N devices is also N accept/serve/hang-up cycles, the
+/// connection-churn pattern the in-process drivers cannot express.
 ///
 /// The device-driving code path is byte-for-byte the one [`run_fleet`]
 /// uses; only the transport differs. The deterministic observables —
 /// per-device RO ids, recovered-content digests, per-phase operation traces
-/// and cycle bills — therefore `match` the in-process reference exactly,
-/// whichever core serves:
-/// `run_fleet_tcp(spec, backend)?.matches(&run_sequential(spec)?)` holds.
+/// and cycle bills — therefore `match` the in-process reference exactly:
+/// `run_fleet_tcp(spec)?.matches(&run_sequential(spec)?)` holds.
 ///
 /// # Errors
 ///
 /// See [`run_fleet`]; additionally [`DrmError::Transport`] when the server
 /// cannot bind or a connection fails mid-protocol.
-pub fn run_fleet_tcp(spec: &FleetSpec, backend: TcpBackend) -> Result<FleetReport, DrmError> {
+pub fn run_fleet_tcp(spec: &FleetSpec) -> Result<FleetReport, DrmError> {
     let (ca, service, catalog) = build_world(spec);
     let service = Arc::new(service);
     let workers = spec.workers.max(1);
-    let server = AnyServer::bind(
-        backend,
+    let server = RoapEventServer::bind(
         Arc::clone(&service),
-        ServerConfig {
-            workers,
-            clock: Some(now()),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default().with_clock(now()),
     )?;
     let addr = server.local_addr();
 
@@ -1590,7 +1534,7 @@ mod tests {
     #[test]
     fn tcp_fleet_matches_in_proc_reference() {
         let spec = FleetSpec::new(5, 3).with_acquisitions(2);
-        let tcp = run_fleet_tcp(&spec, TcpBackend::ThreadPool).unwrap();
+        let tcp = run_fleet_tcp(&spec).unwrap();
         let reference = run_sequential(&spec).unwrap();
         assert_eq!(tcp.registrations, spec.devices as u64);
         assert!(
@@ -1605,8 +1549,8 @@ mod tests {
         // Connection churn and request interleaving across the socket must
         // not leak into any deterministic observable.
         let spec = FleetSpec::smoke();
-        let concurrent = run_fleet_tcp(&spec, TcpBackend::ThreadPool).unwrap();
-        let single = run_fleet_tcp(&spec.clone().with_workers(1), TcpBackend::ThreadPool).unwrap();
+        let concurrent = run_fleet_tcp(&spec).unwrap();
+        let single = run_fleet_tcp(&spec.clone().with_workers(1)).unwrap();
         assert!(concurrent.matches(&single));
     }
 

@@ -157,9 +157,13 @@ impl Connection {
         &mut self.machine
     }
 
-    /// Drains the readable socket into the machine until `WouldBlock`.
-    /// `Ok(true)` means the peer is still there; `Ok(false)` means it sent
-    /// EOF (answer what's buffered, flush, then close).
+    /// Reads at most one `scratch`-full of the readable socket into the
+    /// machine. `Ok(true)` means the peer is still there; `Ok(false)` means
+    /// it sent EOF (answer what's buffered, flush, then close).
+    ///
+    /// One read per readiness event bounds the work — and the responses —
+    /// a single event can produce, however fast the peer writes; the
+    /// level-triggered poller reports the socket again for the rest.
     ///
     /// # Errors
     ///
@@ -171,6 +175,7 @@ impl Connection {
                 Ok(n) => {
                     self.machine.ingest(&scratch[..n]);
                     self.last_byte_at = Instant::now();
+                    return Ok(true);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(true),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

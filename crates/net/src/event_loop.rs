@@ -1,10 +1,7 @@
 //! The readiness event loop: one thread, tens of thousands of connections.
 //!
-//! [`RoapEventServer`] is the event-driven sibling of
-//! [`RoapTcpServer`](crate::RoapTcpServer), behind the same
-//! [`ServerConfig`] surface. Where the thread backend burns one blocked
-//! worker per connection, this backend parks every connection as a little
-//! state — a [`Connection`] with its
+//! [`RoapEventServer`] is the crate's server core. It parks every
+//! connection as a little state — a [`Connection`] with its
 //! [`FrameMachine`](crate::conn::FrameMachine) — and one thread
 //! multiplexes them all over a [`Poller`]:
 //!
@@ -13,18 +10,25 @@
 //!             ▼                                                     │
 //!   listener readable ─▶ accept* ─▶ register(READ)                  │
 //!   conn readable ─▶ fill ─▶ next_frame* ─▶ dispatch_at ─▶ queue ─▶ flush
-//!   conn writable ─▶ flush ─▶ (drained? READ : READ|WRITE)          │
+//!   flush ─▶ (drained? READ : WRITE)                                │
+//!   conn writable ─▶ flush ─▶ (drained? READ : WRITE)               │
 //!             │                                                     │
 //!             └─▶ deadline wheel sweep ─▶ reap idle / slowloris ────┘
 //! ```
 //!
-//! Concurrency is therefore *connection-count*-bound, not worker-bound:
-//! `ServerConfig::workers` is ignored here, and the 10k-mostly-idle fleet
+//! Concurrency is therefore *connection-count*-bound
+//! ([`ServerConfig::max_connections`]), and the 10k-mostly-idle fleet
 //! scenario in `oma-load` runs against exactly this property. Dispatching
-//! still happens inline on the loop thread — the Rights Issuer's handlers
-//! are milliseconds even with full-size RSA, and strict in-arrival-order
-//! dispatch is what keeps event-loop runs byte-identical to the
-//! thread-pool and in-process references.
+//! happens inline on the loop thread — the Rights Issuer's handlers are
+//! milliseconds even with full-size RSA, and strict in-arrival-order
+//! dispatch is what keeps event-loop runs byte-identical to the in-process
+//! reference.
+//!
+//! A connection with unsent responses is armed for write readiness only:
+//! the loop reads no further requests from a peer that is not reading its
+//! answers, so the peer's own send buffer fills, its writes stall, and the
+//! idle deadline reaps it. The response backlog stays bounded by what one
+//! readiness event can read.
 
 use crate::conn::{Connection, Expiry};
 use crate::poll::{Event, Interest, Poller};
@@ -105,11 +109,16 @@ impl DeadlineWheel {
     }
 }
 
-/// A ROAP server whose core is a single-threaded readiness event loop —
-/// same [`ServerConfig`]/serve surface as
-/// [`RoapTcpServer`](crate::RoapTcpServer), same byte-identical protocol
-/// behaviour, but concurrency bound by [`ServerConfig::max_connections`]
-/// instead of the worker count.
+/// A ROAP server on a real TCP listener, served by a single-threaded
+/// readiness event loop. Concurrency is bound by
+/// [`ServerConfig::max_connections`]; every frame goes through one shared
+/// [`RiService`] — the same `&self` handlers the in-process and channel
+/// transports call, so a lifecycle over TCP produces byte-identical
+/// protocol messages.
+///
+/// Call [`shutdown`](RoapEventServer::shutdown) (or drop the server) to
+/// stop: accepting ends, conversations in flight get their answers, the
+/// loop thread joins.
 ///
 /// ```
 /// # use oma_drm::client::RoapClient;
@@ -151,7 +160,9 @@ impl std::fmt::Debug for RoapEventServer {
 }
 
 impl RoapEventServer {
-    /// Binds to an ephemeral loopback port (`127.0.0.1:0`).
+    /// Binds to an ephemeral loopback port (`127.0.0.1:0`) — the form tests,
+    /// examples and the fleet harness use. Ask
+    /// [`RoapEventServer::local_addr`] for the chosen port.
     ///
     /// # Errors
     ///
@@ -179,9 +190,14 @@ impl RoapEventServer {
             .local_addr()
             .map_err(|e| transport_err("local_addr", e))?;
 
-        // Durable mode mirrors the thread backend exactly: journal attach
-        // plus boot snapshot before the first accept (see
-        // `RoapTcpServer::bind_addr` for the full rationale).
+        // Durable mode: the store becomes the service's journal before the
+        // first connection is accepted, so no mutation can slip past it —
+        // and a boot snapshot is written immediately. Without it, a fresh
+        // store would hold events but no genesis (identity is only ever in
+        // snapshots), so a hard kill before graceful shutdown would leave
+        // every fsync'd registration unrecoverable. On a recovered service
+        // the same snapshot doubles as compaction: a freshly booted server
+        // always starts from a replay-free store.
         if let Some(store) = &config.store {
             service.set_journal(Arc::clone(store));
             store.snapshot(&|| service.state_image())?;
@@ -193,8 +209,9 @@ impl RoapEventServer {
             .map_err(|e| transport_err("register listener", e))?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        // Same registry contract as the thread backend: obs on puts the
-        // counters in the shared surface, off keeps them private.
+        // With observability on, the connection counters live in the shared
+        // registry (scrapable as `net_*`/`repl_*`); off, they live in a
+        // private one.
         let metrics = Arc::new(match config.obs.obs() {
             Some(obs) => ServerMetrics::in_registry(obs.registry()),
             None => ServerMetrics::default(),
@@ -248,9 +265,13 @@ impl RoapEventServer {
 
     /// Graceful shutdown: stop accepting, answer the frames already
     /// received, flush what the peers will read (bounded), close
-    /// everything, join the loop thread. On a durable server the drained
-    /// service is then flushed and snapshotted, exactly like
-    /// [`RoapTcpServer::shutdown`](crate::RoapTcpServer::shutdown).
+    /// everything, join the loop thread.
+    ///
+    /// On a durable server ([`ServerConfig::store`]) the drained service is
+    /// then flushed and snapshotted, so the next boot recovers from a
+    /// compact snapshot without replaying a single event. Store failures at
+    /// this point are best-effort (shutdown still completes); they stay
+    /// visible through the store's own fault accessor.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -323,8 +344,7 @@ impl EventLoop {
                 Ok((stream, _peer)) => {
                     self.metrics.on_accept();
                     if self.conns.len() >= self.max_connections {
-                        // Shed exactly like the thread backend's full
-                        // queue: a best-effort Busy status, then hang up.
+                        // Shed: a best-effort Busy status, then hang up.
                         self.metrics.on_shed();
                         let _ = stream.set_nonblocking(true);
                         let _ = (&stream).write_all(&RoapPdu::Status(RoapStatus::Busy).encode());
@@ -353,13 +373,6 @@ impl EventLoop {
                         conn.next_due(self.idle_timeout, self.frame_timeout),
                         now,
                     );
-                    // The readiness core has no hand-off queue: its
-                    // queue-wait is zero by construction, recorded anyway
-                    // (one sample per connection, like the thread core)
-                    // so the two backends' distributions are comparable.
-                    if let Some(obs) = &self.obs {
-                        obs.record_queue_wait(Duration::ZERO);
-                    }
                     self.conns.insert(token, conn);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -398,7 +411,7 @@ impl EventLoop {
                     return;
                 }
                 // Fully drained: back to read-only interest (a no-op most
-                // of the time, but required after a partial-write episode).
+                // of the time, but required after a backpressure episode).
                 let _ = self
                     .poller
                     .reregister(conn.stream(), ev.token, Interest::READ);
@@ -409,9 +422,11 @@ impl EventLoop {
                     // nothing new will be dispatched.
                     conn.set_closing();
                 }
+                // Backpressure: read nothing more until the peer takes
+                // what it is owed.
                 let _ = self
                     .poller
-                    .reregister(conn.stream(), ev.token, Interest::READ_WRITE);
+                    .reregister(conn.stream(), ev.token, Interest::WRITE);
             }
             Err(_) => self.close(ev.token, None),
         }
@@ -427,9 +442,8 @@ impl EventLoop {
             match conn.machine().next_frame() {
                 Ok(Some(frame)) => {
                     // A durable server that can no longer persist must not
-                    // keep acknowledging (same contract as the thread
-                    // backend): stop this conversation and the whole
-                    // server.
+                    // keep acknowledging: stop this conversation and the
+                    // whole server.
                     if let Some(store) = &self.store {
                         if store.health().is_err() {
                             self.shutdown.store(true, Ordering::Relaxed);
@@ -437,11 +451,10 @@ impl EventLoop {
                             return false;
                         }
                     }
-                    // Span identity is read before dispatch, the clock
-                    // started right next to it (see the thread core).
+                    // Span identity is read from the frame before
+                    // dispatch, the clock started right next to it.
                     let span_seed = self.obs.as_ref().map(|net_obs| {
-                        let (mut span, cycles_before) = span_for_frame(&frame, &self.service);
-                        span.queue_wait_nanos = 0;
+                        let (span, cycles_before) = span_for_frame(&frame, &self.service);
                         (Arc::clone(net_obs), span, cycles_before, Instant::now())
                     });
                     let response = match self.clock {
@@ -526,8 +539,7 @@ impl EventLoop {
     /// Graceful drain: answer every frame already buffered, push the
     /// responses for as long as peers keep reading (bounded by
     /// [`DRAIN_BUDGET`]), close everything. A peer parked mid-frame can
-    /// never complete it once we stop reading, so — like the thread
-    /// backend — it simply gets closed.
+    /// never complete it once we stop reading, so it simply gets closed.
     fn drain(&mut self) {
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         let store_healthy = self
@@ -832,6 +844,97 @@ mod tests {
 
         let err = client.hello(&DeviceHello::new("dev")).unwrap_err();
         assert!(matches!(err, DrmError::Transport(_)), "got {err:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn durable_bind_on_a_fresh_store_survives_a_hard_kill() {
+        use oma_drm::DrmAgent;
+        use oma_store::RiStore;
+
+        let mut rng = StdRng::seed_from_u64(0xdead);
+        let mut ca = CertificationAuthority::new("cmla", 384, &mut rng);
+        let service = Arc::new(RiService::new("ri", 384, &mut ca, &mut rng));
+        let store = Arc::new(RiStore::in_memory());
+        // The one-liner path: no manual genesis snapshot — bind must write
+        // one itself, or everything journaled afterwards is unrecoverable.
+        let server = RoapEventServer::bind(
+            Arc::clone(&service),
+            ServerConfig::durable(Arc::clone(&store) as Arc<dyn RiJournal>)
+                .with_clock(Timestamp::new(1_000)),
+        )
+        .unwrap();
+        let mut agent = DrmAgent::new("phone-001", 384, &mut ca, &mut rng);
+        let client = RoapClient::new(TcpTransport::connect(server.local_addr()).unwrap());
+        agent.register_via(&client, Timestamp::new(1_000)).unwrap();
+        drop(client);
+        // Hard kill: no graceful shutdown, no final snapshot. (The leaked
+        // loop thread dies with the test process.)
+        std::mem::forget(server);
+
+        let recovered = RiService::recover(&store).expect("fresh-store bind wrote a genesis");
+        assert!(
+            recovered.is_registered("phone-001"),
+            "journaled registration must survive a hard kill"
+        );
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_stops_being_read() {
+        // Stateless requests (a Status PDU is answered with an error
+        // Status and opens no session) written by a peer that never reads
+        // a byte back. Once the server's responses back up, it must stop
+        // reading: the peer's writes stall within a bounded volume, the
+        // server dispatches nothing more, and the idle deadline reaps it.
+        const LIMIT: usize = 64 << 20;
+        let idle_timeout = Duration::from_secs(3);
+        let obs = oma_obs::Obs::new();
+        let server = RoapEventServer::bind(
+            service(),
+            ServerConfig {
+                idle_timeout,
+                obs: crate::ObsConfig::On(Arc::clone(&obs)),
+                ..pinned()
+            },
+        )
+        .unwrap();
+        let dispatched = || {
+            let histogram = obs.registry().find_histogram("net_dispatch_nanos");
+            histogram.map_or(0, |h| h.snapshot().count())
+        };
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_write_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let frame = RoapPdu::Status(RoapStatus::Busy).encode();
+        let burst: Vec<u8> = frame.repeat((64 << 10) / frame.len());
+        let mut written = 0;
+        while written < LIMIT {
+            match stream.write(&burst) {
+                Ok(n) => written += n,
+                Err(_) => break,
+            }
+        }
+        assert!(
+            written < LIMIT,
+            "{written} bytes accepted from a peer that reads nothing"
+        );
+        // A server that is merely slow would still be dispatching the
+        // bytes it has; a backpressured one has stopped.
+        let before = dispatched();
+        thread::sleep(Duration::from_millis(500));
+        assert_eq!(
+            dispatched(),
+            before,
+            "the server kept reading from a peer that reads nothing"
+        );
+        let deadline = Instant::now() + idle_timeout + Duration::from_secs(5);
+        while server.metrics().snapshot().reaped_idle == 0 && Instant::now() < deadline {
+            thread::sleep(POLL_INTERVAL);
+        }
+        let snapshot = server.metrics().snapshot();
+        assert_eq!(snapshot.reaped_idle, 1, "metrics: {snapshot}");
+        drop(stream);
         server.shutdown();
     }
 

@@ -39,9 +39,10 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Read + write interest — a connection with a backed-up write buffer.
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
+    /// Write-only interest — a connection with a backed-up write buffer,
+    /// not read from again until the backlog drains.
+    pub const WRITE: Interest = Interest {
+        readable: false,
         writable: true,
     };
 }
@@ -472,9 +473,7 @@ mod tests {
         let (accepted, _) = listener.accept().unwrap();
         accepted.set_nonblocking(true).unwrap();
         poller.register(&accepted, 3, Interest::READ).unwrap();
-        poller
-            .reregister(&accepted, 3, Interest::READ_WRITE)
-            .unwrap();
+        poller.reregister(&accepted, 3, Interest::WRITE).unwrap();
         // A fresh connection's send buffer is empty: writable immediately.
         let mut events = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(2);

@@ -74,7 +74,7 @@ impl Counter {
     }
 }
 
-/// An up/down scalar (queue depths, active connections, lag, epochs).
+/// An up/down scalar (active connections, lag, epochs).
 #[derive(Default)]
 pub struct Gauge(AtomicU64);
 

@@ -1,8 +1,8 @@
 //! Per-request span tracing: a bounded ring buffer of dispatch records.
 //!
 //! Every served frame can deposit one [`Span`] — which session, which
-//! device, which PDU kind, and where its wall-clock went (queue wait vs
-//! dispatch vs write-back) plus the crypto cycles it charged. The ring
+//! device, which PDU kind, and where its wall-clock went (dispatch vs
+//! write-back) plus the crypto cycles it charged. The ring
 //! holds the most recent `capacity` spans in fixed memory; recording
 //! never blocks the serving thread: a slot is claimed with an atomic
 //! ticket and written under a `try_lock` — if a reader (or a lapping
@@ -23,8 +23,6 @@ pub struct Span {
     pub device_id: String,
     /// The PDU kind name (e.g. `"RegistrationRequest"`).
     pub kind: &'static str,
-    /// Time spent in the accept→worker hand-off queue, if any.
-    pub queue_wait_nanos: u64,
     /// Time inside `RiService` dispatch (decode, handle, encode).
     pub dispatch_nanos: u64,
     /// Time writing the response back to the peer.
@@ -42,7 +40,6 @@ impl Span {
             session_id: 0,
             device_id: String::new(),
             kind,
-            queue_wait_nanos: 0,
             dispatch_nanos: 0,
             write_nanos: 0,
             cycles: 0,
@@ -52,12 +49,11 @@ impl Span {
     /// The span as one JSON object (the JSONL line, without newline).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"seq\":{},\"session_id\":{},\"device_id\":\"{}\",\"kind\":\"{}\",\"queue_wait_nanos\":{},\"dispatch_nanos\":{},\"write_nanos\":{},\"cycles\":{}}}",
+            "{{\"seq\":{},\"session_id\":{},\"device_id\":\"{}\",\"kind\":\"{}\",\"dispatch_nanos\":{},\"write_nanos\":{},\"cycles\":{}}}",
             self.seq,
             self.session_id,
             escape(&self.device_id),
             escape(self.kind),
-            self.queue_wait_nanos,
             self.dispatch_nanos,
             self.write_nanos,
             self.cycles,

@@ -30,7 +30,7 @@
 //!
 //! ```
 //! # use oma_drm::{DrmAgent, RiService};
-//! # use oma_net::{RoapTcpServer, ServerConfig, TcpTransport};
+//! # use oma_net::{RoapEventServer, ServerConfig, TcpTransport};
 //! # use oma_pki::{CertificationAuthority, Timestamp};
 //! # use oma_store::{RiStore, StoreConfig};
 //! # use oma_drm::journal::RiJournal;
@@ -53,7 +53,7 @@
 //! # }
 //! let store = Arc::new(RiStore::open_dir(&dir, StoreConfig::default())?);
 //! let service = Arc::new(RiService::recover(&store)?);
-//! let server = RoapTcpServer::bind(
+//! let server = RoapEventServer::bind(
 //!     Arc::clone(&service),
 //!     ServerConfig::durable(store).with_clock(now),
 //! )?;

@@ -11,7 +11,6 @@
 
 use oma_drm2::load::{
     run_fleet, run_fleet_durable, run_fleet_tcp, run_fleet_wire, run_sequential, FleetSpec,
-    TcpBackend,
 };
 use oma_drm2::store::RiStore;
 use std::sync::Arc;
@@ -71,7 +70,7 @@ fn main() {
     );
 
     println!("\nre-running the same fleet over loopback TCP (one connection per device)...\n");
-    let tcp = run_fleet_tcp(&spec, TcpBackend::ThreadPool).expect("tcp fleet run");
+    let tcp = run_fleet_tcp(&spec).expect("tcp fleet run");
     println!("{}", tcp.summary("Loopback-TCP fleet"));
     assert!(
         tcp.matches(&sequential),

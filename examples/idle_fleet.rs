@@ -3,8 +3,8 @@
 //! This is the deployment shape the readiness event loop exists for:
 //! almost every connected device is parked, and the few that wake up
 //! arrive on a Poisson process. A thread-per-connection core cannot hold
-//! it — each parked socket would pin a worker — so the parent binds a
-//! single-worker `RoapEventServer` and proves `peak_active >= 10_000`.
+//! it — each parked socket would pin a thread — so the parent binds a
+//! `RoapEventServer` and proves `peak_active >= 10_000`.
 //!
 //! The fleet is split across **two child processes** (this same binary,
 //! re-executed with `--idle-client`) because 10k loopback connections cost
@@ -90,7 +90,7 @@ fn spawn_child(addr: SocketAddr, start: usize, end: usize) -> (Child, BufReader<
 fn parent() {
     let spec = scenario();
     println!(
-        "binding a single-worker RoapEventServer for {TOTAL_DEVICES} parked devices \
+        "binding a RoapEventServer for {TOTAL_DEVICES} parked devices \
          ({ACTIVE_DEVICES} active, {CHILDREN} client processes)..."
     );
     let server = bind_idle_server(&spec).expect("bind idle-fleet server");
@@ -156,8 +156,7 @@ fn parent() {
     assert_eq!(metrics.shed, 0, "no connection was shed");
     assert_eq!(metrics.reaped_idle, 0, "no parked device was reaped");
     println!(
-        "\n{TOTAL_DEVICES} devices parked simultaneously on one event-loop thread \
-         (workers = {}), {ACTIVE_DEVICES} of them served mid-park",
-        spec.fleet.workers
+        "\n{TOTAL_DEVICES} devices parked simultaneously on one event-loop thread, \
+         {ACTIVE_DEVICES} of them served mid-park"
     );
 }

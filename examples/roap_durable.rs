@@ -19,7 +19,7 @@
 use oma_drm2::drm::client::RoapClient;
 use oma_drm2::drm::journal::RiJournal;
 use oma_drm2::drm::{ContentIssuer, DrmAgent, DrmError, Permission, RiService, RightsTemplate};
-use oma_drm2::net::{RoapTcpServer, ServerConfig, TcpTransport};
+use oma_drm2::net::{RoapEventServer, ServerConfig, TcpTransport};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use oma_drm2::store::{RiStore, StoreConfig};
 use rand::rngs::StdRng;
@@ -48,7 +48,7 @@ fn main() -> Result<(), DrmError> {
         RightsTemplate::unlimited(Permission::Play),
     );
 
-    let server = RoapTcpServer::bind(
+    let server = RoapEventServer::bind(
         Arc::clone(&service),
         ServerConfig::durable(Arc::clone(&store) as Arc<dyn RiJournal>).with_clock(now),
     )?;
@@ -96,7 +96,7 @@ fn main() -> Result<(), DrmError> {
         "bob's registration must be replayed from the WAL"
     );
 
-    let server = RoapTcpServer::bind(
+    let server = RoapEventServer::bind(
         Arc::clone(&service),
         ServerConfig::durable(Arc::clone(&store) as Arc<dyn RiJournal>).with_clock(now),
     )?;

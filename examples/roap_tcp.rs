@@ -1,7 +1,7 @@
 //! ROAP over a real socket: the full lifecycle against a loopback TCP server.
 //!
-//! A `RoapTcpServer` serves one shared `RiService` from a bounded worker
-//! pool; the DRM Agent connects with a `TcpTransport` and runs Registration
+//! A `RoapEventServer` serves one shared `RiService` from its event-loop
+//! thread; the DRM Agent connects with a `TcpTransport` and runs Registration
 //! → Acquisition → Installation → Consumption → Join/Leave Domain — the
 //! exact frames of the `roap_wire` example, now crossing the kernel's TCP
 //! stack. The server pins the protocol clock (`dispatch_at`), so the peer's
@@ -11,7 +11,7 @@
 
 use oma_drm2::drm::client::RoapClient;
 use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate};
-use oma_drm2::net::{RoapTcpServer, ServerConfig, TcpTransport};
+use oma_drm2::net::{RoapEventServer, ServerConfig, TcpTransport};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,16 +35,12 @@ fn main() {
 
     // The server owns the protocol clock: every frame is dispatched at a
     // server-chosen timestamp, whatever request_time the peer claims.
-    let server = RoapTcpServer::bind(
+    let server = RoapEventServer::bind(
         Arc::clone(&service),
-        ServerConfig {
-            workers: 2,
-            clock: Some(now),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default().with_clock(now),
     )
     .expect("bind loopback server");
-    println!("RoapTcpServer listening on {}\n", server.local_addr());
+    println!("RoapEventServer listening on {}\n", server.local_addr());
 
     let client = RoapClient::new(TcpTransport::connect(server.local_addr()).expect("connect"));
 
@@ -71,14 +67,10 @@ fn main() {
     println!("left domain: {:?}", agent.joined_domains());
 
     // Hang up, then stop the server: accepting ends, in-flight
-    // conversations drain, the worker pool joins.
+    // conversations drain, the loop thread joins.
     drop(client);
-    let served_at_least = server.connections_served();
     server.shutdown();
-    println!(
-        "\nserver shut down gracefully ({} connection(s) already accounted before shutdown)",
-        served_at_least
-    );
+    println!("\nserver shut down gracefully");
 
     assert_eq!(service.issued_ro_count(), 1);
     println!("lifecycle complete: 1 RO issued, every frame crossed a real TCP socket");

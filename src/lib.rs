@@ -16,9 +16,9 @@
 //! * [`pki`] — certificates, certification authority and OCSP,
 //! * [`drm`] — DCF, Rights Objects, ROAP, DRM Agent, Rights Issuer, Content
 //!   Issuer and domains (every actor accepts a crypto backend),
-//! * [`net`] — ROAP over TCP: the [`RoapTcpServer`](net::RoapTcpServer)
-//!   bounded-pool server, the [`RoapEventServer`](net::RoapEventServer)
-//!   readiness event loop (10k+ idle connections on one thread) and the
+//! * [`net`] — ROAP over TCP: the one server core, the
+//!   [`RoapEventServer`](net::RoapEventServer) readiness event loop (10k+
+//!   idle connections on one thread), and the
 //!   [`TcpTransport`](net::TcpTransport) client transport, std-only,
 //! * [`store`] — durable Rights Issuer storage: the CRC-framed write-ahead
 //!   log, full-state snapshots and crash recovery behind

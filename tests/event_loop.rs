@@ -1,17 +1,13 @@
 //! Acceptance tests for the readiness event loop (`RoapEventServer`).
 //!
-//! Two claims are on trial. **Equivalence:** the event loop is a drop-in
-//! replacement for the thread-pool server — a TCP fleet driven against it
-//! produces byte-identical per-device observables (RO ids, recovered
-//! content digests, operation traces, cycle bills) to both the thread-pool
-//! run and the sequential in-process reference. **Independence:** its
-//! concurrency does not come from the `workers` knob — a single-worker
-//! event server holds a parked fleet far larger than any thread pool
-//! could, while still answering the few devices that wake up.
+//! Two claims are on trial. **Equivalence:** a TCP fleet driven against
+//! the event loop produces byte-identical per-device observables (RO ids,
+//! recovered content digests, operation traces, cycle bills) to the
+//! sequential in-process reference. **Parking:** its one loop thread holds
+//! a parked fleet far larger than any thread-per-connection server could,
+//! while still answering the few devices that wake up.
 
-use oma_drm2::load::{
-    run_fleet_tcp, run_idle_fleet, run_sequential, FleetSpec, IdleFleetSpec, TcpBackend,
-};
+use oma_drm2::load::{run_fleet_tcp, run_idle_fleet, run_sequential, FleetSpec, IdleFleetSpec};
 
 /// A fleet big enough to overlap connections but small enough for CI.
 fn spec() -> FleetSpec {
@@ -21,7 +17,7 @@ fn spec() -> FleetSpec {
 #[test]
 fn event_loop_fleet_matches_the_sequential_reference() {
     let spec = spec();
-    let event = run_fleet_tcp(&spec, TcpBackend::EventLoop).expect("event-loop fleet");
+    let event = run_fleet_tcp(&spec).expect("event-loop fleet");
     let reference = run_sequential(&spec).expect("sequential reference");
     assert!(
         event.matches(&reference),
@@ -30,28 +26,12 @@ fn event_loop_fleet_matches_the_sequential_reference() {
 }
 
 #[test]
-fn event_loop_and_thread_pool_are_byte_identical() {
-    let spec = spec();
-    let event = run_fleet_tcp(&spec, TcpBackend::EventLoop).expect("event-loop fleet");
-    let threads = run_fleet_tcp(&spec, TcpBackend::ThreadPool).expect("thread-pool fleet");
-    assert!(
-        event.matches(&threads),
-        "the two server cores disagreed about identical devices"
-    );
-    assert_eq!(event.devices.len(), spec.devices);
-    for (e, t) in event.devices.iter().zip(&threads.devices) {
-        assert_eq!(e, t, "per-device outcome diverged between backends");
-    }
-}
-
-#[test]
 fn single_worker_event_loop_holds_a_parked_fleet() {
     // 300 parked connections, 6 of which wake up for a full life-cycle,
-    // against a server configured with ONE worker. A thread-per-connection
-    // core starves at `workers` parked sockets; the event loop must not.
+    // all served by the one loop thread. A thread-per-connection core
+    // starves once its threads are parked; the event loop must not.
     let mut spec = IdleFleetSpec::new(300, 6);
     spec.client_threads = 8;
-    assert_eq!(spec.fleet.workers, 1);
 
     let report = run_idle_fleet(&spec).expect("idle fleet");
     assert_eq!(report.parked, 300);

@@ -1,5 +1,5 @@
 //! Acceptance tests for ROAP over real sockets: the full device lifecycle
-//! completes against a loopback `RoapTcpServer`, and the bytes that come
+//! completes against a loopback `RoapEventServer`, and the bytes that come
 //! back — `ROResponse` frames, Rights Issuer PSS signatures and all — are
 //! **identical** to what the in-process `RiService::dispatch` path
 //! produces, even when the client deliberately mangles TCP framing
@@ -13,8 +13,8 @@ use oma_drm2::drm::client::RoapClient;
 use oma_drm2::drm::{
     ContentIssuer, Dcf, DrmAgent, DrmError, Permission, RiService, RightsTemplate, RoapPdu,
 };
-use oma_drm2::load::{run_fleet_tcp, run_sequential, FleetSpec, TcpBackend};
-use oma_drm2::net::{read_frame, RoapTcpServer, ServerConfig, TcpTransport};
+use oma_drm2::load::{run_fleet_tcp, run_sequential, FleetSpec};
+use oma_drm2::net::{read_frame, RoapEventServer, ServerConfig, TcpTransport};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,13 +93,9 @@ fn tcp_lifecycle_matches_in_proc_byte_for_byte() {
         mut agent,
         dcf_a,
     } = world();
-    let server = RoapTcpServer::bind(
+    let server = RoapEventServer::bind(
         Arc::clone(&service),
-        ServerConfig {
-            workers: 2,
-            clock: Some(now()),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default().with_clock(now()),
     )
     .unwrap();
     let client = RoapClient::new(TcpTransport::connect(server.local_addr()).unwrap());
@@ -137,13 +133,9 @@ fn split_and_coalesced_frames_decode_identically() {
     // World 2 is served over TCP with hostile framing.
     let tcp_world = world();
     let mut agent = tcp_world.agent;
-    let server = RoapTcpServer::bind(
+    let server = RoapEventServer::bind(
         Arc::clone(&tcp_world.service),
-        ServerConfig {
-            workers: 1,
-            clock: Some(now()),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default().with_clock(now()),
     )
     .unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -231,7 +223,7 @@ fn split_and_coalesced_frames_decode_identically() {
 #[test]
 fn tcp_fleet_matches_sequential_reference() {
     let spec = FleetSpec::new(6, 3);
-    let tcp = run_fleet_tcp(&spec, TcpBackend::ThreadPool).unwrap();
+    let tcp = run_fleet_tcp(&spec).unwrap();
     let reference = run_sequential(&spec).unwrap();
     assert_eq!(tcp.registrations, spec.devices as u64);
     assert!(tcp.duplicate_ro_ids().is_empty());
@@ -247,15 +239,7 @@ fn tcp_fleet_matches_sequential_reference() {
 #[test]
 fn disconnects_surface_cleanly_on_both_ends() {
     let World { service, .. } = world();
-    let server = RoapTcpServer::bind(
-        service,
-        ServerConfig {
-            workers: 1,
-            clock: Some(now()),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = RoapEventServer::bind(service, ServerConfig::default().with_clock(now())).unwrap();
     let client = RoapClient::new(TcpTransport::connect(server.local_addr()).unwrap());
     client
         .hello(&oma_drm2::drm::roap::DeviceHello::new("phone-001"))

@@ -1,21 +1,13 @@
-//! Metrics parity between the two server cores.
+//! The server's metrics surface, pinned by one exact scenario.
 //!
-//! The thread-pool server and the readiness event loop are supposed to be
-//! drop-in replacements for each other — and that promise extends to what
-//! an operator sees on the metrics surface. This test drives both cores
-//! through an **identical** shed/reap/busy scenario: two connections held
-//! open while a third is shed with `Busy`, one connection reaped for byte
-//! idleness, one reaped for stalling mid-frame. At the end, both cores
-//! must report the same `MetricsSnapshot` counter for counter.
-//!
-//! The one sanctioned divergence is the hand-off queue: the thread core
-//! parks accepted connections in a bounded queue (`queue_depth` /
-//! `peak_queue_depth` move), the event core has no queue at all (both
-//! stay 0 forever). The comparison pins that down explicitly instead of
-//! papering over it.
+//! An operator reads the server through its `MetricsSnapshot`. This test
+//! drives the server through a shed/reap/busy scenario — two connections
+//! held open while a third is shed with `Busy`, one connection reaped for
+//! byte idleness, one reaped for stalling mid-frame — and asserts every
+//! counter the scenario moves, plus the `Busy` frame byte for byte.
 
 use oma_drm2::drm::{RiService, RoapPdu, RoapStatus};
-use oma_drm2::net::{read_frame, MetricsSnapshot, RoapEventServer, RoapTcpServer, ServerConfig};
+use oma_drm2::net::{read_frame, MetricsSnapshot, RoapEventServer, ServerConfig};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,11 +34,8 @@ fn service() -> Arc<RiService> {
 
 fn config() -> ServerConfig {
     ServerConfig {
-        // Thread core: one worker plus a one-slot queue ⇒ the third
-        // simultaneous connection is shed. Event core: a two-slot
-        // connection table ⇒ the third simultaneous connection is shed.
-        workers: 1,
-        queue_depth: 1,
+        // A two-slot connection table ⇒ the third simultaneous connection
+        // is shed.
         max_connections: 2,
         idle_timeout: IDLE_TIMEOUT,
         frame_timeout: FRAME_TIMEOUT,
@@ -81,22 +70,19 @@ fn wait_for(
 /// Drives the shed/reap/busy scenario against a bound server and returns
 /// the final snapshot once everything has drained.
 fn run_scenario(metrics: &oma_drm2::net::ServerMetrics, addr: SocketAddr) -> MetricsSnapshot {
-    // Stage 1: connection A occupies the single serving slot. On the
-    // thread core that means "dequeued by the worker" (queue back to 0);
-    // on the event core accept is immediate and the queue never moves.
+    // Stage 1: connection A takes the first table slot.
     let conn_a = TcpStream::connect(addr).expect("connect A");
     wait_for(metrics, "A in service", |s| {
-        s.accepted == 1 && s.active == 1 && s.queue_depth == 0
+        s.accepted == 1 && s.active == 1
     });
 
-    // Stage 2: connection B fills the last free slot (thread: the one
-    // queue slot; event: the second table slot).
+    // Stage 2: connection B fills the last free slot.
     let conn_b = TcpStream::connect(addr).expect("connect B");
     wait_for(metrics, "B accepted", |s| s.accepted == 2 && s.active == 2);
 
-    // Stage 3: connection C finds the server full and is shed. Both cores
-    // promise a best-effort `Busy` status before hanging up — read it back
-    // and hold them to the exact bytes.
+    // Stage 3: connection C finds the server full and is shed. The server
+    // promises a best-effort `Busy` status before hanging up — read it back
+    // and hold it to the exact bytes.
     let mut conn_c = TcpStream::connect(addr).expect("connect C");
     wait_for(metrics, "C shed", |s| s.shed == 1 && s.active == 2);
     let busy = read_frame(&mut conn_c).expect("read Busy frame from shed connection");
@@ -137,56 +123,21 @@ fn run_scenario(metrics: &oma_drm2::net::ServerMetrics, addr: SocketAddr) -> Met
     wait_for(metrics, "all drained", |s| s.active == 0)
 }
 
-/// Zeroes the queue-gauge fields so the backend-agnostic counters can be
-/// compared with one `assert_eq!`; the queue fields are asserted
-/// separately, per backend.
-fn normalized(snap: &MetricsSnapshot) -> MetricsSnapshot {
-    MetricsSnapshot {
-        queue_depth: 0,
-        peak_queue_depth: 0,
-        ..*snap
-    }
-}
-
 #[test]
-fn both_server_cores_report_identical_metrics_for_the_same_scenario() {
-    let threads = RoapTcpServer::bind(service(), config()).expect("bind thread server");
-    let threads_snap = run_scenario(threads.metrics(), threads.local_addr());
-    threads.shutdown();
-
-    let event = RoapEventServer::bind(service(), config()).expect("bind event server");
-    let event_snap = run_scenario(event.metrics(), event.local_addr());
-    event.shutdown();
+fn the_server_core_reports_exact_metrics_for_the_scenario() {
+    let server = RoapEventServer::bind(service(), config()).expect("bind server");
+    let snap = run_scenario(server.metrics(), server.local_addr());
+    server.shutdown();
 
     // The scenario's ground truth, spelled out once: 5 accepts, of which
     // 1 shed, 2 served by EOF, 1 idle-reaped, 1 frame-reaped (reaped
     // conversations count as served — they finished, just not happily);
     // 3 connections existed at the moment C was shed.
-    for (core, snap) in [("threads", &threads_snap), ("event", &event_snap)] {
-        assert_eq!(snap.accepted, 5, "{core}: {snap}");
-        assert_eq!(snap.served, 4, "{core}: {snap}");
-        assert_eq!(snap.shed, 1, "{core}: {snap}");
-        assert_eq!(snap.reaped_idle, 1, "{core}: {snap}");
-        assert_eq!(snap.reaped_frame, 1, "{core}: {snap}");
-        assert_eq!(snap.active, 0, "{core}: {snap}");
-        assert_eq!(snap.peak_active, 3, "{core}: {snap}");
-    }
-
-    // Counter-for-counter parity, queue gauges aside.
-    assert_eq!(
-        normalized(&threads_snap),
-        normalized(&event_snap),
-        "the two cores disagreed about an identical scenario:\n  threads: {threads_snap}\n  event:   {event_snap}"
-    );
-
-    // The sanctioned divergence: the thread core's hand-off queue was
-    // exercised (B parked in it; C bounced off it while briefly counted),
-    // the event core has no queue to park in.
-    assert!(
-        threads_snap.peak_queue_depth >= 1,
-        "thread core never used its hand-off queue: {threads_snap}"
-    );
-    assert_eq!(threads_snap.queue_depth, 0, "threads: {threads_snap}");
-    assert_eq!(event_snap.peak_queue_depth, 0, "event: {event_snap}");
-    assert_eq!(event_snap.queue_depth, 0, "event: {event_snap}");
+    assert_eq!(snap.accepted, 5, "{snap}");
+    assert_eq!(snap.served, 4, "{snap}");
+    assert_eq!(snap.shed, 1, "{snap}");
+    assert_eq!(snap.reaped_idle, 1, "{snap}");
+    assert_eq!(snap.reaped_frame, 1, "{snap}");
+    assert_eq!(snap.active, 0, "{snap}");
+    assert_eq!(snap.peak_active, 3, "{snap}");
 }

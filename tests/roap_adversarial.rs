@@ -11,7 +11,7 @@ use oma_drm2::drm::{
     ContentIssuer, DrmAgent, DrmError, Permission, RiService, RightsTemplate, RoapTransport,
 };
 use oma_drm2::explore::fuzz;
-use oma_drm2::net::{RoapEventServer, RoapTcpServer, ServerConfig, TcpTransport};
+use oma_drm2::net::{RoapEventServer, ServerConfig, TcpTransport};
 use oma_drm2::pki::{CertificationAuthority, EntityRole, PkiError, Timestamp, ValidityPeriod};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -231,11 +231,11 @@ fn stale_ocsp_response_is_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// The malicious-peer corpus, replayed through every server core
+// The malicious-peer corpus, replayed in-process and over TCP
 // ---------------------------------------------------------------------------
 
 /// Seed of the fuzz world; [`fuzz::build_corpus`] is a pure function of it,
-/// so each core gets a byte-identical world and byte-identical attack
+/// so each path gets a byte-identical world and byte-identical attack
 /// frames.
 const CORPUS_SEED: u64 = 42;
 
@@ -253,9 +253,9 @@ fn deliver_corpus<T: RoapTransport>(attacks: &[fuzz::Attack], transport: &T) -> 
 }
 
 #[test]
-fn malicious_corpus_is_answered_identically_by_all_three_server_cores() {
-    // Core 1: in-process dispatch — also the oracle for the expected
-    // status frame of every attack.
+fn malicious_corpus_is_answered_identically_in_process_and_over_tcp() {
+    // In-process dispatch — also the oracle for the expected status frame
+    // of every attack.
     let (world, attacks) = fuzz::build_corpus(CORPUS_SEED);
     let in_proc: Vec<Vec<u8>> = attacks
         .iter()
@@ -270,16 +270,7 @@ fn malicious_corpus_is_answered_identically_by_all_three_server_cores() {
         );
     }
 
-    // Core 2: the thread-pool TCP server, fresh identical world.
-    let (world, attacks_tcp) = fuzz::build_corpus(CORPUS_SEED);
-    let server = RoapTcpServer::bind(Arc::clone(&world.service), ServerConfig::default())
-        .expect("bind thread-pool server");
-    let transport = TcpTransport::connect(server.local_addr()).expect("connect");
-    let tcp = deliver_corpus(&attacks_tcp, &transport);
-    drop(transport);
-    server.shutdown();
-
-    // Core 3: the readiness event-loop server, fresh identical world.
+    // The event-loop TCP server, fresh identical world.
     let (world, attacks_event) = fuzz::build_corpus(CORPUS_SEED);
     let server = RoapEventServer::bind(Arc::clone(&world.service), ServerConfig::default())
         .expect("bind event-loop server");
@@ -288,20 +279,14 @@ fn malicious_corpus_is_answered_identically_by_all_three_server_cores() {
     drop(transport);
     server.shutdown();
 
-    // Byte identity across all three cores, attack by attack.
-    for ((attack, by_tcp), by_event) in attacks.iter().zip(&tcp).zip(&event) {
-        let reference = attack.expected_frame();
+    // Byte identity between the two paths, attack by attack.
+    for (attack, by_event) in attacks.iter().zip(&event) {
         assert_eq!(
-            by_tcp, &reference,
-            "{}: thread-pool TCP core diverged from the in-process oracle",
-            attack.name
-        );
-        assert_eq!(
-            by_event, &reference,
+            by_event,
+            &attack.expected_frame(),
             "{}: event-loop core diverged from the in-process oracle",
             attack.name
         );
     }
-    assert_eq!(in_proc, tcp);
     assert_eq!(in_proc, event);
 }
