@@ -12,8 +12,9 @@
 //!   fenced instead of silently forking history,
 //! * [`ship`] — the [`Primary`] shipper reading the log
 //!   through [`RiStore::records_after`](oma_store::RiStore::records_after)
-//!   and the [`Follower`] replaying each record via
-//!   [`RiStateImage::apply`](oma_drm::journal::RiStateImage::apply) into
+//!   and the [`Follower`] replaying each record into its own service via
+//!   [`RiService::replay`](oma_drm::RiService::replay) — the one mutation
+//!   path the primary's handlers and crash recovery share — into
 //!   byte-identical state (RNG checkpoint included), with catch-up from
 //!   snapshot + tail, an [`AckPolicy`] choosing async or
 //!   ack-on-fsync durability, and [`promote`](ship::Follower::promote)

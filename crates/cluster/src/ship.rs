@@ -1,11 +1,12 @@
 //! Log shipping: the [`Primary`] reads the durable WAL through the
 //! read-side API of [`RiStore`] and streams verbatim record frames to a
 //! [`Follower`], which re-validates every CRC, appends the frames to its
-//! own log, and replays each event through
-//! [`RiStateImage::apply`] — so a caught-up follower holds byte-identical
+//! own log, and replays each event into an [`RiService`] through
+//! [`RiService::replay`] — the same mutation path the primary's handlers
+//! and crash recovery use — so a caught-up follower holds byte-identical
 //! state, RNG checkpoint included, and [`Follower::promote`] turns it into
-//! a serving [`RiService`] whose next signature is exactly what the dead
-//! primary would have produced.
+//! a serving node whose next signature is exactly what the dead primary
+//! would have produced.
 //!
 //! # Failover safety
 //!
@@ -25,8 +26,7 @@ use oma_drm::journal::{RiJournal, RiStateImage};
 use oma_drm::RiService;
 use oma_net::ServerMetrics;
 use oma_obs::{Histogram, ObsConfig};
-use oma_store::log::SEGMENT_HEADER;
-use oma_store::{codec, MemLog, RiStore, StoreConfig, Wal};
+use oma_store::{codec, MemLog, RiStore, StoreConfig, StoreError, Wal};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -279,14 +279,14 @@ impl<L: Wal> Primary<L> {
 }
 
 /// The receiving side: owns its own [`Wal`] backend, appends shipped
-/// frames verbatim, and replays every event into an in-memory
-/// [`RiStateImage`] kept promotion-ready.
+/// frames verbatim, and replays every event into an unjournaled
+/// [`RiService`] kept promotion-ready.
 pub struct Follower<L: Wal> {
     id: String,
     log: L,
     config: StoreConfig,
     ack_policy: AckPolicy,
-    image: Option<RiStateImage>,
+    service: Option<RiService>,
     last_sequence: u64,
     epoch: u64,
     segment_bytes: u64,
@@ -302,26 +302,34 @@ impl Follower<MemLog> {
 
 impl<L: Wal> Follower<L> {
     /// Wraps a log backend. A log that already holds a snapshot (a
-    /// restarted follower) resumes from snapshot + surviving records; a
-    /// fresh log waits for the handshake to bootstrap it.
+    /// restarted follower) resumes from snapshot + surviving records
+    /// through the same [`RiStore`] open-and-recover path a crashed primary
+    /// takes — which also fences a torn tail, so shipped frames are never
+    /// appended behind garbage; a fresh log waits for the handshake to
+    /// bootstrap it.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Store`] when the backend cannot be read.
+    /// [`ClusterError::Store`] when the backend cannot be read or its
+    /// snapshot fails validation.
     pub fn new(
         id: &str,
         log: L,
         config: StoreConfig,
         ack_policy: AckPolicy,
     ) -> Result<Self, ClusterError> {
-        let (image, last_sequence) = replay_existing(&log)?;
+        let (service, last_sequence) = match RiStore::new(&log, config)?.load_with_report() {
+            Ok((service, report)) => (Some(service), report.last_sequence),
+            Err(StoreError::NoGenesis) => (None, 0),
+            Err(e) => return Err(e.into()),
+        };
         let segment_bytes = log.segment_len()?;
         Ok(Follower {
             id: id.into(),
             log,
             config,
             ack_policy,
-            image,
+            service,
             last_sequence,
             epoch: 0,
             segment_bytes,
@@ -346,9 +354,9 @@ impl<L: Wal> Follower<L> {
         self.epoch
     }
 
-    /// The replicated state, once bootstrapped.
-    pub fn state_image(&self) -> Option<&RiStateImage> {
-        self.image.as_ref()
+    /// A snapshot of the replicated state, once bootstrapped.
+    pub fn state_image(&self) -> Option<RiStateImage> {
+        self.service.as_ref().map(RiService::state_image)
     }
 
     /// Applies one primary PDU.
@@ -373,7 +381,7 @@ impl<L: Wal> Follower<L> {
                 self.adopt_epoch(*epoch)?;
                 if let Some(blob) = snapshot {
                     self.bootstrap(blob, *watermark)?;
-                } else if self.image.is_none() {
+                } else if self.service.is_none() {
                     return Err(ClusterError::NotBootstrapped);
                 }
                 Ok(None)
@@ -407,8 +415,9 @@ impl<L: Wal> Follower<L> {
     }
 
     /// Installs a snapshot blob: writes it to the local log, drops any
-    /// stale segments it covers, and resets the replayed image — the same
-    /// compaction dance [`RiStore::snapshot`](oma_store::RiStore) performs.
+    /// stale segments it covers, and rebuilds the replayed service from it —
+    /// the same compaction dance [`RiStore::snapshot`](oma_store::RiStore)
+    /// performs.
     fn bootstrap(&mut self, blob: &[u8], watermark: u64) -> Result<(), ClusterError> {
         let (image, snapshot_watermark) = codec::decode_snapshot(blob)?;
         if snapshot_watermark != watermark {
@@ -420,14 +429,14 @@ impl<L: Wal> Follower<L> {
         let fresh = self.log.rotate()?;
         self.log.remove_segments_before(fresh)?;
         self.segment_bytes = self.log.segment_len()?;
-        self.image = Some(image);
+        self.service = Some(RiService::from_image(image));
         self.last_sequence = watermark;
         Ok(())
     }
 
     /// Validates and applies one batch of record frames.
     fn apply_records(&mut self, frames: &[Vec<u8>]) -> Result<ReplPdu, ClusterError> {
-        let image = self.image.as_mut().ok_or(ClusterError::NotBootstrapped)?;
+        let service = self.service.as_ref().ok_or(ClusterError::NotBootstrapped)?;
         let mut applied = 0;
         for frame in frames {
             let (record, consumed) =
@@ -453,8 +462,7 @@ impl<L: Wal> Follower<L> {
             }
             self.log.append(frame)?;
             self.segment_bytes += frame.len() as u64;
-            image.apply(&record.event);
-            image.rng_state = record.rng_after;
+            service.replay(&record.event, record.rng_after);
             self.last_sequence = record.sequence;
             applied += 1;
         }
@@ -476,10 +484,10 @@ impl<L: Wal> Follower<L> {
     /// Promotes this follower into a serving primary under `new_epoch`.
     ///
     /// The follower's log is synced and re-opened as a [`RiStore`], the
-    /// state is recovered through the very same snapshot+replay path a
-    /// crash restart uses, and the result is cross-checked against the
-    /// incrementally replayed image — any divergence refuses promotion
-    /// instead of serving forked state. The recovered image carries
+    /// service is recovered through the very same snapshot+replay path a
+    /// crash restart uses, and its state is cross-checked against the
+    /// incrementally replayed service — any divergence refuses promotion
+    /// instead of serving forked state. The recovered state carries
     /// `next_session`, every `ro_sequences` counter and the RNG
     /// checkpoint, which is why a promoted primary can never re-issue a
     /// session id or an RO id that the old primary already handed out.
@@ -494,17 +502,18 @@ impl<L: Wal> Follower<L> {
     where
         L: 'static,
     {
-        let replayed = self.image.ok_or(ClusterError::NotBootstrapped)?;
+        let replayed = self.service.ok_or(ClusterError::NotBootstrapped)?;
         self.log.sync()?;
         let store = RiStore::new(self.log, self.config)?;
-        let (image, _report) = store.load_with_report()?;
-        if image != replayed {
+        let (service, _report) = store.load_with_report()?;
+        let image = service.state_image();
+        if image != replayed.state_image() {
             return Err(ClusterError::Malformed(
-                "durable state diverged from the replayed image; refusing promotion".into(),
+                "durable state diverged from the replayed state; refusing promotion".into(),
             ));
         }
         let store = Arc::new(store);
-        let service = Arc::new(RiService::from_image(image.clone()));
+        let service = Arc::new(service);
         service.set_journal(Arc::clone(&store) as Arc<dyn RiJournal>);
         Ok(Promoted {
             service,
@@ -550,38 +559,6 @@ pub fn replicate<P: Wal, F: Wal>(
         }
     }
     Ok(applied)
-}
-
-/// Replays an existing follower log (snapshot + surviving records) so a
-/// restarted follower resumes where it crashed instead of re-shipping the
-/// world. Stops cleanly at any damage, exactly like recovery.
-fn replay_existing<L: Wal>(log: &L) -> Result<(Option<RiStateImage>, u64), ClusterError> {
-    let Some(blob) = log.read_snapshot()? else {
-        return Ok((None, 0));
-    };
-    let (mut image, watermark) = codec::decode_snapshot(&blob)?;
-    let mut last = watermark;
-    'segments: for segment in log.segments()? {
-        let bytes = log.read_segment(segment)?;
-        let Some(mut rest) = bytes.strip_prefix(&SEGMENT_HEADER[..]) else {
-            break;
-        };
-        while !rest.is_empty() {
-            let Ok((record, consumed)) = codec::decode_record_prefix(rest) else {
-                break 'segments;
-            };
-            if record.sequence > last {
-                if record.sequence != last + 1 {
-                    break 'segments;
-                }
-                image.apply(&record.event);
-                image.rng_state = record.rng_after;
-                last = record.sequence;
-            }
-            rest = &rest[consumed..];
-        }
-    }
-    Ok((Some(image), last))
 }
 
 // ----- replication over TCP --------------------------------------------------
@@ -712,7 +689,7 @@ mod tests {
         let mut follower = Follower::in_memory("node.b", AckPolicy::OnFsync);
         let applied = replicate(&primary, &mut follower).unwrap();
         assert_eq!(applied, 6);
-        assert_eq!(follower.state_image(), Some(&service.state_image()));
+        assert_eq!(follower.state_image(), Some(service.state_image()));
         assert_eq!(follower.epoch(), 1);
 
         // More traffic, another round: only the tail ships, state stays
@@ -720,7 +697,7 @@ mod tests {
         say_hello(&service, 3);
         let applied = replicate(&primary, &mut follower).unwrap();
         assert_eq!(applied, 3);
-        assert_eq!(follower.state_image(), Some(&service.state_image()));
+        assert_eq!(follower.state_image(), Some(service.state_image()));
     }
 
     #[test]
@@ -844,7 +821,7 @@ mod tests {
         let mut follower = Follower::in_memory("node.b", AckPolicy::OnFsync);
         let applied = replicate(&primary, &mut follower).unwrap();
         assert_eq!(applied, 2, "only the post-snapshot tail ships as records");
-        assert_eq!(follower.state_image(), Some(&service.state_image()));
+        assert_eq!(follower.state_image(), Some(service.state_image()));
     }
 
     #[test]
@@ -922,7 +899,7 @@ mod tests {
         let mut reborn =
             Follower::new("node.b", log, StoreConfig::default(), AckPolicy::OnFsync).unwrap();
         assert_eq!(reborn.last_sequence(), 3);
-        assert_eq!(reborn.state_image(), Some(&service.state_image()));
+        assert_eq!(reborn.state_image(), Some(service.state_image()));
         assert_eq!(replicate(&primary, &mut reborn).unwrap(), 0);
     }
 
@@ -958,7 +935,7 @@ mod tests {
         let mut follower = Follower::in_memory("node.b", AckPolicy::OnFsync);
         let applied = sync_over_tcp(&mut follower, addr).unwrap();
         assert_eq!(applied, 5);
-        assert_eq!(follower.state_image(), Some(&expected));
+        assert_eq!(follower.state_image(), Some(expected));
         server.join().unwrap().unwrap();
     }
 }

@@ -111,6 +111,28 @@ impl Domain {
         self.members.remove(device_id)
     }
 
+    /// Whether `device_id` may hold a membership: it already does, or the
+    /// domain has room for one more.
+    pub(crate) fn admits(&self, device_id: &str) -> bool {
+        self.is_member(device_id) || self.members.len() < self.max_members
+    }
+
+    /// Records `device_id` as a member without a capacity check — the
+    /// service's join rule, applied once the join was admitted (live) or
+    /// already acknowledged (replay).
+    pub(crate) fn admit(&mut self, device_id: &str) {
+        if !self.is_member(device_id) {
+            self.members.insert(device_id.to_string());
+        }
+    }
+
+    /// Installs a creation's key and capacity on a domain that already
+    /// exists, keeping its members and generation.
+    pub(crate) fn merge_creation(&mut self, key: [u8; 16], max_members: usize) {
+        self.key = key;
+        self.max_members = max_members;
+    }
+
     /// Rebuilds a domain from persisted state — key, generation and member
     /// set exactly as a snapshot recorded them. This is the recovery path;
     /// use [`Domain::new`] for fresh domains.

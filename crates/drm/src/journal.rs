@@ -7,20 +7,25 @@
 //! This module defines the vocabulary that makes [`RiService`] durable
 //! without binding it to any particular storage engine:
 //!
-//! * [`RiEvent`] — one entry per state mutation the service performs. Every
-//!   handler that changes state emits exactly one event *after* the mutation
-//!   (and after all of its random draws) and *before* the response leaves
-//!   the service, so a write-ahead log sees mutations in commit order.
-//! * [`RiStateImage`] — a complete, canonical snapshot of the mutable
-//!   service state, including the RSA identity and the engine's random
-//!   stream checkpoint. [`RiStateImage::apply`] replays one event onto an
-//!   image; snapshot + ordered events = the service, byte for byte.
+//! * [`RiEvent`] — one entry per state mutation the service performs, and
+//!   the *only* way its tables change after construction. Every handler
+//!   that changes state decides one event, applies it through the
+//!   service's one `apply` (in `service.rs`), and records it *after* all of
+//!   its random draws and *before* the response leaves the service.
+//!   Recovery and replication feed the logged events through that same
+//!   `apply` via [`RiService::replay`], so there is no second copy of any
+//!   transition to drift out of step.
+//! * [`RiStateImage`] — the snapshot's form: a complete, canonical copy of
+//!   the mutable service state, including the RSA identity and the
+//!   engine's random stream checkpoint. [`RiService::state_image`] and
+//!   [`RiService::from_image`] convert to and from it; events never apply
+//!   to an image.
 //! * [`RiJournal`] — what the service needs from a store: record an event,
 //!   flush buffered records, persist a snapshot. Implemented by
 //!   `oma_store::RiStore`.
-//! * [`StateSource`] — what recovery needs from a store: the latest
-//!   snapshot with all surviving events already applied.
-//!   [`RiService::recover`] turns it back into a serving instance.
+//! * [`StateSource`] — what recovery needs from a store: a service built
+//!   from the latest snapshot with every surviving record replayed onto it.
+//!   [`RiService::recover`] asks for it.
 //!
 //! # Why events carry the RNG checkpoint
 //!
@@ -33,13 +38,11 @@
 //! the checkpoint of the last surviving record. A log truncated by a torn
 //! write thus recovers to a consistent cut: the state *and* the random
 //! stream as of the last durable event.
-//!
-//! [`RiService`]: crate::service::RiService
-//! [`RiService::recover`]: crate::service::RiService::recover
 
 use crate::domain::DomainId;
 use crate::error::DrmError;
 use crate::rel::RightsTemplate;
+use crate::service::RiService;
 use oma_crypto::rsa::RsaKeyPair;
 use oma_crypto::sha1::DIGEST_SIZE;
 use oma_pki::ocsp::OcspResponse;
@@ -49,6 +52,35 @@ use std::sync::Arc;
 /// One durable state mutation of the Rights Issuer service, in the order the
 /// service committed it. The event taxonomy covers every mutation a handler
 /// can perform; anything not listed here is derived state.
+///
+/// # Log order
+///
+/// A handler applies its event before it records it (its draws and RSA work
+/// sit in between), so two events on one key can reach the log in the
+/// opposite order from the tables. Most pairs commute, so that is harmless:
+/// two `SessionOpened` of one device (the larger id survives), two
+/// `RoIssued` of one scope (the maximum wins), `DomainCreated` and
+/// `DomainJoined` (the join carries the key; creation merges without
+/// touching members), and repeated joins or leaves (membership is a set).
+///
+/// The pairs on one key that do not commute, and what orders them:
+///
+/// * `DomainJoined` × `DomainLeft` — the service's `ordered` lock: a join
+///   does its RSA work first, then re-checks, admits and records under the
+///   lock a leave also takes.
+/// * two `ContentAdded`, `OcspRefreshed` or `SessionTtlSet` — the last
+///   writer wins; the same lock makes the last applied the last recorded.
+/// * two `DeviceRegistered` of one device — the last writer wins. Ordered by
+///   supersession: each consumes its own pending session and a device holds
+///   one, so they overlap only while a newer hello evicts the older session.
+/// * `SessionOpened` × a later removal of that session (`DeviceRegistered`,
+///   `SessionsSwept`, or a newer session's `DeviceRegistered`) — replaying
+///   the open last resurrects it. Ordered by timing only: the removal needs
+///   the hello's response (sent after the record), a TTL's worth of age, or
+///   two more round trips. A hello stalled between apply and record for
+///   longer — or a clockless hello (`opened_at` 0) swept by a clocked sweep,
+///   or a peer registering on a guessed session id — logs the pair out of
+///   order.
 ///
 /// Deliberately *not* `#[non_exhaustive]`: the storage codec must encode
 /// every variant, and adding one should break its build until the encoding
@@ -393,193 +425,6 @@ impl std::fmt::Debug for RiStateImage {
     }
 }
 
-impl RiStateImage {
-    /// Replays one event onto the image, mirroring exactly what the live
-    /// service's handler did to its own state. The caller is responsible for
-    /// updating [`RiStateImage::rng_state`] from the journal record that
-    /// carried the event.
-    pub fn apply(&mut self, event: &RiEvent) {
-        match event {
-            RiEvent::ContentAdded {
-                content_id,
-                cek,
-                dcf_hash,
-                template,
-            } => {
-                let entry = ContentImage {
-                    content_id: content_id.clone(),
-                    cek: *cek,
-                    dcf_hash: *dcf_hash,
-                    template: template.clone(),
-                };
-                match self
-                    .content
-                    .binary_search_by(|c| c.content_id.cmp(content_id))
-                {
-                    Ok(i) => self.content[i] = entry,
-                    Err(i) => self.content.insert(i, entry),
-                }
-            }
-            RiEvent::SessionOpened {
-                session_id,
-                device_id,
-                ri_nonce,
-                opened_at,
-            } => {
-                // Mirror the service's supersession rule: of two sessions
-                // for one device, the one with the larger id survives.
-                if let Some(i) = self.sessions.iter().position(|s| &s.device_id == device_id) {
-                    if self.sessions[i].session_id >= *session_id {
-                        self.next_session = self.next_session.max(session_id + 1);
-                        return;
-                    }
-                    self.sessions.remove(i);
-                }
-                let image = SessionImage {
-                    session_id: *session_id,
-                    device_id: device_id.clone(),
-                    ri_nonce: ri_nonce.clone(),
-                    opened_at: *opened_at,
-                };
-                match self
-                    .sessions
-                    .binary_search_by_key(session_id, |s| s.session_id)
-                {
-                    Ok(i) => self.sessions[i] = image,
-                    Err(i) => self.sessions.insert(i, image),
-                }
-                self.next_session = self.next_session.max(session_id + 1);
-            }
-            RiEvent::DeviceRegistered {
-                session_id,
-                device_id,
-                certificate,
-            } => {
-                self.sessions.retain(|s| s.session_id != *session_id);
-                let entry = RegisteredImage {
-                    device_id: device_id.clone(),
-                    certificate: certificate.clone(),
-                };
-                match self
-                    .registered
-                    .binary_search_by(|r| r.device_id.cmp(device_id))
-                {
-                    Ok(i) => self.registered[i] = entry,
-                    Err(i) => self.registered.insert(i, entry),
-                }
-            }
-            RiEvent::RoIssued { scope, sequence } => {
-                // Idempotent: a record replayed onto an image that already
-                // reflects it (a snapshot captured mid-handler, before the
-                // record was appended) must not advance anything twice.
-                let next = sequence + 1;
-                match self.ro_sequences.binary_search_by(|(s, _)| s.cmp(scope)) {
-                    Ok(i) => {
-                        let current = self.ro_sequences[i].1;
-                        if next > current {
-                            self.ro_sequences[i].1 = next;
-                            self.issued_ros += next - current;
-                        }
-                    }
-                    Err(i) => {
-                        self.ro_sequences.insert(i, (scope.clone(), next));
-                        self.issued_ros += next;
-                    }
-                }
-            }
-            RiEvent::DomainCreated {
-                domain_id,
-                key,
-                max_members,
-            } => {
-                match self
-                    .domains
-                    .binary_search_by(|d| d.domain_id.cmp(domain_id))
-                {
-                    // Merge, don't clobber: the image may already hold this
-                    // domain (a snapshot captured between the live insert
-                    // and this record) or a stub installed by an
-                    // out-of-order `DomainJoined`. Members acknowledged to
-                    // devices must survive in either case.
-                    Ok(i) => {
-                        self.domains[i].key = *key;
-                        self.domains[i].max_members = *max_members;
-                    }
-                    Err(i) => self.domains.insert(
-                        i,
-                        DomainImage {
-                            domain_id: domain_id.clone(),
-                            key: *key,
-                            generation: 0,
-                            max_members: *max_members,
-                            members: Vec::new(),
-                        },
-                    ),
-                }
-            }
-            RiEvent::DomainJoined {
-                domain_id,
-                device_id,
-                key,
-                generation,
-                max_members,
-            } => {
-                match self
-                    .domains
-                    .binary_search_by(|d| d.domain_id.cmp(domain_id))
-                {
-                    Ok(i) => {
-                        let members = &mut self.domains[i].members;
-                        if let Err(j) = members.binary_search(device_id) {
-                            members.insert(j, device_id.clone());
-                        }
-                    }
-                    // A join journaled ahead of its domain's creation (the
-                    // live insert precedes the create record, so a racing
-                    // join can reach the log first): rebuild the domain
-                    // from the key material the member was acknowledged
-                    // with, so even a torn-off `DomainCreated` record never
-                    // recovers a domain whose key no member holds.
-                    Err(i) => self.domains.insert(
-                        i,
-                        DomainImage {
-                            domain_id: domain_id.clone(),
-                            key: *key,
-                            generation: *generation,
-                            max_members: *max_members,
-                            members: vec![device_id.clone()],
-                        },
-                    ),
-                }
-            }
-            RiEvent::DomainLeft {
-                domain_id,
-                device_id,
-            } => {
-                if let Ok(i) = self
-                    .domains
-                    .binary_search_by(|d| d.domain_id.cmp(domain_id))
-                {
-                    let members = &mut self.domains[i].members;
-                    if let Ok(j) = members.binary_search(device_id) {
-                        members.remove(j);
-                    }
-                }
-            }
-            RiEvent::OcspRefreshed { response } => {
-                self.ocsp = response.clone();
-            }
-            RiEvent::SessionTtlSet { seconds } => {
-                self.session_ttl = *seconds;
-            }
-            RiEvent::SessionsSwept { session_ids, .. } => {
-                self.sessions
-                    .retain(|s| session_ids.binary_search(&s.session_id).is_err());
-            }
-        }
-    }
-}
-
 /// What the Rights Issuer service needs from a durable store. Implemented by
 /// `oma_store::RiStore`; the service only ever sees this trait, so the
 /// storage engine can evolve independently.
@@ -651,28 +496,32 @@ impl<J: RiJournal + ?Sized> RiJournal for Arc<J> {
     }
 }
 
-/// What recovery needs from a durable store: the latest snapshot with every
-/// surviving journal record already applied (events in commit order,
-/// [`RiStateImage::rng_state`] set from the last surviving record).
+/// What recovery needs from a durable store: a service rebuilt from the
+/// latest snapshot ([`RiService::from_image`]) with every surviving journal
+/// record replayed onto it in commit order ([`RiService::replay`], which
+/// also resumes the random stream at the last record's checkpoint).
 pub trait StateSource {
-    /// Loads the recovered state image.
+    /// Rebuilds the recovered service.
     ///
     /// # Errors
     ///
     /// [`DrmError::Store`] when no genesis snapshot exists or the snapshot
     /// itself is unreadable. A corrupt or torn log *tail* is not an error:
     /// recovery stops cleanly at the last valid record.
-    fn load_state(&self) -> Result<RiStateImage, DrmError>;
+    fn load_service(&self) -> Result<RiService, DrmError>;
 }
 
 impl<S: StateSource + ?Sized> StateSource for Arc<S> {
-    fn load_state(&self) -> Result<RiStateImage, DrmError> {
-        (**self).load_state()
+    fn load_service(&self) -> Result<RiService, DrmError> {
+        (**self).load_service()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! The replay rules of every event, exercised through the service's one
+    //! `apply` and observed through `state_image()`.
+
     use super::*;
     use crate::rel::{Permission, RightsTemplate};
     use oma_crypto::rsa::RsaKeyPair;
@@ -680,7 +529,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn image() -> RiStateImage {
+    /// A service with an empty state (fresh identity, no tables).
+    fn service() -> RiService {
         let mut rng = StdRng::seed_from_u64(7);
         let mut ca = CertificationAuthority::new("cmla", 384, &mut rng);
         let keys = RsaKeyPair::generate(384, &mut rng);
@@ -697,7 +547,7 @@ mod tests {
             },
             Timestamp::new(0),
         );
-        RiStateImage {
+        RiService::from_image(RiStateImage {
             id: "ri".into(),
             keys,
             certificate,
@@ -712,11 +562,11 @@ mod tests {
             domains: Vec::new(),
             ro_sequences: Vec::new(),
             rng_state: [0u8; 32],
-        }
+        })
     }
 
-    fn open(image: &mut RiStateImage, session_id: u64, device: &str, at: u64) {
-        image.apply(&RiEvent::SessionOpened {
+    fn open(service: &RiService, session_id: u64, device: &str, at: u64) {
+        service.apply(&RiEvent::SessionOpened {
             session_id,
             device_id: device.into(),
             ri_nonce: vec![1; 14],
@@ -726,91 +576,96 @@ mod tests {
 
     #[test]
     fn session_supersession_keeps_the_newer_session() {
-        let mut image = image();
-        open(&mut image, 1, "dev-a", 0);
-        open(&mut image, 2, "dev-a", 5);
+        let service = service();
+        open(&service, 1, "dev-a", 0);
+        open(&service, 2, "dev-a", 5);
+        let image = service.state_image();
         assert_eq!(image.sessions.len(), 1);
         assert_eq!(image.sessions[0].session_id, 2);
         assert_eq!(image.next_session, 3);
         // A stale (smaller-id) open replayed out of order does not clobber.
-        open(&mut image, 1, "dev-a", 0);
+        open(&service, 1, "dev-a", 0);
+        let image = service.state_image();
+        assert_eq!(image.sessions.len(), 1);
         assert_eq!(image.sessions[0].session_id, 2);
+        assert_eq!(service.pending_session_count(), 1);
     }
 
     #[test]
     fn registration_consumes_the_session() {
-        let mut image = image();
-        open(&mut image, 1, "dev-a", 0);
-        let cert = image.certificate.clone();
-        image.apply(&RiEvent::DeviceRegistered {
+        let service = service();
+        open(&service, 1, "dev-a", 0);
+        service.apply(&RiEvent::DeviceRegistered {
             session_id: 1,
             device_id: "dev-a".into(),
-            certificate: cert,
+            certificate: service.certificate().clone(),
         });
+        let image = service.state_image();
         assert!(image.sessions.is_empty());
         assert_eq!(image.registered.len(), 1);
         assert_eq!(image.registered[0].device_id, "dev-a");
+        assert!(service.is_registered("dev-a"));
     }
 
     #[test]
     fn ro_sequences_are_order_independent_per_scope() {
-        let mut image = image();
-        image.apply(&RiEvent::RoIssued {
-            scope: "dev:a".into(),
-            sequence: 1,
-        });
-        image.apply(&RiEvent::RoIssued {
-            scope: "dev:a".into(),
-            sequence: 0,
-        });
-        image.apply(&RiEvent::RoIssued {
-            scope: "dev:b".into(),
-            sequence: 0,
-        });
+        let service = service();
+        for (scope, sequence) in [("dev:a", 1), ("dev:a", 0), ("dev:b", 0)] {
+            service.apply(&RiEvent::RoIssued {
+                scope: scope.into(),
+                sequence,
+            });
+        }
+        let image = service.state_image();
         assert_eq!(
             image.ro_sequences,
             vec![("dev:a".to_string(), 2), ("dev:b".to_string(), 1)]
         );
         assert_eq!(image.issued_ros, 3);
+        assert_eq!(service.issued_ro_count(), 3);
     }
 
     #[test]
     fn domain_membership_replay() {
-        let mut image = image();
-        image.apply(&RiEvent::DomainCreated {
-            domain_id: DomainId::new("family"),
+        let service = service();
+        let family = DomainId::new("family");
+        service.apply(&RiEvent::DomainCreated {
+            domain_id: family.clone(),
             key: [9; 16],
             max_members: 4,
         });
         for device in ["b", "a", "a"] {
-            image.apply(&RiEvent::DomainJoined {
-                domain_id: DomainId::new("family"),
+            service.apply(&RiEvent::DomainJoined {
+                domain_id: family.clone(),
                 device_id: device.into(),
                 key: [9; 16],
                 generation: 0,
                 max_members: 4,
             });
         }
-        assert_eq!(image.domains[0].members, vec!["a", "b"]);
-        image.apply(&RiEvent::DomainLeft {
-            domain_id: DomainId::new("family"),
+        assert_eq!(service.state_image().domains[0].members, vec!["a", "b"]);
+        service.apply(&RiEvent::DomainLeft {
+            domain_id: family.clone(),
             device_id: "a".into(),
         });
-        assert_eq!(image.domains[0].members, vec!["b"]);
+        assert_eq!(service.state_image().domains[0].members, vec!["b"]);
+        assert_eq!(service.domain_member_count(&family), Some(1));
     }
 
     #[test]
     fn sweep_replay_removes_exactly_the_named_sessions() {
-        let mut image = image();
-        image.session_ttl = 10;
-        open(&mut image, 1, "dev-old", 0);
-        open(&mut image, 2, "dev-new", 95);
+        let service = service();
+        service.apply(&RiEvent::SessionTtlSet { seconds: 10 });
+        open(&service, 1, "dev-old", 0);
+        open(&service, 2, "dev-new", 95);
         // Only the ids named by the sweep are removed — a session the live
         // sweep did not see (whatever its age) is left alone.
-        image.apply(&RiEvent::SessionsSwept {
+        service.apply(&RiEvent::SessionsSwept {
             now: Timestamp::new(100),
             session_ids: vec![1],
         });
+        let image = service.state_image();
+        assert_eq!(image.session_ttl, 10);
         assert_eq!(image.sessions.len(), 1);
         assert_eq!(image.sessions[0].device_id, "dev-new");
         assert!(session_expired(10, Timestamp::new(0), Timestamp::new(100)));
@@ -822,38 +677,41 @@ mod tests {
         // A DomainJoined record can precede its DomainCreated record in the
         // log; if the creation record is torn off, the domain must still
         // recover with the key the member actually holds.
-        let mut image = image();
-        image.apply(&RiEvent::DomainJoined {
-            domain_id: DomainId::new("family"),
+        let service = service();
+        let family = DomainId::new("family");
+        service.apply(&RiEvent::DomainJoined {
+            domain_id: family.clone(),
             device_id: "phone-001".into(),
             key: [7; 16],
             generation: 3,
             max_members: 4,
         });
+        let image = service.state_image();
         assert_eq!(image.domains[0].key, [7; 16]);
         assert_eq!(image.domains[0].generation, 3);
         assert_eq!(image.domains[0].members, vec!["phone-001"]);
         // When the creation record *did* survive, it merges without
         // clobbering the membership.
-        image.apply(&RiEvent::DomainCreated {
-            domain_id: DomainId::new("family"),
+        service.apply(&RiEvent::DomainCreated {
+            domain_id: family,
             key: [7; 16],
             max_members: 4,
         });
-        assert_eq!(image.domains[0].members, vec!["phone-001"]);
+        assert_eq!(service.state_image().domains[0].members, vec!["phone-001"]);
     }
 
     #[test]
     fn content_added_replaces_by_id() {
-        let mut image = image();
+        let service = service();
         for count in [1u32, 2] {
-            image.apply(&RiEvent::ContentAdded {
+            service.apply(&RiEvent::ContentAdded {
                 content_id: "cid:x".into(),
                 cek: [0; 16],
                 dcf_hash: [0; DIGEST_SIZE],
                 template: RightsTemplate::counted(Permission::Play, count),
             });
         }
+        let image = service.state_image();
         assert_eq!(image.content.len(), 1);
         assert_eq!(
             image.content[0].template,

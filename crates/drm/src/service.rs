@@ -21,6 +21,14 @@
 //!   as replay protection: a replayed `RegistrationRequest` finds its
 //!   session gone and is rejected with [`RoapError::UnknownSession`].
 //!
+//! One mutation path: after construction the tables change only by
+//! applying an [`RiEvent`]. A handler validates, decides its event, applies
+//! it through `RiService::apply` and records it; recovery and replication
+//! feed each logged event through the same `apply` ([`RiService::replay`]).
+//! An atomic decision (claiming a session, allocating an RO sequence,
+//! admitting a domain member) runs in the shard's critical section and calls
+//! the per-entry rule `apply` uses, so every transition is written once.
+//!
 //! Rights-Object ids are allocated per scope (per registered device, or per
 //! domain for out-of-band issuing) from a sharded sequence map. Ids are
 //! therefore *deterministic per device* regardless of how requests from
@@ -55,16 +63,9 @@ use oma_pki::{
 };
 use rand::RngCore;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use crate::CERT_VALIDITY_SECONDS;
-
-/// A device the Rights Issuer has established a trusted relationship with.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RegisteredDevice {
-    pub(crate) device_id: String,
-    pub(crate) certificate: Certificate,
-}
 
 /// A license the Rights Issuer can sell for one piece of content.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,6 +90,28 @@ pub(crate) struct PendingSession {
 /// amortised instead of running per request; the interval only bounds how
 /// promptly expired sessions are reclaimed, never correctness.
 const SESSION_SWEEP_INTERVAL: u64 = 256;
+
+/// The RO-sequence rule of [`RiEvent::RoIssued`]: once `sequence` is
+/// issued, the scope's `next` sequence is past it. Returns how far it moved
+/// (what the issued-RO counter grows by); a sequence already covered — out
+/// of order, or over a snapshot that holds it — moves nothing.
+fn advance_sequence(next: &mut u64, sequence: u64) -> u64 {
+    let past = sequence + 1;
+    let advanced = past.saturating_sub(*next);
+    *next = (*next).max(past);
+    advanced
+}
+
+/// The join admission check: the domain exists and holds — or has room
+/// for — `device_id`.
+fn admission<'a>(domain: Option<&'a Domain>, device_id: &str) -> Result<&'a Domain, RoapError> {
+    let domain = domain.ok_or(RoapError::UnknownDomain)?;
+    if domain.admits(device_id) {
+        Ok(domain)
+    } else {
+        Err(RoapError::DomainFull)
+    }
+}
 
 /// The thread-safe Rights Issuer service: every ROAP handler takes `&self`,
 /// so one instance (typically behind an [`Arc`]) serves any number of
@@ -133,7 +156,8 @@ pub struct RiService {
     issued_ros: AtomicU64,
     sessions: ShardedMap<u64, PendingSession>,
     pending_by_device: ShardedMap<String, u64>,
-    registered: ShardedMap<String, RegisteredDevice>,
+    /// Registered devices and the certificate each one pinned.
+    registered: ShardedMap<String, Certificate>,
     content: ShardedMap<String, ContentEntry>,
     domains: ShardedMap<DomainId, Domain>,
     ro_sequences: ShardedMap<String, u64>,
@@ -143,6 +167,11 @@ pub struct RiService {
     session_ttl: AtomicU64,
     /// Clocked dispatches since start, for amortising the TTL sweep.
     dispatch_count: AtomicU64,
+    /// Held across apply-and-record of the events that do not commute (see
+    /// [`RiEvent`]), so they reach the log in table order. Never held across
+    /// cryptography; lock order is `ordered` → shard → journal, and a
+    /// snapshot never takes it.
+    ordered: Mutex<()>,
     /// Fingerprints (SHA-1 of TBS bytes ‖ signature bytes) of device
     /// certificates whose issuer signature has already verified. Only the
     /// time-independent signature check is memoized; issuer, role and
@@ -220,6 +249,7 @@ impl RiService {
             journal: RwLock::new(None),
             session_ttl: AtomicU64::new(0),
             dispatch_count: AtomicU64::new(0),
+            ordered: Mutex::new(()),
             verified_certs: ShardedMap::new(),
         };
         service.warm_signing_contexts();
@@ -280,15 +310,15 @@ impl RiService {
                 opened_at: s.opened_at,
             });
         });
-        sessions.sort_by_key(|s| s.session_id);
+        sessions.sort_unstable_by_key(|s| s.session_id);
         let mut registered = Vec::new();
-        self.registered.for_each(|id, d| {
+        self.registered.for_each(|id, certificate| {
             registered.push(RegisteredImage {
                 device_id: id.clone(),
-                certificate: d.certificate.clone(),
+                certificate: certificate.clone(),
             });
         });
-        registered.sort_by(|a, b| a.device_id.cmp(&b.device_id));
+        registered.sort_unstable_by(|a, b| a.device_id.cmp(&b.device_id));
         let mut content = Vec::new();
         self.content.for_each(|id, c| {
             content.push(ContentImage {
@@ -298,7 +328,7 @@ impl RiService {
                 template: c.template.clone(),
             });
         });
-        content.sort_by(|a, b| a.content_id.cmp(&b.content_id));
+        content.sort_unstable_by(|a, b| a.content_id.cmp(&b.content_id));
         let mut domains = Vec::new();
         self.domains.for_each(|id, d| {
             let mut members: Vec<String> = d.members().map(str::to_string).collect();
@@ -311,11 +341,11 @@ impl RiService {
                 members,
             });
         });
-        domains.sort_by(|a, b| a.domain_id.cmp(&b.domain_id));
+        domains.sort_unstable_by(|a, b| a.domain_id.cmp(&b.domain_id));
         let mut ro_sequences = Vec::new();
         self.ro_sequences
             .for_each(|scope, next| ro_sequences.push((scope.clone(), *next)));
-        ro_sequences.sort();
+        ro_sequences.sort_unstable();
         RiStateImage {
             id: self.id.clone(),
             keys: self.keys.clone(),
@@ -361,34 +391,25 @@ impl RiService {
             journal: RwLock::new(None),
             session_ttl: AtomicU64::new(image.session_ttl),
             dispatch_count: AtomicU64::new(0),
+            ordered: Mutex::new(()),
             verified_certs: ShardedMap::new(),
         };
         service.warm_signing_contexts();
+        // The per-device index is rebuilt by the one supersession rule.
         for session in image.sessions {
-            service.sessions.insert(
+            service.open_session(
                 session.session_id,
                 PendingSession {
-                    device_id: session.device_id.clone(),
+                    device_id: session.device_id,
                     ri_nonce: session.ri_nonce,
                     opened_at: session.opened_at,
                 },
             );
-            // Keep the largest pending session per device, mirroring the
-            // supersession rule (a canonical image has one per device).
-            service.pending_by_device.update_or_insert_with(
-                session.device_id,
-                || session.session_id,
-                |current| *current = (*current).max(session.session_id),
-            );
         }
         for device in image.registered {
-            service.registered.insert(
-                device.device_id.clone(),
-                RegisteredDevice {
-                    device_id: device.device_id,
-                    certificate: device.certificate,
-                },
-            );
+            service
+                .registered
+                .insert(device.device_id, device.certificate);
         }
         for content in image.content {
             service.content.insert(
@@ -418,11 +439,11 @@ impl RiService {
         service
     }
 
-    /// Recovers a service from a durable store: the latest snapshot plus
-    /// every surviving journal record, rebuilt into a serving instance.
-    /// Subsequent responses — signatures, Rights Object ids, session ids —
-    /// are byte-identical to what an uninterrupted instance would have
-    /// produced after the last surviving record.
+    /// Recovers a service from a durable store: the latest snapshot through
+    /// [`RiService::from_image`], then every surviving journal record through
+    /// [`RiService::replay`]. Subsequent responses — signatures, Rights
+    /// Object ids, session ids — are byte-identical to what an uninterrupted
+    /// instance would have produced after the last surviving record.
     ///
     /// # Errors
     ///
@@ -430,7 +451,181 @@ impl RiService {
     /// unreadable snapshot). A torn or truncated log tail is *not* an
     /// error; recovery stops at the last valid record.
     pub fn recover<S: StateSource + ?Sized>(source: &S) -> Result<Self, DrmError> {
-        source.load_state().map(Self::from_image)
+        source.load_service()
+    }
+
+    /// Replays one journal record: applies `event` through the mutation path
+    /// the live handler used, then resumes the random stream at the
+    /// record's checkpoint `rng_after`. Recovery and replication rebuild
+    /// state only through this, in log order, onto [`RiService::from_image`].
+    /// Events apply idempotently, so a record whose effect the snapshot
+    /// already holds (applied, not yet recorded at capture) changes nothing.
+    pub fn replay(&self, event: &RiEvent, rng_after: [u8; 32]) {
+        self.apply(event);
+        self.engine.restore_rng_state(rng_after);
+    }
+
+    // ----- the one mutation path ------------------------------------------------
+
+    /// Applies one event to the live tables — after construction, the only
+    /// code that changes them. Handlers' atomic decisions call its per-entry
+    /// rules (`release_session`, `advance_sequence`, `Domain::{new, admit,
+    /// remove_member}`) inside the shard lock. Every arm is idempotent; see
+    /// [`RiEvent`] for which arms commute.
+    pub(crate) fn apply(&self, event: &RiEvent) {
+        match event {
+            RiEvent::ContentAdded {
+                content_id,
+                cek,
+                dcf_hash,
+                template,
+            } => {
+                self.content.insert(
+                    content_id.clone(),
+                    ContentEntry {
+                        cek: *cek,
+                        dcf_hash: *dcf_hash,
+                        template: template.clone(),
+                    },
+                );
+            }
+            RiEvent::SessionOpened {
+                session_id,
+                device_id,
+                ri_nonce,
+                opened_at,
+            } => self.open_session(
+                *session_id,
+                PendingSession {
+                    device_id: device_id.clone(),
+                    ri_nonce: ri_nonce.clone(),
+                    opened_at: *opened_at,
+                },
+            ),
+            RiEvent::DeviceRegistered {
+                session_id,
+                device_id,
+                certificate,
+            } => {
+                self.release_session(*session_id);
+                self.registered
+                    .insert(device_id.clone(), certificate.clone());
+            }
+            RiEvent::RoIssued { scope, sequence } => {
+                // Replay meets an existing scope on all but its first RO:
+                // advance it in place, allocating a key only for a new one.
+                let advance = |next: &mut u64| advance_sequence(next, *sequence);
+                let advanced = self
+                    .ro_sequences
+                    .update(scope, |next| next.map(advance))
+                    .unwrap_or_else(|| {
+                        self.ro_sequences
+                            .update_or_insert_with(scope.clone(), || 0, advance)
+                    });
+                self.issued_ros.fetch_add(advanced, Ordering::Relaxed);
+            }
+            RiEvent::DomainCreated {
+                domain_id: id,
+                key,
+                max_members,
+            } => {
+                // Merge, don't clobber: the domain may already exist — a
+                // snapshot captured between the live insert and this record,
+                // or a join that reached the log first. Its members survive.
+                let max = *max_members as usize;
+                self.domains.update_or_insert_with(
+                    id.clone(),
+                    || Domain::new(id.clone(), *key, max),
+                    |domain| domain.merge_creation(*key, max),
+                );
+            }
+            RiEvent::DomainJoined {
+                domain_id: id,
+                device_id,
+                key,
+                generation,
+                max_members,
+            } => {
+                // A join that reached the log ahead of its domain's creation
+                // rebuilds the domain from the key material the member was
+                // acknowledged with, so even a torn-off `DomainCreated`
+                // record never recovers a domain whose key no member holds.
+                let max = *max_members as usize;
+                self.domains.update_or_insert_with(
+                    id.clone(),
+                    || Domain::restore(id.clone(), *key, *generation, [], max),
+                    |domain| domain.admit(device_id),
+                );
+            }
+            RiEvent::DomainLeft {
+                domain_id,
+                device_id,
+            } => {
+                self.domains.update(domain_id, |domain| {
+                    if let Some(domain) = domain {
+                        domain.remove_member(device_id);
+                    }
+                });
+            }
+            RiEvent::OcspRefreshed { response } => {
+                *self.ocsp.write().expect("ocsp lock") = response.clone();
+            }
+            RiEvent::SessionTtlSet { seconds } => {
+                self.session_ttl.store(*seconds, Ordering::Relaxed);
+            }
+            RiEvent::SessionsSwept { session_ids, .. } => {
+                for session_id in session_ids {
+                    self.release_session(*session_id);
+                }
+            }
+        }
+    }
+
+    /// Inserts pending session `session_id` — the per-entry rule of
+    /// [`RiEvent::SessionOpened`], shared with [`RiService::from_image`].
+    /// Supersession is decided by session id, not by arrival order: of two
+    /// sessions for one device the *older* one is always evicted, even when
+    /// it is applied last.
+    fn open_session(&self, session_id: u64, session: PendingSession) {
+        self.next_session
+            .fetch_max(session_id + 1, Ordering::Relaxed);
+        let device_id = session.device_id.clone();
+        self.sessions.insert(session_id, session);
+        let evicted = self.pending_by_device.update_or_insert_with(
+            device_id,
+            || session_id,
+            |current| {
+                if *current >= session_id {
+                    // A newer session holds the slot; this one is stale
+                    // (None when it just took the slot).
+                    Some(session_id).filter(|stale| stale != current)
+                } else {
+                    Some(std::mem::replace(current, session_id))
+                }
+            },
+        );
+        if let Some(stale) = evicted {
+            self.sessions.remove(&stale);
+        }
+    }
+
+    /// Removes pending session `session_id` together with its per-device
+    /// index entry (when that still names it), returning the session — the
+    /// per-entry rule of registration and of the TTL sweep. Registration's
+    /// claim *is* this call: exactly one caller gets `Some`.
+    fn release_session(&self, session_id: u64) -> Option<PendingSession> {
+        let session = self.sessions.remove(&session_id)?;
+        self.pending_by_device
+            .remove_if(&session.device_id, |pending| *pending == session_id);
+        Some(session)
+    }
+
+    /// Applies and records `event` while holding the `ordered` lock — for
+    /// the events whose replay depends on their mutual order.
+    fn apply_ordered(&self, event: RiEvent) {
+        let _ordered = self.ordered.lock().expect("ordered lock");
+        self.apply(&event);
+        self.record(event);
     }
 
     /// The TTL applied to pending registration sessions by the sweep, in
@@ -448,8 +643,7 @@ impl RiService {
     /// The change is journaled ([`RiEvent::SessionTtlSet`]) so that sweeps
     /// recorded later replay with the TTL that was actually in force.
     pub fn set_session_ttl(&self, seconds: u64) {
-        self.session_ttl.store(seconds, Ordering::Relaxed);
-        self.record(RiEvent::SessionTtlSet { seconds });
+        self.apply_ordered(RiEvent::SessionTtlSet { seconds });
     }
 
     /// Removes every pending session older than the configured TTL,
@@ -463,20 +657,24 @@ impl RiService {
         if ttl == 0 {
             return 0;
         }
-        let removed = self
-            .sessions
-            .retain(|_, session| !session_expired(ttl, session.opened_at, now));
-        let mut session_ids = Vec::with_capacity(removed.len());
-        for (session_id, session) in &removed {
-            self.pending_by_device
-                .remove_if(&session.device_id, |pending| pending == session_id);
-            session_ids.push(*session_id);
+        let mut expired = Vec::new();
+        self.sessions.for_each(|session_id, session| {
+            if session_expired(ttl, session.opened_at, now) {
+                expired.push(*session_id);
+            }
+        });
+        // Each release is an atomic claim: a session a racing registration
+        // consumed first is not this sweep's to name.
+        expired.retain(|session_id| self.release_session(*session_id).is_some());
+        let swept = expired.len();
+        if swept > 0 {
+            expired.sort_unstable();
+            self.record(RiEvent::SessionsSwept {
+                now,
+                session_ids: expired,
+            });
         }
-        if !session_ids.is_empty() {
-            session_ids.sort_unstable();
-            self.record(RiEvent::SessionsSwept { now, session_ids });
-        }
-        removed.len()
+        swept
     }
 
     /// The Rights Issuer identifier.
@@ -510,8 +708,7 @@ impl RiService {
             },
             now,
         );
-        *self.ocsp.write().expect("ocsp lock") = fresh.clone();
-        self.record(RiEvent::OcspRefreshed { response: fresh });
+        self.apply_ordered(RiEvent::OcspRefreshed { response: fresh });
     }
 
     /// Registers a piece of content: the content encryption key received
@@ -524,19 +721,10 @@ impl RiService {
         dcf: &Dcf,
         template: RightsTemplate,
     ) {
-        let dcf_hash = dcf.hash();
-        self.content.insert(
-            content_id.to_string(),
-            ContentEntry {
-                cek,
-                dcf_hash,
-                template: template.clone(),
-            },
-        );
-        self.record(RiEvent::ContentAdded {
+        self.apply_ordered(RiEvent::ContentAdded {
             content_id: content_id.to_string(),
             cek,
-            dcf_hash,
+            dcf_hash: dcf.hash(),
             template,
         });
     }
@@ -606,41 +794,14 @@ impl RiService {
     pub fn hello_at(&self, hello: &DeviceHello, now: Timestamp) -> RiHello {
         let session_id = self.next_session.fetch_add(1, Ordering::Relaxed);
         let ri_nonce = self.engine.random_nonce(NONCE_LEN);
-        self.sessions.insert(
-            session_id,
-            PendingSession {
-                device_id: hello.device_id.clone(),
-                ri_nonce: ri_nonce.clone(),
-                opened_at: now,
-            },
-        );
-        // Supersession is decided by session id, not by insert order: of two
-        // racing hellos for one device, the *older* session is always the
-        // one evicted — even when the older thread reaches this map last.
-        let evicted = self.pending_by_device.update_or_insert_with(
-            hello.device_id.clone(),
-            || session_id,
-            |current| {
-                if *current >= session_id {
-                    // A newer hello already holds the slot; this session is
-                    // the stale one (None when we just inserted ourselves).
-                    Some(session_id).filter(|stale| stale != current)
-                } else {
-                    let superseded = *current;
-                    *current = session_id;
-                    Some(superseded)
-                }
-            },
-        );
-        if let Some(stale) = evicted {
-            self.sessions.remove(&stale);
-        }
-        self.record(RiEvent::SessionOpened {
+        let event = RiEvent::SessionOpened {
             session_id,
             device_id: hello.device_id.clone(),
             ri_nonce: ri_nonce.clone(),
             opened_at: now,
-        });
+        };
+        self.apply(&event);
+        self.record(event);
         RiHello {
             ri_id: self.id.clone(),
             session_id,
@@ -753,18 +914,15 @@ impl RiService {
 
         // Claim the session. Exactly one request wins; a concurrent or
         // replayed duplicate sees the session gone.
-        if self.sessions.remove(&request.session_id).is_none() {
+        if self.release_session(request.session_id).is_none() {
             return Err(RoapError::UnknownSession);
         }
-        self.pending_by_device
-            .remove_if(&request.device_id, |pending| *pending == request.session_id);
-        self.registered.insert(
-            request.device_id.clone(),
-            RegisteredDevice {
-                device_id: request.device_id.clone(),
-                certificate: request.certificate.clone(),
-            },
-        );
+        let event = RiEvent::DeviceRegistered {
+            session_id: request.session_id,
+            device_id: request.device_id.clone(),
+            certificate: request.certificate.clone(),
+        };
+        self.apply(&event);
 
         let ocsp = self.ocsp_response();
         let signed = RegistrationResponse::signed_bytes(
@@ -781,11 +939,7 @@ impl RiService {
         // Journal after the response is fully built (all random draws done)
         // and before it leaves the service: the registration is durable by
         // the time the device can observe it.
-        self.record(RiEvent::DeviceRegistered {
-            session_id: request.session_id,
-            device_id: request.device_id.clone(),
-            certificate: request.certificate.clone(),
-        });
+        self.record(event);
         Ok(RegistrationResponse {
             session_id: request.session_id,
             ri_id: self.id.clone(),
@@ -818,7 +972,7 @@ impl RiService {
         // registered-device entry is both the state witness and the pinned
         // certificate the signature check needs — a miss is the machine's
         // `DeviceNotRegistered` rejection.
-        let device = self
+        let certificate = self
             .registered
             .get_cloned(&request.device_id)
             .ok_or(RoapError::DeviceNotRegistered)?;
@@ -832,7 +986,7 @@ impl RiService {
         );
         if !self
             .engine
-            .pss_verify(device.certificate.public_key(), &signed, &request.signature)
+            .pss_verify(certificate.public_key(), &signed, &request.signature)
         {
             return Err(RoapError::SignatureInvalid);
         }
@@ -865,7 +1019,7 @@ impl RiService {
                 ro_id,
                 &request.content_id,
                 &entry,
-                device.certificate.public_key(),
+                certificate.public_key(),
                 now,
             ),
             Some(domain) => self.build_domain_ro(ro_id, &request.content_id, &entry, domain, now),
@@ -924,17 +1078,20 @@ impl RiService {
     /// Each scope owns its own sequence in a sharded map, so the id a
     /// device receives depends only on how many ROs *that device* already
     /// obtained — never on how requests from different devices interleave.
+    ///
+    /// The allocation is the decision of an [`RiEvent::RoIssued`]: it takes
+    /// the scope's next sequence and advances past it with the rule `apply`
+    /// uses, under one shard lock, so no two requests get the same id.
     fn next_ro_id(&self, scope: &str) -> (RightsObjectId, u64) {
-        let seq = self.ro_sequences.update_or_insert_with(
+        let (seq, advanced) = self.ro_sequences.update_or_insert_with(
             scope.to_string(),
             || 0,
-            |n| {
-                let current = *n;
-                *n += 1;
-                current
+            |next| {
+                let seq = *next;
+                (seq, advance_sequence(next, seq))
             },
         );
-        self.issued_ros.fetch_add(1, Ordering::Relaxed);
+        self.issued_ros.fetch_add(advanced, Ordering::Relaxed);
         (
             RightsObjectId::new(&format!("ro:{}:{}:{}", self.id, scope, seq)),
             seq,
@@ -1034,6 +1191,8 @@ impl RiService {
     pub fn create_domain(&self, domain_id: &str, max_members: usize) -> DomainId {
         let id = DomainId::new(domain_id);
         let key = self.engine.random_key();
+        // The decision (absent → create) and `apply`'s creation rule run
+        // under one shard lock; an existing domain records nothing.
         let mut created = false;
         self.domains.update_or_insert_with(
             id.clone(),
@@ -1065,9 +1224,14 @@ impl RiService {
     }
 
     /// Handles a `JoinDomainRequest`: adds the device to the domain and
-    /// returns the domain key encrypted under the device public key. The
-    /// membership check-and-add runs under the domain's shard write lock, so
-    /// a full domain never over-admits under concurrency.
+    /// returns the domain key encrypted under the device public key.
+    ///
+    /// The handler reads the key and checks for room without changing
+    /// anything, does its RSA work, and only then — under the `ordered`
+    /// lock a leave also takes — re-checks, admits and records. The
+    /// re-check and the admission share one shard write lock, so a full
+    /// domain never over-admits under concurrency, and a leave can never
+    /// reach the log ahead of the join it undoes.
     ///
     /// # Errors
     ///
@@ -1082,7 +1246,7 @@ impl RiService {
     ) -> Result<JoinDomainResponse, RoapError> {
         // Machine step: domain join is a registered-state self-loop (see
         // `process_ro_request` — same witness, same rejection).
-        let device = self
+        let certificate = self
             .registered
             .get_cloned(&request.device_id)
             .ok_or(RoapError::DeviceNotRegistered)?;
@@ -1095,20 +1259,17 @@ impl RiService {
         );
         if !self
             .engine
-            .pss_verify(device.certificate.public_key(), &signed, &request.signature)
+            .pss_verify(certificate.public_key(), &signed, &request.signature)
         {
             return Err(RoapError::SignatureInvalid);
         }
-        let (key, generation, max_members) = self.domains.update(&request.domain_id, |domain| {
-            let domain = domain.ok_or(RoapError::UnknownDomain)?;
-            if !domain.is_member(&request.device_id) && !domain.add_member(&request.device_id) {
-                return Err(RoapError::DomainFull);
-            }
-            Ok((*domain.key(), domain.generation(), domain.max_members()))
+        let (key, generation, max_members) = self.domains.with(&request.domain_id, |domain| {
+            let domain = admission(domain, &request.device_id)?;
+            Ok::<_, RoapError>((*domain.key(), domain.generation(), domain.max_members()))
         })?;
         let encrypted_domain_key = self
             .engine
-            .rsa_encrypt(device.certificate.public_key(), &key)
+            .rsa_encrypt(certificate.public_key(), &key)
             .expect("16-byte key is always below the modulus");
         let signed = JoinDomainResponse::signed_bytes(
             &request.device_id,
@@ -1122,13 +1283,22 @@ impl RiService {
             .engine
             .pss_sign(self.keys.private(), &signed)
             .expect("RI key large enough for PSS");
-        self.record(RiEvent::DomainJoined {
-            domain_id: request.domain_id.clone(),
-            device_id: request.device_id.clone(),
-            key,
-            generation,
-            max_members: max_members as u64,
-        });
+        {
+            let _ordered = self.ordered.lock().expect("ordered lock");
+            self.domains.update(&request.domain_id, |domain| {
+                let domain = domain.ok_or(RoapError::UnknownDomain)?;
+                admission(Some(&*domain), &request.device_id)?;
+                domain.admit(&request.device_id);
+                Ok::<_, RoapError>(())
+            })?;
+            self.record(RiEvent::DomainJoined {
+                domain_id: request.domain_id.clone(),
+                device_id: request.device_id.clone(),
+                key,
+                generation,
+                max_members: max_members as u64,
+            });
+        }
         Ok(JoinDomainResponse {
             device_id: request.device_id.clone(),
             ri_id: self.id.clone(),
@@ -1166,6 +1336,10 @@ impl RiService {
         self.session_state(device_id)
             .step(PduKind::LeaveDomainRequest)
             .map_err(DrmError::Roap)?;
+        // The decision and `apply`'s leave rule (`remove_member`) share one
+        // shard lock; the `ordered` lock keeps the record in table order
+        // relative to a join still finishing its RSA work.
+        let _ordered = self.ordered.lock().expect("ordered lock");
         self.domains.update(domain_id, |domain| {
             let domain = domain.ok_or(DrmError::Roap(RoapError::UnknownDomain))?;
             if domain.remove_member(device_id) {

@@ -1117,9 +1117,9 @@ pub fn run_fleet_durable<L: Wal + 'static>(
             // survives but the store. Recover and re-enter the wave — the
             // progress flags make devices that were answered pre-crash
             // skip it.
-            let (image, report) = store.load_with_report().map_err(DrmError::from)?;
+            let (recovered, report) = store.load_with_report().map_err(DrmError::from)?;
             events_replayed += report.events_applied;
-            service = RiService::from_image(image);
+            service = recovered;
             service.set_journal(Arc::clone(&store) as Arc<dyn RiJournal>);
             recoveries += 1;
             budget = u64::MAX;

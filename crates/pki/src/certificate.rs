@@ -6,6 +6,7 @@ use crate::{Timestamp, ValidityPeriod};
 use oma_crypto::pss::PssSignature;
 use oma_crypto::rsa::RsaPublicKey;
 use std::fmt;
+use std::sync::Arc;
 
 /// The role a certified entity plays in the OMA DRM 2 trust model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,63 +92,77 @@ impl TbsCertificate {
 }
 
 /// A certificate: a [`TbsCertificate`] plus the issuer's RSA-PSS signature
-/// over its canonical encoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Certificate {
+/// over its canonical encoding. Immutable once issued, so clones share one
+/// allocation: pinning a device's certificate, or copying it into a state
+/// image, costs a reference count rather than a copy of the key.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Certificate(Arc<CertificateParts>);
+
+#[derive(PartialEq, Eq)]
+struct CertificateParts {
     tbs: TbsCertificate,
     signature: PssSignature,
+}
+
+impl fmt::Debug for Certificate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Certificate")
+            .field("tbs", &self.0.tbs)
+            .field("signature", &self.0.signature)
+            .finish()
+    }
 }
 
 impl Certificate {
     /// Assembles a certificate from its parts (used by the CA).
     pub fn new(tbs: TbsCertificate, signature: PssSignature) -> Self {
-        Certificate { tbs, signature }
+        Certificate(Arc::new(CertificateParts { tbs, signature }))
     }
 
     /// The signed fields.
     pub fn tbs(&self) -> &TbsCertificate {
-        &self.tbs
+        &self.0.tbs
     }
 
     /// The issuer signature.
     pub fn signature(&self) -> &PssSignature {
-        &self.signature
+        &self.0.signature
     }
 
     /// Serial number.
     pub fn serial(&self) -> u64 {
-        self.tbs.serial
+        self.0.tbs.serial
     }
 
     /// Subject name.
     pub fn subject(&self) -> &str {
-        &self.tbs.subject
+        &self.0.tbs.subject
     }
 
     /// Issuer name.
     pub fn issuer(&self) -> &str {
-        &self.tbs.issuer
+        &self.0.tbs.issuer
     }
 
     /// Subject role.
     pub fn role(&self) -> EntityRole {
-        self.tbs.role
+        self.0.tbs.role
     }
 
     /// Subject public key.
     pub fn public_key(&self) -> &RsaPublicKey {
-        &self.tbs.public_key
+        &self.0.tbs.public_key
     }
 
     /// Validity window.
     pub fn validity(&self) -> ValidityPeriod {
-        self.tbs.validity
+        self.0.tbs.validity
     }
 
     /// Whether the certificate is valid at `at` (time window only; signature
     /// and revocation are checked by [`crate::verify`]).
     pub fn is_valid_at(&self, at: Timestamp) -> bool {
-        self.tbs.validity.contains(at)
+        self.0.tbs.validity.contains(at)
     }
 }
 

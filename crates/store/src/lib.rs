@@ -19,8 +19,8 @@
 //!
 //! The log backends ([`MemLog`] in memory, [`FileLog`] on disk) share one
 //! byte format, so the deterministic corruption corpus exercises exactly
-//! the bytes a production directory would hold. How eagerly appends reach
-//! the platter is the operator's call via [`FsyncPolicy`].
+//! the bytes a production directory would hold. Every append is synced
+//! before its handler returns ([`FsyncPolicy::Always`]).
 //!
 //! # Recover and serve
 //!
@@ -75,7 +75,7 @@ pub mod log;
 use codec::Record;
 pub use log::{FileLog, MemLog, Wal};
 use oma_drm::journal::{RiEvent, RiJournal, RiStateImage, StateSource};
-use oma_drm::DrmError;
+use oma_drm::{DrmError, RiService};
 use oma_obs::{Histogram, ObsConfig};
 use std::error::Error;
 use std::fmt;
@@ -126,20 +126,15 @@ impl From<StoreError> for DrmError {
 
 /// When appended records are forced onto durable media.
 ///
-/// The policy trades write latency against the amount of *acknowledged*
-/// work a power loss may undo: `Always` loses nothing, `EveryN(n)` at most
-/// the last `n - 1` acknowledged responses, `OnSnapshot` everything since
-/// the last explicit flush or snapshot. Recovery is identical under every
-/// policy — the log simply ends earlier.
+/// One policy today: every record is synced before the handler that
+/// recorded it returns, so a power loss never undoes an acknowledged
+/// response. Group commit (several handlers sharing one sync) is the
+/// planned second.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync after every record — the response a peer holds is always
     /// durable.
     Always,
-    /// fsync every `n` records (clamped to at least 1).
-    EveryN(u64),
-    /// fsync only on [`RiStore::flush`] and [`RiStore::snapshot`].
-    OnSnapshot,
 }
 
 /// Tuning knobs of a [`RiStore`].
@@ -177,7 +172,6 @@ pub struct RecoveryReport {
 
 struct Appender {
     next_sequence: u64,
-    unsynced: u64,
     segment_bytes: u64,
     fault: Option<StoreError>,
 }
@@ -277,7 +271,7 @@ impl<L: Wal> RiStore<L> {
         let mut last_sequence = snapshot_watermark.unwrap_or(0);
         for segment in log.segments()? {
             let bytes = log.read_segment(segment)?;
-            let scan = scan_segment(&bytes, &mut |record| {
+            let scan = scan_segment(&bytes, &mut |record, _| {
                 last_sequence = last_sequence.max(record.sequence);
             });
             if scan.error.is_some() {
@@ -301,7 +295,6 @@ impl<L: Wal> RiStore<L> {
             config,
             appender: Mutex::new(Appender {
                 next_sequence: last_sequence + 1,
-                unsynced: 0,
                 segment_bytes,
                 fault: None,
             }),
@@ -395,21 +388,14 @@ impl<L: Wal> RiStore<L> {
         appender.next_sequence += 1;
         appender.segment_bytes += framed.len() as u64;
         match self.config.fsync {
-            FsyncPolicy::Always => self.timed(|h| &h.fsync_nanos, || self.log.sync())?,
-            FsyncPolicy::EveryN(n) => {
-                appender.unsynced += 1;
-                if appender.unsynced >= n.max(1) {
-                    self.timed(|h| &h.fsync_nanos, || self.log.sync())?;
-                    appender.unsynced = 0;
-                }
-            }
-            FsyncPolicy::OnSnapshot => appender.unsynced += 1,
+            FsyncPolicy::Always => self.timed(|h| &h.fsync_nanos, || self.log.sync()),
         }
-        Ok(())
     }
 
-    /// Recovers the state: latest snapshot plus every surviving record, in
-    /// order, with the RNG checkpoint of the last surviving record.
+    /// Recovers the service: the latest snapshot through
+    /// [`RiService::from_image`], then every surviving record, in order,
+    /// through [`RiService::replay`] — which also leaves the random stream
+    /// at the checkpoint of the last surviving record.
     ///
     /// # Errors
     ///
@@ -418,46 +404,21 @@ impl<L: Wal> RiStore<L> {
     /// [`StoreError::Io`] when the backend cannot be read. A corrupt *log*
     /// tail is not an error — the report says where and why the scan
     /// stopped.
-    pub fn load_with_report(&self) -> Result<(RiStateImage, RecoveryReport), StoreError> {
+    pub fn load_with_report(&self) -> Result<(RiService, RecoveryReport), StoreError> {
         let snapshot = self.log.read_snapshot()?.ok_or(StoreError::NoGenesis)?;
-        let (mut image, watermark) = codec::decode_snapshot(&snapshot)?;
-        let mut report = RecoveryReport {
-            events_applied: 0,
-            last_sequence: watermark,
-            stopped_early: None,
-        };
-        'segments: for segment in self.log.segments()? {
-            let bytes = self.log.read_segment(segment)?;
-            let mut failed = None;
-            let scan = scan_segment(&bytes, &mut |record| {
-                if record.sequence <= report.last_sequence {
-                    // Covered by the snapshot (compaction may not have
-                    // caught up); skip.
-                    return;
-                }
-                if record.sequence != report.last_sequence + 1 {
-                    failed = Some(format!(
-                        "sequence gap: expected {}, found {}",
-                        report.last_sequence + 1,
-                        record.sequence
-                    ));
-                    return;
-                }
-                image.apply(&record.event);
-                image.rng_state = record.rng_after;
-                report.last_sequence = record.sequence;
-                report.events_applied += 1;
-            });
-            if let Some(gap) = failed {
-                report.stopped_early = Some(gap);
-                break 'segments;
-            }
-            if let Some(e) = scan.error {
-                report.stopped_early = Some(e.to_string());
-                break 'segments;
-            }
-        }
-        Ok((image, report))
+        let (image, watermark) = codec::decode_snapshot(&snapshot)?;
+        let service = RiService::from_image(image);
+        let (last_sequence, stopped_early) = self.walk_after(watermark, |record, _| {
+            service.replay(&record.event, record.rng_after);
+        })?;
+        Ok((
+            service,
+            RecoveryReport {
+                events_applied: last_sequence - watermark,
+                last_sequence,
+                stopped_early,
+            },
+        ))
     }
 
     /// Reads every valid record with a sequence number beyond `watermark`,
@@ -474,58 +435,53 @@ impl<L: Wal> RiStore<L> {
     /// [`StoreError::Io`] when the backend cannot be read. Corruption is
     /// *not* an error — the tail simply ends early.
     pub fn records_after(&self, watermark: u64) -> Result<RecordTail, StoreError> {
-        let mut tail = RecordTail {
-            frames: Vec::new(),
-            last_sequence: watermark,
-            stopped_early: None,
-        };
-        'segments: for segment in self.log.segments()? {
-            let bytes = self.log.read_segment(segment)?;
-            let Some(mut rest) = bytes.strip_prefix(&log::SEGMENT_HEADER[..]) else {
-                tail.stopped_early = Some(format!("segment {segment}: bad segment header"));
-                break;
-            };
-            while !rest.is_empty() {
-                let (record, consumed) = match codec::decode_record_prefix(rest) {
-                    Ok(frame) => frame,
-                    Err(e) => {
-                        tail.stopped_early = Some(e.to_string());
-                        break 'segments;
-                    }
-                };
-                if record.sequence > tail.last_sequence {
-                    if record.sequence != tail.last_sequence + 1 {
-                        tail.stopped_early = Some(format!(
-                            "sequence gap: expected {}, found {}",
-                            tail.last_sequence + 1,
-                            record.sequence
-                        ));
-                        break 'segments;
-                    }
-                    tail.frames.push(rest[..consumed].to_vec());
-                    tail.last_sequence = record.sequence;
-                }
-                rest = &rest[consumed..];
-            }
-        }
-        Ok(tail)
+        let mut frames = Vec::new();
+        let (last_sequence, stopped_early) =
+            self.walk_after(watermark, |_, frame| frames.push(frame.to_vec()))?;
+        Ok(RecordTail {
+            frames,
+            last_sequence,
+            stopped_early,
+        })
     }
 
-    /// Streams the valid prefix of one segment — header plus every record
-    /// that passes CRC, with any torn tail already cut off. `None` for a
-    /// segment index the log no longer holds (compacted away or never
-    /// written).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the backend cannot be read.
-    pub fn segment_bytes(&self, segment: u64) -> Result<Option<Vec<u8>>, StoreError> {
-        if !self.log.segments()?.contains(&segment) {
-            return Ok(None);
+    /// The one walk over the durable history: hands every valid record with
+    /// a sequence number beyond `watermark` to `visit`, in sequence order,
+    /// together with its verbatim frame. Returns the last sequence visited
+    /// (`watermark` when none) and why the walk stopped before the physical
+    /// end of the log, if it did — a bad segment header, a torn tail, a CRC
+    /// mismatch or a sequence gap. Records at or below the watermark are
+    /// covered by the snapshot (compaction may not have caught up) and are
+    /// skipped.
+    fn walk_after(
+        &self,
+        watermark: u64,
+        mut visit: impl FnMut(&Record, &[u8]),
+    ) -> Result<(u64, Option<String>), StoreError> {
+        let mut last = watermark;
+        for segment in self.log.segments()? {
+            let bytes = self.log.read_segment(segment)?;
+            let mut gap = None;
+            let scan = scan_segment(&bytes, &mut |record, frame| {
+                if gap.is_some() || record.sequence <= last {
+                    return;
+                }
+                if record.sequence != last + 1 {
+                    gap = Some(format!(
+                        "sequence gap: expected {}, found {}",
+                        last + 1,
+                        record.sequence
+                    ));
+                    return;
+                }
+                visit(record, frame);
+                last = record.sequence;
+            });
+            if let Some(reason) = gap.or_else(|| scan.error.map(|e| e.to_string())) {
+                return Ok((last, Some(reason)));
+            }
         }
-        let bytes = self.log.read_segment(segment)?;
-        let scan = scan_segment(&bytes, &mut |_| {});
-        Ok(Some(bytes[..scan.valid_len].to_vec()))
+        Ok((last, None))
     }
 
     /// The raw snapshot blob and the sequence watermark it covers, for
@@ -556,10 +512,11 @@ struct SegmentScan {
     error: Option<StoreError>,
 }
 
-/// Iterates the records of one segment, calling `f` for each, and reports
-/// how far the valid prefix reaches — the caller decides whether to stop
-/// (recovery) or amputate the garbage (reopen).
-fn scan_segment(bytes: &[u8], f: &mut impl FnMut(&Record)) -> SegmentScan {
+/// Iterates the records of one segment, calling `f` for each (with its
+/// verbatim frame), and reports how far the valid prefix reaches — the
+/// caller decides whether to stop (recovery, shipping) or amputate the
+/// garbage (reopen).
+fn scan_segment(bytes: &[u8], f: &mut impl FnMut(&Record, &[u8])) -> SegmentScan {
     let Some(mut rest) = bytes.strip_prefix(&log::SEGMENT_HEADER[..]) else {
         return SegmentScan {
             valid_len: 0,
@@ -570,7 +527,7 @@ fn scan_segment(bytes: &[u8], f: &mut impl FnMut(&Record)) -> SegmentScan {
     while !rest.is_empty() {
         match codec::decode_record_prefix(rest) {
             Ok((record, consumed)) => {
-                f(&record);
+                f(&record, &rest[..consumed]);
                 rest = &rest[consumed..];
                 valid_len += consumed;
             }
@@ -615,7 +572,6 @@ impl<L: Wal> RiJournal for RiStore<L> {
             appender.fault = Some(e.clone());
             return Err(e.into());
         }
-        appender.unsynced = 0;
         Ok(())
     }
 
@@ -658,7 +614,6 @@ impl<L: Wal> RiStore<L> {
         // The WAL must be durable up to the coverage watermark before the
         // snapshot claims to cover it.
         self.log.sync()?;
-        appender.unsynced = 0;
         let last_sequence = appender.next_sequence - 1;
         let blob = codec::encode_snapshot(&image, last_sequence);
         self.log.write_snapshot(&blob)?;
@@ -672,9 +627,9 @@ impl<L: Wal> RiStore<L> {
 }
 
 impl<L: Wal> StateSource for RiStore<L> {
-    fn load_state(&self) -> Result<RiStateImage, DrmError> {
+    fn load_service(&self) -> Result<RiService, DrmError> {
         self.load_with_report()
-            .map(|(image, _)| image)
+            .map(|(service, _)| service)
             .map_err(DrmError::from)
     }
 }
@@ -752,7 +707,10 @@ mod tests {
     #[test]
     fn no_genesis_is_an_explicit_error() {
         let store = RiStore::in_memory();
-        assert_eq!(store.load_with_report(), Err(StoreError::NoGenesis));
+        assert!(matches!(
+            store.load_with_report(),
+            Err(StoreError::NoGenesis)
+        ));
     }
 
     #[test]
@@ -765,10 +723,10 @@ mod tests {
                 Timestamp::new(i as u64),
             );
         }
-        let (image, report) = store.load_with_report().unwrap();
+        let (replayed, report) = store.load_with_report().unwrap();
         assert_eq!(report.events_applied, 6);
         assert_eq!(report.stopped_early, None);
-        assert_eq!(image, service.state_image());
+        assert_eq!(replayed.state_image(), service.state_image());
         let recovered = RiService::recover(&*store).unwrap();
         assert!(recovered.has_domain(&DomainId::new("family")));
         assert_eq!(recovered.pending_session_count(), 5);
@@ -780,23 +738,22 @@ mod tests {
         for i in 0..3 {
             service.hello_at(&DeviceHello::new(&format!("dev-{i}")), Timestamp::new(0));
         }
-        let clean = store.load_with_report().unwrap();
-        assert_eq!(clean.1.events_applied, 3);
+        let (clean, report) = store.load_with_report().unwrap();
+        assert_eq!(report.events_applied, 3);
         // Power fails mid-write of the last record.
         store.log().truncate_tail(5);
-        let (image, report) = store.load_with_report().unwrap();
+        let (torn, report) = store.load_with_report().unwrap();
         assert_eq!(report.events_applied, 2);
         assert!(report.stopped_early.is_some());
-        assert_eq!(image.sessions.len(), 2);
+        assert_eq!(torn.pending_session_count(), 2);
         // The RNG checkpoint is the one of the last *surviving* record: a
         // service recovered from the torn log re-issues dev-2's nonce
         // byte-identically.
         let recovered = RiService::recover(&*store).unwrap();
         let replayed = recovered.hello_at(&DeviceHello::new("dev-2"), Timestamp::new(0));
-        let (original, _) = clean;
         assert_eq!(
             replayed.ri_nonce,
-            original.sessions.last().unwrap().ri_nonce,
+            clean.state_image().sessions.last().unwrap().ri_nonce,
             "post-recovery draws must match the uninterrupted stream"
         );
     }
@@ -860,10 +817,14 @@ mod tests {
         recovered.hello_at(&DeviceHello::new("post-reopen"), Timestamp::new(1));
         drop(recovered); // ...crash #2: no flush, no snapshot.
 
-        let (image, report) = reopened.load_with_report().unwrap();
+        let (recovered, report) = reopened.load_with_report().unwrap();
         assert_eq!(report.stopped_early, None);
         assert!(
-            image.sessions.iter().any(|s| s.device_id == "post-reopen"),
+            recovered
+                .state_image()
+                .sessions
+                .iter()
+                .any(|s| s.device_id == "post-reopen"),
             "acknowledged post-reopen state must survive the second crash"
         );
     }
@@ -879,15 +840,15 @@ mod tests {
             store.log().segments().unwrap().len() > 1,
             "tiny segments must have rotated"
         );
-        let (image, report) = store.load_with_report().unwrap();
+        let (recovered, report) = store.load_with_report().unwrap();
         assert_eq!(report.events_applied, 40);
-        assert_eq!(image.sessions.len(), 40);
+        assert_eq!(recovered.pending_session_count(), 40);
         // Snapshot: one fresh segment survives, replay needs no events.
         store.snapshot(&|| service.state_image()).unwrap();
         assert_eq!(store.log().segments().unwrap().len(), 1);
-        let (image, report) = store.load_with_report().unwrap();
+        let (recovered, report) = store.load_with_report().unwrap();
         assert_eq!(report.events_applied, 0);
-        assert_eq!(image, service.state_image());
+        assert_eq!(recovered.state_image(), service.state_image());
     }
 
     fn world_with_small_segments() -> (
@@ -905,31 +866,6 @@ mod tests {
         service.set_journal(Arc::clone(&store) as Arc<dyn RiJournal>);
         store.snapshot(&|| service.state_image()).unwrap();
         (ca, service, store, rng)
-    }
-
-    #[test]
-    fn every_n_policy_counts_appends() {
-        let store = RiStore::in_memory_with(StoreConfig {
-            fsync: FsyncPolicy::EveryN(3),
-            ..StoreConfig::default()
-        });
-        for i in 0..7 {
-            store.record(
-                &RiEvent::RoIssued {
-                    scope: "dev:a".into(),
-                    sequence: i,
-                },
-                &|| [0; 32],
-            );
-        }
-        assert_eq!(
-            store.appender.lock().unwrap().unsynced,
-            1,
-            "6 of 7 appends were synced in groups of 3"
-        );
-        store.flush().unwrap();
-        assert_eq!(store.appender.lock().unwrap().unsynced, 0);
-        assert!(store.fault().is_none());
     }
 
     #[test]
@@ -1021,26 +957,6 @@ mod tests {
         let tail = store.records_after(0).unwrap();
         assert_eq!(tail.frames.len(), 2);
         assert!(tail.stopped_early.is_some());
-    }
-
-    #[test]
-    fn segment_bytes_streams_the_valid_prefix_only() {
-        let (_ca, service, store, _rng) = durable_world();
-        for i in 0..3 {
-            service.hello_at(&DeviceHello::new(&format!("dev-{i}")), Timestamp::new(0));
-        }
-        let segment = store.log().current_segment();
-        let clean = store.segment_bytes(segment).unwrap().unwrap();
-        assert_eq!(
-            clean,
-            store.log().read_segment(segment).unwrap(),
-            "a clean segment streams whole"
-        );
-        store.log().truncate_tail(5);
-        let torn = store.segment_bytes(segment).unwrap().unwrap();
-        assert!(torn.len() < clean.len(), "the torn tail is cut off");
-        assert!(clean.starts_with(&torn));
-        assert_eq!(store.segment_bytes(segment + 17).unwrap(), None);
     }
 
     #[test]

@@ -115,6 +115,56 @@ pub trait Wal: Send + Sync {
     fn read_snapshot(&self) -> Result<Option<Vec<u8>>, StoreError>;
 }
 
+/// A borrowed backend is a backend: a caller that must keep owning its log
+/// (a replication follower) can still open a short-lived
+/// [`RiStore`](crate::RiStore) over it and recover through the one
+/// snapshot-plus-records path.
+impl<W: Wal + ?Sized> Wal for &W {
+    fn append(&self, bytes: &[u8]) -> Result<(), StoreError> {
+        (**self).append(bytes)
+    }
+
+    fn sync(&self) -> Result<(), StoreError> {
+        (**self).sync()
+    }
+
+    fn current_segment(&self) -> u64 {
+        (**self).current_segment()
+    }
+
+    fn segment_len(&self) -> Result<u64, StoreError> {
+        (**self).segment_len()
+    }
+
+    fn rotate(&self) -> Result<u64, StoreError> {
+        (**self).rotate()
+    }
+
+    fn truncate_segment(&self, index: u64, len: u64) -> Result<(), StoreError> {
+        (**self).truncate_segment(index, len)
+    }
+
+    fn segments(&self) -> Result<Vec<u64>, StoreError> {
+        (**self).segments()
+    }
+
+    fn read_segment(&self, index: u64) -> Result<Vec<u8>, StoreError> {
+        (**self).read_segment(index)
+    }
+
+    fn remove_segments_before(&self, index: u64) -> Result<(), StoreError> {
+        (**self).remove_segments_before(index)
+    }
+
+    fn write_snapshot(&self, bytes: &[u8]) -> Result<(), StoreError> {
+        (**self).write_snapshot(bytes)
+    }
+
+    fn read_snapshot(&self) -> Result<Option<Vec<u8>>, StoreError> {
+        (**self).read_snapshot()
+    }
+}
+
 // ----- in-memory backend -----------------------------------------------------
 
 #[derive(Debug, Default)]

@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("primary metrics: {}", metrics.snapshot());
     assert_eq!(
         follower.state_image().unwrap(),
-        &service.state_image(),
+        service.state_image(),
         "caught-up follower holds byte-identical state"
     );
 

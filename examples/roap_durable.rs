@@ -80,7 +80,7 @@ fn main() -> Result<(), DrmError> {
     // ---- boot #3: WAL replay resurrects everything -----------------------
     println!("boot #3: recover from snapshot + WAL replay");
     let store = Arc::new(RiStore::open_dir(&dir, StoreConfig::default()).map_err(DrmError::from)?);
-    let (image, report) = store.load_with_report().map_err(DrmError::from)?;
+    let (service, report) = store.load_with_report().map_err(DrmError::from)?;
     println!(
         "   replayed {} journal events on top of the snapshot",
         report.events_applied
@@ -89,7 +89,7 @@ fn main() -> Result<(), DrmError> {
         report.events_applied > 0,
         "bob's registration lives only in the WAL"
     );
-    let service = Arc::new(RiService::from_image(image));
+    let service = Arc::new(service);
     assert!(service.is_registered("alice-phone"));
     assert!(
         service.is_registered("bob-player"),

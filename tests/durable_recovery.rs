@@ -97,8 +97,8 @@ fn crash_spans_real_disk_bytes() {
     // The directory holds a post-run snapshot: a fresh store over the same
     // files recovers the full final state without replaying anything.
     let reopened = RiStore::open_dir(&dir, StoreConfig::default()).expect("reopen store");
-    let (image, report) = reopened.load_with_report().expect("recover from disk");
+    let (recovered, report) = reopened.load_with_report().expect("recover from disk");
     assert_eq!(report.events_applied, 0, "final snapshot covers everything");
-    assert_eq!(image, killed.final_state);
+    assert_eq!(recovered.state_image(), killed.final_state);
     std::fs::remove_dir_all(&dir).ok();
 }
