@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use oma_bench::{Experiment, FIGURE6_PAPER_MS};
-use oma_drm::{ContentIssuer, DrmAgent, Permission, RightsIssuer, RightsTemplate};
+use oma_drm::{ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate, RoapClient};
 use oma_perf::usecase::UseCaseSpec;
 use oma_pki::{CertificationAuthority, Timestamp};
 use rand::rngs::StdRng;
@@ -49,7 +49,7 @@ fn protocol(c: &mut Criterion) {
     const TRACK_LEN: usize = 256 * 1024;
     let mut rng = StdRng::seed_from_u64(0xf166);
     let mut ca = CertificationAuthority::new("cmla", 1024, &mut rng);
-    let mut ri = RightsIssuer::new("ri.example.com", 1024, &mut ca, &mut rng);
+    let ri = RiService::new("ri.example.com", 1024, &mut ca, &mut rng);
     let ci = ContentIssuer::new("ci.example.com");
     let mut agent = DrmAgent::new("bench-terminal", 1024, &mut ca, &mut rng);
     let content = vec![0xddu8; TRACK_LEN];
@@ -61,11 +61,10 @@ fn protocol(c: &mut Criterion) {
         RightsTemplate::unlimited(Permission::Play),
     );
     let now = Timestamp::new(1_000);
-    agent
-        .register_with(ri.service(), now)
-        .expect("registration");
+    let client = RoapClient::in_proc(&ri);
+    agent.register(&client, now).expect("registration");
     let response = agent
-        .acquire_rights_with(ri.service(), "cid:track", now)
+        .acquire_rights(&client, ri.id(), "cid:track", now)
         .expect("acquisition");
     let ro_id = agent.install_rights(&response, now).expect("installation");
 

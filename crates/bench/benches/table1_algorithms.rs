@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use oma_crypto::backend::SoftwareBackend;
 use oma_crypto::rsa::RsaKeyPair;
 use oma_crypto::{cbc, hmac, keywrap, pss, sha1};
-use oma_drm::{ContentIssuer, DrmAgent, Permission, RightsIssuer, RightsTemplate};
+use oma_drm::{ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate, RoapClient};
 use oma_perf::cost::CostTable;
 use oma_perf::runner::synthetic_content;
 use oma_perf::Architecture;
@@ -99,7 +99,7 @@ fn music_track_bulk(c: &mut Criterion) {
     const CONTENT_ID: &str = "cid:track@bench";
     let mut rng = StdRng::seed_from_u64(0x7ab1);
     let mut ca = CertificationAuthority::new("bench-ca", 512, &mut rng);
-    let mut ri = RightsIssuer::new("bench-ri", 512, &mut ca, &mut rng);
+    let ri = RiService::new("bench-ri", 512, &mut ca, &mut rng);
     let mut agent = DrmAgent::new("bench-device", 512, &mut ca, &mut rng);
     let (dcf, cek) = ContentIssuer::new("bench-ci").package(&track, CONTENT_ID, &mut rng);
     ri.add_content(
@@ -109,9 +109,10 @@ fn music_track_bulk(c: &mut Criterion) {
         RightsTemplate::unlimited(Permission::Play),
     );
     let now = Timestamp::new(1_000);
-    agent.register_with(ri.service(), now).expect("registers");
+    let client = RoapClient::in_proc(&ri);
+    agent.register(&client, now).expect("registers");
     let response = agent
-        .acquire_rights_with(ri.service(), CONTENT_ID, now)
+        .acquire_rights(&client, ri.id(), CONTENT_ID, now)
         .expect("acquires");
     let ro_id = agent.install_rights(&response, now).expect("installs");
     group.bench_function("drm_agent_consume_3_5m", |b| {

@@ -16,7 +16,6 @@ use crate::roap::{
     DeviceHello, JoinDomainRequest, JoinDomainResponse, RegistrationRequest, RegistrationResponse,
     RiHello, RoRequest, RoResponse, RoapError, NONCE_LEN,
 };
-use crate::service::RiService;
 use crate::session::{AgentEvent, AgentSessionState};
 use crate::storage::{DeviceStorage, InstalledRightsObject};
 use oma_crypto::backend::{CryptoBackend, SoftwareBackend};
@@ -156,9 +155,10 @@ impl DrmAgent {
     /// The typed session-machine state of the relationship with `ri_id`:
     /// [`AgentSessionState::Registered`] once an RI Context is pinned,
     /// [`AgentSessionState::Idle`] otherwise. The in-flight exchange states
-    /// (`HelloSent`, `ChallengeReceived`, ...) are scoped to one driver run
-    /// — [`DrmAgent::register_via`] and friends step the machine through
-    /// them and only the `Registered` outcome persists, as the RI Context.
+    /// (`HelloSent`, `ChallengeReceived`, ...) are scoped to one protocol
+    /// call — [`DrmAgent::register`] and [`DrmAgent::acquire_rights`] step
+    /// the machine through them and only the `Registered` outcome persists,
+    /// as the RI Context.
     pub fn session_state(&self, ri_id: &str) -> AgentSessionState {
         if self.ri_contexts.contains_key(ri_id) {
             AgentSessionState::Registered
@@ -201,22 +201,10 @@ impl DrmAgent {
 
     // ----- phase 1: registration -------------------------------------------------
 
-    /// Runs the 4-pass ROAP registration protocol (paper §2.4.1) against a
-    /// shared [`RiService`], establishing an RI Context — the form the
-    /// device fleet harness uses, where many agents on many threads register
-    /// with one service instance. Equivalent to [`DrmAgent::register_via`]
-    /// over an in-process transport.
-    ///
-    /// # Errors
-    ///
-    /// See [`DrmAgent::register_via`].
-    pub fn register_with(&mut self, ri: &RiService, now: Timestamp) -> Result<(), DrmError> {
-        self.register_via(&RoapClient::in_proc(ri), now)
-    }
-
-    /// Runs the 4-pass registration protocol over a [`RoapClient`] — every
-    /// message crosses the client's transport as encoded PDU frames, whether
-    /// that transport is an in-process call or a byte channel.
+    /// Runs the 4-pass ROAP registration protocol (paper §2.4.1) over a
+    /// [`RoapClient`], establishing an RI Context. Every message crosses the
+    /// client's transport as encoded PDU frames; an agent in the same
+    /// process as its Rights Issuer passes `&RoapClient::in_proc(&service)`.
     ///
     /// # Errors
     ///
@@ -224,7 +212,7 @@ impl DrmAgent {
     /// [`DrmError::Pki`] when the Rights Issuer certificate or its OCSP
     /// response does not verify, and [`DrmError::Transport`] when the
     /// transport fails.
-    pub fn register_via<T: RoapTransport>(
+    pub fn register<T: RoapTransport>(
         &mut self,
         client: &RoapClient<T>,
         now: Timestamp,
@@ -350,23 +338,9 @@ impl DrmAgent {
 
     // ----- phase 2: acquisition ----------------------------------------------------
 
-    /// Acquires a Device Rights Object for `content_id` (paper §2.4.2)
-    /// against a shared [`RiService`].
-    ///
-    /// # Errors
-    ///
-    /// See [`DrmAgent::acquire_rights_via`].
-    pub fn acquire_rights_with(
-        &mut self,
-        ri: &RiService,
-        content_id: &str,
-        now: Timestamp,
-    ) -> Result<RoResponse, DrmError> {
-        self.acquire_rights_via(&RoapClient::in_proc(ri), ri.id(), content_id, now)
-    }
-
-    /// Device-RO acquisition over a [`RoapClient`]. `ri_id` names the Rights
-    /// Issuer (known from the registration that established the RI Context).
+    /// Acquires a Device Rights Object for `content_id` (paper §2.4.2) over
+    /// a [`RoapClient`]. `ri_id` names the Rights Issuer (known from the
+    /// registration that established the RI Context).
     ///
     /// # Errors
     ///
@@ -374,7 +348,7 @@ impl DrmAgent {
     /// [`DrmError::Roap`] when the Rights Issuer rejects the request or its
     /// response does not verify, and [`DrmError::Transport`] when the
     /// transport fails.
-    pub fn acquire_rights_via<T: RoapTransport>(
+    pub fn acquire_rights<T: RoapTransport>(
         &mut self,
         client: &RoapClient<T>,
         ri_id: &str,
@@ -401,35 +375,14 @@ impl DrmAgent {
     }
 
     /// Acquires a Domain Rights Object for `content_id` targeting
-    /// `domain_id` against a shared [`RiService`]. The device must have
-    /// joined the domain first.
+    /// `domain_id` over a [`RoapClient`]. The device must have joined the
+    /// domain first.
     ///
     /// # Errors
     ///
-    /// See [`DrmAgent::acquire_domain_rights_via`].
-    pub fn acquire_domain_rights_with(
-        &mut self,
-        ri: &RiService,
-        content_id: &str,
-        domain_id: &DomainId,
-        now: Timestamp,
-    ) -> Result<RoResponse, DrmError> {
-        self.acquire_domain_rights_via(
-            &RoapClient::in_proc(ri),
-            ri.id(),
-            content_id,
-            domain_id,
-            now,
-        )
-    }
-
-    /// Domain-RO acquisition over a [`RoapClient`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DrmAgent::acquire_rights_via`], plus
+    /// Same as [`DrmAgent::acquire_rights`], plus
     /// [`DrmError::NotInDomain`] when the device has not joined `domain_id`.
-    pub fn acquire_domain_rights_via<T: RoapTransport>(
+    pub fn acquire_domain_rights<T: RoapTransport>(
         &mut self,
         client: &RoapClient<T>,
         ri_id: &str,
@@ -441,7 +394,7 @@ impl DrmAgent {
             return Err(DrmError::NotInDomain);
         }
         // Machine step: same registered-state gate as
-        // [`DrmAgent::acquire_rights_via`].
+        // [`DrmAgent::acquire_rights`].
         let state = self
             .session_state(ri_id)
             .step(AgentEvent::SendRoRequest)
@@ -461,7 +414,7 @@ impl DrmAgent {
     /// Builds a signed `RORequest` without sending it — the sans-io form
     /// batching drivers use. Device-RO when `domain_id` is `None`, Domain-RO
     /// otherwise (the caller is responsible for the membership check that
-    /// [`DrmAgent::acquire_domain_rights_via`] performs).
+    /// [`DrmAgent::acquire_domain_rights`] performs).
     ///
     /// # Errors
     ///
@@ -722,22 +675,8 @@ impl DrmAgent {
 
     // ----- domains ----------------------------------------------------------------------
 
-    /// Joins a domain operated by a shared [`RiService`], obtaining and
-    /// storing the shared domain key.
-    ///
-    /// # Errors
-    ///
-    /// See [`DrmAgent::join_domain_via`].
-    pub fn join_domain_with(
-        &mut self,
-        ri: &RiService,
-        domain_id: &DomainId,
-        now: Timestamp,
-    ) -> Result<(), DrmError> {
-        self.join_domain_via(&RoapClient::in_proc(ri), ri.id(), domain_id, now)
-    }
-
-    /// Domain join over a [`RoapClient`].
+    /// Joins a domain over a [`RoapClient`], obtaining and storing the
+    /// shared domain key.
     ///
     /// # Errors
     ///
@@ -745,7 +684,7 @@ impl DrmAgent {
     /// [`DrmError::Roap`] when the Rights Issuer rejects the join or its
     /// response does not verify, and [`DrmError::Transport`] when the
     /// transport fails.
-    pub fn join_domain_via<T: RoapTransport>(
+    pub fn join_domain<T: RoapTransport>(
         &mut self,
         client: &RoapClient<T>,
         ri_id: &str,
@@ -851,21 +790,8 @@ impl DrmAgent {
         Ok(())
     }
 
-    /// Leaves a domain operated by a shared [`RiService`]: forgets the
-    /// domain key locally and notifies the Rights Issuer.
-    ///
-    /// # Errors
-    ///
-    /// See [`DrmAgent::leave_domain_via`].
-    pub fn leave_domain_with(
-        &mut self,
-        ri: &RiService,
-        domain_id: &DomainId,
-    ) -> Result<(), DrmError> {
-        self.leave_domain_via(&RoapClient::in_proc(ri), domain_id)
-    }
-
-    /// Domain leave over a [`RoapClient`]. The local domain key is removed
+    /// Leaves a domain: forgets the domain key locally and notifies the
+    /// Rights Issuer over a [`RoapClient`]. The local domain key is removed
     /// even when the Rights Issuer reports a failure.
     ///
     /// # Errors
@@ -875,7 +801,7 @@ impl DrmAgent {
     /// or [`DrmError::NotInDomain`] when the device was not a member — and
     /// [`DrmError::Transport`] when the transport fails. The local domain
     /// key is removed in every case.
-    pub fn leave_domain_via<T: RoapTransport>(
+    pub fn leave_domain<T: RoapTransport>(
         &mut self,
         client: &RoapClient<T>,
         domain_id: &DomainId,
@@ -889,14 +815,14 @@ impl DrmAgent {
 mod tests {
     use super::*;
     use crate::rel::RightsTemplate;
-    use crate::ri::RightsIssuer;
+    use crate::service::RiService;
     use crate::ContentIssuer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     struct World {
         ca: CertificationAuthority,
-        ri: RightsIssuer,
+        ri: RiService,
         agent: DrmAgent,
         dcf: Dcf,
     }
@@ -904,7 +830,7 @@ mod tests {
     fn world(template: RightsTemplate) -> World {
         let mut rng = StdRng::seed_from_u64(0x0acace);
         let mut ca = CertificationAuthority::new("cmla", 512, &mut rng);
-        let mut ri = RightsIssuer::new("ri.example.com", 512, &mut ca, &mut rng);
+        let ri = RiService::new("ri.example.com", 512, &mut ca, &mut rng);
         let agent = DrmAgent::new("phone-001", 512, &mut ca, &mut rng);
         let ci = ContentIssuer::new("ci.example.com");
         let (dcf, cek) = ci.package(b"some protected audio content", "cid:track", &mut rng);
@@ -915,9 +841,10 @@ mod tests {
     #[test]
     fn full_lifecycle_device_ro() {
         let mut w = world(RightsTemplate::unlimited(Permission::Play));
+        let client = RoapClient::in_proc(&w.ri);
         let now = Timestamp::new(1_000);
         assert!(!w.agent.is_registered_with("ri.example.com"));
-        w.agent.register_with(w.ri.service(), now).unwrap();
+        w.agent.register(&client, now).unwrap();
         assert!(w.agent.is_registered_with("ri.example.com"));
         assert!(w.ri.is_registered("phone-001"));
         assert_eq!(
@@ -927,7 +854,7 @@ mod tests {
 
         let response = w
             .agent
-            .acquire_rights_with(w.ri.service(), "cid:track", now)
+            .acquire_rights(&client, w.ri.id(), "cid:track", now)
             .unwrap();
         let ro_id = w.agent.install_rights(&response, now).unwrap();
         assert_eq!(w.agent.installed_rights(), vec![ro_id.clone()]);
@@ -951,7 +878,7 @@ mod tests {
         let now = Timestamp::new(1_000);
         assert_eq!(
             w.agent
-                .acquire_rights_with(w.ri.service(), "cid:track", now),
+                .acquire_rights(&RoapClient::in_proc(&w.ri), w.ri.id(), "cid:track", now),
             Err(DrmError::NotRegistered)
         );
     }
@@ -959,11 +886,11 @@ mod tests {
     #[test]
     fn unknown_content_rejected_by_ri() {
         let mut w = world(RightsTemplate::unlimited(Permission::Play));
+        let client = RoapClient::in_proc(&w.ri);
         let now = Timestamp::new(1_000);
-        w.agent.register_with(w.ri.service(), now).unwrap();
+        w.agent.register(&client, now).unwrap();
         assert_eq!(
-            w.agent
-                .acquire_rights_with(w.ri.service(), "cid:other", now),
+            w.agent.acquire_rights(&client, w.ri.id(), "cid:other", now),
             Err(DrmError::Roap(RoapError::UnknownRightsObject))
         );
     }
@@ -971,11 +898,12 @@ mod tests {
     #[test]
     fn count_constraint_enforced_across_consumptions() {
         let mut w = world(RightsTemplate::counted(Permission::Play, 2));
+        let client = RoapClient::in_proc(&w.ri);
         let now = Timestamp::new(1_000);
-        w.agent.register_with(w.ri.service(), now).unwrap();
+        w.agent.register(&client, now).unwrap();
         let response = w
             .agent
-            .acquire_rights_with(w.ri.service(), "cid:track", now)
+            .acquire_rights(&client, w.ri.id(), "cid:track", now)
             .unwrap();
         let ro_id = w.agent.install_rights(&response, now).unwrap();
         assert_eq!(
@@ -1001,11 +929,12 @@ mod tests {
     #[test]
     fn wrong_permission_rejected() {
         let mut w = world(RightsTemplate::unlimited(Permission::Play));
+        let client = RoapClient::in_proc(&w.ri);
         let now = Timestamp::new(1_000);
-        w.agent.register_with(w.ri.service(), now).unwrap();
+        w.agent.register(&client, now).unwrap();
         let response = w
             .agent
-            .acquire_rights_with(w.ri.service(), "cid:track", now)
+            .acquire_rights(&client, w.ri.id(), "cid:track", now)
             .unwrap();
         let ro_id = w.agent.install_rights(&response, now).unwrap();
         assert_eq!(
@@ -1017,11 +946,12 @@ mod tests {
     #[test]
     fn tampered_dcf_detected() {
         let mut w = world(RightsTemplate::unlimited(Permission::Play));
+        let client = RoapClient::in_proc(&w.ri);
         let now = Timestamp::new(1_000);
-        w.agent.register_with(w.ri.service(), now).unwrap();
+        w.agent.register(&client, now).unwrap();
         let response = w
             .agent
-            .acquire_rights_with(w.ri.service(), "cid:track", now)
+            .acquire_rights(&client, w.ri.id(), "cid:track", now)
             .unwrap();
         let ro_id = w.agent.install_rights(&response, now).unwrap();
         let tampered = w.dcf.tampered();
@@ -1034,11 +964,12 @@ mod tests {
     #[test]
     fn tampered_rights_object_detected_at_install() {
         let mut w = world(RightsTemplate::unlimited(Permission::Play));
+        let client = RoapClient::in_proc(&w.ri);
         let now = Timestamp::new(1_000);
-        w.agent.register_with(w.ri.service(), now).unwrap();
+        w.agent.register(&client, now).unwrap();
         let mut response = w
             .agent
-            .acquire_rights_with(w.ri.service(), "cid:track", now)
+            .acquire_rights(&client, w.ri.id(), "cid:track", now)
             .unwrap();
         // Flip a MAC bit.
         response.rights_object.mac[0] ^= 1;
@@ -1052,15 +983,16 @@ mod tests {
     #[test]
     fn rights_object_for_other_device_cannot_be_installed() {
         let mut w = world(RightsTemplate::unlimited(Permission::Play));
+        let client = RoapClient::in_proc(&w.ri);
         let now = Timestamp::new(1_000);
         let mut rng = StdRng::seed_from_u64(77);
         let mut other = DrmAgent::new("phone-002", 512, &mut w.ca, &mut rng);
-        w.agent.register_with(w.ri.service(), now).unwrap();
-        other.register_with(w.ri.service(), now).unwrap();
+        w.agent.register(&client, now).unwrap();
+        other.register(&client, now).unwrap();
         // The RO is addressed to `agent`, not `other`.
         let response = w
             .agent
-            .acquire_rights_with(w.ri.service(), "cid:track", now)
+            .acquire_rights(&client, w.ri.id(), "cid:track", now)
             .unwrap();
         let result = other.install_protected_ro(&response.rights_object, "ri.example.com", now);
         assert!(result.is_err(), "foreign device must not unwrap the keys");
@@ -1072,7 +1004,10 @@ mod tests {
         let now = Timestamp::new(1_000);
         w.ca.revoke(w.ri.certificate().serial());
         w.ri.refresh_ocsp(&w.ca, now);
-        let err = w.agent.register_with(w.ri.service(), now).unwrap_err();
+        let err = w
+            .agent
+            .register(&RoapClient::in_proc(&w.ri), now)
+            .unwrap_err();
         assert_eq!(err, DrmError::Pki(oma_pki::PkiError::CertificateRevoked));
         assert!(!w.agent.is_registered_with("ri.example.com"));
     }
@@ -1080,33 +1015,32 @@ mod tests {
     #[test]
     fn stale_ocsp_requires_refresh() {
         let mut w = world(RightsTemplate::unlimited(Permission::Play));
+        let client = RoapClient::in_proc(&w.ri);
         // The RI fetched its OCSP response at t=0; far in the future it is stale.
         let far_future = Timestamp::new(OCSP_MAX_AGE_SECONDS + 10_000);
-        let err = w
-            .agent
-            .register_with(w.ri.service(), far_future)
-            .unwrap_err();
+        let err = w.agent.register(&client, far_future).unwrap_err();
         assert_eq!(err, DrmError::Pki(oma_pki::PkiError::OcspResponseStale));
         w.ri.refresh_ocsp(&w.ca, far_future);
-        assert!(w.agent.register_with(w.ri.service(), far_future).is_ok());
+        assert!(w.agent.register(&client, far_future).is_ok());
     }
 
     #[test]
     fn domain_lifecycle_share_license_between_devices() {
         let mut w = world(RightsTemplate::unlimited(Permission::Play));
+        let client = RoapClient::in_proc(&w.ri);
         let now = Timestamp::new(1_000);
         let mut rng = StdRng::seed_from_u64(88);
         let mut player = DrmAgent::new("mp3-player", 512, &mut w.ca, &mut rng);
 
-        w.agent.register_with(w.ri.service(), now).unwrap();
-        player.register_with(w.ri.service(), now).unwrap();
+        w.agent.register(&client, now).unwrap();
+        player.register(&client, now).unwrap();
 
         let domain = w.ri.create_domain("family", 4);
         w.agent
-            .join_domain_with(w.ri.service(), &domain, now)
+            .join_domain(&client, w.ri.id(), &domain, now)
             .unwrap();
         player
-            .join_domain_with(w.ri.service(), &domain, now)
+            .join_domain(&client, w.ri.id(), &domain, now)
             .unwrap();
         assert_eq!(w.ri.domain_member_count(&domain), Some(2));
         assert_eq!(w.agent.joined_domains(), vec![domain.clone()]);
@@ -1114,7 +1048,7 @@ mod tests {
         // The phone acquires a Domain RO; the player installs the very same RO.
         let response = w
             .agent
-            .acquire_domain_rights_with(w.ri.service(), "cid:track", &domain, now)
+            .acquire_domain_rights(&client, w.ri.id(), "cid:track", &domain, now)
             .unwrap();
         assert!(response.rights_object.is_domain_ro());
         let ro_id = w.agent.install_rights(&response, now).unwrap();
@@ -1138,19 +1072,19 @@ mod tests {
 
         // A device outside the domain cannot install the Domain RO.
         let mut outsider = DrmAgent::new("outsider", 512, &mut w.ca, &mut rng);
-        outsider.register_with(w.ri.service(), now).unwrap();
+        outsider.register(&client, now).unwrap();
         assert_eq!(
             outsider.install_protected_ro(&response.rights_object, "ri.example.com", now),
             Err(DrmError::NotInDomain)
         );
 
         // Leaving the domain removes the key.
-        w.agent.leave_domain_with(w.ri.service(), &domain).unwrap();
+        w.agent.leave_domain(&client, &domain).unwrap();
         assert!(w.agent.joined_domains().is_empty());
         assert_eq!(w.ri.domain_member_count(&domain), Some(1));
         // Leaving again fails with the specific reason.
         assert_eq!(
-            w.agent.leave_domain_with(w.ri.service(), &domain),
+            w.agent.leave_domain(&client, &domain),
             Err(DrmError::NotInDomain)
         );
     }
@@ -1158,12 +1092,13 @@ mod tests {
     #[test]
     fn domain_rights_require_membership() {
         let mut w = world(RightsTemplate::unlimited(Permission::Play));
+        let client = RoapClient::in_proc(&w.ri);
         let now = Timestamp::new(1_000);
-        w.agent.register_with(w.ri.service(), now).unwrap();
+        w.agent.register(&client, now).unwrap();
         let domain = w.ri.create_domain("family", 4);
         assert_eq!(
             w.agent
-                .acquire_domain_rights_with(w.ri.service(), "cid:track", &domain, now),
+                .acquire_domain_rights(&client, w.ri.id(), "cid:track", &domain, now),
             Err(DrmError::NotInDomain)
         );
     }
@@ -1172,17 +1107,18 @@ mod tests {
     fn engine_trace_accumulates_per_phase() {
         use oma_crypto::Algorithm;
         let mut w = world(RightsTemplate::unlimited(Permission::Play));
+        let client = RoapClient::in_proc(&w.ri);
         let now = Timestamp::new(1_000);
         w.agent.engine().reset_trace();
 
-        w.agent.register_with(w.ri.service(), now).unwrap();
+        w.agent.register(&client, now).unwrap();
         let registration = w.agent.engine().take_trace();
         assert_eq!(registration.count(Algorithm::RsaPrivate).invocations, 1);
         assert_eq!(registration.count(Algorithm::RsaPublic).invocations, 3);
 
         let response = w
             .agent
-            .acquire_rights_with(w.ri.service(), "cid:track", now)
+            .acquire_rights(&client, w.ri.id(), "cid:track", now)
             .unwrap();
         let acquisition = w.agent.engine().take_trace();
         assert_eq!(acquisition.count(Algorithm::RsaPrivate).invocations, 1);

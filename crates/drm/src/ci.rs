@@ -28,7 +28,7 @@ impl ContentIssuer {
 
     /// Packages `content` into a DCF under a freshly generated content
     /// encryption key, returning both. The key is subsequently shared with a
-    /// Rights Issuer (see [`crate::RightsIssuer::add_content`]).
+    /// Rights Issuer (see [`crate::RiService::add_content`]).
     pub fn package<R: RngCore + ?Sized>(
         &self,
         content: &[u8],

@@ -7,9 +7,9 @@
 //! into [`DrmError`]s. Two transports ship with the crate:
 //!
 //! * [`InProcTransport`] — calls [`RiService::dispatch`] directly on a
-//!   borrowed service. The legacy `register`/`register_with` agent methods
-//!   are thin wrappers over a client on this transport, so the direct-call
-//!   API and the wire API are one code path.
+//!   borrowed service ([`RoapClient::in_proc`]). An in-process agent still
+//!   sends encoded frames, so the in-process and wire paths are one code
+//!   path.
 //! * [`ChannelTransport`] — a byte channel between two endpoints, for tests
 //!   and examples that want a real serialized boundary (typically with
 //!   [`serve`] running the service end on another thread).
@@ -143,8 +143,10 @@ pub struct RoapClient<T> {
 }
 
 impl<'a> RoapClient<InProcTransport<'a>> {
-    /// A client speaking directly to an in-process service — the transport
-    /// behind the legacy `*_with(&RiService)` agent methods.
+    /// A client speaking directly to an in-process service: how a
+    /// [`DrmAgent`](crate::DrmAgent) in the same process as its Rights
+    /// Issuer calls `register`, `acquire_rights` and the other protocol
+    /// methods.
     pub fn in_proc(service: &'a RiService) -> Self {
         RoapClient::new(InProcTransport::new(service))
     }

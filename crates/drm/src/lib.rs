@@ -9,7 +9,7 @@
 //! | Actor | Type | Phases it participates in |
 //! |---|---|---|
 //! | Content Issuer | [`ContentIssuer`] | packages DCFs |
-//! | Rights Issuer | [`RightsIssuer`] | Registration, Acquisition, domain management |
+//! | Rights Issuer | [`RiService`], reached through a [`RoapClient`] | Registration, Acquisition, domain management |
 //! | DRM Agent | [`DrmAgent`] | Registration, Acquisition, Installation, Consumption |
 //! | Certification Authority | [`oma_pki::CertificationAuthority`] | issues certificates, answers OCSP |
 //!
@@ -22,7 +22,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use oma_drm::{ContentIssuer, DrmAgent, Permission, RightsIssuer, RightsTemplate};
+//! use oma_drm::{ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate, RoapClient};
 //! use oma_pki::{CertificationAuthority, Timestamp};
 //! use rand::SeedableRng;
 //!
@@ -30,7 +30,7 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! // Small RSA keys keep the example fast; the real system uses 1024 bits.
 //! let mut ca = CertificationAuthority::new("cmla", 512, &mut rng);
-//! let mut ri = RightsIssuer::new("ri.example.com", 512, &mut ca, &mut rng);
+//! let ri = RiService::new("ri.example.com", 512, &mut ca, &mut rng);
 //! let ci = ContentIssuer::new("ci.example.com");
 //! let mut agent = DrmAgent::new("phone-001", 512, &mut ca, &mut rng);
 //!
@@ -43,8 +43,9 @@
 //! // ROAP message travels as an encoded PDU frame through a `RoapClient`
 //! // (here over the in-process transport; see the `wire` module for the
 //! // frame format and `ChannelTransport` for a serialized byte channel).
-//! agent.register_with(ri.service(), now)?;
-//! let response = agent.acquire_rights_with(ri.service(), "cid:track-1", now)?;
+//! let client = RoapClient::in_proc(&ri);
+//! agent.register(&client, now)?;
+//! let response = agent.acquire_rights(&client, ri.id(), "cid:track-1", now)?;
 //! let ro_id = agent.install_rights(&response, now)?;
 //! let plaintext = agent.consume(&ro_id, &dcf, Permission::Play, now)?;
 //! assert_eq!(plaintext, b"music bytes");
@@ -62,7 +63,6 @@ pub mod domain;
 mod error;
 pub mod journal;
 pub mod rel;
-pub mod ri;
 pub mod ro;
 pub mod roap;
 pub mod service;
@@ -84,7 +84,6 @@ pub use domain::{Domain, DomainId};
 pub use error::DrmError;
 pub use journal::{RiEvent, RiJournal, RiStateImage, StateSource};
 pub use rel::{Constraint, Permission, Rights, RightsTemplate};
-pub use ri::RightsIssuer;
 pub use ro::{ProtectedRightsObject, RightsObjectId};
 pub use roap::RoapError;
 pub use service::RiService;

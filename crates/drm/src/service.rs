@@ -1,11 +1,14 @@
 //! The concurrent Rights Issuer service.
 //!
-//! [`RiService`] is the server-side heart of the license service: the same
-//! ROAP state machine as the single-terminal [`RightsIssuer`](crate::ri::RightsIssuer)
-//! wrapper, but with every handler taking `&self` so one service instance can
-//! serve many devices from many threads at once. The paper prices OMA DRM 2
-//! from the terminal's point of view; serving *millions* of terminals needs a
-//! Rights Issuer that scales, and this module makes that side executable.
+//! [`RiService`] is the Rights Issuer: the ROAP state machine with every
+//! handler taking `&self`, so one service instance can serve many devices
+//! from many threads at once. A [`DrmAgent`](crate::DrmAgent) reaches it
+//! only through a [`RoapClient`](crate::client::RoapClient), whose frames
+//! land in [`RiService::dispatch`] or [`RiService::dispatch_at`] —
+//! in process (`RoapClient::in_proc`) or over any byte transport. The paper
+//! prices OMA DRM 2 from the terminal's point of view; serving *millions* of
+//! terminals needs a Rights Issuer that scales, and this module makes that
+//! side executable.
 //!
 //! Concurrency design:
 //!
@@ -1357,16 +1360,16 @@ impl RiService {
 
     // ----- wire dispatch ---------------------------------------------------------
 
-    /// The single wire entry point: decodes one [`RoapPdu`] frame, routes it
-    /// to the matching handler, and encodes the response frame. Every
-    /// failure — a frame that does not decode, a request the handlers
-    /// reject — comes back as an encoded [`RoapStatus`] PDU, so a wire peer
-    /// always receives a well-formed answer and never a Rust error.
+    /// The wire entry point with a peer-supplied clock: decodes one
+    /// [`RoapPdu`] frame, routes it to the matching handler, and encodes the
+    /// response frame. Every failure — a frame that does not decode, a
+    /// request the handlers reject — comes back as an encoded [`RoapStatus`]
+    /// PDU, so a wire peer always receives a well-formed answer and never a
+    /// Rust error. `RoapClient::in_proc` lands here.
     ///
     /// Request timestamps are taken from the PDUs themselves (`request_time`
-    /// fields), mirroring the in-process API where caller and service share
-    /// one `now` — which is what makes the in-process and wire paths
-    /// byte-identical. **Trust boundary:** on a real wire this lets the peer
+    /// fields), so a frame answers exactly as a direct handler call with the
+    /// caller's `now` would. **Trust boundary:** on a real wire this lets the peer
     /// pick the clock its certificate is validated against; a deployment
     /// with its own clock should use [`RiService::dispatch_at`], which pins
     /// `now` on the server side. Note also that `LeaveDomainRequest`, like
@@ -1412,42 +1415,6 @@ impl RiService {
             Err(e) => RoapPdu::Status(RoapStatus::from(e)),
         };
         response.encode()
-    }
-
-    /// Dispatches a stream of concatenated request frames, returning the
-    /// concatenated response frames in request order. One call amortizes the
-    /// envelope handling over a whole batch — the bulk entry point the
-    /// `oma-load` fleet harness drives. If the stream turns undecodable
-    /// partway, the frames handled so far are answered and a final error
-    /// status closes the response stream.
-    ///
-    /// Registration waves are amortized beyond the envelope: every device
-    /// certificate in the batch is checked against the *same* warm CA-root
-    /// Montgomery context, every response is signed with the service's warm
-    /// CRT contexts (see `warm_signing_contexts`), and repeated certificates
-    /// hit the signature memo instead of redoing the RSA public-key op — so
-    /// per-frame crypto setup cost is paid once per service, not once per
-    /// frame.
-    ///
-    /// Timestamps follow [`RiService::dispatch`] semantics (peer-supplied
-    /// `request_time`).
-    pub fn dispatch_batch(&self, stream: &[u8]) -> Vec<u8> {
-        let mut rest = stream;
-        // Responses are mostly larger than requests (certificates, ROs).
-        let mut out = Vec::with_capacity(stream.len() * 2);
-        while !rest.is_empty() {
-            match RoapPdu::decode_prefix(rest) {
-                Ok((pdu, consumed)) => {
-                    out.extend_from_slice(&self.dispatch_pdu(pdu, None).encode());
-                    rest = &rest[consumed..];
-                }
-                Err(e) => {
-                    out.extend_from_slice(&RoapPdu::Status(RoapStatus::from(e)).encode());
-                    break;
-                }
-            }
-        }
-        out
     }
 
     /// Routes one decoded request PDU to its handler. `clock` overrides the
@@ -1499,7 +1466,9 @@ impl RiService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::RoapClient;
     use crate::rel::Permission;
+    use crate::roap::ROAP_VERSION;
     use crate::ContentIssuer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1556,8 +1525,9 @@ mod tests {
     fn repeated_device_certificate_hits_the_signature_memo() {
         use oma_crypto::Algorithm;
         let (mut ca, service, mut rng) = service();
+        let client = RoapClient::in_proc(&service);
         let mut agent = crate::DrmAgent::new("dev-a", 384, &mut ca, &mut rng);
-        agent.register_with(&service, Timestamp::new(0)).unwrap();
+        agent.register(&client, Timestamp::new(0)).unwrap();
         let first = service
             .engine
             .trace()
@@ -1567,13 +1537,13 @@ mod tests {
 
         // Same device, same certificate: the issuer-signature check is a
         // memo hit, so only the request signature costs an RSA public op.
-        agent.register_with(&service, Timestamp::new(1)).unwrap();
+        agent.register(&client, Timestamp::new(1)).unwrap();
         let trace = service.engine.trace();
         assert_eq!(trace.count(Algorithm::RsaPublic).invocations - first, 1);
 
         // A never-seen certificate still pays the full verification.
         let mut other = crate::DrmAgent::new("dev-b", 384, &mut ca, &mut rng);
-        other.register_with(&service, Timestamp::new(2)).unwrap();
+        other.register(&client, Timestamp::new(2)).unwrap();
         let total = service
             .engine
             .trace()
@@ -1586,7 +1556,9 @@ mod tests {
     fn memoized_certificate_still_fails_outside_validity_window() {
         let (mut ca, service, mut rng) = service();
         let mut agent = crate::DrmAgent::new("dev-a", 384, &mut ca, &mut rng);
-        agent.register_with(&service, Timestamp::new(0)).unwrap();
+        agent
+            .register(&RoapClient::in_proc(&service), Timestamp::new(0))
+            .unwrap();
         // The signature memo must not bypass the time-dependent check: the
         // same certificate presented outside its validity window is refused.
         let hello = service.hello(&DeviceHello::new("dev-a"));
@@ -1617,6 +1589,7 @@ mod tests {
     fn rejected_ro_request_does_not_advance_id_sequence() {
         use crate::roap::RoRequest;
         let (mut ca, service, mut rng) = service();
+        let client = RoapClient::in_proc(&service);
         let ci = ContentIssuer::new("ci");
         let (dcf, cek) = ci.package(b"bytes", "cid:x", &mut rng);
         service.add_content(
@@ -1626,13 +1599,13 @@ mod tests {
             RightsTemplate::unlimited(Permission::Play),
         );
         let mut agent = crate::DrmAgent::new("dev-a", 384, &mut ca, &mut rng);
-        agent.register_with(&service, Timestamp::new(0)).unwrap();
+        agent.register(&client, Timestamp::new(0)).unwrap();
 
         // A signed request for a domain the device never joined is rejected
         // and must not burn an RO id.
         let nope = DomainId::new("nope");
         assert_eq!(
-            agent.acquire_domain_rights_with(&service, "cid:x", &nope, Timestamp::new(0)),
+            agent.acquire_domain_rights(&client, service.id(), "cid:x", &nope, Timestamp::new(0)),
             Err(DrmError::NotInDomain)
         );
         // Same at the service layer (agent-side membership check bypassed).
@@ -1652,7 +1625,7 @@ mod tests {
 
         // The first successful RO still gets sequence number 0.
         let response = agent
-            .acquire_rights_with(&service, "cid:x", Timestamp::new(0))
+            .acquire_rights(&client, service.id(), "cid:x", Timestamp::new(0))
             .unwrap();
         assert_eq!(response.ro_id().as_str(), "ro:ri:dev:dev-a:0");
         assert_eq!(service.issued_ro_count(), 1);
@@ -1671,7 +1644,9 @@ mod tests {
         );
         // A registered device sees the domain-level failure reasons.
         let mut agent = crate::DrmAgent::new("dev-1", 384, &mut ca, &mut rng);
-        agent.register_with(&service, Timestamp::new(10)).unwrap();
+        agent
+            .register(&RoapClient::in_proc(&service), Timestamp::new(10))
+            .unwrap();
         assert_eq!(
             service.process_leave_domain("dev-1", &DomainId::new("nope")),
             Err(DrmError::Roap(RoapError::UnknownDomain))
@@ -1757,6 +1732,7 @@ mod tests {
         use crate::rel::Permission;
         use crate::ContentIssuer;
         let (mut ca, service, mut rng) = service();
+        let client = RoapClient::in_proc(&service);
         let ci = ContentIssuer::new("ci");
         let (dcf, cek) = ci.package(b"track bytes", "cid:x", &mut rng);
         service.add_content(
@@ -1767,9 +1743,9 @@ mod tests {
         );
         service.create_domain("family", 4);
         let mut agent = crate::DrmAgent::new("dev-a", 384, &mut ca, &mut rng);
-        agent.register_with(&service, Timestamp::new(0)).unwrap();
+        agent.register(&client, Timestamp::new(0)).unwrap();
         agent
-            .acquire_rights_with(&service, "cid:x", Timestamp::new(0))
+            .acquire_rights(&client, service.id(), "cid:x", Timestamp::new(0))
             .unwrap();
         // Leave a pending session dangling so the image carries one.
         service.hello_at(&DeviceHello::new("dev-b"), Timestamp::new(5));
@@ -1830,5 +1806,153 @@ mod tests {
             .unwrap();
         assert!(ro.is_domain_ro());
         assert_eq!(ro.id().as_str(), "ro:ri:dom:family:0");
+    }
+
+    #[test]
+    fn new_ri_has_certificate_and_ocsp() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut ca = CertificationAuthority::new("cmla", 384, &mut rng);
+        let ri = RiService::new("ri.example.com", 384, &mut ca, &mut rng);
+        assert_eq!(ri.id(), "ri.example.com");
+        assert_eq!(ri.certificate().role(), EntityRole::RightsIssuer);
+        assert_eq!(ri.certificate().subject(), "ri.example.com");
+        assert_eq!(ri.registered_count(), 0);
+        assert_eq!(ROAP_VERSION, "2.0");
+        assert_eq!(ri.public_key(), ri.certificate().public_key());
+    }
+
+    #[test]
+    fn hello_creates_distinct_sessions() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut ca = CertificationAuthority::new("cmla", 384, &mut rng);
+        let ri = RiService::new("ri", 384, &mut ca, &mut rng);
+        let h1 = ri.hello(&DeviceHello::new("d1"));
+        let h2 = ri.hello(&DeviceHello::new("d2"));
+        assert_ne!(h1.session_id, h2.session_id);
+        assert_eq!(h1.ri_id, "ri");
+        assert!(!h1.ri_nonce.is_empty());
+        assert_eq!(h1.trusted_authorities, vec!["cmla".to_string()]);
+    }
+
+    #[test]
+    fn content_catalogue() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut ca = CertificationAuthority::new("cmla", 384, &mut rng);
+        let ri = RiService::new("ri", 384, &mut ca, &mut rng);
+        let ci = ContentIssuer::new("ci");
+        let (dcf, cek) = ci.package(b"bytes", "cid:x", &mut rng);
+        assert!(!ri.has_content("cid:x"));
+        ri.add_content(
+            "cid:x",
+            cek,
+            &dcf,
+            RightsTemplate::unlimited(Permission::Play),
+        );
+        assert!(ri.has_content("cid:x"));
+    }
+
+    #[test]
+    fn domains_can_be_created_and_queried() {
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut ca = CertificationAuthority::new("cmla", 384, &mut rng);
+        let ri = RiService::new("ri", 384, &mut ca, &mut rng);
+        let id = ri.create_domain("family", 4);
+        assert!(ri.has_domain(&id));
+        assert_eq!(ri.domain_member_count(&id), Some(0));
+        assert!(!ri.has_domain(&DomainId::new("other")));
+        // Unregistered device ids are rejected by the session machine
+        // before any domain state is consulted.
+        assert_eq!(
+            ri.process_leave_domain("nobody", &id),
+            Err(DrmError::Roap(RoapError::DeviceNotRegistered))
+        );
+        let mut agent = crate::DrmAgent::new("dev-1", 384, &mut ca, &mut rng);
+        agent
+            .register(&RoapClient::in_proc(&ri), Timestamp::new(10))
+            .unwrap();
+        assert_eq!(
+            ri.process_leave_domain("dev-1", &id),
+            Err(DrmError::NotInDomain)
+        );
+        assert_eq!(
+            ri.process_leave_domain("dev-1", &DomainId::new("other")),
+            Err(DrmError::Roap(RoapError::UnknownDomain))
+        );
+    }
+
+    #[test]
+    fn registration_requires_known_session() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let mut ca = CertificationAuthority::new("cmla", 384, &mut rng);
+        let ri = RiService::new("ri", 384, &mut ca, &mut rng);
+        // Forge a request against a session that was never opened.
+        let device_keys = RsaKeyPair::generate(384, &mut rng);
+        let cert = ca.issue(
+            "dev",
+            EntityRole::DrmAgent,
+            device_keys.public().clone(),
+            ValidityPeriod::starting_at(Timestamp::new(0), 1000),
+        );
+        let request = RegistrationRequest {
+            session_id: 999,
+            device_id: "dev".into(),
+            device_nonce: vec![1; NONCE_LEN],
+            request_time: Timestamp::new(5),
+            certificate: cert,
+            signature: oma_crypto::pss::PssSignature::from_bytes(vec![0; 48]),
+        };
+        assert_eq!(
+            ri.process_registration(&request, Timestamp::new(5)),
+            Err(RoapError::UnknownSession)
+        );
+    }
+
+    #[test]
+    fn ro_request_from_unregistered_device_rejected() {
+        let mut rng = StdRng::seed_from_u64(46);
+        let mut ca = CertificationAuthority::new("cmla", 384, &mut rng);
+        let ri = RiService::new("ri", 384, &mut ca, &mut rng);
+        let request = RoRequest {
+            device_id: "ghost".into(),
+            ri_id: "ri".into(),
+            content_id: "cid:x".into(),
+            domain_id: None,
+            device_nonce: vec![0; NONCE_LEN],
+            request_time: Timestamp::new(1),
+            signature: oma_crypto::pss::PssSignature::from_bytes(vec![0; 48]),
+        };
+        assert_eq!(
+            ri.process_ro_request(&request, Timestamp::new(1)),
+            Err(RoapError::DeviceNotRegistered)
+        );
+    }
+
+    #[test]
+    fn issue_domain_ro_requires_known_content_and_domain() {
+        let mut rng = StdRng::seed_from_u64(47);
+        let mut ca = CertificationAuthority::new("cmla", 384, &mut rng);
+        let ri = RiService::new("ri", 384, &mut ca, &mut rng);
+        let domain = ri.create_domain("family", 4);
+        assert_eq!(
+            ri.issue_domain_ro("cid:missing", &domain, Timestamp::new(0)),
+            Err(RoapError::UnknownRightsObject)
+        );
+        let ci = ContentIssuer::new("ci");
+        let (dcf, cek) = ci.package(b"bytes", "cid:x", &mut rng);
+        ri.add_content(
+            "cid:x",
+            cek,
+            &dcf,
+            RightsTemplate::unlimited(Permission::Play),
+        );
+        assert_eq!(
+            ri.issue_domain_ro("cid:x", &DomainId::new("nope"), Timestamp::new(0)),
+            Err(RoapError::UnknownDomain)
+        );
+        let ro = ri
+            .issue_domain_ro("cid:x", &domain, Timestamp::new(0))
+            .unwrap();
+        assert!(ro.is_domain_ro());
+        assert!(ro.signature.is_some(), "domain RO signature is mandatory");
     }
 }

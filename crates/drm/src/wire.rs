@@ -340,13 +340,8 @@ impl RoapPdu {
     }
 
     /// Decodes one envelope from the front of `stream`, returning the PDU
-    /// and the number of bytes it occupied. This is the streaming form used
-    /// to split concatenated frames (see [`decode_stream`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`RoapPdu::decode`].
-    pub fn decode_prefix(stream: &[u8]) -> Result<(Self, usize), RoapError> {
+    /// and the number of bytes it occupied. Errors as [`RoapPdu::decode`].
+    fn decode_prefix(stream: &[u8]) -> Result<(Self, usize), RoapError> {
         // One source of truth for the header rules: `frame_len` validates
         // magic, version and the body-length cap. A frame that has not
         // fully arrived is a truncation here, not a wait-for-more.
@@ -383,7 +378,7 @@ impl RoapPdu {
     ///
     /// # Errors
     ///
-    /// The same header rejections as [`RoapPdu::decode_prefix`]:
+    /// The same header rejections as [`RoapPdu::decode`]:
     /// [`RoapError::Malformed`] for a bad magic or an oversized length
     /// field, [`RoapError::UnsupportedVersion`] for an unknown version
     /// byte. A streaming peer cannot resynchronise after any of these — the
@@ -576,23 +571,6 @@ impl RoapPdu {
     }
 }
 
-/// Splits a stream of concatenated envelopes into PDUs — the inverse of
-/// concatenating [`RoapPdu::encode`] outputs, as produced by
-/// [`RiService::dispatch_batch`](crate::service::RiService::dispatch_batch).
-///
-/// # Errors
-///
-/// See [`RoapPdu::decode`]; the error refers to the first undecodable frame.
-pub fn decode_stream(mut stream: &[u8]) -> Result<Vec<RoapPdu>, RoapError> {
-    let mut pdus = Vec::new();
-    while !stream.is_empty() {
-        let (pdu, consumed) = RoapPdu::decode_prefix(stream)?;
-        pdus.push(pdu);
-        stream = &stream[consumed..];
-    }
-    Ok(pdus)
-}
-
 fn put_str_list(out: &mut Vec<u8>, list: &[String]) {
     out.extend_from_slice(&(list.len() as u32).to_be_bytes());
     for s in list {
@@ -771,16 +749,5 @@ mod tests {
         );
         assert_eq!(RoapStatus::Busy.into_result(), Err(DrmError::Busy));
         assert_eq!(RoapStatus::from(&DrmError::Busy), RoapStatus::Busy);
-    }
-
-    #[test]
-    fn decode_stream_splits_concatenated_frames() {
-        let a = hello_pdu();
-        let b = RoapPdu::Status(RoapStatus::Ok);
-        let mut stream = a.encode();
-        stream.extend_from_slice(&b.encode());
-        assert_eq!(decode_stream(&stream).unwrap(), vec![a, b]);
-        assert!(decode_stream(&stream[..stream.len() - 1]).is_err());
-        assert_eq!(decode_stream(&[]).unwrap(), Vec::<RoapPdu>::new());
     }
 }

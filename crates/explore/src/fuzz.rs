@@ -402,7 +402,7 @@ pub fn run_corpus(seed: u64) -> Vec<String> {
 mod tests {
     use super::*;
     use oma_drm::agent::OCSP_MAX_AGE_SECONDS;
-    use oma_drm::{DrmAgent, DrmError};
+    use oma_drm::{DrmAgent, DrmError, RoapClient};
     use oma_pki::PkiError;
 
     #[test]
@@ -456,7 +456,7 @@ mod tests {
         // maximum age; the agent must refuse registration pass 4.
         let late = Timestamp::new(OCSP_MAX_AGE_SECONDS + 10_000);
         assert_eq!(
-            agent.register_with(&service, late),
+            agent.register(&RoapClient::in_proc(&service), late),
             Err(DrmError::Pki(PkiError::OcspResponseStale))
         );
         assert!(!agent.is_registered_with(RI_ID));

@@ -23,9 +23,7 @@
 //! [`DeviceOutcome`] is checked byte-for-byte against a fresh in-process
 //! reference drive before it is reported.
 
-use crate::{
-    build_world, device_pool, drive_device, drive_device_via, now, DeviceOutcome, FleetSpec,
-};
+use crate::{build_world, device_pool, drive_device, now, DeviceOutcome, FleetSpec};
 use oma_drm::client::RoapClient;
 use oma_drm::roap::DeviceHello;
 use oma_drm::DrmError;
@@ -133,6 +131,13 @@ pub struct IdleClientReport {
 /// Every active outcome is compared against a fresh in-process reference
 /// drive of the same device; a divergence is an error, not a report.
 ///
+/// `parked` is a rendezvous hook, called exactly once with the number of
+/// parked connections, after every connection in `range` is established
+/// and before any active device wakes up. A multi-process harness blocks
+/// inside it until all its client processes report parked — which makes
+/// "the whole fleet was connected simultaneously" a certainty rather than a
+/// race. A single-process run passes `|_| ()`.
+///
 /// # Errors
 ///
 /// [`DrmError::Transport`] when connecting or speaking to the server
@@ -142,30 +147,13 @@ pub fn drive_idle_clients(
     addr: SocketAddr,
     spec: &IdleFleetSpec,
     range: Range<usize>,
-) -> Result<IdleClientReport, DrmError> {
-    drive_idle_clients_with(addr, spec, range, |_| ())
-}
-
-/// [`drive_idle_clients`] with a rendezvous hook: `parked` is called
-/// exactly once, with the number of parked connections, after every
-/// connection in `range` is established and before any active device
-/// wakes up. A multi-process harness blocks inside the hook until all its
-/// client processes report parked — which makes "the whole fleet was
-/// connected simultaneously" a certainty rather than a race.
-///
-/// # Errors
-///
-/// See [`drive_idle_clients`].
-pub fn drive_idle_clients_with(
-    addr: SocketAddr,
-    spec: &IdleFleetSpec,
-    range: Range<usize>,
     parked: impl FnOnce(usize),
 ) -> Result<IdleClientReport, DrmError> {
     // The deterministic replica world: same CA, same catalog, and a fresh
     // reference service, all derived from the spec's seed.
     let (ca, reference, catalog) = build_world(&spec.fleet);
-    let ri_id = reference.id().to_string();
+    let ri_id = reference.id();
+    let reference_client = RoapClient::in_proc(&reference);
 
     // Park one connection per device. A brand-new listener can momentarily
     // overflow its accept backlog under a connect storm, so retry briefly.
@@ -191,8 +179,8 @@ pub fn drive_idle_clients_with(
             std::thread::sleep(offset - elapsed);
         }
         let client = RoapClient::new(&transports[device - range.start]);
-        let outcome = drive_device_via(&spec.fleet, device, &ri_id, &client, &ca, &catalog)?;
-        let expected = drive_device(&spec.fleet, device, &reference, &ca, &catalog)?;
+        let outcome = drive_device(&spec.fleet, device, ri_id, &client, &ca, &catalog)?;
+        let expected = drive_device(&spec.fleet, device, ri_id, &reference_client, &ca, &catalog)?;
         if outcome != expected {
             return Err(DrmError::Transport(format!(
                 "{}: outcome over the parked connection diverged from the in-process reference",
@@ -286,7 +274,7 @@ pub fn bind_idle_server(spec: &IdleFleetSpec) -> Result<RoapEventServer, DrmErro
 pub fn run_idle_fleet(spec: &IdleFleetSpec) -> Result<IdleFleetReport, DrmError> {
     let server = bind_idle_server(spec)?;
     let started = Instant::now();
-    let clients = drive_idle_clients(server.local_addr(), spec, 0..spec.fleet.devices)?;
+    let clients = drive_idle_clients(server.local_addr(), spec, 0..spec.fleet.devices, |_| ())?;
     let elapsed = started.elapsed();
     let metrics = server.metrics().snapshot();
     server.shutdown();

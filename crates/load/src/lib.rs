@@ -17,29 +17,28 @@
 //! single-threaded reference run — which is exactly what the concurrency
 //! test suite asserts to prove the sharded service loses no updates.
 //!
-//! Six drivers run that fleet, each changing one thing relative to the
+//! Five drivers run that fleet, each changing one thing relative to the
 //! in-process reference, and each is what one byte-identity suite calls:
 //!
 //! | Driver | What changes | Called by |
 //! |---|---|---|
-//! | [`run_fleet`] | nothing: direct calls from `workers` threads | `tests/ri_service_concurrency.rs` |
+//! | [`run_fleet`] | nothing: every device talks to one service through `RoapClient::in_proc` from `workers` threads | `tests/ri_service_concurrency.rs` |
 //! | [`run_sequential`] | `run_fleet` on one thread — the reference every other driver must `match` | every suite below |
-//! | [`run_fleet_wire`] | every exchange is an encoded [`RoapPdu`] frame pushed through [`RiService::dispatch_batch`] in fleet-wide waves | `examples/fleet.rs`, this crate's unit tests |
 //! | [`run_fleet_tcp`] | the frames cross **real loopback TCP**, one connection per device, into a [`RoapEventServer`] | `tests/net_lifecycle.rs`, `tests/event_loop.rs` |
-//! | [`run_fleet_durable`] | the wire waves run against a **journaled** service over a caller-supplied `oma_store::RiStore`, killed after a chosen number of served frames, recovered from WAL + snapshot; reports every raw `RoResponse` frame and the final state image | `tests/durable_recovery.rs` |
-//! | [`run_fleet_cluster`] | the wire waves are routed over sharded, replicated primaries, one of which is killed and failed over | `tests/cluster_failover.rs` |
+//! | [`run_fleet_durable`] | fleet-wide protocol waves of encoded frames run through [`RiService::dispatch_at`] against a **journaled** service over a caller-supplied `oma_store::RiStore`, killed after a chosen number of served frames, recovered from WAL + snapshot; reports every raw `RoResponse` frame and the final state image | `tests/durable_recovery.rs` |
+//! | [`run_fleet_cluster`] | the same waves are routed over sharded, replicated primaries, one of which is killed and failed over | `tests/cluster_failover.rs` |
 //!
 //! The reports' wall-clock fields are there to print, not to claim: the
 //! runs are short, the keys test-sized, and device key generation sits
 //! inside the timed window. Performance figures come from the standalone
 //! `benchmark/` package, which does not use this crate.
 //!
-//! All drivers share two pieces of machinery: a worker-pool index fan-out
-//! for per-device life-cycles, and one wave engine
-//! (`hello_wave`/`registration_wave`/`acquisition_wave` over a pluggable
-//! batch-dispatch function) for the wire-shaped drivers — the durable and
-//! cluster variants are the wire driver with a different dispatch closure,
-//! not further copies of the protocol.
+//! All drivers share two pieces of machinery: one per-device life-cycle
+//! (`drive_device`, over any `RoapClient` transport) fanned out on a worker
+//! pool, and one wave engine (`attempt_wave` over a pluggable
+//! batch-dispatch function) for the durable and cluster drivers, which
+//! differ only in their dispatch closure and their recovery step — not in
+//! further copies of the protocol.
 //!
 //! # Example
 //!
@@ -63,8 +62,8 @@
 pub mod idle;
 
 pub use idle::{
-    bind_idle_server, drive_idle_clients, drive_idle_clients_with, run_idle_fleet,
-    IdleClientReport, IdleFleetReport, IdleFleetSpec,
+    bind_idle_server, drive_idle_clients, run_idle_fleet, IdleClientReport, IdleFleetReport,
+    IdleFleetSpec,
 };
 
 use oma_cluster::{frame_device_id, AckPolicy, ClusterRouter, Follower, Primary};
@@ -335,8 +334,9 @@ fn device_pool<T: Send>(
 }
 
 /// Provisions one device: key pair, certificate from the shared CA, and an
-/// agent on a fresh metered software backend. Shared by the in-process
-/// driver and the wire driver, so both provision byte-identical devices.
+/// agent on a fresh metered software backend. Every `drive_device` call
+/// provisions through here, so every transport drives byte-identical
+/// devices.
 fn provision_device(
     spec: &FleetSpec,
     index: usize,
@@ -370,32 +370,11 @@ fn provision_device(
     (agent, backend)
 }
 
-/// Drives one device through registration plus its acquisition cycles
-/// against an in-process service — a [`drive_device_via`] over the
-/// in-process transport, which is exactly what the legacy `*_with` agent
-/// methods are.
-fn drive_device(
-    spec: &FleetSpec,
-    index: usize,
-    service: &RiService,
-    ca: &Mutex<CertificationAuthority>,
-    catalog: &[CatalogItem],
-) -> Result<DeviceOutcome, DrmError> {
-    drive_device_via(
-        spec,
-        index,
-        service.id(),
-        &RoapClient::in_proc(service),
-        ca,
-        catalog,
-    )
-}
-
 /// Drives one device through registration plus its acquisition cycles over
 /// an arbitrary ROAP transport. Every driver — in-process, loopback TCP —
 /// runs this one code path, which is what makes their per-device outcomes
 /// (traces, cycles, RO ids, recovered content) byte-identical.
-fn drive_device_via<T: RoapTransport>(
+fn drive_device<T: RoapTransport>(
     spec: &FleetSpec,
     index: usize,
     ri_id: &str,
@@ -411,7 +390,7 @@ fn drive_device_via<T: RoapTransport>(
     agent.engine().reset_trace();
     backend.take_charged_cycles();
 
-    agent.register_via(client, now())?;
+    agent.register(client, now())?;
     traces.registration.merge(&agent.engine().take_trace());
     cycles.registration += backend.take_charged_cycles();
 
@@ -420,7 +399,7 @@ fn drive_device_via<T: RoapTransport>(
     for k in 0..spec.acquisitions_per_device {
         let item = &catalog[(index + k) % catalog.len()];
 
-        let response = agent.acquire_rights_via(client, ri_id, &item.content_id, now())?;
+        let response = agent.acquire_rights(client, ri_id, &item.content_id, now())?;
         traces.acquisition.merge(&agent.engine().take_trace());
         cycles.acquisition += backend.take_charged_cycles();
 
@@ -467,8 +446,9 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, DrmError> {
     let workers = spec.workers.max(1);
 
     let started = Instant::now();
+    let client = RoapClient::in_proc(&service);
     let devices = device_pool(spec.devices, workers, |index| {
-        drive_device(spec, index, &service, &ca, &catalog)
+        drive_device(spec, index, service.id(), &client, &ca, &catalog)
     })?;
     let elapsed = started.elapsed();
 
@@ -544,7 +524,7 @@ pub fn run_fleet_tcp(spec: &FleetSpec) -> Result<FleetReport, DrmError> {
     let devices = device_pool(spec.devices, workers, |index| {
         TcpTransport::connect(addr).and_then(|transport| {
             let client = RoapClient::new(transport);
-            drive_device_via(spec, index, service.id(), &client, &ca, &catalog)
+            drive_device(spec, index, service.id(), &client, &ca, &catalog)
         })
     })?;
     let elapsed = started.elapsed();
@@ -559,9 +539,10 @@ pub fn run_fleet_tcp(spec: &FleetSpec) -> Result<FleetReport, DrmError> {
 // client-side in worker chunks, exchanged through a pluggable batch-dispatch
 // function, and completed client-side — with per-device progress flags, so a
 // wave can be re-entered after the dispatch function reports that the
-// service died mid-batch. `run_fleet_wire` plugs in `dispatch_batch`;
-// `run_fleet_durable` plugs in a frame-counting dispatcher that kills and
-// later recovers the service. Neither duplicates the protocol.
+// service died mid-batch. `run_fleet_durable` plugs in a frame-counting
+// dispatcher that kills and later recovers the service; `run_fleet_cluster`
+// plugs in a router over replicated shards that kills and fails over one
+// primary. Both loop over `attempt_wave`; neither duplicates the protocol.
 
 /// The server side of one wave, as the wave engine sees it: given the
 /// pending request frames (in device order), return one response frame per
@@ -907,20 +888,39 @@ fn acquisition_wave(
     Ok(complete)
 }
 
-/// Splits a concatenated response stream into raw per-frame byte strings
-/// (no decoding — the wave engine decodes).
-fn split_frames(stream: &[u8]) -> Result<Vec<Vec<u8>>, DrmError> {
-    let mut frames = Vec::new();
-    let mut rest = stream;
-    while !rest.is_empty() {
-        let len = RoapPdu::frame_len(rest)
-            .map_err(DrmError::Roap)?
-            .filter(|len| rest.len() >= *len)
-            .ok_or_else(|| DrmError::Transport("truncated response stream".into()))?;
-        frames.push(rest[..len].to_vec());
-        rest = &rest[len..];
+/// One protocol wave of a wire-shaped fleet run.
+enum Wave {
+    Hello,
+    Register,
+    Acquire(usize),
+}
+
+/// The waves of one fleet run, in order: hellos, registrations, then each
+/// acquisition round.
+fn waves(spec: &FleetSpec) -> Vec<Wave> {
+    let mut waves = vec![Wave::Hello, Wave::Register];
+    waves.extend((0..spec.acquisitions_per_device).map(Wave::Acquire));
+    waves
+}
+
+/// One attempt at `wave` through `dispatch`. Returns whether every pending
+/// device was answered; `false` means the service died mid-wave, and the
+/// driver recovers (or fails over) before attempting the same wave again.
+fn attempt_wave(
+    wave: &Wave,
+    devices: &mut [WireDevice],
+    workers: usize,
+    ri_id: &str,
+    catalog: &[CatalogItem],
+    dispatch: &mut BatchDispatch<'_>,
+) -> Result<bool, DrmError> {
+    match *wave {
+        Wave::Hello => hello_wave(devices, dispatch),
+        Wave::Register => registration_wave(devices, workers, now(), dispatch),
+        Wave::Acquire(round) => {
+            acquisition_wave(devices, workers, round, ri_id, catalog, now(), dispatch)
+        }
     }
-    Ok(frames)
 }
 
 /// Per-device raw `RoResponse` frames (device id → frames in acquisition
@@ -945,56 +945,6 @@ fn finish_wire_devices(devices: Vec<WireDevice>) -> (Vec<DeviceOutcome>, RoRespo
     outcomes.sort_by(|a, b| a.device_id.cmp(&b.device_id));
     frames.sort_by(|a, b| a.0.cmp(&b.0));
     (outcomes, frames)
-}
-
-/// Runs the fleet in wire mode: every ROAP exchange is encoded into
-/// [`RoapPdu`] frames and pushed through [`RiService::dispatch_batch`], one
-/// bulk call per protocol wave (hellos, registrations, then each acquisition
-/// round). Worker threads do the per-device cryptography between waves; the
-/// envelope handling is amortized over the whole fleet.
-///
-/// The deterministic observables are identical to the in-process driver's:
-/// `run_fleet_wire(spec)?.matches(&run_sequential(spec)?)` holds, because
-/// the codec moves the very same PDUs the direct calls pass as structs.
-///
-/// # Errors
-///
-/// See [`run_fleet`]; additionally [`DrmError::Transport`] if the batch
-/// response stream does not answer every request.
-pub fn run_fleet_wire(spec: &FleetSpec) -> Result<FleetReport, DrmError> {
-    let (ca, service, catalog) = build_world(spec);
-    let workers = spec.workers.max(1);
-
-    let started = Instant::now();
-    let mut devices = provision_wire_devices(spec, &ca, workers)?;
-    let mut dispatch = |frames: &[Vec<u8>]| -> Result<Vec<Option<Vec<u8>>>, DrmError> {
-        let stream: Vec<u8> = frames.concat();
-        let responses = service.dispatch_batch(&stream);
-        Ok(split_frames(&responses)?.into_iter().map(Some).collect())
-    };
-
-    let mut complete = hello_wave(&mut devices, &mut dispatch)?;
-    complete &= registration_wave(&mut devices, workers, now(), &mut dispatch)?;
-    for round in 0..spec.acquisitions_per_device {
-        complete &= acquisition_wave(
-            &mut devices,
-            workers,
-            round,
-            service.id(),
-            &catalog,
-            now(),
-            &mut dispatch,
-        )?;
-    }
-    if !complete {
-        return Err(DrmError::Transport(
-            "dispatch_batch left requests unanswered".into(),
-        ));
-    }
-    let elapsed = started.elapsed();
-
-    let (outcomes, _frames) = finish_wire_devices(devices);
-    Ok(collect_report(outcomes, workers, elapsed, &service))
 }
 
 // ----- durable mode ----------------------------------------------------------
@@ -1068,15 +1018,7 @@ pub fn run_fleet_durable<L: Wal + 'static>(
     let mut recoveries = 0u64;
     let mut events_replayed = 0u64;
 
-    enum Wave {
-        Hello,
-        Register,
-        Acquire(usize),
-    }
-    let mut waves = vec![Wave::Hello, Wave::Register];
-    waves.extend((0..spec.acquisitions_per_device).map(Wave::Acquire));
-
-    for wave in waves {
+    for wave in waves(spec) {
         loop {
             let complete = {
                 let service = &service;
@@ -1094,21 +1036,14 @@ pub fn run_fleet_durable<L: Wal + 'static>(
                         }
                         Ok(out)
                     };
-                match wave {
-                    Wave::Hello => hello_wave(&mut devices, &mut dispatch)?,
-                    Wave::Register => {
-                        registration_wave(&mut devices, workers, now(), &mut dispatch)?
-                    }
-                    Wave::Acquire(round) => acquisition_wave(
-                        &mut devices,
-                        workers,
-                        round,
-                        &ri_id,
-                        &catalog,
-                        now(),
-                        &mut dispatch,
-                    )?,
-                }
+                attempt_wave(
+                    &wave,
+                    &mut devices,
+                    workers,
+                    &ri_id,
+                    &catalog,
+                    &mut dispatch,
+                )?
             };
             if complete {
                 break;
@@ -1315,15 +1250,7 @@ pub fn run_fleet_cluster(
     let mut pre_kill_image = None;
     let mut promoted_image = None;
 
-    enum Wave {
-        Hello,
-        Register,
-        Acquire(usize),
-    }
-    let mut waves = vec![Wave::Hello, Wave::Register];
-    waves.extend((0..spec.acquisitions_per_device).map(Wave::Acquire));
-
-    for wave in waves {
+    for wave in waves(spec) {
         loop {
             let complete = {
                 let nodes = &mut nodes;
@@ -1398,21 +1325,14 @@ pub fn run_fleet_cluster(
                         }
                         Ok(out)
                     };
-                match wave {
-                    Wave::Hello => hello_wave(&mut devices, &mut dispatch)?,
-                    Wave::Register => {
-                        registration_wave(&mut devices, workers, now(), &mut dispatch)?
-                    }
-                    Wave::Acquire(round) => acquisition_wave(
-                        &mut devices,
-                        workers,
-                        round,
-                        &ri_id,
-                        &catalog,
-                        now(),
-                        &mut dispatch,
-                    )?,
-                }
+                attempt_wave(
+                    &wave,
+                    &mut devices,
+                    workers,
+                    &ri_id,
+                    &catalog,
+                    &mut dispatch,
+                )?
             };
             if complete {
                 break;
@@ -1519,19 +1439,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_fleet_matches_in_proc_reference() {
-        let spec = FleetSpec::new(5, 3).with_acquisitions(2);
-        let wire = run_fleet_wire(&spec).unwrap();
-        let reference = run_sequential(&spec).unwrap();
-        assert_eq!(wire.registrations, spec.devices as u64);
-        assert!(
-            wire.matches(&reference),
-            "wire-mode outcomes must be byte-identical to direct calls"
-        );
-        assert!(wire.duplicate_ro_ids().is_empty());
-    }
-
-    #[test]
     fn tcp_fleet_matches_in_proc_reference() {
         let spec = FleetSpec::new(5, 3).with_acquisitions(2);
         let tcp = run_fleet_tcp(&spec).unwrap();
@@ -1556,14 +1463,18 @@ mod tests {
 
     #[test]
     fn durable_uninterrupted_matches_plain_reference() {
-        let spec = FleetSpec::smoke();
+        // Several acquisition rounds over more devices than workers: the
+        // wave engine's frames must answer exactly as per-device drives do.
+        let spec = FleetSpec::new(5, 3).with_acquisitions(2);
         let durable = run_fleet_durable(&spec, Arc::new(RiStore::in_memory()), None).unwrap();
         let reference = run_sequential(&spec).unwrap();
         assert_eq!(durable.recoveries, 0);
+        assert_eq!(durable.fleet.registrations, spec.devices as u64);
         assert!(
             durable.fleet.matches(&reference),
             "journaling must not change any deterministic observable"
         );
+        assert!(durable.fleet.duplicate_ro_ids().is_empty());
     }
 
     #[test]

@@ -866,7 +866,7 @@ mod tests {
         .unwrap();
         let mut agent = DrmAgent::new("phone-001", 384, &mut ca, &mut rng);
         let client = RoapClient::new(TcpTransport::connect(server.local_addr()).unwrap());
-        agent.register_via(&client, Timestamp::new(1_000)).unwrap();
+        agent.register(&client, Timestamp::new(1_000)).unwrap();
         drop(client);
         // Hard kill: no graceful shutdown, no final snapshot. (The leaked
         // loop thread dies with the test process.)

@@ -401,7 +401,7 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Vec<u8>, DrmError> {
 /// #     ServerConfig { clock: Some(now), ..ServerConfig::default() },
 /// # )?;
 /// let client = RoapClient::new(TcpTransport::connect(server.local_addr())?);
-/// agent.register_via(&client, now)?;
+/// agent.register(&client, now)?;
 /// assert!(agent.is_registered_with("ri.example.com"));
 /// # server.shutdown();
 /// # Ok(()) }

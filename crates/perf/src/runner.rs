@@ -17,7 +17,9 @@ use crate::arch::Architecture;
 use crate::cost::CostTable;
 use crate::phases::PhaseTraces;
 use crate::usecase::UseCaseSpec;
-use oma_drm::{ContentIssuer, DrmAgent, DrmError, Permission, RightsIssuer, RightsTemplate};
+use oma_drm::{
+    ContentIssuer, DrmAgent, DrmError, Permission, RiService, RightsTemplate, RoapClient,
+};
 use oma_pki::{CertificationAuthority, Timestamp};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -144,7 +146,7 @@ pub fn measure_use_case_on(
     let mut rng = StdRng::seed_from_u64(seed);
     let bits = spec.rsa_modulus_bits();
     let mut ca = CertificationAuthority::new("cmla", bits, &mut rng);
-    let mut ri = RightsIssuer::new("ri.example.com", bits, &mut ca, &mut rng);
+    let ri = RiService::new("ri.example.com", bits, &mut ca, &mut rng);
     let ci = ContentIssuer::new("ci.example.com");
     let mut agent = DrmAgent::with_backend(
         "terminal-under-test",
@@ -170,11 +172,12 @@ pub fn measure_use_case_on(
     agent.engine().reset_trace();
     backend.take_charged_cycles();
 
-    agent.register_with(ri.service(), now)?;
+    let client = RoapClient::in_proc(&ri);
+    agent.register(&client, now)?;
     traces.registration = agent.engine().take_trace();
     cycles.registration = backend.take_charged_cycles();
 
-    let response = agent.acquire_rights_with(ri.service(), &content_id, now)?;
+    let response = agent.acquire_rights(&client, ri.id(), &content_id, now)?;
     traces.acquisition = agent.engine().take_trace();
     cycles.acquisition = backend.take_charged_cycles();
 

@@ -29,7 +29,7 @@
 //! on graceful shutdown):
 //!
 //! ```
-//! # use oma_drm::{DrmAgent, RiService};
+//! # use oma_drm::{DrmAgent, RiService, RoapClient};
 //! # use oma_net::{RoapEventServer, ServerConfig, TcpTransport};
 //! # use oma_pki::{CertificationAuthority, Timestamp};
 //! # use oma_store::{RiStore, StoreConfig};
@@ -48,7 +48,7 @@
 //! #     service.set_journal(Arc::clone(&store) as Arc<dyn RiJournal>);
 //! #     store.snapshot(&|| service.state_image())?;
 //! #     let mut agent = DrmAgent::new("phone-001", 384, &mut ca, &mut rng);
-//! #     agent.register_with(&service, now)?;
+//! #     agent.register(&RoapClient::in_proc(&service), now)?;
 //! #     store.flush()?;
 //! # }
 //! let store = Arc::new(RiStore::open_dir(&dir, StoreConfig::default())?);

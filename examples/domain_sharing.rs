@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example domain_sharing`
 
 use oma_drm2::drm::{
-    ContentIssuer, DomainId, DrmAgent, DrmError, Permission, RightsIssuer, RightsTemplate,
+    ContentIssuer, DomainId, DrmAgent, DrmError, Permission, RiService, RightsTemplate, RoapClient,
 };
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use rand::SeedableRng;
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let now = Timestamp::new(5_000);
 
     let mut ca = CertificationAuthority::new("cmla", 1024, &mut rng);
-    let mut ri = RightsIssuer::new("ri.example.com", 1024, &mut ca, &mut rng);
+    let ri = RiService::new("ri.example.com", 1024, &mut ca, &mut rng);
     let ci = ContentIssuer::new("ci.example.com");
     let mut phone = DrmAgent::new("phone", 1024, &mut ca, &mut rng);
     let mut player = DrmAgent::new("mp3-player", 1024, &mut ca, &mut rng);
@@ -33,22 +33,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RightsTemplate::unlimited(Permission::Play),
     );
 
-    // Both devices establish trust with the Rights Issuer.
-    phone.register_with(ri.service(), now)?;
-    player.register_with(ri.service(), now)?;
+    // Both devices establish trust with the Rights Issuer, each ROAP
+    // message an encoded frame handed to the in-process service.
+    let client = RoapClient::in_proc(&ri);
+    phone.register(&client, now)?;
+    player.register(&client, now)?;
     println!("both devices registered with {}", ri.id());
 
     // The user sets up a family domain and registers both devices.
     let domain: DomainId = ri.create_domain("family-domain", 8);
-    phone.join_domain_with(ri.service(), &domain, now)?;
-    player.join_domain_with(ri.service(), &domain, now)?;
+    phone.join_domain(&client, ri.id(), &domain, now)?;
+    player.join_domain(&client, ri.id(), &domain, now)?;
     println!(
         "domain '{domain}' now has {} member devices",
         ri.domain_member_count(&domain).unwrap_or(0)
     );
 
     // The phone buys a Domain Rights Object...
-    let response = phone.acquire_domain_rights_with(ri.service(), "cid:album", &domain, now)?;
+    let response = phone.acquire_domain_rights(&client, ri.id(), "cid:album", &domain, now)?;
     assert!(response.rights_object.is_domain_ro());
     let ro_id = phone.install_rights(&response, now)?;
     println!("phone acquired and installed domain RO {ro_id}");
@@ -67,14 +69,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A device outside the domain cannot use the Domain RO.
     let mut stranger = DrmAgent::new("strangers-phone", 1024, &mut ca, &mut rng);
-    stranger.register_with(ri.service(), now)?;
+    stranger.register(&client, now)?;
     match stranger.install_protected_ro(&response.rights_object, ri.id(), now) {
         Err(DrmError::NotInDomain) => println!("outsider correctly rejected (not a domain member)"),
         other => println!("unexpected result for outsider: {other:?}"),
     }
 
     // Leaving the domain removes the key from the device.
-    player.leave_domain_with(ri.service(), &domain)?;
+    player.leave_domain(&client, &domain)?;
     println!(
         "player left the domain; remaining members: {}",
         ri.domain_member_count(&domain).unwrap_or(0)

@@ -9,9 +9,7 @@
 //!
 //! Run with: `cargo run --release --example fleet`
 
-use oma_drm2::load::{
-    run_fleet, run_fleet_durable, run_fleet_tcp, run_fleet_wire, run_sequential, FleetSpec,
-};
+use oma_drm2::load::{run_fleet, run_fleet_durable, run_fleet_tcp, run_sequential, FleetSpec};
 use oma_drm2::store::RiStore;
 use std::sync::Arc;
 
@@ -57,18 +55,6 @@ fn main() {
     let speedup = sequential.elapsed.as_secs_f64() / concurrent.elapsed.as_secs_f64();
     println!("wall-clock speedup over sequential: {speedup:.2}x");
 
-    println!("\nre-running the same fleet over the wire (dispatch_batch waves)...\n");
-    let wire = run_fleet_wire(&spec).expect("wire fleet run");
-    println!("{}", wire.summary("Wire-mode fleet"));
-    assert!(
-        wire.matches(&sequential),
-        "wire-mode outcomes must be byte-identical to the in-process runs"
-    );
-    println!(
-        "wire-mode outcomes byte-identical to in-process runs: {}",
-        wire.matches(&sequential)
-    );
-
     println!("\nre-running the same fleet over loopback TCP (one connection per device)...\n");
     let tcp = run_fleet_tcp(&spec).expect("tcp fleet run");
     println!("{}", tcp.summary("Loopback-TCP fleet"));
@@ -91,6 +77,6 @@ fn main() {
         durable.fleet.matches(&sequential),
         "journaling must not change any deterministic observable"
     );
-    let journaled = durable.fleet.elapsed.as_secs_f64() / wire.elapsed.as_secs_f64();
-    println!("journaling overhead vs wire mode: {journaled:.2}x wall-clock");
+    let journaled = durable.fleet.elapsed.as_secs_f64() / concurrent.elapsed.as_secs_f64();
+    println!("journaling overhead vs the in-process run: {journaled:.2}x wall-clock");
 }

@@ -18,7 +18,7 @@
 //!
 //! Run with: `cargo run --release --example idle_fleet`
 
-use oma_drm2::load::{bind_idle_server, drive_idle_clients_with, IdleFleetSpec};
+use oma_drm2::load::{bind_idle_server, drive_idle_clients, IdleFleetSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::SocketAddr;
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -59,7 +59,7 @@ fn parse_range(s: &str) -> std::ops::Range<usize> {
 /// then wake the range's active devices on the Poisson schedule.
 fn child(addr: SocketAddr, range: std::ops::Range<usize>) {
     let spec = scenario();
-    let report = drive_idle_clients_with(addr, &spec, range, |parked| {
+    let report = drive_idle_clients(addr, &spec, range, |parked| {
         println!("parked {parked}");
         std::io::stdout().flush().expect("flush parked line");
         let mut go = String::new();

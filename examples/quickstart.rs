@@ -6,7 +6,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RightsIssuer, RightsTemplate, RoapPdu};
+use oma_drm2::drm::{
+    ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate, RoapClient, RoapPdu,
+};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use rand::SeedableRng;
 
@@ -16,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Trust infrastructure (the CMLA role) and the three actors.
     println!("setting up CA, Rights Issuer, Content Issuer and DRM Agent...");
     let mut ca = CertificationAuthority::new("cmla", 1024, &mut rng);
-    let mut ri = RightsIssuer::new("ri.example.com", 1024, &mut ca, &mut rng);
+    let ri = RiService::new("ri.example.com", 1024, &mut ca, &mut rng);
     let ci = ContentIssuer::new("ci.example.com");
     let mut agent = DrmAgent::new("phone-001", 1024, &mut ca, &mut rng);
 
@@ -35,12 +37,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dcf.encrypted_payload().len()
     );
 
-    // Registration -> Acquisition -> Installation -> Consumption.
+    // Registration -> Acquisition -> Installation -> Consumption. Every ROAP
+    // message is an encoded frame, here handed to the in-process service.
     let now = Timestamp::new(1_000);
-    agent.register_with(ri.service(), now)?;
+    let client = RoapClient::in_proc(&ri);
+    agent.register(&client, now)?;
     println!("registered with {} (RI context established)", ri.id());
 
-    let response = agent.acquire_rights_with(ri.service(), "cid:track-0001@ci.example.com", now)?;
+    let response = agent.acquire_rights(&client, ri.id(), "cid:track-0001@ci.example.com", now)?;
     println!(
         "acquired rights object {} ({} bytes on the wire)",
         response.ro_id(),

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example ringtone`
 
-use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RightsIssuer, RightsTemplate};
+use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate, RoapClient};
 use oma_drm2::perf::arch::Architecture;
 use oma_drm2::perf::cost::CostTable;
 use oma_drm2::perf::phases::PhaseTraces;
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Real protocol run with 1024-bit keys and the real 30 KB ringtone.
     let mut ca = CertificationAuthority::new("cmla", 1024, &mut rng);
-    let mut ri = RightsIssuer::new("ri.example.com", 1024, &mut ca, &mut rng);
+    let ri = RiService::new("ri.example.com", 1024, &mut ca, &mut rng);
     let ci = ContentIssuer::new("ci.example.com");
     let mut agent = DrmAgent::new("phone-001", 1024, &mut ca, &mut rng);
 
@@ -48,10 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut traces = PhaseTraces::new();
     agent.engine().reset_trace();
 
-    agent.register_with(ri.service(), now)?;
+    let client = RoapClient::in_proc(&ri);
+    agent.register(&client, now)?;
     traces.registration = agent.engine().take_trace();
 
-    let response = agent.acquire_rights_with(ri.service(), "cid:ringtone", now)?;
+    let response = agent.acquire_rights(&client, ri.id(), "cid:ringtone", now)?;
     traces.acquisition = agent.engine().take_trace();
 
     let ro_id = agent.install_rights(&response, now)?;

@@ -75,8 +75,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     // ---- serve: alice registers and buys her first license --------------
     let mut alice = DrmAgent::new("alice-phone", 512, &mut ca, &mut rng);
     let client = RoapClient::in_proc(&service);
-    alice.register_via(&client, now)?;
-    let response = alice.acquire_rights_via(&client, "ri.example.com", "cid:track-1", now)?;
+    alice.register(&client, now)?;
+    let response = alice.acquire_rights(&client, "ri.example.com", "cid:track-1", now)?;
     let first_ro = alice.install_rights(&response, now)?;
     alice.consume(&first_ro, &dcf, Permission::Play, now)?;
     println!("alice registered and holds {first_ro:?}");
@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Alice's second purchase runs against the promoted node; her RI
     // context is intact and the RO-id sequence continues where it left off.
     let client = RoapClient::in_proc(&promoted.service);
-    let response = alice.acquire_rights_via(&client, "ri.example.com", "cid:track-1", now)?;
+    let response = alice.acquire_rights(&client, "ri.example.com", "cid:track-1", now)?;
     let second_ro = alice.install_rights(&response, now)?;
     assert_ne!(
         first_ro, second_ro,

@@ -54,8 +54,8 @@ fn main() -> Result<(), DrmError> {
     )?;
     let mut alice = DrmAgent::new("alice-phone", 512, &mut ca, &mut rng);
     let client = RoapClient::new(TcpTransport::connect(server.local_addr())?);
-    alice.register_via(&client, now)?;
-    let response = alice.acquire_rights_via(&client, "ri.example.com", "cid:track-1", now)?;
+    alice.register(&client, now)?;
+    let response = alice.acquire_rights(&client, "ri.example.com", "cid:track-1", now)?;
     let first_ro = alice.install_rights(&response, now)?;
     alice.consume(&first_ro, &dcf, Permission::Play, now)?;
     println!("   alice registered over TCP and plays under {first_ro}");
@@ -73,7 +73,7 @@ fn main() -> Result<(), DrmError> {
     );
     service.set_journal(Arc::clone(&store) as Arc<dyn RiJournal>);
     let mut bob = DrmAgent::new("bob-player", 512, &mut ca, &mut rng);
-    bob.register_with(&service, now)?;
+    bob.register(&RoapClient::in_proc(&service), now)?;
     println!("   bob registered; killing the service cold (no flush, no snapshot)");
     drop(service); // power loss: only the fsync'd WAL survives
 
@@ -101,7 +101,7 @@ fn main() -> Result<(), DrmError> {
         ServerConfig::durable(Arc::clone(&store) as Arc<dyn RiJournal>).with_clock(now),
     )?;
     let client = RoapClient::new(TcpTransport::connect(server.local_addr())?);
-    let response = alice.acquire_rights_via(&client, "ri.example.com", "cid:track-1", now)?;
+    let response = alice.acquire_rights(&client, "ri.example.com", "cid:track-1", now)?;
     let second_ro = alice.install_rights(&response, now)?;
     alice.consume(&second_ro, &dcf, Permission::Play, now)?;
     println!("   alice plays again under {second_ro}");

@@ -44,14 +44,14 @@ fn main() {
 
     let client = RoapClient::new(TcpTransport::connect(server.local_addr()).expect("connect"));
 
-    agent.register_via(&client, now).expect("registration");
+    agent.register(&client, now).expect("registration");
     println!(
         "registered over TCP: {}",
         agent.is_registered_with("ri.example.com")
     );
 
     let response = agent
-        .acquire_rights_via(&client, "ri.example.com", "cid:track", now)
+        .acquire_rights(&client, "ri.example.com", "cid:track", now)
         .expect("acquisition");
     let ro_id = agent.install_rights(&response, now).expect("installation");
     let plaintext = agent
@@ -60,10 +60,10 @@ fn main() {
     println!("recovered {} plaintext bytes", plaintext.len());
 
     agent
-        .join_domain_via(&client, "ri.example.com", &domain, now)
+        .join_domain(&client, "ri.example.com", &domain, now)
         .expect("join");
     println!("joined domain: {:?}", agent.joined_domains());
-    agent.leave_domain_via(&client, &domain).expect("leave");
+    agent.leave_domain(&client, &domain).expect("leave");
     println!("left domain: {:?}", agent.joined_domains());
 
     // Hang up, then stop the server: accepting ends, in-flight

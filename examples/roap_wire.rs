@@ -49,14 +49,14 @@ fn main() {
         let server = scope.spawn(move || serve(service_ref, &server_end));
         let client = RoapClient::new(client_end);
 
-        agent.register_via(&client, now).expect("registration");
+        agent.register(&client, now).expect("registration");
         println!(
             "registered over the channel: {}",
             agent.is_registered_with("ri.example.com")
         );
 
         let response = agent
-            .acquire_rights_via(&client, "ri.example.com", "cid:track", now)
+            .acquire_rights(&client, "ri.example.com", "cid:track", now)
             .expect("acquisition");
         let frame = RoapPdu::RoResponse(response.clone()).encode();
         println!("ROResponse frame: {} bytes", frame.len());
@@ -68,10 +68,10 @@ fn main() {
         println!("recovered {} plaintext bytes", plaintext.len());
 
         agent
-            .join_domain_via(&client, "ri.example.com", &domain, now)
+            .join_domain(&client, "ri.example.com", &domain, now)
             .expect("join");
         println!("joined domain: {:?}", agent.joined_domains());
-        agent.leave_domain_via(&client, &domain).expect("leave");
+        agent.leave_domain(&client, &domain).expect("leave");
         println!("left domain: {:?}", agent.joined_domains());
 
         drop(client);

@@ -55,14 +55,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RightsIssuer, RightsTemplate};
+//! use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate, RoapClient};
 //! use oma_drm2::pki::{CertificationAuthority, Timestamp};
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), oma_drm2::drm::DrmError> {
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let mut ca = CertificationAuthority::new("cmla", 512, &mut rng);
-//! let mut ri = RightsIssuer::new("ri.example.com", 512, &mut ca, &mut rng);
+//! let ri = RiService::new("ri.example.com", 512, &mut ca, &mut rng);
 //! let ci = ContentIssuer::new("ci.example.com");
 //! let mut agent = DrmAgent::new("phone-001", 512, &mut ca, &mut rng);
 //!
@@ -70,8 +70,9 @@
 //! let (dcf, cek) = ci.package(b"ringtone bytes", "cid:ring", &mut rng);
 //! ri.add_content("cid:ring", cek, &dcf, RightsTemplate::unlimited(Permission::Play));
 //!
-//! agent.register_with(ri.service(), now)?;
-//! let response = agent.acquire_rights_with(ri.service(), "cid:ring", now)?;
+//! let client = RoapClient::in_proc(&ri);
+//! agent.register(&client, now)?;
+//! let response = agent.acquire_rights(&client, ri.id(), "cid:ring", now)?;
 //! let ro_id = agent.install_rights(&response, now)?;
 //! assert_eq!(agent.consume(&ro_id, &dcf, Permission::Play, now)?, b"ringtone bytes");
 //! # Ok(()) }

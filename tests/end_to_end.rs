@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: the full OMA DRM 2 life-cycle driven
 //! through the umbrella crate's public API.
 
-use oma_drm2::drm::{ContentIssuer, DrmAgent, DrmError, Permission, RightsIssuer, RightsTemplate};
+use oma_drm2::drm::{
+    ContentIssuer, DrmAgent, DrmError, Permission, RiService, RightsTemplate, RoapClient,
+};
 use oma_drm2::pki::{CertificationAuthority, PkiError, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,7 +12,7 @@ const BITS: usize = 512;
 
 struct Fixture {
     ca: CertificationAuthority,
-    ri: RightsIssuer,
+    ri: RiService,
     agent: DrmAgent,
     dcf: oma_drm2::drm::Dcf,
     content: Vec<u8>,
@@ -19,7 +21,7 @@ struct Fixture {
 fn fixture(seed: u64, template: RightsTemplate) -> Fixture {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ca = CertificationAuthority::new("cmla", BITS, &mut rng);
-    let mut ri = RightsIssuer::new("ri.example.com", BITS, &mut ca, &mut rng);
+    let ri = RiService::new("ri.example.com", BITS, &mut ca, &mut rng);
     let agent = DrmAgent::new("terminal", BITS, &mut ca, &mut rng);
     let ci = ContentIssuer::new("ci.example.com");
     let content = b"protected media payload ".repeat(64);
@@ -37,11 +39,12 @@ fn fixture(seed: u64, template: RightsTemplate) -> Fixture {
 #[test]
 fn lifecycle_through_umbrella_crate() {
     let mut f = fixture(1, RightsTemplate::unlimited(Permission::Play));
+    let client = RoapClient::in_proc(&f.ri);
     let now = Timestamp::new(500);
-    f.agent.register_with(f.ri.service(), now).unwrap();
+    f.agent.register(&client, now).unwrap();
     let response = f
         .agent
-        .acquire_rights_with(f.ri.service(), "cid:content", now)
+        .acquire_rights(&client, f.ri.id(), "cid:content", now)
         .unwrap();
     let ro_id = f.agent.install_rights(&response, now).unwrap();
     let plaintext = f
@@ -54,11 +57,12 @@ fn lifecycle_through_umbrella_crate() {
 #[test]
 fn repeated_playback_with_count_constraint() {
     let mut f = fixture(2, RightsTemplate::counted(Permission::Play, 3));
+    let client = RoapClient::in_proc(&f.ri);
     let now = Timestamp::new(500);
-    f.agent.register_with(f.ri.service(), now).unwrap();
+    f.agent.register(&client, now).unwrap();
     let response = f
         .agent
-        .acquire_rights_with(f.ri.service(), "cid:content", now)
+        .acquire_rights(&client, f.ri.id(), "cid:content", now)
         .unwrap();
     let ro_id = f.agent.install_rights(&response, now).unwrap();
     for i in 0..3 {
@@ -83,7 +87,7 @@ fn revoked_rights_issuer_cannot_register_devices() {
     f.ca.revoke(f.ri.certificate().serial());
     f.ri.refresh_ocsp(&f.ca, now);
     assert_eq!(
-        f.agent.register_with(f.ri.service(), now),
+        f.agent.register(&RoapClient::in_proc(&f.ri), now),
         Err(DrmError::Pki(PkiError::CertificateRevoked))
     );
 }
@@ -91,11 +95,12 @@ fn revoked_rights_issuer_cannot_register_devices() {
 #[test]
 fn tampered_content_and_rights_objects_are_rejected() {
     let mut f = fixture(4, RightsTemplate::unlimited(Permission::Play));
+    let client = RoapClient::in_proc(&f.ri);
     let now = Timestamp::new(500);
-    f.agent.register_with(f.ri.service(), now).unwrap();
+    f.agent.register(&client, now).unwrap();
     let mut response = f
         .agent
-        .acquire_rights_with(f.ri.service(), "cid:content", now)
+        .acquire_rights(&client, f.ri.id(), "cid:content", now)
         .unwrap();
 
     // Tampered DCF detected at consumption time.
@@ -118,17 +123,18 @@ fn tampered_content_and_rights_objects_are_rejected() {
 #[test]
 fn second_rights_object_for_same_content_can_coexist() {
     let mut f = fixture(5, RightsTemplate::counted(Permission::Play, 1));
+    let client = RoapClient::in_proc(&f.ri);
     let now = Timestamp::new(500);
-    f.agent.register_with(f.ri.service(), now).unwrap();
+    f.agent.register(&client, now).unwrap();
 
     let first = f
         .agent
-        .acquire_rights_with(f.ri.service(), "cid:content", now)
+        .acquire_rights(&client, f.ri.id(), "cid:content", now)
         .unwrap();
     let first_id = f.agent.install_rights(&first, now).unwrap();
     let second = f
         .agent
-        .acquire_rights_with(f.ri.service(), "cid:content", now)
+        .acquire_rights(&client, f.ri.id(), "cid:content", now)
         .unwrap();
     let second_id = f.agent.install_rights(&second, now).unwrap();
     assert_ne!(first_id, second_id);
@@ -154,11 +160,12 @@ fn second_rights_object_for_same_content_can_coexist() {
 fn consumption_uses_only_symmetric_crypto() {
     use oma_drm2::crypto::Algorithm;
     let mut f = fixture(6, RightsTemplate::unlimited(Permission::Play));
+    let client = RoapClient::in_proc(&f.ri);
     let now = Timestamp::new(500);
-    f.agent.register_with(f.ri.service(), now).unwrap();
+    f.agent.register(&client, now).unwrap();
     let response = f
         .agent
-        .acquire_rights_with(f.ri.service(), "cid:content", now)
+        .acquire_rights(&client, f.ri.id(), "cid:content", now)
         .unwrap();
     let ro_id = f.agent.install_rights(&response, now).unwrap();
 

@@ -14,7 +14,9 @@
 
 use oma_drm2::drm::journal::{RiEvent, RiJournal, RiStateImage};
 use oma_drm2::drm::roap::{DeviceHello, RoRequest};
-use oma_drm2::drm::{ContentIssuer, DrmAgent, DrmError, Permission, RiService, RightsTemplate};
+use oma_drm2::drm::{
+    ContentIssuer, DrmAgent, DrmError, Permission, RiService, RightsTemplate, RoapClient,
+};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use oma_drm2::store::RiStore;
 use rand::rngs::StdRng;
@@ -96,7 +98,9 @@ fn a_leave_racing_a_join_reaches_the_log_after_it() {
     let service = RiService::new("ri", 384, &mut ca, &mut rng);
     let family = service.create_domain("family", 4);
     let mut agent = DrmAgent::new("dev-x", 384, &mut ca, &mut rng);
-    agent.register_with(&service, Timestamp::new(0)).unwrap();
+    agent
+        .register(&RoapClient::in_proc(&service), Timestamp::new(0))
+        .unwrap();
     let journal = Arc::new(ParkingJournal::default());
     service.set_journal(Arc::clone(&journal) as Arc<dyn RiJournal>);
     let pre_join = service.state_image();
@@ -155,7 +159,7 @@ fn one_device_from_many_threads_recovers_exactly() {
         RightsTemplate::unlimited(Permission::Play),
     );
     let mut agent = DrmAgent::new("dev-a", 384, &mut ca, &mut rng);
-    agent.register_with(&service, now).unwrap();
+    agent.register(&RoapClient::in_proc(&service), now).unwrap();
     let requests: Vec<RoRequest> = (0..N)
         .map(|_| agent.ro_request(service.id(), "cid:x", None, now).unwrap())
         .collect();

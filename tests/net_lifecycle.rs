@@ -78,9 +78,9 @@ fn tcp_lifecycle_matches_in_proc_byte_for_byte() {
         dcf_a,
     } = world();
     let in_proc = RoapClient::in_proc(&service);
-    agent.register_via(&in_proc, now()).unwrap();
+    agent.register(&in_proc, now()).unwrap();
     let reference = agent
-        .acquire_rights_via(&in_proc, "ri.example.com", "cid:a", now())
+        .acquire_rights(&in_proc, "ri.example.com", "cid:a", now())
         .unwrap();
     let ro_id = agent.install_rights(&reference, now()).unwrap();
     let reference_plain = agent
@@ -99,9 +99,9 @@ fn tcp_lifecycle_matches_in_proc_byte_for_byte() {
     )
     .unwrap();
     let client = RoapClient::new(TcpTransport::connect(server.local_addr()).unwrap());
-    agent.register_via(&client, now()).unwrap();
+    agent.register(&client, now()).unwrap();
     let over_tcp = agent
-        .acquire_rights_via(&client, "ri.example.com", "cid:a", now())
+        .acquire_rights(&client, "ri.example.com", "cid:a", now())
         .unwrap();
     let ro_id = agent.install_rights(&over_tcp, now()).unwrap();
     let tcp_plain = agent

@@ -14,6 +14,7 @@
 
 use oma_drm2::drm::{
     ContentIssuer, Dcf, DrmAgent, DrmError, Permission, RiService, RightsObjectId, RightsTemplate,
+    RoapClient,
 };
 use oma_drm2::pki::{CertificationAuthority, Timestamp, ValidityPeriod};
 use proptest::prelude::*;
@@ -42,6 +43,7 @@ fn world(seed: u64, count: u32) -> World {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ca = CertificationAuthority::new("cmla", BITS, &mut rng);
     let service = RiService::new("ri", BITS, &mut ca, &mut rng);
+    let client = RoapClient::in_proc(&service);
     let ci = ContentIssuer::new("ci");
     let now = Timestamp::new(WINDOW_START);
 
@@ -66,13 +68,13 @@ fn world(seed: u64, count: u32) -> World {
     let devices = (0..DEVICES)
         .map(|i| {
             let mut agent = DrmAgent::new(&format!("phone-{i}"), BITS, &mut ca, &mut rng);
-            agent.register_with(&service, now).unwrap();
+            agent.register(&client, now).unwrap();
             let response = agent
-                .acquire_rights_with(&service, "cid:counted", now)
+                .acquire_rights(&client, service.id(), "cid:counted", now)
                 .unwrap();
             let counted_ro = agent.install_rights(&response, now).unwrap();
             let response = agent
-                .acquire_rights_with(&service, "cid:timed", now)
+                .acquire_rights(&client, service.id(), "cid:timed", now)
                 .unwrap();
             let timed_ro = agent.install_rights(&response, now).unwrap();
             Device {

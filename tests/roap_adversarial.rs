@@ -8,7 +8,8 @@ use oma_drm2::crypto::CryptoEngine;
 use oma_drm2::drm::agent::OCSP_MAX_AGE_SECONDS;
 use oma_drm2::drm::roap::{DeviceHello, RegistrationRequest, RoapError, NONCE_LEN};
 use oma_drm2::drm::{
-    ContentIssuer, DrmAgent, DrmError, Permission, RiService, RightsTemplate, RoapTransport,
+    ContentIssuer, DrmAgent, DrmError, Permission, RiService, RightsTemplate, RoapClient,
+    RoapTransport,
 };
 use oma_drm2::explore::fuzz;
 use oma_drm2::net::{RoapEventServer, ServerConfig, TcpTransport};
@@ -146,6 +147,7 @@ fn certificate_from_wrong_ca_is_rejected() {
 #[test]
 fn tampered_ro_response_signature_is_rejected() {
     let mut w = world(0xbad3);
+    let client = RoapClient::in_proc(&w.service);
     let now = Timestamp::new(1_000);
     let ci = ContentIssuer::new("ci");
     let (dcf, cek) = ci.package(b"protected track", "cid:track", &mut w.rng);
@@ -156,9 +158,9 @@ fn tampered_ro_response_signature_is_rejected() {
         RightsTemplate::unlimited(Permission::Play),
     );
     let mut agent = DrmAgent::new("honest-phone", BITS, &mut w.ca, &mut w.rng);
-    agent.register_with(&w.service, now).unwrap();
+    agent.register(&client, now).unwrap();
     let response = agent
-        .acquire_rights_with(&w.service, "cid:track", now)
+        .acquire_rights(&client, w.service.id(), "cid:track", now)
         .unwrap();
 
     let ri_cert = agent
@@ -204,13 +206,14 @@ fn tampered_ro_response_signature_is_rejected() {
 #[test]
 fn stale_ocsp_response_is_rejected() {
     let mut w = world(0xbad4);
+    let client = RoapClient::in_proc(&w.service);
     let mut agent = DrmAgent::new("late-phone", BITS, &mut w.ca, &mut w.rng);
 
     // The service fetched its OCSP response at t = 0; far past the maximum
     // age the agent must refuse to trust it.
     let far_future = Timestamp::new(OCSP_MAX_AGE_SECONDS + 50_000);
     assert_eq!(
-        agent.register_with(&w.service, far_future),
+        agent.register(&client, far_future),
         Err(DrmError::Pki(PkiError::OcspResponseStale))
     );
     assert!(!agent.is_registered_with("ri.example.com"));
@@ -218,14 +221,14 @@ fn stale_ocsp_response_is_rejected() {
     // A fresh response fixes it — `refresh_ocsp` takes `&self` and swaps the
     // shared response atomically for all concurrent registrations.
     w.service.refresh_ocsp(&w.ca, far_future);
-    agent.register_with(&w.service, far_future).unwrap();
+    agent.register(&client, far_future).unwrap();
 
     // A revoked Rights Issuer is rejected even with a fresh response.
     let mut victim = DrmAgent::new("careful-phone", BITS, &mut w.ca, &mut w.rng);
     w.ca.revoke(w.service.certificate().serial());
     w.service.refresh_ocsp(&w.ca, far_future);
     assert_eq!(
-        victim.register_with(&w.service, far_future),
+        victim.register(&client, far_future),
         Err(DrmError::Pki(PkiError::CertificateRevoked))
     );
 }

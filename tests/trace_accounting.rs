@@ -5,13 +5,13 @@
 //! snapshot/take semantics, and no lost updates under concurrency.
 
 use oma_drm2::crypto::{Algorithm, CryptoEngine, OpTrace};
-use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RightsIssuer, RightsTemplate};
+use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate, RoapClient};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
 
 struct Lifecycle {
-    ri: RightsIssuer,
+    ri: RiService,
     agent: DrmAgent,
     dcf: oma_drm2::drm::Dcf,
 }
@@ -19,7 +19,7 @@ struct Lifecycle {
 fn lifecycle(seed: u64) -> Lifecycle {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut ca = CertificationAuthority::new("cmla", 512, &mut rng);
-    let mut ri = RightsIssuer::new("ri.example.com", 512, &mut ca, &mut rng);
+    let ri = RiService::new("ri.example.com", 512, &mut ca, &mut rng);
     let ci = ContentIssuer::new("ci.example.com");
     let agent = DrmAgent::new("phone-001", 512, &mut ca, &mut rng);
     let (dcf, cek) = ci.package(&vec![0x5au8; 4096], "cid:track", &mut rng);
@@ -35,15 +35,16 @@ fn lifecycle(seed: u64) -> Lifecycle {
 /// Drives the four phases and returns the per-phase traces taken from the
 /// engine (the measured runner's access pattern).
 fn run_phases(world: &mut Lifecycle) -> [OpTrace; 4] {
+    let client = RoapClient::in_proc(&world.ri);
     let now = Timestamp::new(1_000);
     world.agent.engine().reset_trace();
 
-    world.agent.register_with(world.ri.service(), now).unwrap();
+    world.agent.register(&client, now).unwrap();
     let registration = world.agent.engine().take_trace();
 
     let response = world
         .agent
-        .acquire_rights_with(world.ri.service(), "cid:track", now)
+        .acquire_rights(&client, world.ri.id(), "cid:track", now)
         .unwrap();
     let acquisition = world.agent.engine().take_trace();
 
@@ -73,15 +74,13 @@ fn per_phase_takes_equal_one_cumulative_snapshot() {
     }
 
     let mut snapshotted = lifecycle(0xface);
+    let client = RoapClient::in_proc(&snapshotted.ri);
     let now = Timestamp::new(1_000);
     snapshotted.agent.engine().reset_trace();
-    snapshotted
-        .agent
-        .register_with(snapshotted.ri.service(), now)
-        .unwrap();
+    snapshotted.agent.register(&client, now).unwrap();
     let response = snapshotted
         .agent
-        .acquire_rights_with(snapshotted.ri.service(), "cid:track", now)
+        .acquire_rights(&client, snapshotted.ri.id(), "cid:track", now)
         .unwrap();
     let ro_id = snapshotted.agent.install_rights(&response, now).unwrap();
     snapshotted

@@ -174,7 +174,6 @@ fn random_buffers_never_panic() {
             let mut buf = vec![0u8; len];
             rng.fill_bytes(&mut buf);
             let _ = RoapPdu::decode(&buf);
-            let _ = oma_drm2::drm::wire::decode_stream(&buf);
         }
     }
 }

@@ -3,11 +3,11 @@
 //! Domain Acquisition → Leave Domain — completes over a
 //! `RoapClient<ChannelTransport>` (a real serialized byte channel with the
 //! service dispatching on another thread), and produces **byte-identical
-//! signatures and identical crypto cycle counts** to the direct-call path.
+//! signatures and identical crypto cycle counts** to the in-process path.
 //!
 //! Two independent worlds are built from the same seed; one is driven
-//! through `*_with(&RiService)` calls, the other through encoded PDU frames
-//! over the channel. Everything deterministic must match: the encoded
+//! through `RoapClient::in_proc` on the calling thread, the other through
+//! the channel. Everything deterministic must match: the encoded
 //! `ROResponse` frames (covering the Rights Issuer PSS signatures, the RO
 //! MAC and the wrapped keys byte for byte), the recovered plaintexts, the
 //! per-phase operation traces and the per-phase cycle totals charged by the
@@ -15,7 +15,7 @@
 
 use oma_drm2::crypto::backend::{CryptoBackend, SoftwareBackend};
 use oma_drm2::crypto::OpTrace;
-use oma_drm2::drm::client::{serve, ChannelTransport, RoapClient};
+use oma_drm2::drm::client::{serve, ChannelTransport, RoapClient, RoapTransport};
 use oma_drm2::drm::{
     ContentIssuer, Dcf, DomainId, DrmAgent, DrmError, Permission, RiService, RightsTemplate,
     RoapPdu,
@@ -76,98 +76,82 @@ struct Outcome {
     phase_cycles: Vec<u64>,
 }
 
-/// Drives the whole lifecycle, with `acquire` and friends abstracted over
-/// the two paths via closures so both runs share the exact phase structure.
-fn run_lifecycle(direct: bool) -> Outcome {
-    let w = world();
+/// The client side of the whole lifecycle over any transport, recording
+/// the trace and cycle bill of each phase.
+fn drive<T: RoapTransport>(
+    agent: &mut DrmAgent,
+    backend: &SoftwareBackend,
+    dcf: &Dcf,
+    domain: &DomainId,
+    client: &RoapClient<T>,
+) -> Outcome {
+    const RI_ID: &str = "ri.example.com";
+    let now = Timestamp::new(1_000);
+    let mut phase_traces = Vec::new();
+    let mut phase_cycles = Vec::new();
+    let mut plaintexts = Vec::new();
+    let mut end_phase = |agent: &DrmAgent| {
+        phase_traces.push(agent.engine().take_trace());
+        phase_cycles.push(backend.take_charged_cycles());
+    };
+
+    agent.register(client, now).unwrap();
+    end_phase(agent);
+
+    let response = agent
+        .acquire_rights(client, RI_ID, "cid:track", now)
+        .unwrap();
+    end_phase(agent);
+
+    let ro_id = agent.install_rights(&response, now).unwrap();
+    plaintexts.push(agent.consume(&ro_id, dcf, Permission::Play, now).unwrap());
+    end_phase(agent);
+
+    agent.join_domain(client, RI_ID, domain, now).unwrap();
+    let domain_response = agent
+        .acquire_domain_rights(client, RI_ID, "cid:track", domain, now)
+        .unwrap();
+    let domain_ro_id = agent.install_rights(&domain_response, now).unwrap();
+    plaintexts.push(
+        agent
+            .consume(&domain_ro_id, dcf, Permission::Play, now)
+            .unwrap(),
+    );
+    agent.leave_domain(client, domain).unwrap();
+    end_phase(agent);
+
+    Outcome {
+        ro_response_frame: RoapPdu::RoResponse(response).encode(),
+        domain_ro_response_frame: RoapPdu::RoResponse(domain_response).encode(),
+        plaintexts,
+        phase_traces,
+        phase_cycles,
+    }
+}
+
+/// Drives the whole lifecycle in a fresh world: in process on this thread
+/// (`in_proc`), or over a byte channel served on another thread.
+fn run_lifecycle(in_proc: bool) -> Outcome {
     let World {
         service,
         mut agent,
         backend,
         dcf,
         domain,
-    } = w;
-    let now = Timestamp::new(1_000);
-
-    let mut phase_traces = Vec::new();
-    let mut phase_cycles = Vec::new();
-    let mut plaintexts = Vec::new();
-
+    } = world();
     agent.engine().reset_trace();
     backend.take_charged_cycles();
 
-    let (ro_frame, domain_ro_frame) = if direct {
-        agent.register_with(&service, now).unwrap();
-        phase_traces.push(agent.engine().take_trace());
-        phase_cycles.push(backend.take_charged_cycles());
-
-        let response = agent
-            .acquire_rights_with(&service, "cid:track", now)
-            .unwrap();
-        phase_traces.push(agent.engine().take_trace());
-        phase_cycles.push(backend.take_charged_cycles());
-
-        let ro_id = agent.install_rights(&response, now).unwrap();
-        plaintexts.push(agent.consume(&ro_id, &dcf, Permission::Play, now).unwrap());
-        phase_traces.push(agent.engine().take_trace());
-        phase_cycles.push(backend.take_charged_cycles());
-
-        agent.join_domain_with(&service, &domain, now).unwrap();
-        let domain_response = agent
-            .acquire_domain_rights_with(&service, "cid:track", &domain, now)
-            .unwrap();
-        let domain_ro_id = agent.install_rights(&domain_response, now).unwrap();
-        plaintexts.push(
-            agent
-                .consume(&domain_ro_id, &dcf, Permission::Play, now)
-                .unwrap(),
-        );
-        agent.leave_domain_with(&service, &domain).unwrap();
-        phase_traces.push(agent.engine().take_trace());
-        phase_cycles.push(backend.take_charged_cycles());
-
-        (
-            RoapPdu::RoResponse(response).encode(),
-            RoapPdu::RoResponse(domain_response).encode(),
-        )
+    let outcome = if in_proc {
+        let client = RoapClient::in_proc(&service);
+        drive(&mut agent, &backend, &dcf, &domain, &client)
     } else {
         let (client_end, server_end) = ChannelTransport::pair();
         std::thread::scope(|scope| {
             let service_ref = &service;
             let server = scope.spawn(move || serve(service_ref, &server_end));
             let client = RoapClient::new(client_end);
-
-            agent.register_via(&client, now).unwrap();
-            phase_traces.push(agent.engine().take_trace());
-            phase_cycles.push(backend.take_charged_cycles());
-
-            let response = agent
-                .acquire_rights_via(&client, "ri.example.com", "cid:track", now)
-                .unwrap();
-            phase_traces.push(agent.engine().take_trace());
-            phase_cycles.push(backend.take_charged_cycles());
-
-            let ro_id = agent.install_rights(&response, now).unwrap();
-            plaintexts.push(agent.consume(&ro_id, &dcf, Permission::Play, now).unwrap());
-            phase_traces.push(agent.engine().take_trace());
-            phase_cycles.push(backend.take_charged_cycles());
-
-            agent
-                .join_domain_via(&client, "ri.example.com", &domain, now)
-                .unwrap();
-            let domain_response = agent
-                .acquire_domain_rights_via(&client, "ri.example.com", "cid:track", &domain, now)
-                .unwrap();
-            let domain_ro_id = agent.install_rights(&domain_response, now).unwrap();
-            plaintexts.push(
-                agent
-                    .consume(&domain_ro_id, &dcf, Permission::Play, now)
-                    .unwrap(),
-            );
-            agent.leave_domain_via(&client, &domain).unwrap();
-            phase_traces.push(agent.engine().take_trace());
-            phase_cycles.push(backend.take_charged_cycles());
-
+            let outcome = drive(&mut agent, &backend, &dcf, &domain, &client);
             // Dropping the client closes the channel; `serve` surfaces the
             // disconnect as a Transport error instead of spinning on the
             // dead endpoint.
@@ -176,24 +160,14 @@ fn run_lifecycle(direct: bool) -> Outcome {
                 server.join().unwrap(),
                 Err(DrmError::Transport(_))
             ));
-            (
-                RoapPdu::RoResponse(response).encode(),
-                RoapPdu::RoResponse(domain_response).encode(),
-            )
+            outcome
         })
     };
 
     assert_eq!(service.registered_count(), 1);
     assert_eq!(service.issued_ro_count(), 2);
     assert_eq!(service.domain_member_count(&domain), Some(0));
-
-    Outcome {
-        ro_response_frame: ro_frame,
-        domain_ro_response_frame: domain_ro_frame,
-        plaintexts,
-        phase_traces,
-        phase_cycles,
-    }
+    outcome
 }
 
 #[test]
@@ -294,24 +268,24 @@ fn wire_errors_carry_protocol_reasons_across_the_channel() {
         let service_ref = &service;
         scope.spawn(move || serve(service_ref, &server_end));
         let client = RoapClient::new(client_end);
-        agent.register_via(&client, now).unwrap();
+        agent.register(&client, now).unwrap();
         // Unknown content: the wire peer reports the specific ROAP error.
         assert_eq!(
             agent
-                .acquire_rights_via(&client, "ri.example.com", "cid:nope", now)
+                .acquire_rights(&client, "ri.example.com", "cid:nope", now)
                 .unwrap_err(),
             DrmError::Roap(RoapError::UnknownRightsObject)
         );
         // Unknown domain on leave: status PDUs round-trip both error kinds.
         assert_eq!(
             agent
-                .leave_domain_via(&client, &DomainId::new("ghost"))
+                .leave_domain(&client, &DomainId::new("ghost"))
                 .unwrap_err(),
             DrmError::Roap(RoapError::UnknownDomain)
         );
         assert_eq!(
             agent
-                .join_domain_via(&client, "ri.example.com", &DomainId::new("ghost"), now)
+                .join_domain(&client, "ri.example.com", &DomainId::new("ghost"), now)
                 .unwrap_err(),
             DrmError::Roap(RoapError::UnknownDomain)
         );
