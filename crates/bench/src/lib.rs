@@ -10,7 +10,6 @@
 //! | `fig5_breakdown` | Figure 5 — relative share of processing time per algorithm |
 //! | `fig6_music_player` | Figure 6 — SW / SW+HW / HW totals, Music Player |
 //! | `fig7_ringtone` | Figure 7 — SW / SW+HW / HW totals, Ringtone |
-//! | `ablation_partitionings` | sensitivity study over single-accelerator partitionings |
 //!
 //! The `repro` binary prints the same rows/series as text so the numbers can
 //! be compared against the paper without running Criterion.

@@ -105,16 +105,49 @@ pub fn wrap_keys_with<R: RngCore + ?Sized>(
     krek: &[u8; SYMMETRIC_KEY_LEN],
     rng: &mut R,
 ) -> Result<WrappedKeys, CryptoError> {
-    // Z uniformly random in [2, n-2].
+    let secret = random_secret(recipient, rng);
+    wrap_keys_secret_with(backend, recipient, kmac, krek, &secret)
+}
+
+/// A KEM secret `Z` drawn for one recipient key.
+#[derive(Clone)]
+pub struct KemSecret(BigUint);
+
+impl std::fmt::Debug for KemSecret {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("KemSecret(<redacted>)")
+    }
+}
+
+/// Draws the KEM secret `Z`, uniformly random in `[2, n-2]` for
+/// `recipient`'s modulus `n` — the only randomness [`wrap_keys_with`]
+/// consumes, so a caller can draw it early (in a fixed order with its other
+/// draws) and wrap later with [`wrap_keys_secret_with`].
+pub fn random_secret<R: RngCore + ?Sized>(recipient: &RsaPublicKey, rng: &mut R) -> KemSecret {
     let two = BigUint::from_u64(2);
     let upper = recipient.modulus() - &two;
-    let z = prime::random_in_range(&two, &upper, rng);
+    KemSecret(prime::random_in_range(&two, &upper, rng))
+}
+
+/// [`wrap_keys_with`] with the KEM secret given instead of drawn.
+///
+/// # Errors
+///
+/// Same as [`wrap_keys`].
+pub fn wrap_keys_secret_with(
+    backend: &dyn CryptoBackend,
+    recipient: &RsaPublicKey,
+    kmac: &[u8; SYMMETRIC_KEY_LEN],
+    krek: &[u8; SYMMETRIC_KEY_LEN],
+    secret: &KemSecret,
+) -> Result<WrappedKeys, CryptoError> {
+    let z = &secret.0;
     let z_octets = z
         .to_bytes_be_padded(recipient.modulus_bytes())
         .ok_or(CryptoError::MessageRepresentativeOutOfRange)?;
 
     let c1 = backend
-        .rsa_public_exp(recipient, &z)?
+        .rsa_public_exp(recipient, z)?
         .to_bytes_be_padded(recipient.modulus_bytes())
         .ok_or(CryptoError::MessageRepresentativeOutOfRange)?;
 
@@ -263,5 +296,16 @@ mod tests {
         let a = wrap_keys(pair.public(), &[1u8; 16], &[2u8; 16], &mut rng).unwrap();
         let b = wrap_keys(pair.public(), &[1u8; 16], &[2u8; 16], &mut rng).unwrap();
         assert_ne!(a.c1, b.c1, "KEM secret must be fresh per wrap");
+    }
+
+    #[test]
+    fn wrapping_a_drawn_secret_matches_drawing_wrap() {
+        let pair = pair();
+        let (kmac, krek) = ([1u8; 16], [2u8; 16]);
+        let drawn = wrap_keys(pair.public(), &kmac, &krek, &mut StdRng::seed_from_u64(8)).unwrap();
+        let secret = random_secret(pair.public(), &mut StdRng::seed_from_u64(8));
+        let given =
+            wrap_keys_secret_with(&Unmetered, pair.public(), &kmac, &krek, &secret).unwrap();
+        assert_eq!(drawn, given, "wrap = draw the secret, then wrap with it");
     }
 }

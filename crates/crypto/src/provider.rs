@@ -20,7 +20,7 @@
 //! * AES key wrap is charged for its real 6·n block-cipher invocations.
 
 use crate::backend::{data_blocks, CryptoBackend, SoftwareBackend};
-use crate::kem::{self, WrappedKeys, SYMMETRIC_KEY_LEN};
+use crate::kem::{self, KemSecret, WrappedKeys, SYMMETRIC_KEY_LEN};
 use crate::pss::{self, PssSignature};
 use crate::rsa::{RsaPrivateKey, RsaPublicKey};
 use crate::{cbc, hmac, kdf, keywrap, sha1, CryptoError};
@@ -515,10 +515,25 @@ impl CryptoEngine {
         key: &RsaPrivateKey,
         message: &[u8],
     ) -> Result<PssSignature, CryptoError> {
+        let salt = pss::random_salt(&mut *self.rng.lock().expect("rng lock"));
+        self.pss_sign_salted(key, message, &salt)
+    }
+
+    /// [`CryptoEngine::pss_sign`] with a salt the caller drew (see
+    /// [`pss::random_salt`]); recorded the same way.
+    ///
+    /// # Errors
+    ///
+    /// See [`pss::sign`].
+    pub fn pss_sign_salted(
+        &self,
+        key: &RsaPrivateKey,
+        message: &[u8],
+        salt: &[u8; pss::SALT_LEN],
+    ) -> Result<PssSignature, CryptoError> {
         self.record(Algorithm::RsaPrivate, 1, 1);
         self.record(Algorithm::Sha1, 1, data_blocks(message.len()));
-        let mut rng = self.rng.lock().expect("rng lock");
-        pss::sign_with(self.backend.as_ref(), key, message, &mut *rng)
+        pss::sign_salted_with(self.backend.as_ref(), key, message, salt)
     }
 
     /// RSA-PSS signature verification.
@@ -547,6 +562,23 @@ impl CryptoEngine {
         kmac: &[u8; SYMMETRIC_KEY_LEN],
         krek: &[u8; SYMMETRIC_KEY_LEN],
     ) -> Result<WrappedKeys, CryptoError> {
+        let secret = kem::random_secret(recipient, &mut *self.rng.lock().expect("rng lock"));
+        self.kem_wrap_secret(recipient, kmac, krek, &secret)
+    }
+
+    /// [`CryptoEngine::kem_wrap`] with a KEM secret the caller drew (see
+    /// [`kem::random_secret`]); recorded the same way.
+    ///
+    /// # Errors
+    ///
+    /// See [`kem::wrap_keys`].
+    pub fn kem_wrap_secret(
+        &self,
+        recipient: &RsaPublicKey,
+        kmac: &[u8; SYMMETRIC_KEY_LEN],
+        krek: &[u8; SYMMETRIC_KEY_LEN],
+        secret: &KemSecret,
+    ) -> Result<WrappedKeys, CryptoError> {
         self.record(Algorithm::RsaPublic, 1, 1);
         self.record(
             Algorithm::Sha1,
@@ -558,8 +590,7 @@ impl CryptoEngine {
             1,
             keywrap::block_operations(2 * SYMMETRIC_KEY_LEN),
         );
-        let mut rng = self.rng.lock().expect("rng lock");
-        kem::wrap_keys_with(self.backend.as_ref(), recipient, kmac, krek, &mut *rng)
+        kem::wrap_keys_secret_with(self.backend.as_ref(), recipient, kmac, krek, secret)
     }
 
     /// Unwraps `C1 ‖ C2` with the device private key (DRM Agent side,
@@ -767,5 +798,27 @@ mod tests {
         assert_eq!(Algorithm::RsaPrivate.label(), "RSA 1024 Private Key Op");
         assert_eq!(Algorithm::Sha1.to_string(), "SHA-1");
         assert_eq!(Algorithm::ALL.len(), 6);
+    }
+
+    #[test]
+    fn given_salt_and_secret_forms_match_the_drawing_forms() {
+        let pair = RsaKeyPair::generate(512, &mut rand::rngs::StdRng::seed_from_u64(6));
+        let (kmac, krek) = ([1u8; 16], [2u8; 16]);
+        let drawing = CryptoEngine::with_seed(9);
+        let signature = drawing.pss_sign(pair.private(), b"m").unwrap();
+        let wrapped = drawing.kem_wrap(pair.public(), &kmac, &krek).unwrap();
+
+        // The same stream, drawn by the caller: same bytes, same trace.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let salt = pss::random_salt(&mut rng);
+        let secret = kem::random_secret(pair.public(), &mut rng);
+        let given = CryptoEngine::with_seed(0);
+        let salted = given.pss_sign_salted(pair.private(), b"m", &salt).unwrap();
+        assert_eq!(salted, signature);
+        let secret_wrapped = given
+            .kem_wrap_secret(pair.public(), &kmac, &krek, &secret)
+            .unwrap();
+        assert_eq!(secret_wrapped, wrapped);
+        assert_eq!(given.trace(), drawing.trace());
     }
 }

@@ -186,12 +186,32 @@ pub fn sign_with<R: RngCore + ?Sized>(
     message: &[u8],
     rng: &mut R,
 ) -> Result<PssSignature, CryptoError> {
-    let mod_bits = key.public().modulus_bits();
-    let em_bits = mod_bits - 1;
+    sign_salted_with(backend, key, message, &random_salt(rng))
+}
+
+/// Draws a fresh EMSA-PSS salt from `rng` — the only randomness
+/// [`sign_with`] consumes, so a caller can draw it early (in a fixed order
+/// with its other draws) and sign later with [`sign_salted_with`].
+pub fn random_salt<R: RngCore + ?Sized>(rng: &mut R) -> [u8; SALT_LEN] {
     let mut salt = [0u8; SALT_LEN];
     rng.fill_bytes(&mut salt);
+    salt
+}
+
+/// [`sign_with`] with the salt given instead of drawn.
+///
+/// # Errors
+///
+/// Same as [`sign`].
+pub fn sign_salted_with(
+    backend: &dyn CryptoBackend,
+    key: &RsaPrivateKey,
+    message: &[u8],
+    salt: &[u8; SALT_LEN],
+) -> Result<PssSignature, CryptoError> {
+    let em_bits = key.public().modulus_bits() - 1;
     let m_hash = backend.sha1(message);
-    let em = emsa_pss_encode(&m_hash, &salt, em_bits)?;
+    let em = emsa_pss_encode(&m_hash, salt, em_bits)?;
     let m = BigUint::from_bytes_be(&em);
     let s = backend.rsa_private_exp(key, &m)?;
     let bytes = s
@@ -349,5 +369,14 @@ mod tests {
             b"roap message",
             &hw
         ));
+    }
+
+    #[test]
+    fn salted_signing_matches_drawn_signing() {
+        let pair = pair();
+        let drawn = sign(pair.private(), b"roap", &mut StdRng::seed_from_u64(31)).unwrap();
+        let salt = random_salt(&mut StdRng::seed_from_u64(31));
+        let salted = sign_salted_with(&Unmetered, pair.private(), b"roap", &salt).unwrap();
+        assert_eq!(drawn, salted, "sign = draw the salt, then sign with it");
     }
 }

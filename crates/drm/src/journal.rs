@@ -8,16 +8,17 @@
 //! without binding it to any particular storage engine:
 //!
 //! * [`RiEvent`] — one entry per state mutation the service performs, and
-//!   the *only* way its tables change after construction. Every handler
+//!   the *only* way its state changes after construction. Every handler
 //!   that changes state decides one event, applies it through the
-//!   service's one `apply` (in `service.rs`), and records it *after* all of
-//!   its random draws and *before* the response leaves the service.
+//!   service's one `apply` (in `service.rs`) and records it, in one
+//!   critical section that also makes all of its random draws, *before*
+//!   the response leaves the service.
 //!   Recovery and replication feed the logged events through that same
 //!   `apply` via [`RiService::replay`], so there is no second copy of any
 //!   transition to drift out of step.
 //! * [`RiStateImage`] — the snapshot's form: a complete, canonical copy of
 //!   the mutable service state, including the RSA identity and the
-//!   engine's random stream checkpoint. [`RiService::state_image`] and
+//!   service's random stream checkpoint. [`RiService::state_image`] and
 //!   [`RiService::from_image`] convert to and from it; events never apply
 //!   to an image.
 //! * [`RiJournal`] — what the service needs from a store: record an event,
@@ -30,7 +31,7 @@
 //! # Why events carry the RNG checkpoint
 //!
 //! The service draws nonces, PSS salts, `K_MAC`/`K_REK` key material and KEM
-//! secrets from one deterministic engine stream. "Recovery rebuilds
+//! secrets from one deterministic stream. "Recovery rebuilds
 //! byte-identical state" therefore has to include that stream: a recovered
 //! service must sign the *next* response with exactly the salt an
 //! uninterrupted run would have used. [`RiJournal::record`] receives the
@@ -53,34 +54,9 @@ use std::sync::Arc;
 /// service committed it. The event taxonomy covers every mutation a handler
 /// can perform; anything not listed here is derived state.
 ///
-/// # Log order
-///
-/// A handler applies its event before it records it (its draws and RSA work
-/// sit in between), so two events on one key can reach the log in the
-/// opposite order from the tables. Most pairs commute, so that is harmless:
-/// two `SessionOpened` of one device (the larger id survives), two
-/// `RoIssued` of one scope (the maximum wins), `DomainCreated` and
-/// `DomainJoined` (the join carries the key; creation merges without
-/// touching members), and repeated joins or leaves (membership is a set).
-///
-/// The pairs on one key that do not commute, and what orders them:
-///
-/// * `DomainJoined` × `DomainLeft` — the service's `ordered` lock: a join
-///   does its RSA work first, then re-checks, admits and records under the
-///   lock a leave also takes.
-/// * two `ContentAdded`, `OcspRefreshed` or `SessionTtlSet` — the last
-///   writer wins; the same lock makes the last applied the last recorded.
-/// * two `DeviceRegistered` of one device — the last writer wins. Ordered by
-///   supersession: each consumes its own pending session and a device holds
-///   one, so they overlap only while a newer hello evicts the older session.
-/// * `SessionOpened` × a later removal of that session (`DeviceRegistered`,
-///   `SessionsSwept`, or a newer session's `DeviceRegistered`) — replaying
-///   the open last resurrects it. Ordered by timing only: the removal needs
-///   the hello's response (sent after the record), a TTL's worth of age, or
-///   two more round trips. A hello stalled between apply and record for
-///   longer — or a clockless hello (`opened_at` 0) swept by a clocked sweep,
-///   or a peer registering on a guessed session id — logs the pair out of
-///   order.
+/// A handler applies and records its event in one critical section, so the
+/// log order is the apply order and replaying a log never needs events to
+/// commute.
 ///
 /// Deliberately *not* `#[non_exhaustive]`: the storage codec must encode
 /// every variant, and adding one should break its build until the encoding
@@ -137,11 +113,10 @@ pub enum RiEvent {
         max_members: u64,
     },
     /// A device joined a domain. The event carries the domain's key
-    /// material as the join handler saw it: a join can reach the log ahead
-    /// of its domain's `DomainCreated` record (the live insert precedes
-    /// that record), and if a crash then tears the creation record off,
-    /// replay must still rebuild the domain with the key the member was
-    /// acknowledged with — never a zeroed stub.
+    /// material as the join handler saw it, so replaying a join never
+    /// depends on finding the domain's `DomainCreated` record: without it,
+    /// replay rebuilds the domain with the key the member was acknowledged
+    /// with — never a zeroed stub.
     DomainJoined {
         /// The domain joined.
         domain_id: DomainId,
@@ -175,9 +150,8 @@ pub enum RiEvent {
     },
     /// The TTL sweep ran at `now` and removed the listed pending sessions.
     /// The event names the swept session ids explicitly rather than
-    /// re-running the expiry predicate on replay: a `SessionOpened` that
-    /// reached the log *after* the sweep record (its handler raced the
-    /// sweep) must not be expired retroactively by the replayed sweep.
+    /// re-running the expiry predicate on replay, so replay removes exactly
+    /// what the live sweep removed.
     SessionsSwept {
         /// The server clock the sweep used.
         now: Timestamp,
@@ -429,6 +403,11 @@ impl std::fmt::Debug for RiStateImage {
 /// `oma_store::RiStore`; the service only ever sees this trait, so the
 /// storage engine can evolve independently.
 ///
+/// Lock order is service state → journal. The service calls `record` inside
+/// the critical section that applied the event, and `snapshot` (through
+/// [`RiService::snapshot_to`]) while it holds that same lock, so an
+/// implementation must never call back into the service.
+///
 /// `record` is infallible by signature: a handler that has already mutated
 /// state and drawn from the random stream has nothing useful to do with a
 /// storage error mid-protocol. Implementations latch the first failure
@@ -436,13 +415,11 @@ impl std::fmt::Debug for RiStateImage {
 /// accessors), so operators see the fault at the next flush/snapshot
 /// boundary rather than as a torn protocol exchange.
 pub trait RiJournal: Send + Sync {
-    /// Records one committed state mutation. `rng_checkpoint` yields the
-    /// engine's random-stream state; the implementation MUST evaluate it
-    /// inside whatever critical section orders its appends, so checkpoints
-    /// are monotone in log order. (A checkpoint captured outside that
-    /// section could land *behind* a concurrently appended record's — and
-    /// recovery restoring the last record's checkpoint would then rewind
-    /// the stream and re-draw an outstanding nonce.)
+    /// Records one committed state mutation. Called with the service's
+    /// state lock held, after the event was applied and every random value
+    /// its response needs was drawn, so records arrive one at a time in
+    /// apply order. `rng_checkpoint` yields the service's random-stream
+    /// state, which cannot move during the call.
     fn record(&self, event: &RiEvent, rng_checkpoint: &dyn Fn() -> [u8; 32]);
 
     /// Forces every buffered record onto durable media.
@@ -457,8 +434,14 @@ pub trait RiJournal: Send + Sync {
     /// the log records the snapshot covers. `capture` produces the image;
     /// the implementation MUST evaluate it inside the critical section that
     /// orders its appends, so the snapshot's coverage watermark cannot
-    /// claim records appended after the image was taken (which would
-    /// silently drop those events from replay).
+    /// claim records appended after the image was taken.
+    ///
+    /// A live service is snapshotted through [`RiService::snapshot_to`],
+    /// which holds the state lock and hands over a finished image. A
+    /// `capture` that takes the state lock itself (`|| service
+    /// .state_image()`) takes the locks in the reverse order, so it is
+    /// safe only while no handler can run (startup genesis, after
+    /// shutdown).
     ///
     /// # Errors
     ///
@@ -520,7 +503,7 @@ impl<S: StateSource + ?Sized> StateSource for Arc<S> {
 #[cfg(test)]
 mod tests {
     //! The replay rules of every event, exercised through the service's one
-    //! `apply` and observed through `state_image()`.
+    //! `apply` (via `replay`) and observed through `state_image()`.
 
     use super::*;
     use crate::rel::{Permission, RightsTemplate};
@@ -565,13 +548,22 @@ mod tests {
         })
     }
 
+    /// Applies `event` through the replay path; the random stream is not
+    /// under test here.
+    fn apply(service: &RiService, event: &RiEvent) {
+        service.replay(event, [0u8; 32]);
+    }
+
     fn open(service: &RiService, session_id: u64, device: &str, at: u64) {
-        service.apply(&RiEvent::SessionOpened {
-            session_id,
-            device_id: device.into(),
-            ri_nonce: vec![1; 14],
-            opened_at: Timestamp::new(at),
-        });
+        apply(
+            service,
+            &RiEvent::SessionOpened {
+                session_id,
+                device_id: device.into(),
+                ri_nonce: vec![1; 14],
+                opened_at: Timestamp::new(at),
+            },
+        );
     }
 
     #[test]
@@ -595,11 +587,14 @@ mod tests {
     fn registration_consumes_the_session() {
         let service = service();
         open(&service, 1, "dev-a", 0);
-        service.apply(&RiEvent::DeviceRegistered {
-            session_id: 1,
-            device_id: "dev-a".into(),
-            certificate: service.certificate().clone(),
-        });
+        apply(
+            &service,
+            &RiEvent::DeviceRegistered {
+                session_id: 1,
+                device_id: "dev-a".into(),
+                certificate: service.certificate().clone(),
+            },
+        );
         let image = service.state_image();
         assert!(image.sessions.is_empty());
         assert_eq!(image.registered.len(), 1);
@@ -611,10 +606,13 @@ mod tests {
     fn ro_sequences_are_order_independent_per_scope() {
         let service = service();
         for (scope, sequence) in [("dev:a", 1), ("dev:a", 0), ("dev:b", 0)] {
-            service.apply(&RiEvent::RoIssued {
-                scope: scope.into(),
-                sequence,
-            });
+            apply(
+                &service,
+                &RiEvent::RoIssued {
+                    scope: scope.into(),
+                    sequence,
+                },
+            );
         }
         let image = service.state_image();
         assert_eq!(
@@ -629,25 +627,34 @@ mod tests {
     fn domain_membership_replay() {
         let service = service();
         let family = DomainId::new("family");
-        service.apply(&RiEvent::DomainCreated {
-            domain_id: family.clone(),
-            key: [9; 16],
-            max_members: 4,
-        });
-        for device in ["b", "a", "a"] {
-            service.apply(&RiEvent::DomainJoined {
+        apply(
+            &service,
+            &RiEvent::DomainCreated {
                 domain_id: family.clone(),
-                device_id: device.into(),
                 key: [9; 16],
-                generation: 0,
                 max_members: 4,
-            });
+            },
+        );
+        for device in ["b", "a", "a"] {
+            apply(
+                &service,
+                &RiEvent::DomainJoined {
+                    domain_id: family.clone(),
+                    device_id: device.into(),
+                    key: [9; 16],
+                    generation: 0,
+                    max_members: 4,
+                },
+            );
         }
         assert_eq!(service.state_image().domains[0].members, vec!["a", "b"]);
-        service.apply(&RiEvent::DomainLeft {
-            domain_id: family.clone(),
-            device_id: "a".into(),
-        });
+        apply(
+            &service,
+            &RiEvent::DomainLeft {
+                domain_id: family.clone(),
+                device_id: "a".into(),
+            },
+        );
         assert_eq!(service.state_image().domains[0].members, vec!["b"]);
         assert_eq!(service.domain_member_count(&family), Some(1));
     }
@@ -655,15 +662,18 @@ mod tests {
     #[test]
     fn sweep_replay_removes_exactly_the_named_sessions() {
         let service = service();
-        service.apply(&RiEvent::SessionTtlSet { seconds: 10 });
+        apply(&service, &RiEvent::SessionTtlSet { seconds: 10 });
         open(&service, 1, "dev-old", 0);
         open(&service, 2, "dev-new", 95);
         // Only the ids named by the sweep are removed — a session the live
         // sweep did not see (whatever its age) is left alone.
-        service.apply(&RiEvent::SessionsSwept {
-            now: Timestamp::new(100),
-            session_ids: vec![1],
-        });
+        apply(
+            &service,
+            &RiEvent::SessionsSwept {
+                now: Timestamp::new(100),
+                session_ids: vec![1],
+            },
+        );
         let image = service.state_image();
         assert_eq!(image.session_ttl, 10);
         assert_eq!(image.sessions.len(), 1);
@@ -679,24 +689,30 @@ mod tests {
         // recover with the key the member actually holds.
         let service = service();
         let family = DomainId::new("family");
-        service.apply(&RiEvent::DomainJoined {
-            domain_id: family.clone(),
-            device_id: "phone-001".into(),
-            key: [7; 16],
-            generation: 3,
-            max_members: 4,
-        });
+        apply(
+            &service,
+            &RiEvent::DomainJoined {
+                domain_id: family.clone(),
+                device_id: "phone-001".into(),
+                key: [7; 16],
+                generation: 3,
+                max_members: 4,
+            },
+        );
         let image = service.state_image();
         assert_eq!(image.domains[0].key, [7; 16]);
         assert_eq!(image.domains[0].generation, 3);
         assert_eq!(image.domains[0].members, vec!["phone-001"]);
         // When the creation record *did* survive, it merges without
         // clobbering the membership.
-        service.apply(&RiEvent::DomainCreated {
-            domain_id: family,
-            key: [7; 16],
-            max_members: 4,
-        });
+        apply(
+            &service,
+            &RiEvent::DomainCreated {
+                domain_id: family,
+                key: [7; 16],
+                max_members: 4,
+            },
+        );
         assert_eq!(service.state_image().domains[0].members, vec!["phone-001"]);
     }
 
@@ -704,12 +720,15 @@ mod tests {
     fn content_added_replaces_by_id() {
         let service = service();
         for count in [1u32, 2] {
-            service.apply(&RiEvent::ContentAdded {
-                content_id: "cid:x".into(),
-                cek: [0; 16],
-                dcf_hash: [0; DIGEST_SIZE],
-                template: RightsTemplate::counted(Permission::Play, count),
-            });
+            apply(
+                &service,
+                &RiEvent::ContentAdded {
+                    content_id: "cid:x".into(),
+                    cek: [0; 16],
+                    dcf_hash: [0; DIGEST_SIZE],
+                    template: RightsTemplate::counted(Permission::Play, count),
+                },
+            );
         }
         let image = service.state_image();
         assert_eq!(image.content.len(), 1);

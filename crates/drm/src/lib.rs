@@ -67,7 +67,6 @@ pub mod ro;
 pub mod roap;
 pub mod service;
 pub mod session;
-pub mod shard;
 pub mod storage;
 pub mod wire;
 
@@ -88,5 +87,4 @@ pub use ro::{ProtectedRightsObject, RightsObjectId};
 pub use roap::RoapError;
 pub use service::RiService;
 pub use session::{AgentEvent, AgentSessionState, PduKind, RiSessionState};
-pub use shard::ShardedMap;
 pub use wire::{RoapPdu, RoapStatus};

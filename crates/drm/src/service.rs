@@ -10,34 +10,36 @@
 //! terminals needs a Rights Issuer that scales, and this module makes that
 //! side executable.
 //!
-//! Concurrency design:
+//! Concurrency design — one writer:
 //!
-//! * pending ROAP sessions, registered devices, the content catalogue,
-//!   domains and RO-id sequences live in [`ShardedMap`]s — one `RwLock` per
-//!   shard, so requests for different keys do not contend (the same
-//!   sharded-state pattern as the lock-free trace counters in
-//!   [`oma_crypto::CryptoEngine`]),
-//! * session ids come from an atomic counter,
-//! * handlers clone entries out of their shard before doing any
-//!   cryptography, so no lock is ever held across an RSA operation,
-//! * registration *claims* its session atomically (`remove`), which doubles
-//!   as replay protection: a replayed `RegistrationRequest` finds its
-//!   session gone and is rejected with [`RoapError::UnknownSession`].
+//! * every table (pending sessions, registered devices, the content
+//!   catalogue, domains, RO-id sequences), every counter, the OCSP response
+//!   and the random stream live in one `RiState` behind one `Mutex`,
+//! * a handler that changes state runs in three steps: lookups, certificate
+//!   and signature checks and RSA public work outside the lock; one critical
+//!   section that re-checks its decision, draws every random value the
+//!   response needs, applies its [`RiEvent`] and records it with the
+//!   stream's checkpoint; then RSA private signing, outside the lock, with
+//!   the pre-drawn salt,
+//! * so the log order is the apply order, and the last record's checkpoint
+//!   is the live random stream, by construction,
+//! * lock order is state → journal: a journal records inside the critical
+//!   section, and a live service is snapshotted through
+//!   [`RiService::snapshot_to`], which hands the journal a finished image,
+//! * registration *claims* its session in the critical section, which
+//!   doubles as replay protection: a replayed `RegistrationRequest` finds
+//!   its session gone and is rejected with [`RoapError::UnknownSession`].
 //!
-//! One mutation path: after construction the tables change only by
-//! applying an [`RiEvent`]. A handler validates, decides its event, applies
-//! it through `RiService::apply` and records it; recovery and replication
-//! feed each logged event through the same `apply` ([`RiService::replay`]).
-//! An atomic decision (claiming a session, allocating an RO sequence,
-//! admitting a domain member) runs in the shard's critical section and calls
-//! the per-entry rule `apply` uses, so every transition is written once.
+//! One mutation path: after construction the state changes only by applying
+//! an [`RiEvent`]. Live handlers, recovery and replication
+//! ([`RiService::replay`]) all go through the same `apply`, so every
+//! transition is written once.
 //!
 //! Rights-Object ids are allocated per scope (per registered device, or per
-//! domain for out-of-band issuing) from a sharded sequence map. Ids are
-//! therefore *deterministic per device* regardless of how requests from
-//! different devices interleave — the property the `oma-load` fleet harness
-//! asserts when it compares a multi-threaded run against a sequential
-//! reference run.
+//! domain for out-of-band issuing). Ids are therefore *deterministic per
+//! device* regardless of how requests from different devices interleave —
+//! the property the `oma-load` fleet harness asserts when it compares a
+//! multi-threaded run against a sequential reference run.
 
 use crate::dcf::Dcf;
 use crate::domain::{Domain, DomainId};
@@ -53,9 +55,10 @@ use crate::roap::{
     RiHello, RoRequest, RoResponse, RoapError, NONCE_LEN,
 };
 use crate::session::{PduKind, RiSessionState};
-use crate::shard::ShardedMap;
 use crate::wire::{RoapPdu, RoapStatus};
 use oma_crypto::backend::{CryptoBackend, SoftwareBackend};
+use oma_crypto::kem::{self, KemSecret};
+use oma_crypto::pss::{self, SALT_LEN};
 use oma_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use oma_crypto::sha1::{Sha1, DIGEST_SIZE};
 use oma_crypto::CryptoEngine;
@@ -64,9 +67,10 @@ use oma_pki::{
     verify::{check_anchor_and_issuer, check_validity},
     Certificate, CertificationAuthority, EntityRole, Timestamp, ValidityPeriod,
 };
-use rand::RngCore;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::CERT_VALIDITY_SECONDS;
 
@@ -116,6 +120,261 @@ fn admission<'a>(domain: Option<&'a Domain>, device_id: &str) -> Result<&'a Doma
     }
 }
 
+/// The domain a domain Rights Object is issued under, as of issue time.
+struct DomainKey {
+    domain_id: DomainId,
+    key: [u8; 16],
+    generation: u32,
+}
+
+impl DomainKey {
+    fn of(domain: &Domain) -> Self {
+        DomainKey {
+            domain_id: domain.id().clone(),
+            key: *domain.key(),
+            generation: domain.generation(),
+        }
+    }
+}
+
+/// Whom a Rights Object's keys are protected for: a device's public key
+/// (KEM) or a domain's shared key (AES wrap plus a payload signature).
+enum RoHolder<'a> {
+    Device(&'a RsaPublicKey),
+    Domain(DomainKey),
+}
+
+/// A holder together with the random value its protection consumes: the
+/// device's KEM secret, or the salt of the domain RO's payload signature.
+enum RoSeal<'a> {
+    Device(&'a RsaPublicKey, KemSecret),
+    Domain(DomainKey, [u8; SALT_LEN]),
+}
+
+/// One Rights Object's id and every random value it consumes, drawn in the
+/// critical section that allocates the id, in this order: `K_MAC`, `K_REK`,
+/// then the seal's secret or salt.
+struct RoGrant<'a> {
+    id: RightsObjectId,
+    kmac: [u8; 16],
+    krek: [u8; 16],
+    seal: RoSeal<'a>,
+}
+
+/// Everything about the Rights Issuer that changes after construction:
+/// the tables, the counters and the random stream, behind [`RiService`]'s
+/// one lock. The tables and counters change only through
+/// [`RiState::apply`].
+struct RiState {
+    ocsp: OcspResponse,
+    next_session: u64,
+    issued_ros: u64,
+    /// Pending-session TTL in seconds; 0 disables the sweep.
+    session_ttl: u64,
+    sessions: BTreeMap<u64, PendingSession>,
+    pending_by_device: BTreeMap<String, u64>,
+    /// Registered devices and the certificate each one pinned.
+    registered: BTreeMap<String, Certificate>,
+    content: BTreeMap<String, ContentEntry>,
+    domains: BTreeMap<DomainId, Domain>,
+    ro_sequences: BTreeMap<String, u64>,
+    /// The one stream every nonce, key, KEM secret and PSS salt is drawn
+    /// from; its checkpoint travels with each record.
+    rng: StdRng,
+    /// Attached write-ahead journal; `None` runs the service in-memory only.
+    journal: Option<Arc<dyn RiJournal>>,
+    /// Clocked dispatches since start, for amortising the TTL sweep.
+    clocked_dispatches: u64,
+}
+
+impl RiState {
+    /// Applies `event` and records it with the random stream's checkpoint:
+    /// the last step of every critical section that changes state. The
+    /// caller has already drawn everything its response needs, so the
+    /// checkpoint is the live stream.
+    fn commit(&mut self, event: RiEvent) {
+        self.apply(&event);
+        if let Some(journal) = &self.journal {
+            journal.record(&event, &|| self.rng.state_bytes());
+        }
+    }
+
+    /// Applies one event — after construction, the only code that changes
+    /// the state. Every arm is idempotent, so replaying a record whose
+    /// effect a snapshot already holds changes nothing.
+    fn apply(&mut self, event: &RiEvent) {
+        match event {
+            RiEvent::ContentAdded {
+                content_id,
+                cek,
+                dcf_hash,
+                template,
+            } => {
+                self.content.insert(
+                    content_id.clone(),
+                    ContentEntry {
+                        cek: *cek,
+                        dcf_hash: *dcf_hash,
+                        template: template.clone(),
+                    },
+                );
+            }
+            RiEvent::SessionOpened {
+                session_id,
+                device_id,
+                ri_nonce,
+                opened_at,
+            } => self.open_session(
+                *session_id,
+                PendingSession {
+                    device_id: device_id.clone(),
+                    ri_nonce: ri_nonce.clone(),
+                    opened_at: *opened_at,
+                },
+            ),
+            RiEvent::DeviceRegistered {
+                session_id,
+                device_id,
+                certificate,
+            } => {
+                self.release_session(*session_id);
+                self.registered
+                    .insert(device_id.clone(), certificate.clone());
+            }
+            RiEvent::RoIssued { scope, sequence } => {
+                // Replay meets an existing scope on all but its first RO:
+                // advance it in place, allocating a key only for a new one.
+                let next = match self.ro_sequences.get_mut(scope) {
+                    Some(next) => next,
+                    None => self.ro_sequences.entry(scope.clone()).or_insert(0),
+                };
+                self.issued_ros += advance_sequence(next, *sequence);
+            }
+            RiEvent::DomainCreated {
+                domain_id: id,
+                key,
+                max_members,
+            } => {
+                // Merge, don't clobber: the domain may already exist — a
+                // snapshot that holds it, or a join replayed from a log
+                // whose creation record was torn off. Its members survive.
+                let max = *max_members as usize;
+                self.domains
+                    .entry(id.clone())
+                    .and_modify(|domain| domain.merge_creation(*key, max))
+                    .or_insert_with(|| Domain::new(id.clone(), *key, max));
+            }
+            RiEvent::DomainJoined {
+                domain_id: id,
+                device_id,
+                key,
+                generation,
+                max_members,
+            } => {
+                // A join replayed without its domain's creation record
+                // rebuilds the domain from the key material the member was
+                // acknowledged with, never a zeroed stub.
+                let max = *max_members as usize;
+                self.domains
+                    .entry(id.clone())
+                    .or_insert_with(|| Domain::restore(id.clone(), *key, *generation, [], max))
+                    .admit(device_id);
+            }
+            RiEvent::DomainLeft {
+                domain_id,
+                device_id,
+            } => {
+                if let Some(domain) = self.domains.get_mut(domain_id) {
+                    domain.remove_member(device_id);
+                }
+            }
+            RiEvent::OcspRefreshed { response } => self.ocsp = response.clone(),
+            RiEvent::SessionTtlSet { seconds } => self.session_ttl = *seconds,
+            RiEvent::SessionsSwept { session_ids, .. } => {
+                for session_id in session_ids {
+                    self.release_session(*session_id);
+                }
+            }
+        }
+    }
+
+    /// Inserts pending session `session_id` — the rule of
+    /// [`RiEvent::SessionOpened`], shared with [`RiService::from_image`].
+    /// Supersession is decided by session id, not by arrival order: of two
+    /// sessions for one device the *older* one is always evicted, even when
+    /// it is applied last.
+    fn open_session(&mut self, session_id: u64, session: PendingSession) {
+        self.next_session = self.next_session.max(session_id + 1);
+        let current = self
+            .pending_by_device
+            .entry(session.device_id.clone())
+            .or_insert(session_id);
+        if *current > session_id {
+            // A newer session holds the slot; this one is stale.
+            return;
+        }
+        let stale = std::mem::replace(current, session_id);
+        if stale != session_id {
+            self.sessions.remove(&stale);
+        }
+        self.sessions.insert(session_id, session);
+    }
+
+    /// Removes pending session `session_id` together with its per-device
+    /// index entry (when that still names it) — the rule of registration and
+    /// of the TTL sweep. Returns whether the session was pending.
+    fn release_session(&mut self, session_id: u64) -> bool {
+        let Some(session) = self.sessions.remove(&session_id) else {
+            return false;
+        };
+        if self.pending_by_device.get(&session.device_id) == Some(&session_id) {
+            self.pending_by_device.remove(&session.device_id);
+        }
+        true
+    }
+
+    fn random_key(&mut self) -> [u8; 16] {
+        let mut key = [0u8; 16];
+        self.rng.fill_bytes(&mut key);
+        key
+    }
+
+    /// Allocates the next Rights Object id of `scope` for `holder` and draws
+    /// its random values (see [`RoGrant`]). Returns the grant and the
+    /// [`RiEvent::RoIssued`] the caller commits once it has drawn the rest
+    /// of its response.
+    fn grant_ro<'a>(
+        &mut self,
+        ri_id: &str,
+        scope: String,
+        holder: RoHolder<'a>,
+    ) -> (RoGrant<'a>, RiEvent) {
+        let sequence = self.ro_sequences.get(&scope).copied().unwrap_or(0);
+        let kmac = self.random_key();
+        let krek = self.random_key();
+        let seal = match holder {
+            RoHolder::Device(key) => RoSeal::Device(key, kem::random_secret(key, &mut self.rng)),
+            RoHolder::Domain(domain) => RoSeal::Domain(domain, pss::random_salt(&mut self.rng)),
+        };
+        let grant = RoGrant {
+            id: RightsObjectId::new(&format!("ro:{ri_id}:{scope}:{sequence}")),
+            kmac,
+            krek,
+            seal,
+        };
+        (grant, RiEvent::RoIssued { scope, sequence })
+    }
+
+    /// The session-machine state of `device_id` (see
+    /// [`RiService::session_state`]).
+    fn session_state(&self, device_id: &str) -> RiSessionState {
+        RiSessionState::derive(
+            self.registered.contains_key(device_id),
+            self.pending_by_device.contains_key(device_id),
+        )
+    }
+}
+
 /// The thread-safe Rights Issuer service: every ROAP handler takes `&self`,
 /// so one instance (typically behind an [`Arc`]) serves any number of
 /// concurrent device connections.
@@ -153,45 +412,28 @@ pub struct RiService {
     keys: RsaKeyPair,
     certificate: Certificate,
     ca_root: Certificate,
-    ocsp: RwLock<OcspResponse>,
+    /// Runs and counts the service's cryptography. Its own random stream is
+    /// unused: every draw comes from `RiState::rng`.
     engine: CryptoEngine,
-    next_session: AtomicU64,
-    issued_ros: AtomicU64,
-    sessions: ShardedMap<u64, PendingSession>,
-    pending_by_device: ShardedMap<String, u64>,
-    /// Registered devices and the certificate each one pinned.
-    registered: ShardedMap<String, Certificate>,
-    content: ShardedMap<String, ContentEntry>,
-    domains: ShardedMap<DomainId, Domain>,
-    ro_sequences: ShardedMap<String, u64>,
-    /// Attached write-ahead journal; `None` runs the service in-memory only.
-    journal: RwLock<Option<Arc<dyn RiJournal>>>,
-    /// Pending-session TTL in seconds; 0 disables the sweep.
-    session_ttl: AtomicU64,
-    /// Clocked dispatches since start, for amortising the TTL sweep.
-    dispatch_count: AtomicU64,
-    /// Held across apply-and-record of the events that do not commute (see
-    /// [`RiEvent`]), so they reach the log in table order. Never held across
-    /// cryptography; lock order is `ordered` → shard → journal, and a
-    /// snapshot never takes it.
-    ordered: Mutex<()>,
+    state: Mutex<RiState>,
     /// Fingerprints (SHA-1 of TBS bytes ‖ signature bytes) of device
     /// certificates whose issuer signature has already verified. Only the
     /// time-independent signature check is memoized; issuer, role and
     /// validity-window checks still run on every request. Purely a cache —
     /// deliberately absent from [`RiStateImage`], a recovered service
     /// re-verifies on first sight.
-    verified_certs: ShardedMap<[u8; DIGEST_SIZE], ()>,
+    verified_certs: Mutex<HashSet<[u8; DIGEST_SIZE]>>,
 }
 
 impl std::fmt::Debug for RiService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = self.state();
         f.debug_struct("RiService")
             .field("id", &self.id)
-            .field("registered", &self.registered.len())
-            .field("pending_sessions", &self.sessions.len())
-            .field("issued_ros", &self.issued_ro_count())
-            .field("journaled", &self.journal().is_some())
+            .field("registered", &state.registered.len())
+            .field("pending_sessions", &state.sessions.len())
+            .field("issued_ros", &state.issued_ros)
+            .field("journaled", &state.journal.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -234,26 +476,90 @@ impl RiService {
             },
             Timestamp::new(0),
         );
+        let seed = rng.next_u64();
+        Self::restore(
+            RiStateImage {
+                id: id.to_string(),
+                keys,
+                certificate,
+                ca_root: ca.root_certificate().clone(),
+                ocsp,
+                next_session: 1,
+                issued_ros: 0,
+                session_ttl: 0,
+                sessions: Vec::new(),
+                registered: Vec::new(),
+                content: Vec::new(),
+                domains: Vec::new(),
+                ro_sequences: Vec::new(),
+                rng_state: StdRng::seed_from_u64(seed).state_bytes(),
+            },
+            backend,
+        )
+    }
+
+    /// Builds the service an image describes, on `backend` — the one
+    /// constructor behind [`RiService::with_backend`] (an empty image) and
+    /// [`RiService::from_image`].
+    fn restore(image: RiStateImage, backend: Arc<dyn CryptoBackend>) -> Self {
+        let mut state = RiState {
+            ocsp: image.ocsp,
+            next_session: image.next_session,
+            issued_ros: image.issued_ros,
+            session_ttl: image.session_ttl,
+            sessions: BTreeMap::new(),
+            pending_by_device: BTreeMap::new(),
+            registered: image
+                .registered
+                .into_iter()
+                .map(|device| (device.device_id, device.certificate))
+                .collect(),
+            content: image
+                .content
+                .into_iter()
+                .map(|c| {
+                    let entry = ContentEntry {
+                        cek: c.cek,
+                        dcf_hash: c.dcf_hash,
+                        template: c.template,
+                    };
+                    (c.content_id, entry)
+                })
+                .collect(),
+            domains: image
+                .domains
+                .into_iter()
+                .map(|d| {
+                    let max = d.max_members as usize;
+                    let domain =
+                        Domain::restore(d.domain_id.clone(), d.key, d.generation, d.members, max);
+                    (d.domain_id, domain)
+                })
+                .collect(),
+            ro_sequences: image.ro_sequences.into_iter().collect(),
+            rng: StdRng::from_state_bytes(image.rng_state),
+            journal: None,
+            clocked_dispatches: 0,
+        };
+        // The per-device index is rebuilt by the one supersession rule.
+        for session in image.sessions {
+            state.open_session(
+                session.session_id,
+                PendingSession {
+                    device_id: session.device_id,
+                    ri_nonce: session.ri_nonce,
+                    opened_at: session.opened_at,
+                },
+            );
+        }
         let service = RiService {
-            id: id.to_string(),
-            keys,
-            certificate,
-            ca_root: ca.root_certificate().clone(),
-            ocsp: RwLock::new(ocsp),
-            engine: CryptoEngine::with_backend(backend, rng.next_u64()),
-            next_session: AtomicU64::new(1),
-            issued_ros: AtomicU64::new(0),
-            sessions: ShardedMap::new(),
-            pending_by_device: ShardedMap::new(),
-            registered: ShardedMap::new(),
-            content: ShardedMap::new(),
-            domains: ShardedMap::new(),
-            ro_sequences: ShardedMap::new(),
-            journal: RwLock::new(None),
-            session_ttl: AtomicU64::new(0),
-            dispatch_count: AtomicU64::new(0),
-            ordered: Mutex::new(()),
-            verified_certs: ShardedMap::new(),
+            id: image.id,
+            keys: image.keys,
+            certificate: image.certificate,
+            ca_root: image.ca_root,
+            engine: CryptoEngine::with_backend(backend, 0),
+            state: Mutex::new(state),
+            verified_certs: Mutex::default(),
         };
         service.warm_signing_contexts();
         service
@@ -270,100 +576,112 @@ impl RiService {
         self.ca_root.public_key().precompute();
     }
 
+    /// The one lock over the service state.
+    fn state(&self) -> MutexGuard<'_, RiState> {
+        self.state.lock().expect("state lock")
+    }
+
     // ----- durability -----------------------------------------------------------
 
     /// Attaches a write-ahead journal: from now on every state mutation is
     /// recorded through it *before* the mutating handler returns its
     /// response. Replaces any previously attached journal. The caller is
     /// responsible for persisting a genesis snapshot
-    /// ([`RiJournal::snapshot`] of [`RiService::state_image`]) — events
-    /// alone cannot rebuild the service identity.
+    /// ([`RiService::snapshot_to`]) — events alone cannot rebuild the
+    /// service identity.
     pub fn set_journal(&self, journal: Arc<dyn RiJournal>) {
-        *self.journal.write().expect("journal lock") = Some(journal);
+        self.state().journal = Some(journal);
     }
 
     /// The currently attached journal, if any.
     pub fn journal(&self) -> Option<Arc<dyn RiJournal>> {
-        self.journal.read().expect("journal lock").clone()
+        self.state().journal.clone()
     }
 
-    /// Records `event` (with the engine's post-event RNG checkpoint) on the
-    /// attached journal, if any. The journal lock is released before the
-    /// store runs, so slow media never serialises unrelated handlers. The
-    /// checkpoint is handed over as a closure so the store can read it
-    /// inside its own append ordering — see [`RiJournal::record`].
-    fn record(&self, event: RiEvent) {
-        if let Some(journal) = self.journal() {
-            journal.record(&event, &|| self.engine.rng_state());
-        }
+    /// Persists a snapshot of the service through `journal` — the snapshot
+    /// path of a service that may be serving. The image is captured under
+    /// the state lock, and the lock is held until the journal has taken the
+    /// finished image, so no record can land between the capture and the
+    /// snapshot's coverage watermark. (`journal.snapshot(&|| service
+    /// .state_image())` would take the state lock inside the store's append
+    /// lock, the reverse of a handler's order, and can deadlock against
+    /// one.)
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`RiJournal::snapshot`] reports.
+    pub fn snapshot_to(&self, journal: &dyn RiJournal) -> Result<(), DrmError> {
+        let state = self.state();
+        let image = self.image_of(&state);
+        journal.snapshot(&|| image.clone())
     }
 
     /// Captures a complete, canonical snapshot of the service's mutable
-    /// state — identity, tables, counters and the RNG checkpoint. Intended
-    /// for quiescent moments (startup genesis, graceful shutdown, explicit
-    /// checkpoints); entries mutated concurrently with the capture land in
-    /// the image per-shard atomically, like any other reader.
+    /// state — identity, tables, counters and the RNG checkpoint — as of
+    /// one instant: the image is taken under the state lock.
     pub fn state_image(&self) -> RiStateImage {
-        let mut sessions = Vec::new();
-        self.sessions.for_each(|id, s| {
-            sessions.push(SessionImage {
-                session_id: *id,
-                device_id: s.device_id.clone(),
-                ri_nonce: s.ri_nonce.clone(),
-                opened_at: s.opened_at,
-            });
-        });
-        sessions.sort_unstable_by_key(|s| s.session_id);
-        let mut registered = Vec::new();
-        self.registered.for_each(|id, certificate| {
-            registered.push(RegisteredImage {
-                device_id: id.clone(),
-                certificate: certificate.clone(),
-            });
-        });
-        registered.sort_unstable_by(|a, b| a.device_id.cmp(&b.device_id));
-        let mut content = Vec::new();
-        self.content.for_each(|id, c| {
-            content.push(ContentImage {
-                content_id: id.clone(),
-                cek: c.cek,
-                dcf_hash: c.dcf_hash,
-                template: c.template.clone(),
-            });
-        });
-        content.sort_unstable_by(|a, b| a.content_id.cmp(&b.content_id));
-        let mut domains = Vec::new();
-        self.domains.for_each(|id, d| {
-            let mut members: Vec<String> = d.members().map(str::to_string).collect();
-            members.sort_unstable();
-            domains.push(DomainImage {
-                domain_id: id.clone(),
-                key: *d.key(),
-                generation: d.generation(),
-                max_members: d.max_members() as u64,
-                members,
-            });
-        });
-        domains.sort_unstable_by(|a, b| a.domain_id.cmp(&b.domain_id));
-        let mut ro_sequences = Vec::new();
-        self.ro_sequences
-            .for_each(|scope, next| ro_sequences.push((scope.clone(), *next)));
-        ro_sequences.sort_unstable();
+        self.image_of(&self.state())
+    }
+
+    fn image_of(&self, state: &RiState) -> RiStateImage {
         RiStateImage {
             id: self.id.clone(),
             keys: self.keys.clone(),
             certificate: self.certificate.clone(),
             ca_root: self.ca_root.clone(),
-            ocsp: self.ocsp_response(),
-            next_session: self.next_session.load(Ordering::SeqCst),
-            issued_ros: self.issued_ros.load(Ordering::SeqCst),
-            session_ttl: self.session_ttl.load(Ordering::SeqCst),
-            sessions,
-            registered,
-            content,
-            domains,
-            ro_sequences,
-            rng_state: self.engine.rng_state(),
+            ocsp: state.ocsp.clone(),
+            next_session: state.next_session,
+            issued_ros: state.issued_ros,
+            session_ttl: state.session_ttl,
+            sessions: state
+                .sessions
+                .iter()
+                .map(|(id, s)| SessionImage {
+                    session_id: *id,
+                    device_id: s.device_id.clone(),
+                    ri_nonce: s.ri_nonce.clone(),
+                    opened_at: s.opened_at,
+                })
+                .collect(),
+            registered: state
+                .registered
+                .iter()
+                .map(|(id, certificate)| RegisteredImage {
+                    device_id: id.clone(),
+                    certificate: certificate.clone(),
+                })
+                .collect(),
+            content: state
+                .content
+                .iter()
+                .map(|(id, c)| ContentImage {
+                    content_id: id.clone(),
+                    cek: c.cek,
+                    dcf_hash: c.dcf_hash,
+                    template: c.template.clone(),
+                })
+                .collect(),
+            domains: state
+                .domains
+                .iter()
+                .map(|(id, d)| {
+                    let mut members: Vec<String> = d.members().map(str::to_string).collect();
+                    members.sort_unstable();
+                    DomainImage {
+                        domain_id: id.clone(),
+                        key: *d.key(),
+                        generation: d.generation(),
+                        max_members: d.max_members() as u64,
+                        members,
+                    }
+                })
+                .collect(),
+            ro_sequences: state
+                .ro_sequences
+                .iter()
+                .map(|(scope, next)| (scope.clone(), *next))
+                .collect(),
+            rng_state: state.rng.state_bytes(),
         }
     }
 
@@ -374,72 +692,7 @@ impl RiService {
     /// service runs on a fresh software backend and has no journal attached
     /// — call [`RiService::set_journal`] to resume journaling.
     pub fn from_image(image: RiStateImage) -> Self {
-        let engine = CryptoEngine::with_backend(Arc::new(SoftwareBackend::new()), 0);
-        engine.restore_rng_state(image.rng_state);
-        let service = RiService {
-            id: image.id,
-            keys: image.keys,
-            certificate: image.certificate,
-            ca_root: image.ca_root,
-            ocsp: RwLock::new(image.ocsp),
-            engine,
-            next_session: AtomicU64::new(image.next_session),
-            issued_ros: AtomicU64::new(image.issued_ros),
-            sessions: ShardedMap::new(),
-            pending_by_device: ShardedMap::new(),
-            registered: ShardedMap::new(),
-            content: ShardedMap::new(),
-            domains: ShardedMap::new(),
-            ro_sequences: ShardedMap::new(),
-            journal: RwLock::new(None),
-            session_ttl: AtomicU64::new(image.session_ttl),
-            dispatch_count: AtomicU64::new(0),
-            ordered: Mutex::new(()),
-            verified_certs: ShardedMap::new(),
-        };
-        service.warm_signing_contexts();
-        // The per-device index is rebuilt by the one supersession rule.
-        for session in image.sessions {
-            service.open_session(
-                session.session_id,
-                PendingSession {
-                    device_id: session.device_id,
-                    ri_nonce: session.ri_nonce,
-                    opened_at: session.opened_at,
-                },
-            );
-        }
-        for device in image.registered {
-            service
-                .registered
-                .insert(device.device_id, device.certificate);
-        }
-        for content in image.content {
-            service.content.insert(
-                content.content_id,
-                ContentEntry {
-                    cek: content.cek,
-                    dcf_hash: content.dcf_hash,
-                    template: content.template,
-                },
-            );
-        }
-        for domain in image.domains {
-            service.domains.insert(
-                domain.domain_id.clone(),
-                Domain::restore(
-                    domain.domain_id,
-                    domain.key,
-                    domain.generation,
-                    domain.members,
-                    domain.max_members as usize,
-                ),
-            );
-        }
-        for (scope, next) in image.ro_sequences {
-            service.ro_sequences.insert(scope, next);
-        }
-        service
+        Self::restore(image, Arc::new(SoftwareBackend::new()))
     }
 
     /// Recovers a service from a durable store: the latest snapshot through
@@ -462,179 +715,17 @@ impl RiService {
     /// record's checkpoint `rng_after`. Recovery and replication rebuild
     /// state only through this, in log order, onto [`RiService::from_image`].
     /// Events apply idempotently, so a record whose effect the snapshot
-    /// already holds (applied, not yet recorded at capture) changes nothing.
+    /// already holds changes nothing.
     pub fn replay(&self, event: &RiEvent, rng_after: [u8; 32]) {
-        self.apply(event);
-        self.engine.restore_rng_state(rng_after);
-    }
-
-    // ----- the one mutation path ------------------------------------------------
-
-    /// Applies one event to the live tables — after construction, the only
-    /// code that changes them. Handlers' atomic decisions call its per-entry
-    /// rules (`release_session`, `advance_sequence`, `Domain::{new, admit,
-    /// remove_member}`) inside the shard lock. Every arm is idempotent; see
-    /// [`RiEvent`] for which arms commute.
-    pub(crate) fn apply(&self, event: &RiEvent) {
-        match event {
-            RiEvent::ContentAdded {
-                content_id,
-                cek,
-                dcf_hash,
-                template,
-            } => {
-                self.content.insert(
-                    content_id.clone(),
-                    ContentEntry {
-                        cek: *cek,
-                        dcf_hash: *dcf_hash,
-                        template: template.clone(),
-                    },
-                );
-            }
-            RiEvent::SessionOpened {
-                session_id,
-                device_id,
-                ri_nonce,
-                opened_at,
-            } => self.open_session(
-                *session_id,
-                PendingSession {
-                    device_id: device_id.clone(),
-                    ri_nonce: ri_nonce.clone(),
-                    opened_at: *opened_at,
-                },
-            ),
-            RiEvent::DeviceRegistered {
-                session_id,
-                device_id,
-                certificate,
-            } => {
-                self.release_session(*session_id);
-                self.registered
-                    .insert(device_id.clone(), certificate.clone());
-            }
-            RiEvent::RoIssued { scope, sequence } => {
-                // Replay meets an existing scope on all but its first RO:
-                // advance it in place, allocating a key only for a new one.
-                let advance = |next: &mut u64| advance_sequence(next, *sequence);
-                let advanced = self
-                    .ro_sequences
-                    .update(scope, |next| next.map(advance))
-                    .unwrap_or_else(|| {
-                        self.ro_sequences
-                            .update_or_insert_with(scope.clone(), || 0, advance)
-                    });
-                self.issued_ros.fetch_add(advanced, Ordering::Relaxed);
-            }
-            RiEvent::DomainCreated {
-                domain_id: id,
-                key,
-                max_members,
-            } => {
-                // Merge, don't clobber: the domain may already exist — a
-                // snapshot captured between the live insert and this record,
-                // or a join that reached the log first. Its members survive.
-                let max = *max_members as usize;
-                self.domains.update_or_insert_with(
-                    id.clone(),
-                    || Domain::new(id.clone(), *key, max),
-                    |domain| domain.merge_creation(*key, max),
-                );
-            }
-            RiEvent::DomainJoined {
-                domain_id: id,
-                device_id,
-                key,
-                generation,
-                max_members,
-            } => {
-                // A join that reached the log ahead of its domain's creation
-                // rebuilds the domain from the key material the member was
-                // acknowledged with, so even a torn-off `DomainCreated`
-                // record never recovers a domain whose key no member holds.
-                let max = *max_members as usize;
-                self.domains.update_or_insert_with(
-                    id.clone(),
-                    || Domain::restore(id.clone(), *key, *generation, [], max),
-                    |domain| domain.admit(device_id),
-                );
-            }
-            RiEvent::DomainLeft {
-                domain_id,
-                device_id,
-            } => {
-                self.domains.update(domain_id, |domain| {
-                    if let Some(domain) = domain {
-                        domain.remove_member(device_id);
-                    }
-                });
-            }
-            RiEvent::OcspRefreshed { response } => {
-                *self.ocsp.write().expect("ocsp lock") = response.clone();
-            }
-            RiEvent::SessionTtlSet { seconds } => {
-                self.session_ttl.store(*seconds, Ordering::Relaxed);
-            }
-            RiEvent::SessionsSwept { session_ids, .. } => {
-                for session_id in session_ids {
-                    self.release_session(*session_id);
-                }
-            }
-        }
-    }
-
-    /// Inserts pending session `session_id` — the per-entry rule of
-    /// [`RiEvent::SessionOpened`], shared with [`RiService::from_image`].
-    /// Supersession is decided by session id, not by arrival order: of two
-    /// sessions for one device the *older* one is always evicted, even when
-    /// it is applied last.
-    fn open_session(&self, session_id: u64, session: PendingSession) {
-        self.next_session
-            .fetch_max(session_id + 1, Ordering::Relaxed);
-        let device_id = session.device_id.clone();
-        self.sessions.insert(session_id, session);
-        let evicted = self.pending_by_device.update_or_insert_with(
-            device_id,
-            || session_id,
-            |current| {
-                if *current >= session_id {
-                    // A newer session holds the slot; this one is stale
-                    // (None when it just took the slot).
-                    Some(session_id).filter(|stale| stale != current)
-                } else {
-                    Some(std::mem::replace(current, session_id))
-                }
-            },
-        );
-        if let Some(stale) = evicted {
-            self.sessions.remove(&stale);
-        }
-    }
-
-    /// Removes pending session `session_id` together with its per-device
-    /// index entry (when that still names it), returning the session — the
-    /// per-entry rule of registration and of the TTL sweep. Registration's
-    /// claim *is* this call: exactly one caller gets `Some`.
-    fn release_session(&self, session_id: u64) -> Option<PendingSession> {
-        let session = self.sessions.remove(&session_id)?;
-        self.pending_by_device
-            .remove_if(&session.device_id, |pending| *pending == session_id);
-        Some(session)
-    }
-
-    /// Applies and records `event` while holding the `ordered` lock — for
-    /// the events whose replay depends on their mutual order.
-    fn apply_ordered(&self, event: RiEvent) {
-        let _ordered = self.ordered.lock().expect("ordered lock");
-        self.apply(&event);
-        self.record(event);
+        let mut state = self.state();
+        state.apply(event);
+        state.rng = StdRng::from_state_bytes(rng_after);
     }
 
     /// The TTL applied to pending registration sessions by the sweep, in
     /// seconds (0 = sweeping disabled).
     pub fn session_ttl(&self) -> u64 {
-        self.session_ttl.load(Ordering::Relaxed)
+        self.state().session_ttl
     }
 
     /// Sets the pending-session TTL. Sessions whose `DeviceHello` arrived
@@ -646,33 +737,29 @@ impl RiService {
     /// The change is journaled ([`RiEvent::SessionTtlSet`]) so that sweeps
     /// recorded later replay with the TTL that was actually in force.
     pub fn set_session_ttl(&self, seconds: u64) {
-        self.apply_ordered(RiEvent::SessionTtlSet { seconds });
+        self.state().commit(RiEvent::SessionTtlSet { seconds });
     }
 
     /// Removes every pending session older than the configured TTL,
     /// returning how many were reclaimed. A no-op when the TTL is 0. The
     /// sweep is journaled as a single [`RiEvent::SessionsSwept`] naming the
     /// swept session ids, so replay removes exactly what the live sweep
-    /// removed — no more, no less, regardless of how racing hellos
-    /// interleaved with the sweep in the log.
+    /// removed.
     pub fn sweep_sessions(&self, now: Timestamp) -> usize {
-        let ttl = self.session_ttl();
+        let mut state = self.state();
+        let ttl = state.session_ttl;
         if ttl == 0 {
             return 0;
         }
-        let mut expired = Vec::new();
-        self.sessions.for_each(|session_id, session| {
-            if session_expired(ttl, session.opened_at, now) {
-                expired.push(*session_id);
-            }
-        });
-        // Each release is an atomic claim: a session a racing registration
-        // consumed first is not this sweep's to name.
-        expired.retain(|session_id| self.release_session(*session_id).is_some());
+        let expired: Vec<u64> = state
+            .sessions
+            .iter()
+            .filter(|(_, session)| session_expired(ttl, session.opened_at, now))
+            .map(|(session_id, _)| *session_id)
+            .collect();
         let swept = expired.len();
         if swept > 0 {
-            expired.sort_unstable();
-            self.record(RiEvent::SessionsSwept {
+            state.commit(RiEvent::SessionsSwept {
                 now,
                 session_ids: expired,
             });
@@ -697,7 +784,7 @@ impl RiService {
 
     /// The current OCSP response presented during registration.
     pub fn ocsp_response(&self) -> OcspResponse {
-        self.ocsp.read().expect("ocsp lock").clone()
+        self.state().ocsp.clone()
     }
 
     /// Re-fetches the cached OCSP response for this service's certificate (a
@@ -711,7 +798,8 @@ impl RiService {
             },
             now,
         );
-        self.apply_ordered(RiEvent::OcspRefreshed { response: fresh });
+        self.state()
+            .commit(RiEvent::OcspRefreshed { response: fresh });
     }
 
     /// Registers a piece of content: the content encryption key received
@@ -724,52 +812,48 @@ impl RiService {
         dcf: &Dcf,
         template: RightsTemplate,
     ) {
-        self.apply_ordered(RiEvent::ContentAdded {
+        let event = RiEvent::ContentAdded {
             content_id: content_id.to_string(),
             cek,
             dcf_hash: dcf.hash(),
             template,
-        });
+        };
+        self.state().commit(event);
     }
 
     /// Whether the service offers rights for `content_id`.
     pub fn has_content(&self, content_id: &str) -> bool {
-        self.content.contains(&content_id.to_string())
+        self.state().content.contains_key(content_id)
     }
 
     /// Whether `device_id` holds a trusted relationship with this service.
     pub fn is_registered(&self, device_id: &str) -> bool {
-        self.registered.contains(&device_id.to_string())
+        self.state().registered.contains_key(device_id)
     }
 
     /// The typed session-machine state of `device_id`, derived from the
-    /// pending-session and registered-device tables. The sharded maps are
-    /// the authoritative (concurrent) representation; this view is what the
+    /// pending-session and registered-device tables. This view is what the
     /// handlers step through [`RiSessionState::step`] for state legality,
     /// and what the `oma-explore` model checker compares against its
     /// reference model after every delivery.
     pub fn session_state(&self, device_id: &str) -> RiSessionState {
-        let key = device_id.to_string();
-        RiSessionState::derive(
-            self.registered.contains(&key),
-            self.pending_by_device.contains(&key),
-        )
+        self.state().session_state(device_id)
     }
 
     /// Number of registered devices.
     pub fn registered_count(&self) -> usize {
-        self.registered.len()
+        self.state().registered.len()
     }
 
     /// Total number of Rights Objects issued by this service.
     pub fn issued_ro_count(&self) -> u64 {
-        self.issued_ros.load(Ordering::Relaxed)
+        self.state().issued_ros
     }
 
     /// Number of ROAP registration sessions currently pending (opened by a
     /// `DeviceHello`, not yet consumed by a successful registration).
     pub fn pending_session_count(&self) -> usize {
-        self.sessions.len()
+        self.state().sessions.len()
     }
 
     // ----- ROAP: registration -------------------------------------------------
@@ -795,16 +879,19 @@ impl RiService {
     /// [`RiService::hello`] with the server clock threaded through: the
     /// pending session is stamped `opened_at = now` for the TTL sweep.
     pub fn hello_at(&self, hello: &DeviceHello, now: Timestamp) -> RiHello {
-        let session_id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        let ri_nonce = self.engine.random_nonce(NONCE_LEN);
-        let event = RiEvent::SessionOpened {
-            session_id,
-            device_id: hello.device_id.clone(),
-            ri_nonce: ri_nonce.clone(),
-            opened_at: now,
+        let mut ri_nonce = vec![0u8; NONCE_LEN];
+        let session_id = {
+            let mut state = self.state();
+            let session_id = state.next_session;
+            state.rng.fill_bytes(&mut ri_nonce);
+            state.commit(RiEvent::SessionOpened {
+                session_id,
+                device_id: hello.device_id.clone(),
+                ri_nonce: ri_nonce.clone(),
+                opened_at: now,
+            });
+            session_id
         };
-        self.apply(&event);
-        self.record(event);
         RiHello {
             ri_id: self.id.clone(),
             session_id,
@@ -840,7 +927,8 @@ impl RiService {
             hasher.update(certificate.signature().as_bytes());
             hasher.finalize()
         };
-        if !self.verified_certs.contains(&fingerprint) {
+        let memo = || self.verified_certs.lock().expect("memo lock");
+        if !memo().contains(&fingerprint) {
             if !self.engine.pss_verify(
                 self.ca_root.public_key(),
                 &certificate.tbs().to_bytes(),
@@ -848,7 +936,7 @@ impl RiService {
             ) {
                 return Err(RoapError::CertificateInvalid);
             }
-            self.verified_certs.insert(fingerprint, ());
+            memo().insert(fingerprint);
         }
         check_validity(certificate, now).map_err(|_| RoapError::CertificateInvalid)?;
         if certificate.role() != EntityRole::DrmAgent {
@@ -884,12 +972,12 @@ impl RiService {
         // [`RiSessionState::Reregistering`]). The pending-session entry is
         // the witness of that state — a miss is the machine's
         // `UnknownSession` rejection.
-        let session = self
-            .sessions
-            .get_cloned(&request.session_id)
-            .ok_or(RoapError::UnknownSession)?;
-        if session.device_id != request.device_id {
-            return Err(RoapError::Malformed);
+        match self.state().sessions.get(&request.session_id) {
+            None => return Err(RoapError::UnknownSession),
+            Some(session) if session.device_id != request.device_id => {
+                return Err(RoapError::Malformed)
+            }
+            Some(_) => {}
         }
         self.verify_device_certificate(&request.certificate, now)?;
         // Pin the certificate to the claimed device identity. The hello is
@@ -916,18 +1004,21 @@ impl RiService {
         }
 
         // Claim the session. Exactly one request wins; a concurrent or
-        // replayed duplicate sees the session gone.
-        if self.release_session(request.session_id).is_none() {
-            return Err(RoapError::UnknownSession);
-        }
-        let event = RiEvent::DeviceRegistered {
-            session_id: request.session_id,
-            device_id: request.device_id.clone(),
-            certificate: request.certificate.clone(),
+        // replayed duplicate finds it gone. (Session ids are never reused,
+        // so a session still pending is the one checked above.)
+        let (ocsp, salt) = {
+            let mut state = self.state();
+            if !state.sessions.contains_key(&request.session_id) {
+                return Err(RoapError::UnknownSession);
+            }
+            let salt = pss::random_salt(&mut state.rng);
+            state.commit(RiEvent::DeviceRegistered {
+                session_id: request.session_id,
+                device_id: request.device_id.clone(),
+                certificate: request.certificate.clone(),
+            });
+            (state.ocsp.clone(), salt)
         };
-        self.apply(&event);
-
-        let ocsp = self.ocsp_response();
         let signed = RegistrationResponse::signed_bytes(
             request.session_id,
             &self.id,
@@ -935,22 +1026,33 @@ impl RiService {
             &self.certificate,
             &ocsp,
         );
-        let signature = self
-            .engine
-            .pss_sign(self.keys.private(), &signed)
-            .expect("RI key large enough for PSS");
-        // Journal after the response is fully built (all random draws done)
-        // and before it leaves the service: the registration is durable by
-        // the time the device can observe it.
-        self.record(event);
         Ok(RegistrationResponse {
             session_id: request.session_id,
             ri_id: self.id.clone(),
             device_nonce: request.device_nonce.clone(),
             ri_certificate: self.certificate.clone(),
             ocsp_response: ocsp,
-            signature,
+            signature: self.sign(&signed, &salt),
         })
+    }
+
+    /// Signs `message` with the service key and a pre-drawn salt.
+    fn sign(&self, message: &[u8], salt: &[u8; SALT_LEN]) -> pss::PssSignature {
+        self.engine
+            .pss_sign_salted(self.keys.private(), message, salt)
+            .expect("RI key large enough for PSS")
+    }
+
+    /// The pinned certificate of a registered device — the witness of the
+    /// registered state every signed self-loop request (acquisition, domain
+    /// join) steps from; a miss is the machine's `DeviceNotRegistered`
+    /// rejection.
+    fn registered_certificate(&self, device_id: &str) -> Result<Certificate, RoapError> {
+        self.state()
+            .registered
+            .get(device_id)
+            .cloned()
+            .ok_or(RoapError::DeviceNotRegistered)
     }
 
     // ----- ROAP: rights object acquisition -------------------------------------
@@ -964,21 +1066,14 @@ impl RiService {
     /// * [`RoapError::SignatureInvalid`] — bad request signature,
     /// * [`RoapError::UnknownRightsObject`] — no rights on sale for the
     ///   content,
-    /// * [`RoapError::UnknownDomain`] / [`RoapError::DomainFull`] — domain
-    ///   request problems.
+    /// * [`RoapError::UnknownDomain`] — the domain does not exist or the
+    ///   device is not a member.
     pub fn process_ro_request(
         &self,
         request: &RoRequest,
         now: Timestamp,
     ) -> Result<RoResponse, RoapError> {
-        // Machine step: acquisition is a registered-state self-loop. The
-        // registered-device entry is both the state witness and the pinned
-        // certificate the signature check needs — a miss is the machine's
-        // `DeviceNotRegistered` rejection.
-        let certificate = self
-            .registered
-            .get_cloned(&request.device_id)
-            .ok_or(RoapError::DeviceNotRegistered)?;
+        let certificate = self.registered_certificate(&request.device_id)?;
         let signed = RoRequest::signed_bytes(
             &request.device_id,
             &request.ri_id,
@@ -993,58 +1088,47 @@ impl RiService {
         {
             return Err(RoapError::SignatureInvalid);
         }
-        let entry = self
-            .content
-            .get_cloned(&request.content_id)
-            .ok_or(RoapError::UnknownRightsObject)?;
 
-        // Validate the domain *before* allocating the RO id: a rejected
-        // request must not advance the device's id sequence or the
-        // issued-RO counter.
-        let domain = match &request.domain_id {
-            None => None,
-            Some(domain_id) => {
-                let domain = self
-                    .domains
-                    .get_cloned(domain_id)
-                    .ok_or(RoapError::UnknownDomain)?;
-                if !domain.is_member(&request.device_id) {
-                    return Err(RoapError::UnknownDomain);
-                }
-                Some(domain)
-            }
+        let (entry, grant, salt) = {
+            let mut state = self.state();
+            let entry = state
+                .content
+                .get(&request.content_id)
+                .cloned()
+                .ok_or(RoapError::UnknownRightsObject)?;
+            // Validate the domain *before* allocating the RO id: a rejected
+            // request must not advance the device's id sequence or the
+            // issued-RO counter.
+            let holder = match &request.domain_id {
+                None => RoHolder::Device(certificate.public_key()),
+                Some(domain_id) => RoHolder::Domain(
+                    state
+                        .domains
+                        .get(domain_id)
+                        .filter(|domain| domain.is_member(&request.device_id))
+                        .map(DomainKey::of)
+                        .ok_or(RoapError::UnknownDomain)?,
+                ),
+            };
+            let scope = format!("dev:{}", request.device_id);
+            let (grant, event) = state.grant_ro(&self.id, scope, holder);
+            let salt = pss::random_salt(&mut state.rng);
+            state.commit(event);
+            (entry, grant, salt)
         };
-
-        let scope = format!("dev:{}", request.device_id);
-        let (ro_id, sequence) = self.next_ro_id(&scope);
-        let rights_object = match &domain {
-            None => self.build_device_ro(
-                ro_id,
-                &request.content_id,
-                &entry,
-                certificate.public_key(),
-                now,
-            ),
-            Some(domain) => self.build_domain_ro(ro_id, &request.content_id, &entry, domain, now),
-        };
-
+        let rights_object = self.build_ro(grant, &request.content_id, &entry, now);
         let signed = RoResponse::signed_bytes(
             &request.device_id,
             &self.id,
             &request.device_nonce,
             &rights_object,
         );
-        let signature = self
-            .engine
-            .pss_sign(self.keys.private(), &signed)
-            .expect("RI key large enough for PSS");
-        self.record(RiEvent::RoIssued { scope, sequence });
         Ok(RoResponse {
             device_id: request.device_id.clone(),
             ri_id: self.id.clone(),
             device_nonce: request.device_nonce.clone(),
             rights_object,
-            signature,
+            signature: self.sign(&signed, &salt),
         })
     }
 
@@ -1061,59 +1145,47 @@ impl RiService {
         domain_id: &DomainId,
         now: Timestamp,
     ) -> Result<ProtectedRightsObject, RoapError> {
-        let entry = self
-            .content
-            .get_cloned(&content_id.to_string())
-            .ok_or(RoapError::UnknownRightsObject)?;
-        let domain = self
-            .domains
-            .get_cloned(domain_id)
-            .ok_or(RoapError::UnknownDomain)?;
-        let scope = format!("dom:{domain_id}");
-        let (ro_id, sequence) = self.next_ro_id(&scope);
-        let ro = self.build_domain_ro(ro_id, content_id, &entry, &domain, now);
-        self.record(RiEvent::RoIssued { scope, sequence });
-        Ok(ro)
+        let (entry, grant) = {
+            let mut state = self.state();
+            let entry = state
+                .content
+                .get(content_id)
+                .cloned()
+                .ok_or(RoapError::UnknownRightsObject)?;
+            let domain = state
+                .domains
+                .get(domain_id)
+                .map(DomainKey::of)
+                .ok_or(RoapError::UnknownDomain)?;
+            let scope = format!("dom:{domain_id}");
+            let (grant, event) = state.grant_ro(&self.id, scope, RoHolder::Domain(domain));
+            state.commit(event);
+            (entry, grant)
+        };
+        Ok(self.build_ro(grant, content_id, &entry, now))
     }
 
-    /// Allocates the next Rights Object id for `scope` (a registered device
-    /// or a domain), returning the id and the sequence number it consumed.
-    /// Each scope owns its own sequence in a sharded map, so the id a
-    /// device receives depends only on how many ROs *that device* already
-    /// obtained — never on how requests from different devices interleave.
-    ///
-    /// The allocation is the decision of an [`RiEvent::RoIssued`]: it takes
-    /// the scope's next sequence and advances past it with the rule `apply`
-    /// uses, under one shard lock, so no two requests get the same id.
-    fn next_ro_id(&self, scope: &str) -> (RightsObjectId, u64) {
-        let (seq, advanced) = self.ro_sequences.update_or_insert_with(
-            scope.to_string(),
-            || 0,
-            |next| {
-                let seq = *next;
-                (seq, advance_sequence(next, seq))
-            },
-        );
-        self.issued_ros.fetch_add(advanced, Ordering::Relaxed);
-        (
-            RightsObjectId::new(&format!("ro:{}:{}:{}", self.id, scope, seq)),
-            seq,
-        )
-    }
-
-    fn build_payload(
+    /// Builds a granted Rights Object outside the lock: the payload with
+    /// the wrapped CEK, its MAC, and the key protection of its seal (a
+    /// domain RO also gets its payload signature).
+    fn build_ro(
         &self,
-        id: RightsObjectId,
+        grant: RoGrant<'_>,
         content_id: &str,
         entry: &ContentEntry,
-        krek: &[u8; 16],
         now: Timestamp,
-    ) -> RightsObjectPayload {
+    ) -> ProtectedRightsObject {
+        let RoGrant {
+            id,
+            kmac,
+            krek,
+            seal,
+        } = grant;
         let encrypted_cek = self
             .engine
-            .aes_wrap(krek, &entry.cek)
+            .aes_wrap(&krek, &entry.cek)
             .expect("CEK wrapping with a 16-byte KREK cannot fail");
-        RightsObjectPayload {
+        let payload = RightsObjectPayload {
             id,
             rights_issuer: self.id.clone(),
             content_id: content_id.to_string(),
@@ -1121,66 +1193,39 @@ impl RiService {
             dcf_hash: entry.dcf_hash,
             encrypted_cek,
             issued_at: now,
-        }
-    }
-
-    fn build_device_ro(
-        &self,
-        id: RightsObjectId,
-        content_id: &str,
-        entry: &ContentEntry,
-        device_key: &RsaPublicKey,
-        now: Timestamp,
-    ) -> ProtectedRightsObject {
-        let kmac = self.engine.random_key();
-        let krek = self.engine.random_key();
-        let payload = self.build_payload(id, content_id, entry, &krek, now);
+        };
         let mac = self.engine.hmac_sha1(&kmac, &payload.to_bytes());
-        let wrapped = self
-            .engine
-            .kem_wrap(device_key, &kmac, &krek)
-            .expect("KEM wrap with an honest device key cannot fail");
+        let (key_protection, signature) = match seal {
+            RoSeal::Device(device_key, secret) => {
+                let wrapped = self
+                    .engine
+                    .kem_wrap_secret(device_key, &kmac, &krek, &secret)
+                    .expect("KEM wrap with an honest device key cannot fail");
+                (KeyProtection::Device(wrapped), None)
+            }
+            RoSeal::Domain(domain, salt) => {
+                let mut key_material = [0u8; 32];
+                key_material[..16].copy_from_slice(&kmac);
+                key_material[16..].copy_from_slice(&krek);
+                let wrapped = self
+                    .engine
+                    .aes_wrap(&domain.key, &key_material)
+                    .expect("domain key wrap cannot fail");
+                // The signature over the payload is mandatory for Domain ROs.
+                let signature = self.sign(&payload.to_bytes(), &salt);
+                let protection = KeyProtection::Domain {
+                    domain_id: domain.domain_id,
+                    generation: domain.generation,
+                    wrapped,
+                };
+                (protection, Some(signature))
+            }
+        };
         ProtectedRightsObject {
             payload,
-            key_protection: KeyProtection::Device(wrapped),
+            key_protection,
             mac,
-            signature: None,
-        }
-    }
-
-    fn build_domain_ro(
-        &self,
-        id: RightsObjectId,
-        content_id: &str,
-        entry: &ContentEntry,
-        domain: &Domain,
-        now: Timestamp,
-    ) -> ProtectedRightsObject {
-        let kmac = self.engine.random_key();
-        let krek = self.engine.random_key();
-        let payload = self.build_payload(id, content_id, entry, &krek, now);
-        let mac = self.engine.hmac_sha1(&kmac, &payload.to_bytes());
-        let mut key_material = [0u8; 32];
-        key_material[..16].copy_from_slice(&kmac);
-        key_material[16..].copy_from_slice(&krek);
-        let wrapped = self
-            .engine
-            .aes_wrap(domain.key(), &key_material)
-            .expect("domain key wrap cannot fail");
-        // The signature over the payload is mandatory for Domain ROs.
-        let signature = self
-            .engine
-            .pss_sign(self.keys.private(), &payload.to_bytes())
-            .expect("RI key large enough for PSS");
-        ProtectedRightsObject {
-            payload,
-            key_protection: KeyProtection::Domain {
-                domain_id: domain.id().clone(),
-                generation: domain.generation(),
-                wrapped,
-            },
-            mac,
-            signature: Some(signature),
+            signature,
         }
     }
 
@@ -1188,25 +1233,14 @@ impl RiService {
 
     /// Creates a domain with a fresh shared key. Creation is first-wins: if
     /// the domain already exists it is left untouched (members, key and
-    /// all) — wholesale re-creation would silently evict members and rotate
-    /// the key without a domain upgrade, and would make journal replay
-    /// ambiguous about whether an existing member set survives.
+    /// all) and nothing is drawn or recorded — wholesale re-creation would
+    /// silently evict members and rotate the key without a domain upgrade.
     pub fn create_domain(&self, domain_id: &str, max_members: usize) -> DomainId {
         let id = DomainId::new(domain_id);
-        let key = self.engine.random_key();
-        // The decision (absent → create) and `apply`'s creation rule run
-        // under one shard lock; an existing domain records nothing.
-        let mut created = false;
-        self.domains.update_or_insert_with(
-            id.clone(),
-            || {
-                created = true;
-                Domain::new(id.clone(), key, max_members)
-            },
-            |_| {},
-        );
-        if created {
-            self.record(RiEvent::DomainCreated {
+        let mut state = self.state();
+        if !state.domains.contains_key(&id) {
+            let key = state.random_key();
+            state.commit(RiEvent::DomainCreated {
                 domain_id: id.clone(),
                 key,
                 max_members: max_members as u64,
@@ -1217,24 +1251,26 @@ impl RiService {
 
     /// Whether a domain exists.
     pub fn has_domain(&self, domain_id: &DomainId) -> bool {
-        self.domains.contains(domain_id)
+        self.state().domains.contains_key(domain_id)
     }
 
     /// Number of members currently registered in `domain_id`.
     pub fn domain_member_count(&self, domain_id: &DomainId) -> Option<usize> {
-        self.domains
-            .with(domain_id, |d| d.map(Domain::member_count))
+        self.state()
+            .domains
+            .get(domain_id)
+            .map(Domain::member_count)
     }
 
     /// Handles a `JoinDomainRequest`: adds the device to the domain and
     /// returns the domain key encrypted under the device public key.
     ///
     /// The handler reads the key and checks for room without changing
-    /// anything, does its RSA work, and only then — under the `ordered`
-    /// lock a leave also takes — re-checks, admits and records. The
-    /// re-check and the admission share one shard write lock, so a full
-    /// domain never over-admits under concurrency, and a leave can never
-    /// reach the log ahead of the join it undoes.
+    /// anything and does its RSA public work; then one critical section
+    /// re-checks admission, draws the response salt, admits and records, so
+    /// a full domain never over-admits and a leave can never reach the log
+    /// ahead of the join it undoes. (A live domain's key and generation
+    /// never change, so the key encrypted before the re-check is current.)
     ///
     /// # Errors
     ///
@@ -1247,12 +1283,7 @@ impl RiService {
         request: &JoinDomainRequest,
         _now: Timestamp,
     ) -> Result<JoinDomainResponse, RoapError> {
-        // Machine step: domain join is a registered-state self-loop (see
-        // `process_ro_request` — same witness, same rejection).
-        let certificate = self
-            .registered
-            .get_cloned(&request.device_id)
-            .ok_or(RoapError::DeviceNotRegistered)?;
+        let certificate = self.registered_certificate(&request.device_id)?;
         let signed = JoinDomainRequest::signed_bytes(
             &request.device_id,
             &request.ri_id,
@@ -1266,14 +1297,28 @@ impl RiService {
         {
             return Err(RoapError::SignatureInvalid);
         }
-        let (key, generation, max_members) = self.domains.with(&request.domain_id, |domain| {
-            let domain = admission(domain, &request.device_id)?;
-            Ok::<_, RoapError>((*domain.key(), domain.generation(), domain.max_members()))
-        })?;
+        let (key, generation, max_members) = {
+            let state = self.state();
+            let domain = admission(state.domains.get(&request.domain_id), &request.device_id)?;
+            (*domain.key(), domain.generation(), domain.max_members())
+        };
         let encrypted_domain_key = self
             .engine
             .rsa_encrypt(certificate.public_key(), &key)
             .expect("16-byte key is always below the modulus");
+        let salt = {
+            let mut state = self.state();
+            admission(state.domains.get(&request.domain_id), &request.device_id)?;
+            let salt = pss::random_salt(&mut state.rng);
+            state.commit(RiEvent::DomainJoined {
+                domain_id: request.domain_id.clone(),
+                device_id: request.device_id.clone(),
+                key,
+                generation,
+                max_members: max_members as u64,
+            });
+            salt
+        };
         let signed = JoinDomainResponse::signed_bytes(
             &request.device_id,
             &self.id,
@@ -1282,26 +1327,6 @@ impl RiService {
             &encrypted_domain_key,
             &request.device_nonce,
         );
-        let signature = self
-            .engine
-            .pss_sign(self.keys.private(), &signed)
-            .expect("RI key large enough for PSS");
-        {
-            let _ordered = self.ordered.lock().expect("ordered lock");
-            self.domains.update(&request.domain_id, |domain| {
-                let domain = domain.ok_or(RoapError::UnknownDomain)?;
-                admission(Some(&*domain), &request.device_id)?;
-                domain.admit(&request.device_id);
-                Ok::<_, RoapError>(())
-            })?;
-            self.record(RiEvent::DomainJoined {
-                domain_id: request.domain_id.clone(),
-                device_id: request.device_id.clone(),
-                key,
-                generation,
-                max_members: max_members as u64,
-            });
-        }
         Ok(JoinDomainResponse {
             device_id: request.device_id.clone(),
             ri_id: self.id.clone(),
@@ -1309,7 +1334,7 @@ impl RiService {
             generation,
             encrypted_domain_key,
             device_nonce: request.device_nonce.clone(),
-            signature,
+            signature: self.sign(&signed, &salt),
         })
     }
 
@@ -1318,8 +1343,7 @@ impl RiService {
     /// Leave-domain requests are unsigned, so the session machine is the
     /// only trust boundary they have: the request is rejected unless
     /// `device_id` is in a registered state. Without this step any wire
-    /// peer could evict arbitrary device ids from their domains (the old
-    /// behaviour, previously only documented on [`RiService::dispatch`]).
+    /// peer could evict arbitrary device ids from their domains.
     ///
     /// # Errors
     ///
@@ -1333,25 +1357,22 @@ impl RiService {
         device_id: &str,
         domain_id: &DomainId,
     ) -> Result<(), DrmError> {
+        let mut state = self.state();
         // Machine step: leave-domain is a registered-state self-loop, and —
         // the request being unsigned — this state check is its entire
         // authentication story.
-        self.session_state(device_id)
+        state
+            .session_state(device_id)
             .step(PduKind::LeaveDomainRequest)
             .map_err(DrmError::Roap)?;
-        // The decision and `apply`'s leave rule (`remove_member`) share one
-        // shard lock; the `ordered` lock keeps the record in table order
-        // relative to a join still finishing its RSA work.
-        let _ordered = self.ordered.lock().expect("ordered lock");
-        self.domains.update(domain_id, |domain| {
-            let domain = domain.ok_or(DrmError::Roap(RoapError::UnknownDomain))?;
-            if domain.remove_member(device_id) {
-                Ok(())
-            } else {
-                Err(DrmError::NotInDomain)
-            }
-        })?;
-        self.record(RiEvent::DomainLeft {
+        let domain = state
+            .domains
+            .get(domain_id)
+            .ok_or(DrmError::Roap(RoapError::UnknownDomain))?;
+        if !domain.is_member(device_id) {
+            return Err(DrmError::NotInDomain);
+        }
+        state.commit(RiEvent::DomainLeft {
             domain_id: domain_id.clone(),
             device_id: device_id.to_string(),
         });
@@ -1405,8 +1426,14 @@ impl RiService {
         if let Some(now) = now {
             // Amortised TTL sweep: a clock-owning server reclaims expired
             // pending sessions as a side effect of serving traffic.
-            let tick = self.dispatch_count.fetch_add(1, Ordering::Relaxed);
-            if (tick + 1).is_multiple_of(SESSION_SWEEP_INTERVAL) {
+            let due = {
+                let mut state = self.state();
+                state.clocked_dispatches += 1;
+                state
+                    .clocked_dispatches
+                    .is_multiple_of(SESSION_SWEEP_INTERVAL)
+            };
+            if due {
                 self.sweep_sessions(now);
             }
         }
@@ -1511,13 +1538,17 @@ mod tests {
     #[test]
     fn ro_ids_are_scoped_per_device() {
         let (_ca, service, _rng) = service();
-        let (a0, s0) = service.next_ro_id("dev:a");
-        let (b0, _) = service.next_ro_id("dev:b");
-        let (a1, s1) = service.next_ro_id("dev:a");
+        let grant = |scope: &str| {
+            let mut state = service.state();
+            let holder = RoHolder::Device(service.public_key());
+            let (grant, event) = state.grant_ro(service.id(), scope.to_string(), holder);
+            state.commit(event);
+            grant.id
+        };
+        let (a0, b0, a1) = (grant("dev:a"), grant("dev:b"), grant("dev:a"));
         assert_eq!(a0.as_str(), "ro:ri:dev:a:0");
         assert_eq!(b0.as_str(), "ro:ri:dev:b:0");
         assert_eq!(a1.as_str(), "ro:ri:dev:a:1");
-        assert_eq!((s0, s1), (0, 1));
         assert_eq!(service.issued_ro_count(), 3);
     }
 
@@ -1954,5 +1985,166 @@ mod tests {
             .unwrap();
         assert!(ro.is_domain_ro());
         assert!(ro.signature.is_some(), "domain RO signature is mandatory");
+    }
+
+    type Record = (RiEvent, [u8; 32]);
+
+    /// An in-memory journal: the last snapshot and the records after it.
+    #[derive(Default)]
+    struct MemJournal {
+        log: Mutex<(Option<RiStateImage>, Vec<Record>)>,
+    }
+
+    impl MemJournal {
+        fn records(&self) -> usize {
+            self.log.lock().unwrap().1.len()
+        }
+
+        /// The service the snapshot and the log recover to.
+        fn recover(&self) -> RiService {
+            let log = self.log.lock().unwrap();
+            let service = RiService::from_image(log.0.clone().expect("genesis snapshot"));
+            for (event, rng_after) in &log.1 {
+                service.replay(event, *rng_after);
+            }
+            service
+        }
+    }
+
+    impl RiJournal for MemJournal {
+        fn record(&self, event: &RiEvent, rng_checkpoint: &dyn Fn() -> [u8; 32]) {
+            let mut log = self.log.lock().unwrap();
+            log.1.push((event.clone(), rng_checkpoint()));
+        }
+
+        fn flush(&self) -> Result<(), DrmError> {
+            Ok(())
+        }
+
+        fn snapshot(&self, capture: &dyn Fn() -> RiStateImage) -> Result<(), DrmError> {
+            *self.log.lock().unwrap() = (Some(capture()), Vec::new());
+            Ok(())
+        }
+    }
+
+    fn journaled() -> (CertificationAuthority, RiService, StdRng, Arc<MemJournal>) {
+        let (ca, service, rng) = service();
+        let journal = Arc::new(MemJournal::default());
+        service.set_journal(Arc::clone(&journal) as Arc<dyn RiJournal>);
+        service.snapshot_to(&*journal).unwrap();
+        (ca, service, rng, journal)
+    }
+
+    #[test]
+    fn recovery_after_every_handler_equals_the_live_service() {
+        // Each handler records with the checkpoint of everything it drew, so
+        // the log always recovers the live state *and* the live stream.
+        let (mut ca, service, mut rng, journal) = journaled();
+        let client = RoapClient::in_proc(&service);
+        let now = Timestamp::new(0);
+        let check = |step: &str| {
+            assert_eq!(
+                journal.recover().state_image(),
+                service.state_image(),
+                "recovery diverged after {step}"
+            );
+        };
+        let (dcf, cek) = ContentIssuer::new("ci").package(b"bytes", "cid:x", &mut rng);
+        service.add_content(
+            "cid:x",
+            cek,
+            &dcf,
+            RightsTemplate::unlimited(Permission::Play),
+        );
+        check("add_content");
+        let family = service.create_domain("family", 4);
+        check("create_domain");
+        let mut agent = crate::DrmAgent::new("dev-a", 384, &mut ca, &mut rng);
+        agent.register(&client, now).unwrap();
+        check("registration");
+        agent
+            .acquire_rights(&client, service.id(), "cid:x", now)
+            .unwrap();
+        check("device RO");
+        agent
+            .join_domain(&client, service.id(), &family, now)
+            .unwrap();
+        check("join");
+        agent
+            .acquire_domain_rights(&client, service.id(), "cid:x", &family, now)
+            .unwrap();
+        check("domain RO");
+        service.issue_domain_ro("cid:x", &family, now).unwrap();
+        check("issue_domain_ro");
+        agent.leave_domain(&client, &family).unwrap();
+        check("leave");
+        service.set_session_ttl(10);
+        service.hello(&DeviceHello::new("dev-b"));
+        check("hello");
+        assert_eq!(service.sweep_sessions(Timestamp::new(100)), 1);
+        check("sweep");
+        service.refresh_ocsp(&ca, Timestamp::new(50));
+        check("refresh_ocsp");
+    }
+
+    #[test]
+    fn creating_an_existing_domain_draws_and_records_nothing() {
+        let (_ca, service, _rng, journal) = journaled();
+        let family = service.create_domain("family", 4);
+        let (records, image) = (journal.records(), service.state_image());
+        assert_eq!(service.create_domain("family", 2), family);
+        assert_eq!(journal.records(), records);
+        assert_eq!(
+            service.state_image(),
+            image,
+            "first wins; the stream did not move"
+        );
+    }
+
+    #[test]
+    fn racing_joins_never_over_admit_a_domain() {
+        // Every join passes the first room check; the re-check in the
+        // critical section admits exactly one.
+        let (mut ca, service, mut rng) = service();
+        let tiny = service.create_domain("tiny", 1);
+        let client = RoapClient::in_proc(&service);
+        let requests: Vec<_> = (0..4)
+            .map(|i| {
+                let mut agent = crate::DrmAgent::new(&format!("dev-{i}"), 384, &mut ca, &mut rng);
+                agent.register(&client, Timestamp::new(0)).unwrap();
+                agent
+                    .join_request(service.id(), &tiny, Timestamp::new(0))
+                    .unwrap()
+            })
+            .collect();
+        let start = std::sync::Barrier::new(requests.len());
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let joins: Vec<_> = requests
+                .iter()
+                .map(|request| {
+                    let (service, start) = (&service, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        service.process_join_domain(request, Timestamp::new(0))
+                    })
+                })
+                .collect();
+            joins.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(outcomes.iter().filter(|o| o.is_ok()).count(), 1);
+        assert!(outcomes
+            .iter()
+            .all(|o| o.is_ok() || *o == Err(RoapError::DomainFull)));
+        assert_eq!(service.domain_member_count(&tiny), Some(1));
+    }
+
+    #[test]
+    fn snapshot_to_hands_the_journal_the_live_image() {
+        let (_ca, service, _rng, journal) = journaled();
+        service.hello(&DeviceHello::new("dev-a"));
+        assert_eq!(journal.records(), 1);
+        service.snapshot_to(&*journal).unwrap();
+        assert_eq!(journal.records(), 0, "the snapshot covers the hello");
+        assert_eq!(journal.recover().state_image(), service.state_image());
     }
 }

@@ -1005,7 +1005,7 @@ pub fn run_fleet_durable<L: Wal + 'static>(
     let mut service = RiService::new("ri.fleet", spec.rsa_modulus_bits, &mut ca, &mut rng);
     let ri_id = service.id().to_string();
     service.set_journal(Arc::clone(&store) as Arc<dyn RiJournal>);
-    store.snapshot(&|| service.state_image())?;
+    service.snapshot_to(&*store)?;
     let catalog = build_catalog(spec, &service, &mut rng);
     let ca = Mutex::new(ca);
     let mut devices = provision_wire_devices(spec, &ca, workers)?;
@@ -1063,7 +1063,7 @@ pub fn run_fleet_durable<L: Wal + 'static>(
     let elapsed = started.elapsed();
 
     store.flush()?;
-    store.snapshot(&|| service.state_image())?;
+    service.snapshot_to(&*store)?;
     let final_state = service.state_image();
     let (outcomes, ro_response_frames) = finish_wire_devices(devices);
     Ok(DurableReport {
@@ -1141,7 +1141,7 @@ fn build_shard(spec: &FleetSpec) -> Result<ShardNode, DrmError> {
     let service = RiService::new("ri.fleet", spec.rsa_modulus_bits, &mut ca, &mut rng);
     let store = Arc::new(RiStore::in_memory());
     service.set_journal(Arc::clone(&store) as Arc<dyn RiJournal>);
-    store.snapshot(&|| service.state_image())?;
+    service.snapshot_to(&*store)?;
     build_catalog(spec, &service, &mut rng);
     let primary = Primary::new("node.a", 1, store);
     let mut follower = Follower::in_memory("node.b", AckPolicy::OnFsync);

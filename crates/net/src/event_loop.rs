@@ -200,7 +200,7 @@ impl RoapEventServer {
         // always starts from a replay-free store.
         if let Some(store) = &config.store {
             service.set_journal(Arc::clone(store));
-            store.snapshot(&|| service.state_image())?;
+            service.snapshot_to(store.as_ref())?;
         }
 
         let poller = Poller::new().map_err(|e| transport_err("poller", e))?;
@@ -283,8 +283,7 @@ impl RoapEventServer {
         }
         if let Some(store) = self.store.take() {
             let _ = store.flush();
-            let service = &self.service;
-            let _ = store.snapshot(&|| service.state_image());
+            let _ = self.service.snapshot_to(store.as_ref());
         }
     }
 }

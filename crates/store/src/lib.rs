@@ -46,7 +46,7 @@
 //! #     let service = Arc::new(RiService::new("ri.example.com", 384, &mut ca, &mut rng));
 //! #     let store = Arc::new(RiStore::open_dir(&dir, StoreConfig::default())?);
 //! #     service.set_journal(Arc::clone(&store) as Arc<dyn RiJournal>);
-//! #     store.snapshot(&|| service.state_image())?;
+//! #     service.snapshot_to(&*store)?;
 //! #     let mut agent = DrmAgent::new("phone-001", 384, &mut ca, &mut rng);
 //! #     agent.register(&RoapClient::in_proc(&service), now)?;
 //! #     store.flush()?;

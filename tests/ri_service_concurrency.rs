@@ -1,12 +1,12 @@
-//! Concurrency test for the sharded `RiService`: a multi-threaded device
-//! fleet must lose no registrations, duplicate no Rights Object ids, and
-//! produce outcomes byte-identical to a sequential run with the same
-//! per-device seeds.
+//! Concurrency test for `RiService`, whose state sits behind one lock: a
+//! multi-threaded device fleet must lose no registrations, duplicate no
+//! Rights Object ids, and produce outcomes byte-identical to a sequential
+//! run with the same per-device seeds.
 //!
 //! The full 8-thread × 64-device configuration runs in release builds (CI
-//! runs this file under `--release` so the sharded path sees real
-//! contention); debug builds use a scaled-down fleet to keep the tier-1
-//! `cargo test` pass fast.
+//! runs this file under `--release`, so the handlers' critical sections
+//! interleave with each other's RSA work); debug builds use a scaled-down
+//! fleet to keep the tier-1 `cargo test` pass fast.
 
 use oma_drm2::load::{run_fleet, run_sequential, FleetSpec};
 use std::collections::HashSet;
