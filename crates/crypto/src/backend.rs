@@ -29,19 +29,21 @@
 //!   software costs for algorithms left on the core. A real silicon port
 //!   would override the primitive methods instead.
 //!
-//! Every primitive charges a lock-free, per-algorithm sharded [`CycleMeter`],
-//! so a protocol run measures its own cycle bill as it executes. The charge
-//! of an engine-level operation equals [`AlgorithmCost::cycles`] over the
-//! operation counts recorded in the engine's
-//! [`OpTrace`](crate::provider::OpTrace) — the measured meter and the priced
-//! trace are two views of the same accounting and are cross-checked in the
-//! test suites.
+//! Every primitive charges a lock-free, per-algorithm [`CycleMeter`] as it
+//! executes: the backend's ledger of `(invocations, blocks)` per Table 1 row.
+//! That ledger *is* the operation trace — [`CryptoEngine::trace`] reads it —
+//! and cycles are priced from it when read ([`CryptoBackend::price`]), which
+//! is exact because Table 1 pricing is linear in the counts. [`scoped`] reads
+//! the same charges per thread, so one dispatch can carry its own trace.
+//!
+//! [`CryptoEngine::trace`]: crate::provider::CryptoEngine::trace
 
 use crate::aes::{Aes128, BLOCK_SIZE};
-use crate::provider::{Algorithm, OpCount};
+use crate::provider::{Algorithm, OpCount, OpTrace};
 use crate::rsa::{RsaPrivateKey, RsaPublicKey};
 use crate::{cbc, hmac, sha1, CryptoError};
 use oma_bignum::BigUint;
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -163,50 +165,104 @@ impl CostProfile {
     }
 }
 
-/// A lock-free cycle meter, sharded per algorithm so concurrent charges from
-/// different algorithms never contend on one counter.
+/// The backend's ledger: `(invocations, blocks)` per algorithm, booked by
+/// [`CryptoBackend::charge`] as the work executes. Lock-free: one pair of
+/// atomic counters per algorithm, so concurrent charges never take a lock
+/// and charges of different algorithms never contend on one counter.
 #[derive(Debug, Default)]
 pub struct CycleMeter {
-    shards: [AtomicU64; 6],
+    counts: [[AtomicU64; 2]; 6],
 }
 
 impl CycleMeter {
-    /// A fresh meter at zero.
-    pub fn new() -> Self {
-        Self::default()
+    /// A fresh, empty ledger.
+    pub const fn new() -> Self {
+        CycleMeter {
+            counts: [const { [const { AtomicU64::new(0) }; 2] }; 6],
+        }
     }
 
-    /// Adds `cycles` to the shard of `algorithm`.
-    pub fn charge(&self, algorithm: Algorithm, cycles: u64) {
-        self.shards[algorithm.index()].fetch_add(cycles, Ordering::Relaxed);
+    /// Books `invocations` and `blocks` of `algorithm` here and in the
+    /// calling thread's open [`scoped`] read, if any.
+    fn charge(&self, algorithm: Algorithm, invocations: u64, blocks: u64) {
+        let [invoked, processed] = &self.counts[algorithm.index()];
+        invoked.fetch_add(invocations, Ordering::Relaxed);
+        processed.fetch_add(blocks, Ordering::Relaxed);
+        SCOPE.with(|scope| {
+            if let Some(trace) = scope.borrow_mut().as_mut() {
+                trace.record(algorithm, invocations, blocks);
+            }
+        });
     }
 
-    /// Cycles charged so far against `algorithm`.
-    pub fn cycles_of(&self, algorithm: Algorithm) -> u64 {
-        self.shards[algorithm.index()].load(Ordering::Relaxed)
+    /// Everything booked so far.
+    pub fn trace(&self) -> OpTrace {
+        self.read(|counter| counter.load(Ordering::Relaxed))
     }
 
-    /// Total cycles charged across all algorithms.
-    pub fn total(&self) -> u64 {
-        self.shards.iter().map(|s| s.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Returns the total and resets every shard to zero.
+    /// Everything booked so far, resetting the ledger to empty.
     ///
-    /// The reset is per-shard atomic, not a cross-shard snapshot; callers
-    /// that need exact phase boundaries must quiesce the backend first (the
-    /// measured runner drives one agent from one thread, so this holds).
-    pub fn take_total(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.swap(0, Ordering::Relaxed))
-            .sum()
+    /// The reset is per-counter atomic, not a cross-counter snapshot; a
+    /// caller that needs exact phase boundaries quiesces the backend first
+    /// (a DRM Agent drives its own backend from one thread between phases).
+    pub fn take(&self) -> OpTrace {
+        self.read(|counter| counter.swap(0, Ordering::Relaxed))
     }
 
-    /// Resets every shard to zero.
-    pub fn reset(&self) {
-        self.take_total();
+    fn read(&self, read: impl Fn(&AtomicU64) -> u64) -> OpTrace {
+        let mut trace = OpTrace::new();
+        for alg in Algorithm::ALL {
+            let [invoked, processed] = &self.counts[alg.index()];
+            trace.record(alg, read(invoked), read(processed));
+        }
+        trace
     }
+}
+
+thread_local! {
+    /// The innermost open [`scoped`] read on this thread.
+    static SCOPE: RefCell<Option<OpTrace>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` and returns, with its result, every charge any backend booked on
+/// the calling thread while `f` ran — the operations of one dispatch, say,
+/// however many other threads share the backend. Scopes nest: an inner
+/// scope's charges also reach the scope around it. Charges through
+/// [`Unmetered`] are not booked anywhere.
+///
+/// ```
+/// use oma_crypto::backend::{scoped, CryptoBackend, SoftwareBackend};
+/// use oma_crypto::Algorithm;
+///
+/// let backend = SoftwareBackend::new();
+/// backend.sha1(b"outside");
+/// let (_, trace) = scoped(|| backend.sha1(&[0u8; 160]));
+/// assert_eq!(trace.count(Algorithm::Sha1).blocks, 10);
+/// assert_eq!(backend.price(&trace), 10 * 400);
+/// assert_eq!(backend.meter().trace().count(Algorithm::Sha1).invocations, 2);
+/// ```
+pub fn scoped<R>(f: impl FnOnce() -> R) -> (R, OpTrace) {
+    /// Closes the scope — also when `f` unwinds — handing its charges on
+    /// to the enclosing one.
+    struct Close(Option<OpTrace>);
+
+    impl Drop for Close {
+        fn drop(&mut self) {
+            SCOPE.with(|scope| {
+                let mut scope = scope.borrow_mut();
+                let inner = std::mem::replace(&mut *scope, self.0.take());
+                if let (Some(outer), Some(inner)) = (scope.as_mut(), inner) {
+                    outer.merge(&inner);
+                }
+            });
+        }
+    }
+
+    let close = Close(SCOPE.with(|scope| scope.replace(Some(OpTrace::new()))));
+    let out = f();
+    let trace = SCOPE.with(|scope| scope.borrow().clone().unwrap_or_default());
+    drop(close);
+    (out, trace)
 }
 
 /// A pluggable realisation of the six Table 1 algorithms.
@@ -230,27 +286,26 @@ pub trait CryptoBackend: Send + Sync + fmt::Debug {
     /// The cycle cost this backend charges for `algorithm`.
     fn cost(&self, algorithm: Algorithm) -> AlgorithmCost;
 
-    /// The backend's cycle meter.
+    /// The backend's ledger of executed operations.
     fn meter(&self) -> &CycleMeter;
 
-    /// Charges `invocations` invocation offsets plus `blocks` block costs of
-    /// `algorithm` to the meter.
+    /// Books `invocations` invocations processing `blocks` blocks of
+    /// `algorithm` in the ledger, as the work executes.
     fn charge(&self, algorithm: Algorithm, invocations: u64, blocks: u64) {
-        let cost = self.cost(algorithm);
-        self.meter().charge(
-            algorithm,
-            cost.offset_cycles * invocations + cost.per_block_cycles * blocks,
-        );
+        self.meter().charge(algorithm, invocations, blocks);
     }
 
-    /// Total cycles charged so far.
+    /// The cycles `trace` costs on this backend: Σ `cost(alg).cycles(count)`.
+    fn price(&self, trace: &OpTrace) -> u64 {
+        trace
+            .iter()
+            .map(|(alg, count)| self.cost(alg).cycles(count))
+            .sum()
+    }
+
+    /// Total cycles charged so far: the price of the ledger.
     fn charged_cycles(&self) -> u64 {
-        self.meter().total()
-    }
-
-    /// Returns the charged cycles and resets the meter.
-    fn take_charged_cycles(&self) -> u64 {
-        self.meter().take_total()
+        self.price(&self.meter().trace())
     }
 
     // ----- AES-128 (block granularity) --------------------------------------
@@ -540,10 +595,8 @@ impl CryptoBackend for HwMacroBackend {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Unmetered;
 
-/// The shared meter of [`Unmetered`] (all charges are zero cycles).
-static UNMETERED_METER: CycleMeter = CycleMeter {
-    shards: [const { AtomicU64::new(0) }; 6],
-};
+/// The ledger of [`Unmetered`], which books nothing.
+static UNMETERED_METER: CycleMeter = CycleMeter::new();
 
 impl CryptoBackend for Unmetered {
     fn name(&self) -> &str {
@@ -587,7 +640,13 @@ mod tests {
         assert_eq!(digest, sha1::sha1(&[0u8; 160]));
         // 10 blocks at 400 cycles each, no offset.
         assert_eq!(backend.charged_cycles(), 4_000);
-        assert_eq!(backend.meter().cycles_of(Algorithm::Sha1), 4_000);
+        assert_eq!(
+            backend.meter().trace().count(Algorithm::Sha1),
+            OpCount {
+                invocations: 1,
+                blocks: 10
+            }
+        );
         assert_eq!(backend.name(), "SW");
         assert_eq!(
             backend.realisation(Algorithm::RsaPrivate),
@@ -618,8 +677,11 @@ mod tests {
         assert_eq!(backend.aes_decrypt_block(&cipher, &ct), block);
         // Decrypt schedule offset 950 + one encrypt block 830 + one decrypt
         // block 830.
-        assert_eq!(backend.meter().cycles_of(Algorithm::AesDecrypt), 950 + 830);
-        assert_eq!(backend.meter().cycles_of(Algorithm::AesEncrypt), 830);
+        let trace = backend.meter().trace();
+        let cycles = |alg| backend.cost(alg).cycles(trace.count(alg));
+        assert_eq!(cycles(Algorithm::AesDecrypt), 950 + 830);
+        assert_eq!(cycles(Algorithm::AesEncrypt), 830);
+        assert_eq!(backend.charged_cycles(), 950 + 830 + 830);
     }
 
     #[test]
@@ -649,8 +711,10 @@ mod tests {
         let m = BigUint::from_u64(0x1234);
         let c = backend.rsa_public_exp(pair.public(), &m).unwrap();
         assert_eq!(backend.rsa_private_exp(pair.private(), &c).unwrap(), m);
-        assert_eq!(backend.meter().cycles_of(Algorithm::RsaPublic), 10_000);
-        assert_eq!(backend.meter().cycles_of(Algorithm::RsaPrivate), 260_000);
+        let trace = backend.meter().trace();
+        assert_eq!(trace.count(Algorithm::RsaPublic).blocks, 1);
+        assert_eq!(trace.count(Algorithm::RsaPrivate).blocks, 1);
+        assert_eq!(backend.charged_cycles(), 10_000 + 260_000);
     }
 
     #[test]
@@ -658,9 +722,10 @@ mod tests {
         let backend = SoftwareBackend::new();
         backend.sha1(b"x");
         assert!(backend.charged_cycles() > 0);
-        let taken = backend.take_charged_cycles();
-        assert!(taken > 0);
+        let taken = backend.meter().take();
+        assert_eq!(backend.price(&taken), 400);
         assert_eq!(backend.charged_cycles(), 0);
+        assert!(backend.meter().trace().is_empty());
     }
 
     #[test]
@@ -672,19 +737,25 @@ mod tests {
             let meter = Arc::clone(&meter);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..10_000 {
-                    meter.charge(Algorithm::Sha1, 1);
-                    meter.charge(Algorithm::AesDecrypt, 2);
+                    meter.charge(Algorithm::Sha1, 1, 1);
+                    meter.charge(Algorithm::AesDecrypt, 0, 2);
                 }
             }));
         }
         for handle in handles {
             handle.join().unwrap();
         }
-        assert_eq!(meter.cycles_of(Algorithm::Sha1), 40_000);
-        assert_eq!(meter.cycles_of(Algorithm::AesDecrypt), 80_000);
-        assert_eq!(meter.total(), 120_000);
-        meter.reset();
-        assert_eq!(meter.total(), 0);
+        let taken = meter.take();
+        assert_eq!(
+            taken.count(Algorithm::Sha1),
+            OpCount {
+                invocations: 40_000,
+                blocks: 40_000
+            }
+        );
+        assert_eq!(taken.count(Algorithm::AesDecrypt).blocks, 80_000);
+        assert_eq!(taken.total_invocations(), 40_000);
+        assert!(meter.trace().is_empty());
     }
 
     #[test]
@@ -694,8 +765,9 @@ mod tests {
         let cipher = backend
             .aes_schedule(&[0u8; 16], AesDirection::Encrypt)
             .unwrap();
-        backend.aes_encrypt_block(&cipher, &[0u8; 16]);
-        assert_eq!(backend.charged_cycles(), 0);
+        let (_, scope) = scoped(|| backend.aes_encrypt_block(&cipher, &[0u8; 16]));
+        assert!(scope.is_empty());
+        assert!(backend.meter().trace().is_empty());
     }
 
     #[test]
@@ -727,9 +799,49 @@ mod tests {
     #[test]
     fn data_block_accounting() {
         assert_eq!(data_blocks(0), 1);
+        assert_eq!(data_blocks(1), 1);
         assert_eq!(data_blocks(16), 1);
         assert_eq!(data_blocks(17), 2);
         assert_eq!(data_blocks(3_500_000), 218_750);
+    }
+
+    #[test]
+    fn scopes_see_their_own_thread_and_nest() {
+        let backend = SoftwareBackend::new();
+        let (inner, outer) = scoped(|| {
+            backend.sha1(&[0u8; 32]);
+            let (_, inner) = scoped(|| backend.hmac_sha1(b"k", &[0u8; 16]));
+            // Another thread's charges reach the ledger, not this scope.
+            std::thread::scope(|s| {
+                s.spawn(|| backend.sha1(b"elsewhere"));
+            });
+            inner
+        });
+        assert_eq!(inner.count(Algorithm::HmacSha1).invocations, 1);
+        assert!(inner.count(Algorithm::Sha1).is_zero());
+        assert_eq!(outer.count(Algorithm::HmacSha1).invocations, 1);
+        assert_eq!(outer.count(Algorithm::Sha1).blocks, 2);
+        assert_eq!(
+            backend.meter().trace().count(Algorithm::Sha1).invocations,
+            2
+        );
+    }
+
+    #[test]
+    fn a_panicking_scope_still_hands_on_its_charges() {
+        let backend = SoftwareBackend::new();
+        let ((), outer) = scoped(|| {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                scoped(|| {
+                    backend.sha1(b"x");
+                    panic!("mid-dispatch");
+                })
+            }));
+            assert!(unwound.is_err());
+        });
+        assert_eq!(outer.count(Algorithm::Sha1).invocations, 1);
+        let (_, after) = scoped(|| ());
+        assert!(after.is_empty());
     }
 
     #[test]

@@ -180,16 +180,9 @@ fn xor(a: &Block, b: &Block) -> Block {
     (u128::from_ne_bytes(*a) ^ u128::from_ne_bytes(*b)).to_ne_bytes()
 }
 
-/// Number of 128-bit AES block operations needed to CBC-encrypt `len` bytes
-/// of plaintext (including the padding block).
-pub fn encrypted_blocks(len: usize) -> u64 {
-    (len / BLOCK_SIZE + 1) as u64
-}
-
-/// Validates the arguments of [`encrypt_with`] and returns the IV as a block.
-/// The engine calls it before recording, so that a rejected call leaves the
-/// trace and the cycle meter equally untouched.
-pub(crate) fn check_encrypt_args(key: &[u8], iv: &[u8]) -> Result<Block, CryptoError> {
+/// Validates the arguments of [`encrypt_with`] before its first charge and
+/// returns the IV as a block.
+fn check_encrypt_args(key: &[u8], iv: &[u8]) -> Result<Block, CryptoError> {
     check_key(key)?;
     iv.try_into().map_err(|_| CryptoError::InvalidInputLength {
         expected: "16-byte IV",
@@ -197,12 +190,9 @@ pub(crate) fn check_encrypt_args(key: &[u8], iv: &[u8]) -> Result<Block, CryptoE
     })
 }
 
-/// Validates the arguments of [`decrypt_with`] and returns the IV as a block.
-pub(crate) fn check_decrypt_args(
-    key: &[u8],
-    iv: &[u8],
-    ciphertext: &[u8],
-) -> Result<Block, CryptoError> {
+/// Validates the arguments of [`decrypt_with`] before its first charge and
+/// returns the IV as a block.
+fn check_decrypt_args(key: &[u8], iv: &[u8], ciphertext: &[u8]) -> Result<Block, CryptoError> {
     let iv = check_encrypt_args(key, iv)?;
     if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_SIZE) {
         return Err(CryptoError::InvalidInputLength {
@@ -308,11 +298,14 @@ mod tests {
 
     #[test]
     fn encrypted_blocks_counts_padding() {
-        assert_eq!(encrypted_blocks(0), 1);
-        assert_eq!(encrypted_blocks(15), 1);
-        assert_eq!(encrypted_blocks(16), 2);
-        assert_eq!(encrypted_blocks(17), 2);
-        assert_eq!(encrypted_blocks(3_500_000), 3_500_000 / 16 + 1);
+        use crate::backend::SoftwareBackend;
+        use crate::Algorithm;
+        for (len, blocks) in [(0, 1), (15, 1), (16, 2), (17, 2), (1_000, 63)] {
+            let backend = SoftwareBackend::new();
+            encrypt_with(&backend, &[1u8; 16], &[2u8; 16], &vec![0u8; len]).unwrap();
+            let trace = backend.meter().take();
+            assert_eq!(trace.count(Algorithm::AesEncrypt).blocks, blocks, "{len}");
+        }
     }
 
     #[test]

@@ -61,23 +61,6 @@ pub fn derive_kek_with(backend: &dyn CryptoBackend, z: &[u8]) -> [u8; 16] {
     out
 }
 
-/// Number of SHA-1 compression passes (counted in 128-bit input blocks, the
-/// unit of the paper's cost table) needed to derive `output_len` bytes from a
-/// `z_len`-byte secret with empty `other_info`.
-pub fn hash_blocks(z_len: usize, output_len: usize) -> u64 {
-    op_counts(z_len, 0, output_len).1
-}
-
-/// SHA-1 `(invocations, 128-bit input blocks)` performed by [`kdf2`] for the
-/// given input sizes — the exact counts a [`CryptoBackend`] charges when the
-/// derivation is routed through it, so trace recording and cycle metering
-/// stay two views of one accounting.
-pub fn op_counts(z_len: usize, other_info_len: usize, output_len: usize) -> (u64, u64) {
-    let iterations = output_len.div_ceil(DIGEST_SIZE) as u64;
-    let blocks_per_iteration = crate::backend::data_blocks(z_len + 4 + other_info_len);
-    (iterations, iterations * blocks_per_iteration)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,9 +110,14 @@ mod tests {
     #[test]
     fn hash_block_accounting() {
         // 128-byte Z (1024-bit RSA plaintext), 16-byte output: one iteration
-        // over 132 bytes = 9 blocks of 16 bytes.
-        assert_eq!(hash_blocks(128, 16), 9);
-        // Two iterations double it.
-        assert_eq!(hash_blocks(128, 32), 18);
+        // over 132 bytes = 9 blocks of 16 bytes. Two iterations double it.
+        use crate::backend::SoftwareBackend;
+        use crate::Algorithm;
+        for (output_len, iterations, blocks) in [(16, 1, 9), (32, 2, 18)] {
+            let backend = SoftwareBackend::new();
+            kdf2_with(&backend, &[7u8; 128], b"", output_len);
+            let count = backend.meter().take().count(Algorithm::Sha1);
+            assert_eq!((count.invocations, count.blocks), (iterations, blocks));
+        }
     }
 }

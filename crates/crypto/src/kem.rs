@@ -206,10 +206,9 @@ pub fn unwrap_keys_with(
 }
 
 /// Validates the arguments of [`unwrap_keys_with`] and returns `C1` as an
-/// integer: `C1 < n`, and `C2` of a length AES-unwrap accepts. Past this
-/// check every stage runs, so the engine calls it before recording and a
-/// rejected call leaves the trace and the cycle meter equally untouched.
-pub(crate) fn check_unwrap_args(
+/// integer: `C1 < n`, and `C2` of a length AES-unwrap accepts. It runs before
+/// the first charge, and past it every stage runs.
+fn check_unwrap_args(
     recipient: &RsaPrivateKey,
     wrapped: &WrappedKeys,
 ) -> Result<BigUint, CryptoError> {

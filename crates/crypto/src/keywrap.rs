@@ -125,10 +125,8 @@ fn xor_counter(block: &[u8; BLOCK_SIZE], t: u64) -> [u8; BLOCK_SIZE] {
     (u128::from_be_bytes(*block) ^ (u128::from(t) << 64)).to_be_bytes()
 }
 
-/// Validates the arguments of [`wrap_with`]. The engine calls it before
-/// recording, so that a rejected call leaves the trace and the cycle meter
-/// equally untouched.
-pub(crate) fn check_wrap_args(kek: &[u8], key_data: &[u8]) -> Result<(), CryptoError> {
+/// Validates the arguments of [`wrap_with`] before its first charge.
+fn check_wrap_args(kek: &[u8], key_data: &[u8]) -> Result<(), CryptoError> {
     check_key(kek)?;
     if key_data.len() < 16 || !key_data.len().is_multiple_of(8) {
         return Err(CryptoError::InvalidInputLength {
@@ -139,8 +137,8 @@ pub(crate) fn check_wrap_args(kek: &[u8], key_data: &[u8]) -> Result<(), CryptoE
     Ok(())
 }
 
-/// Validates the arguments of [`unwrap_with`].
-pub(crate) fn check_unwrap_args(kek: &[u8], wrapped: &[u8]) -> Result<(), CryptoError> {
+/// Validates the arguments of [`unwrap_with`] before its first charge.
+fn check_unwrap_args(kek: &[u8], wrapped: &[u8]) -> Result<(), CryptoError> {
     check_key(kek)?;
     check_wrapped_len(wrapped)
 }
@@ -155,13 +153,6 @@ pub(crate) fn check_wrapped_len(wrapped: &[u8]) -> Result<(), CryptoError> {
         });
     }
     Ok(())
-}
-
-/// Number of AES block-cipher invocations performed when wrapping or
-/// unwrapping `key_data_len` bytes of key material (6 per 64-bit block,
-/// per RFC 3394).
-pub fn block_operations(key_data_len: usize) -> u64 {
-    6 * (key_data_len / 8) as u64
 }
 
 #[cfg(test)]
@@ -225,8 +216,17 @@ mod tests {
 
     #[test]
     fn block_operation_count() {
-        assert_eq!(block_operations(16), 12);
-        assert_eq!(block_operations(32), 24);
+        // RFC 3394 runs 6 block operations per 64-bit block of key data.
+        use crate::backend::SoftwareBackend;
+        use crate::Algorithm;
+        for (len, blocks) in [(16, 12), (32, 24)] {
+            let backend = SoftwareBackend::new();
+            let wrapped = wrap_with(&backend, &[1u8; 16], &vec![9u8; len]).unwrap();
+            unwrap_with(&backend, &[1u8; 16], &wrapped).unwrap();
+            let trace = backend.meter().take();
+            assert_eq!(trace.count(Algorithm::AesEncrypt).blocks, blocks);
+            assert_eq!(trace.count(Algorithm::AesDecrypt).blocks, blocks);
+        }
     }
 
     #[test]

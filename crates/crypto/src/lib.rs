@@ -16,12 +16,14 @@
 //!   trait over AES block operations, SHA-1/HMAC hashing and the RSA
 //!   exponentiations, with a software implementation and a cycle-accurate
 //!   simulated hardware-macro implementation so the paper's HW/SW
-//!   partitionings are *executable*, not just priced,
-//! * [`provider`] — an instrumented [`CryptoEngine`]
-//!   that performs every operation through a backend *and* records
-//!   `(algorithm, invocations, blocks)` in lock-free sharded counters so
-//!   that the performance model in `oma-perf` can cost a protocol run
-//!   exactly the way the paper's Java model did.
+//!   partitionings are *executable*, not just priced. Each backend books
+//!   what it executes as `(algorithm, invocations, blocks)` in one lock-free
+//!   ledger; that ledger is the operation trace, and cycles are priced from
+//!   it,
+//! * [`provider`] — the [`CryptoEngine`] that performs every operation
+//!   through a backend and reads its ledger as an [`OpTrace`], so that the
+//!   performance model in `oma-perf` can cost a protocol run exactly the way
+//!   the paper's Java model did.
 //!
 //! Nothing in this crate is intended for production security use: SHA-1 and
 //! 1024-bit RSA are obsolete primitives that are implemented here because the

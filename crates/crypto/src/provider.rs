@@ -4,10 +4,12 @@
 //! extract, for each protocol phase, the list of cryptographic operations and
 //! the data sizes they process. [`CryptoEngine`] plays that role here: every
 //! DRM-layer component (`oma-drm`) performs its cryptography through an
-//! engine, which executes the real algorithm *and* records an
-//! [`OpTrace`] entry of the form `(algorithm, invocations, 128-bit blocks)`.
-//! The performance model in `oma-perf` then prices a trace under the paper's
-//! Table 1 cycle costs for any architecture variant.
+//! engine, which executes the real algorithm on its
+//! [`CryptoBackend`]. The backend books each primitive it runs into its
+//! ledger as `(algorithm, invocations, 128-bit blocks)`, and that ledger is
+//! the engine's [`OpTrace`]: the engine predicts nothing. The performance
+//! model in `oma-perf` then prices a trace under the paper's Table 1 cycle
+//! costs for any architecture variant.
 //!
 //! Block accounting follows the units of Table 1:
 //!
@@ -19,7 +21,7 @@
 //!   message (the same "close approximation" the paper makes),
 //! * AES key wrap is charged for its real 6·n block-cipher invocations.
 
-use crate::backend::{data_blocks, CryptoBackend, SoftwareBackend};
+use crate::backend::{CryptoBackend, SoftwareBackend};
 use crate::kem::{self, KemSecret, WrappedKeys, SYMMETRIC_KEY_LEN};
 use crate::pss::{self, PssSignature};
 use crate::rsa::{RsaPrivateKey, RsaPublicKey};
@@ -27,7 +29,6 @@ use crate::{cbc, hmac, kdf, keywrap, sha1, CryptoError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The cryptographic algorithms whose cost the paper models (Table 1 rows).
@@ -111,8 +112,9 @@ impl OpCount {
     }
 }
 
-/// A record of every cryptographic operation performed through a
-/// [`CryptoEngine`].
+/// A record of cryptographic operations: what a backend's ledger booked,
+/// read whole ([`CryptoEngine::trace`]) or per thread
+/// ([`scoped`](crate::backend::scoped)).
 ///
 /// Traces are additive: phase traces can be merged into a use-case trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -185,65 +187,13 @@ fn rand_seed() -> u64 {
     StdRng::from_entropy().next_u64()
 }
 
-/// Lock-free operation recorder: one shard of two atomic counters per
-/// algorithm, so the hot path never takes a lock and concurrent recorders of
-/// *different* algorithms never contend on the same cache line's counter.
-#[derive(Debug, Default)]
-struct ShardedTrace {
-    shards: [TraceShard; 6],
-}
-
-#[derive(Debug, Default)]
-struct TraceShard {
-    invocations: AtomicU64,
-    blocks: AtomicU64,
-}
-
-impl ShardedTrace {
-    fn record(&self, algorithm: Algorithm, invocations: u64, blocks: u64) {
-        let shard = &self.shards[algorithm.index()];
-        shard.invocations.fetch_add(invocations, Ordering::Relaxed);
-        shard.blocks.fetch_add(blocks, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> OpTrace {
-        let mut trace = OpTrace::new();
-        for alg in Algorithm::ALL {
-            let shard = &self.shards[alg.index()];
-            trace.record(
-                alg,
-                shard.invocations.load(Ordering::Relaxed),
-                shard.blocks.load(Ordering::Relaxed),
-            );
-        }
-        trace
-    }
-
-    /// Returns the recorded counts and resets every shard. The reset is
-    /// per-counter atomic, not a cross-shard snapshot; phase boundaries must
-    /// be quiesced by the caller (the DRM Agent drives its engine from one
-    /// thread between phase snapshots).
-    fn take(&self) -> OpTrace {
-        let mut trace = OpTrace::new();
-        for alg in Algorithm::ALL {
-            let shard = &self.shards[alg.index()];
-            trace.record(
-                alg,
-                shard.invocations.swap(0, Ordering::Relaxed),
-                shard.blocks.swap(0, Ordering::Relaxed),
-            );
-        }
-        trace
-    }
-}
-
-/// An instrumented cryptographic provider.
+/// The cryptographic provider every DRM actor calls through.
 ///
 /// Every method performs the genuine computation by delegating to a
 /// pluggable [`CryptoBackend`] (software by default, simulated hardware
-/// macros via [`CryptoEngine::with_backend`]) and records its cost-relevant
-/// footprint into a lock-free sharded [`OpTrace`] recorder. The engine is
-/// `Send + Sync`; recording uses per-algorithm atomic counters.
+/// macros via [`CryptoEngine::with_backend`]), whose lock-free ledger books
+/// what it executed; [`CryptoEngine::trace`] reads that ledger. Give each
+/// engine whose trace is read its own backend. The engine is `Send + Sync`.
 ///
 /// # Example
 ///
@@ -267,12 +217,11 @@ impl ShardedTrace {
 ///
 /// let engine = CryptoEngine::with_backend(Arc::new(HwMacroBackend::full()), 42);
 /// engine.sha1(&vec![0u8; 160]);
-/// assert_eq!(engine.charged_cycles(), 10 * 20); // 10 blocks x 20 cycles
+/// assert_eq!(engine.backend().charged_cycles(), 10 * 20); // 10 blocks x 20 cycles
 /// ```
 #[derive(Debug)]
 pub struct CryptoEngine {
     backend: Arc<dyn CryptoBackend>,
-    trace: ShardedTrace,
     rng: Mutex<StdRng>,
 }
 
@@ -301,7 +250,6 @@ impl CryptoEngine {
     pub fn with_backend(backend: Arc<dyn CryptoBackend>, seed: u64) -> Self {
         CryptoEngine {
             backend,
-            trace: ShardedTrace::default(),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
         }
     }
@@ -311,36 +259,22 @@ impl CryptoEngine {
         &self.backend
     }
 
-    /// Total cycles the backend has charged for work done through this
-    /// engine (and any other engine sharing the backend).
-    pub fn charged_cycles(&self) -> u64 {
-        self.backend.charged_cycles()
-    }
-
-    /// Returns the backend's charged cycles and resets its meter.
-    pub fn take_charged_cycles(&self) -> u64 {
-        self.backend.take_charged_cycles()
-    }
-
     // ----- trace management -------------------------------------------------
 
-    /// Snapshot of the operations recorded so far.
+    /// The operations the backend has executed so far (for this engine and
+    /// any other engine sharing the backend).
     pub fn trace(&self) -> OpTrace {
-        self.trace.snapshot()
+        self.backend.meter().trace()
     }
 
-    /// Returns the recorded operations and resets the trace to empty.
+    /// Returns the executed operations and resets the backend's ledger.
     pub fn take_trace(&self) -> OpTrace {
-        self.trace.take()
+        self.backend.meter().take()
     }
 
-    /// Discards all recorded operations.
+    /// Discards all executed operations.
     pub fn reset_trace(&self) {
         self.take_trace();
-    }
-
-    fn record(&self, algorithm: Algorithm, invocations: u64, blocks: u64) {
-        self.trace.record(algorithm, invocations, blocks);
     }
 
     // ----- randomness --------------------------------------------------------
@@ -382,21 +316,18 @@ impl CryptoEngine {
 
     // ----- hashing and MAC ---------------------------------------------------
 
-    /// SHA-1 of `data`, recorded per 128-bit block.
+    /// SHA-1 of `data`, charged per 128-bit block.
     pub fn sha1(&self, data: &[u8]) -> [u8; sha1::DIGEST_SIZE] {
-        self.record(Algorithm::Sha1, 1, data_blocks(data.len()));
         self.backend.sha1(data)
     }
 
     /// HMAC SHA-1 of `data` under `key`.
     pub fn hmac_sha1(&self, key: &[u8], data: &[u8]) -> [u8; sha1::DIGEST_SIZE] {
-        self.record(Algorithm::HmacSha1, 1, data_blocks(data.len()));
         self.backend.hmac_sha1(key, data)
     }
 
     /// Verifies an HMAC SHA-1 tag (constant-time comparison).
     pub fn hmac_sha1_verify(&self, key: &[u8], data: &[u8], tag: &[u8]) -> bool {
-        self.record(Algorithm::HmacSha1, 1, data_blocks(data.len()));
         let computed = self.backend.hmac_sha1(key, data);
         hmac::verify_tag(&computed, tag)
     }
@@ -414,12 +345,6 @@ impl CryptoEngine {
         iv: &[u8],
         plaintext: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
-        cbc::check_encrypt_args(key, iv)?;
-        self.record(
-            Algorithm::AesEncrypt,
-            1,
-            cbc::encrypted_blocks(plaintext.len()),
-        );
         cbc::encrypt_with(self.backend.as_ref(), key, iv, plaintext)
     }
 
@@ -434,23 +359,15 @@ impl CryptoEngine {
         iv: &[u8],
         ciphertext: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
-        cbc::check_decrypt_args(key, iv, ciphertext)?;
-        self.record(Algorithm::AesDecrypt, 1, (ciphertext.len() / 16) as u64);
         cbc::decrypt_with(self.backend.as_ref(), key, iv, ciphertext)
     }
 
-    /// RFC 3394 AES key wrap (records the real 6·n block operations).
+    /// RFC 3394 AES key wrap (charged for the real 6·n block operations).
     ///
     /// # Errors
     ///
     /// See [`keywrap::wrap`].
     pub fn aes_wrap(&self, kek: &[u8], key_data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        keywrap::check_wrap_args(kek, key_data)?;
-        self.record(
-            Algorithm::AesEncrypt,
-            1,
-            keywrap::block_operations(key_data.len()),
-        );
         keywrap::wrap_with(self.backend.as_ref(), kek, key_data)
     }
 
@@ -460,23 +377,14 @@ impl CryptoEngine {
     ///
     /// See [`keywrap::unwrap`].
     pub fn aes_unwrap(&self, kek: &[u8], wrapped: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        keywrap::check_unwrap_args(kek, wrapped)?;
-        self.record(
-            Algorithm::AesDecrypt,
-            1,
-            keywrap::block_operations(wrapped.len() - 8),
-        );
         keywrap::unwrap_with(self.backend.as_ref(), kek, wrapped)
     }
 
     // ----- KDF ---------------------------------------------------------------
 
-    /// KDF2 key derivation, recorded as the SHA-1 work it performs (one
-    /// invocation per counter iteration, blocks per actual hashed bytes —
-    /// the same accounting the backend charges).
+    /// KDF2 key derivation, charged as the SHA-1 work it performs (one
+    /// invocation per counter iteration, blocks per actual hashed bytes).
     pub fn kdf2(&self, z: &[u8], other_info: &[u8], output_len: usize) -> Vec<u8> {
-        let (invocations, blocks) = kdf::op_counts(z.len(), other_info.len(), output_len);
-        self.record(Algorithm::Sha1, invocations, blocks);
         kdf::kdf2_with(self.backend.as_ref(), z, other_info, output_len)
     }
 
@@ -488,7 +396,6 @@ impl CryptoEngine {
     ///
     /// See [`RsaPublicKey::encrypt_os`].
     pub fn rsa_encrypt(&self, key: &RsaPublicKey, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        self.record(Algorithm::RsaPublic, 1, 1);
         key.encrypt_os_with(self.backend.as_ref(), data)
     }
 
@@ -498,13 +405,12 @@ impl CryptoEngine {
     ///
     /// See [`RsaPrivateKey::decrypt_os`].
     pub fn rsa_decrypt(&self, key: &RsaPrivateKey, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        self.record(Algorithm::RsaPrivate, 1, 1);
         key.decrypt_os_with(self.backend.as_ref(), data)
     }
 
     /// RSA-PSS signature over `message`.
     ///
-    /// Recorded as one RSA private-key operation plus one SHA-1 pass over the
+    /// Charged as one RSA private-key operation plus one SHA-1 pass over the
     /// message — the paper's approximation of EMSA-PSS.
     ///
     /// # Errors
@@ -520,7 +426,7 @@ impl CryptoEngine {
     }
 
     /// [`CryptoEngine::pss_sign`] with a salt the caller drew (see
-    /// [`pss::random_salt`]); recorded the same way.
+    /// [`pss::random_salt`]); charged the same way.
     ///
     /// # Errors
     ///
@@ -531,18 +437,15 @@ impl CryptoEngine {
         message: &[u8],
         salt: &[u8; pss::SALT_LEN],
     ) -> Result<PssSignature, CryptoError> {
-        self.record(Algorithm::RsaPrivate, 1, 1);
-        self.record(Algorithm::Sha1, 1, data_blocks(message.len()));
         pss::sign_salted_with(self.backend.as_ref(), key, message, salt)
     }
 
     /// RSA-PSS signature verification.
     ///
-    /// Recorded as one RSA public-key operation plus one SHA-1 pass over the
-    /// message.
+    /// Charged as one RSA public-key operation plus one SHA-1 pass over the
+    /// message, as far as the check gets: a signature of the wrong length
+    /// costs nothing, one that is not below the modulus only the RSA op.
     pub fn pss_verify(&self, key: &RsaPublicKey, message: &[u8], signature: &PssSignature) -> bool {
-        self.record(Algorithm::RsaPublic, 1, 1);
-        self.record(Algorithm::Sha1, 1, data_blocks(message.len()));
         pss::verify_with(self.backend.as_ref(), key, message, signature)
     }
 
@@ -550,7 +453,7 @@ impl CryptoEngine {
 
     /// Wraps `K_MAC ‖ K_REK` for `recipient` (Rights Issuer side).
     ///
-    /// Records one RSA public-key operation, the KDF2 hashing and the AES
+    /// Charges one RSA public-key operation, the KDF2 hashing and the AES
     /// wrap operations.
     ///
     /// # Errors
@@ -567,7 +470,7 @@ impl CryptoEngine {
     }
 
     /// [`CryptoEngine::kem_wrap`] with a KEM secret the caller drew (see
-    /// [`kem::random_secret`]); recorded the same way.
+    /// [`kem::random_secret`]); charged the same way.
     ///
     /// # Errors
     ///
@@ -579,24 +482,13 @@ impl CryptoEngine {
         krek: &[u8; SYMMETRIC_KEY_LEN],
         secret: &KemSecret,
     ) -> Result<WrappedKeys, CryptoError> {
-        self.record(Algorithm::RsaPublic, 1, 1);
-        self.record(
-            Algorithm::Sha1,
-            1,
-            kdf::hash_blocks(recipient.modulus_bytes(), SYMMETRIC_KEY_LEN),
-        );
-        self.record(
-            Algorithm::AesEncrypt,
-            1,
-            keywrap::block_operations(2 * SYMMETRIC_KEY_LEN),
-        );
         kem::wrap_keys_secret_with(self.backend.as_ref(), recipient, kmac, krek, secret)
     }
 
     /// Unwraps `C1 ‖ C2` with the device private key (DRM Agent side,
     /// Figure 3 of the paper).
     ///
-    /// Records one RSA private-key operation, the KDF2 hashing and the AES
+    /// Charges one RSA private-key operation, the KDF2 hashing and the AES
     /// unwrap operations.
     ///
     /// # Errors
@@ -607,20 +499,6 @@ impl CryptoEngine {
         recipient: &RsaPrivateKey,
         wrapped: &WrappedKeys,
     ) -> Result<([u8; SYMMETRIC_KEY_LEN], [u8; SYMMETRIC_KEY_LEN]), CryptoError> {
-        kem::check_unwrap_args(recipient, wrapped)?;
-        self.record(Algorithm::RsaPrivate, 1, 1);
-        self.record(
-            Algorithm::Sha1,
-            1,
-            kdf::hash_blocks(recipient.public().modulus_bytes(), SYMMETRIC_KEY_LEN),
-        );
-        // Charged for the C2 actually unwrapped, which only a well-formed
-        // Rights Object makes two 128-bit keys long.
-        self.record(
-            Algorithm::AesDecrypt,
-            1,
-            keywrap::block_operations(wrapped.c2.len() - 8),
-        );
         kem::unwrap_keys_with(self.backend.as_ref(), recipient, wrapped)
     }
 }
@@ -629,15 +507,6 @@ impl CryptoEngine {
 mod tests {
     use super::*;
     use crate::rsa::RsaKeyPair;
-
-    #[test]
-    fn data_block_accounting() {
-        assert_eq!(data_blocks(0), 1);
-        assert_eq!(data_blocks(1), 1);
-        assert_eq!(data_blocks(16), 1);
-        assert_eq!(data_blocks(17), 2);
-        assert_eq!(data_blocks(3_500_000), 218_750);
-    }
 
     #[test]
     fn trace_records_and_merges() {
@@ -680,6 +549,29 @@ mod tests {
         let t = OpTrace::new();
         let algorithms: Vec<Algorithm> = t.iter().map(|(a, _)| a).collect();
         assert_eq!(algorithms, Algorithm::ALL.to_vec());
+    }
+
+    #[test]
+    fn data_block_accounting() {
+        use crate::backend::data_blocks;
+        assert_eq!(data_blocks(0), 1);
+        assert_eq!(data_blocks(1), 1);
+        assert_eq!(data_blocks(16), 1);
+        assert_eq!(data_blocks(17), 2);
+        assert_eq!(data_blocks(3_500_000), 218_750);
+        // The engine's trace charges the same block count per call.
+        let engine = CryptoEngine::with_seed(2);
+        for len in [0usize, 1, 16, 17, 1000] {
+            engine.sha1(&vec![0u8; len]);
+            let trace = engine.take_trace();
+            assert_eq!(
+                trace.count(Algorithm::Sha1),
+                OpCount {
+                    invocations: 1,
+                    blocks: data_blocks(len)
+                }
+            );
+        }
     }
 
     #[test]
@@ -779,18 +671,17 @@ mod tests {
 
     #[test]
     fn kdf2_trace_matches_backend_charge_even_with_other_info() {
-        // Regression: multi-iteration KDF2 with non-empty other_info must
-        // keep the recorded trace and the backend's cycle meter in exact
-        // agreement (the trace-vs-meter invariant).
+        // Multi-iteration KDF2 with non-empty other_info: the trace holds
+        // every counter iteration over every hashed byte.
         use crate::backend::CostProfile;
         let engine = CryptoEngine::with_seed(9);
         engine.kdf2(&[0u8; 16], &[1u8; 32], 40); // 2 iterations over 52 bytes
-        let trace = engine.take_trace();
+        let trace = engine.trace();
         let count = trace.count(Algorithm::Sha1);
         assert_eq!(count.invocations, 2);
         assert_eq!(count.blocks, 8); // 2 x ceil(52 / 16)
         let cost = CostProfile::paper_software().cost(Algorithm::Sha1);
-        assert_eq!(engine.charged_cycles(), cost.cycles(count));
+        assert_eq!(engine.backend().charged_cycles(), cost.cycles(count));
     }
 
     #[test]

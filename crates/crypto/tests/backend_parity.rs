@@ -7,13 +7,15 @@
 //! The same holds *within* a backend between the bulk CBC path (one charge,
 //! then a loop over the cipher) and the per-block path a wrapper backend
 //! gets from the trait's default: identical bytes, identical cycles, every
-//! block seen. And the priced [`OpTrace`](oma_crypto::OpTrace) equals the
-//! cycle meter after rejected calls too.
+//! block seen. And the engine's [`OpTrace`](oma_crypto::OpTrace) is what the
+//! backend executed, rejected calls included: a call rejected up front books
+//! nothing, one that fails late books the work it ran.
 
 use oma_crypto::aes::Aes128;
 use oma_crypto::backend::{
     AlgorithmCost, CryptoBackend, CycleMeter, HwMacroBackend, Realisation, SoftwareBackend,
 };
+use oma_crypto::pss::PssSignature;
 use oma_crypto::rsa::{RsaKeyPair, RsaPrivateKey};
 use oma_crypto::sha1::{sha1, Sha1};
 use oma_crypto::{cbc, kdf, kem, keywrap, pss, Algorithm, CryptoEngine, CryptoError};
@@ -105,14 +107,11 @@ fn assert_bulk_matches_per_block(key: &[u8; 16], iv: &[u8; 16], plaintext: &[u8]
     );
     assert_eq!(per_block.blocks_seen.swap(0, Ordering::Relaxed), blocks);
 
+    let trace = bulk.meter().trace();
+    assert_eq!(per_block.meter().trace(), trace);
     for (algorithm, offset) in [(Algorithm::AesEncrypt, 360), (Algorithm::AesDecrypt, 950)] {
-        let cycles = bulk.meter().cycles_of(algorithm);
+        let cycles = bulk.cost(algorithm).cycles(trace.count(algorithm));
         assert_eq!(cycles, offset + 830 * blocks, "{algorithm}");
-        assert_eq!(
-            per_block.meter().cycles_of(algorithm),
-            cycles,
-            "{algorithm}"
-        );
     }
 }
 
@@ -199,8 +198,13 @@ fn trace_and_meter_agree_after_rejected_calls() {
                 "C2 of {len} bytes on {name}"
             );
         }
+        // A signature of the wrong length is rejected before the RSA op.
+        let sig = engine.pss_sign(pair.private(), b"m").unwrap();
+        engine.reset_trace();
+        let short = PssSignature::from_bytes(sig.as_bytes()[1..].to_vec());
+        assert!(!engine.pss_verify(pair.public(), b"m", &short), "on {name}");
         assert!(engine.trace().is_empty(), "trace on {name}");
-        assert_eq!(engine.charged_cycles(), 0, "meter on {name}");
+        assert_eq!(engine.backend().charged_cycles(), 0, "meter on {name}");
 
         // Failures only the finished work reveals are recorded *and* charged.
         let ciphertext = engine.aes_cbc_encrypt(&key, &iv, &[0xaa; 100]).unwrap();
@@ -228,8 +232,21 @@ fn trace_and_meter_agree_after_rejected_calls() {
                 "on {name}"
             );
         }
-        assert_eq!(priced_trace(&engine), engine.charged_cycles(), "on {name}");
-        assert!(engine.charged_cycles() > 0);
+        // A signature not below the modulus fails inside the RSA op: that
+        // op ran, the message hash did not.
+        let before = engine.trace();
+        let too_big = PssSignature::from_bytes(vec![0xff; sig.len()]);
+        assert!(
+            !engine.pss_verify(pair.public(), b"m", &too_big),
+            "on {name}"
+        );
+        let mut one_rsa_op = before.clone();
+        one_rsa_op.record(Algorithm::RsaPublic, 1, 1);
+        assert_eq!(engine.trace(), one_rsa_op, "on {name}");
+
+        let charged = engine.backend().charged_cycles();
+        assert_eq!(priced_trace(&engine), charged, "on {name}");
+        assert!(charged > 0);
     }
 }
 
@@ -383,7 +400,7 @@ proptest! {
         prop_assert!(sw_engine.hmac_sha1_verify(&key, &data, &tag));
         // Identical traces, divergent cycle bills.
         prop_assert_eq!(sw_engine.trace(), hw_engine.trace());
-        prop_assert!(sw_engine.charged_cycles() > hw_engine.charged_cycles());
+        prop_assert!(sw_engine.backend().charged_cycles() > hw_engine.backend().charged_cycles());
     }
 }
 

@@ -782,6 +782,13 @@ impl RiService {
         self.keys.public()
     }
 
+    /// The crypto backend this service executes on: its ledger holds every
+    /// operation the service ran, and it prices a dispatch's own operations
+    /// read with [`scoped`](oma_crypto::backend::scoped).
+    pub fn backend(&self) -> &dyn CryptoBackend {
+        self.engine.backend().as_ref()
+    }
+
     /// The current OCSP response presented during registration.
     pub fn ocsp_response(&self) -> OcspResponse {
         self.state().ocsp.clone()
@@ -1403,15 +1410,6 @@ impl RiService {
     /// threads can push frames into one service instance.
     pub fn dispatch(&self, frame: &[u8]) -> Vec<u8> {
         self.dispatch_with_clock(frame, None)
-    }
-
-    /// Total crypto cycles this service's backend has charged so far —
-    /// the server-side [`CycleMeter`](oma_crypto::backend::CycleMeter)
-    /// reading. Observability layers difference it around a dispatch to
-    /// attribute cycles to a request span; under concurrent dispatch the
-    /// delta is best effort (it may include a neighbour's work).
-    pub fn charged_cycles(&self) -> u64 {
-        self.engine.charged_cycles()
     }
 
     /// [`RiService::dispatch`] with a server-chosen timestamp: `now` is used

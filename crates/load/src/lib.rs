@@ -67,7 +67,7 @@ pub use idle::{
 };
 
 use oma_cluster::{frame_device_id, AckPolicy, ClusterRouter, Follower, Primary};
-use oma_crypto::backend::{CryptoBackend, SoftwareBackend};
+use oma_crypto::backend::SoftwareBackend;
 use oma_crypto::rsa::RsaKeyPair;
 use oma_crypto::sha1::{sha1, DIGEST_SIZE};
 use oma_drm::client::{RoapClient, RoapTransport};
@@ -193,9 +193,9 @@ pub struct DeviceOutcome {
     /// Per-phase operation traces of the device's crypto engine (consumption
     /// holds the sum over all accesses).
     pub traces: PhaseTraces,
-    /// Per-phase cycles charged by the device's backend. The consumption
-    /// field holds the sum over all of this device's accesses, so total
-    /// this with [`PhaseCycles::sum`], not `total(accesses)`.
+    /// Per-phase cycles: `traces` priced on the device's backend. The
+    /// consumption field holds the sum over all of this device's accesses,
+    /// so total this with [`PhaseCycles::sum`], not `total(accesses)`.
     pub cycles: PhaseCycles,
 }
 
@@ -334,16 +334,15 @@ fn device_pool<T: Send>(
 }
 
 /// Provisions one device: key pair, certificate from the shared CA, and an
-/// agent on a fresh metered software backend. Every `drive_device` call
-/// provisions through here, so every transport drives byte-identical
-/// devices.
+/// agent on a fresh software backend of its own, whose ledger is the
+/// device's trace. Every `drive_device` call provisions through here, so
+/// every transport drives byte-identical devices.
 fn provision_device(
     spec: &FleetSpec,
     index: usize,
     ca: &Mutex<CertificationAuthority>,
-) -> (DrmAgent, Arc<SoftwareBackend>) {
+) -> DrmAgent {
     let mut rng = StdRng::seed_from_u64(spec.device_seed(index));
-    let backend = Arc::new(SoftwareBackend::new());
     let device_id = spec.device_id(index);
     // Generate the (expensive) device key pair outside the CA lock, so
     // workers never serialise on key generation; the lock covers only the
@@ -359,15 +358,14 @@ fn provision_device(
         );
         (certificate, ca.root_certificate().clone())
     };
-    let agent = DrmAgent::with_credentials(
+    DrmAgent::with_credentials(
         &device_id,
         keys,
         certificate,
         ca_root,
-        Arc::<SoftwareBackend>::clone(&backend),
+        Arc::new(SoftwareBackend::new()),
         &mut rng,
-    );
-    (agent, backend)
+    )
 }
 
 /// Drives one device through registration plus its acquisition cycles over
@@ -382,17 +380,14 @@ fn drive_device<T: RoapTransport>(
     ca: &Mutex<CertificationAuthority>,
     catalog: &[CatalogItem],
 ) -> Result<DeviceOutcome, DrmError> {
-    let (mut agent, backend) = provision_device(spec, index, ca);
+    let mut agent = provision_device(spec, index, ca);
     let device_id = spec.device_id(index);
 
     let mut traces = PhaseTraces::new();
-    let mut cycles = PhaseCycles::default();
     agent.engine().reset_trace();
-    backend.take_charged_cycles();
 
     agent.register(client, now())?;
     traces.registration.merge(&agent.engine().take_trace());
-    cycles.registration += backend.take_charged_cycles();
 
     let mut ro_ids = Vec::with_capacity(spec.acquisitions_per_device);
     let mut content_digests = Vec::with_capacity(spec.acquisitions_per_device);
@@ -401,17 +396,14 @@ fn drive_device<T: RoapTransport>(
 
         let response = agent.acquire_rights(client, ri_id, &item.content_id, now())?;
         traces.acquisition.merge(&agent.engine().take_trace());
-        cycles.acquisition += backend.take_charged_cycles();
 
         let ro_id = agent.install_rights(&response, now())?;
         traces.installation.merge(&agent.engine().take_trace());
-        cycles.installation += backend.take_charged_cycles();
 
         let plaintext = agent.consume(&ro_id, &item.dcf, Permission::Play, now())?;
         traces
             .consumption_per_access
             .merge(&agent.engine().take_trace());
-        cycles.consumption_per_access += backend.take_charged_cycles();
 
         let digest = sha1(&plaintext);
         assert_eq!(
@@ -426,9 +418,9 @@ fn drive_device<T: RoapTransport>(
     Ok(DeviceOutcome {
         device_id,
         ro_ids,
+        cycles: PhaseCycles::priced(&traces, agent.engine().backend().as_ref()),
         content_digests,
         traces,
-        cycles,
     })
 }
 
@@ -556,9 +548,7 @@ struct WireDevice {
     index: usize,
     device_id: String,
     agent: DrmAgent,
-    backend: Arc<SoftwareBackend>,
     traces: PhaseTraces,
-    cycles: PhaseCycles,
     ro_ids: Vec<String>,
     content_digests: Vec<[u8; DIGEST_SIZE]>,
     /// Raw `RoResponse` frames in acquisition order — the bytes the
@@ -602,37 +592,28 @@ fn provision_wire_devices(
                 keys.public().clone(),
                 ValidityPeriod::starting_at(Timestamp::new(0), CERT_VALIDITY_SECONDS),
             );
-            let backend = Arc::new(SoftwareBackend::new());
             let agent = DrmAgent::with_credentials(
                 &device_id,
                 keys,
                 certificate,
                 ca.root_certificate().clone(),
-                Arc::<SoftwareBackend>::clone(&backend),
+                Arc::new(SoftwareBackend::new()),
                 &mut rng,
             );
             agent.engine().reset_trace();
-            backend.take_charged_cycles();
-            wire_device(index, device_id, agent, backend)
+            wire_device(index, device_id, agent)
         })
         .collect();
     Ok(devices)
 }
 
 /// A freshly provisioned, not-yet-registered wire device.
-fn wire_device(
-    index: usize,
-    device_id: String,
-    agent: DrmAgent,
-    backend: Arc<SoftwareBackend>,
-) -> WireDevice {
+fn wire_device(index: usize, device_id: String, agent: DrmAgent) -> WireDevice {
     WireDevice {
         index,
         device_id,
         agent,
-        backend,
         traces: PhaseTraces::new(),
-        cycles: PhaseCycles::default(),
         ro_ids: Vec::new(),
         content_digests: Vec::new(),
         ro_frames: Vec::new(),
@@ -767,7 +748,6 @@ fn registration_wave(
             .traces
             .registration
             .merge(&device.agent.engine().take_trace());
-        device.cycles.registration += device.backend.take_charged_cycles();
         device.registration = Some(request);
         Ok(())
     })?;
@@ -797,7 +777,6 @@ fn registration_wave(
             .traces
             .registration
             .merge(&device.agent.engine().take_trace());
-        device.cycles.registration += device.backend.take_charged_cycles();
         device.registered = true;
         Ok(())
     })?;
@@ -827,7 +806,6 @@ fn acquisition_wave(
             .traces
             .acquisition
             .merge(&device.agent.engine().take_trace());
-        device.cycles.acquisition += device.backend.take_charged_cycles();
         device.ro_request = Some(request);
         Ok(())
     })?;
@@ -856,14 +834,12 @@ fn acquisition_wave(
             .traces
             .acquisition
             .merge(&device.agent.engine().take_trace());
-        device.cycles.acquisition += device.backend.take_charged_cycles();
 
         let ro_id = device.agent.install_rights(&response, now)?;
         device
             .traces
             .installation
             .merge(&device.agent.engine().take_trace());
-        device.cycles.installation += device.backend.take_charged_cycles();
 
         let plaintext = device
             .agent
@@ -872,7 +848,6 @@ fn acquisition_wave(
             .traces
             .consumption_per_access
             .merge(&device.agent.engine().take_trace());
-        device.cycles.consumption_per_access += device.backend.take_charged_cycles();
 
         let digest = sha1(&plaintext);
         assert_eq!(
@@ -938,8 +913,8 @@ fn finish_wire_devices(devices: Vec<WireDevice>) -> (Vec<DeviceOutcome>, RoRespo
             device_id: device.device_id,
             ro_ids: device.ro_ids,
             content_digests: device.content_digests,
+            cycles: PhaseCycles::priced(&device.traces, device.agent.engine().backend().as_ref()),
             traces: device.traces,
-            cycles: device.cycles,
         });
     }
     outcomes.sort_by(|a, b| a.device_id.cmp(&b.device_id));

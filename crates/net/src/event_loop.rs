@@ -33,6 +33,7 @@
 use crate::conn::{Connection, Expiry};
 use crate::poll::{Event, Interest, Poller};
 use crate::{span_for_frame, transport_err, NetObs, ServerConfig, ServerMetrics, POLL_INTERVAL};
+use oma_crypto::backend::scoped;
 use oma_drm::journal::RiJournal;
 use oma_drm::service::RiService;
 use oma_drm::wire::{RoapPdu, RoapStatus};
@@ -452,13 +453,22 @@ impl EventLoop {
                     }
                     // Span identity is read from the frame before
                     // dispatch, the clock started right next to it.
-                    let span_seed = self.obs.as_ref().map(|net_obs| {
-                        let (span, cycles_before) = span_for_frame(&frame, &self.service);
-                        (Arc::clone(net_obs), span, cycles_before, Instant::now())
+                    let mut span_seed = self.obs.as_ref().map(|net_obs| {
+                        (Arc::clone(net_obs), span_for_frame(&frame), Instant::now())
                     });
-                    let response = match self.clock {
+                    let dispatch = || match self.clock {
                         Some(now) => self.service.dispatch_at(&frame, now),
                         None => self.service.dispatch(&frame),
+                    };
+                    let response = match &mut span_seed {
+                        // A span's cycles are the price of exactly the
+                        // operations its own dispatch executed.
+                        Some((_, span, _)) => {
+                            let (response, ops) = scoped(dispatch);
+                            span.cycles = self.service.backend().price(&ops);
+                            response
+                        }
+                        None => dispatch(),
                     };
                     let dispatched_at = Instant::now();
                     let Some(conn) = self.conns.get_mut(&token) else {
@@ -466,9 +476,7 @@ impl EventLoop {
                     };
                     match span_seed {
                         None => conn.machine().queue_response(&response),
-                        Some((net_obs, mut span, cycles_before, started)) => {
-                            span.cycles =
-                                self.service.charged_cycles().saturating_sub(cycles_before);
+                        Some((net_obs, span, started)) => {
                             // "Write-back" here is the response-buffer
                             // enqueue: the socket flush is shared across
                             // connections and cannot be attributed per

@@ -45,6 +45,7 @@ pub use event_loop::RoapEventServer;
 
 use oma_drm::client::RoapTransport;
 use oma_drm::journal::RiJournal;
+#[cfg(doc)]
 use oma_drm::service::RiService;
 use oma_drm::wire::RoapPdu;
 use oma_drm::DrmError;
@@ -324,8 +325,8 @@ pub(crate) fn duration_nanos(d: Duration) -> u64 {
 /// called when observability is on: it decodes the frame a second time,
 /// which is noise next to the crypto a dispatch performs, and keeps the
 /// off path entirely untouched.
-pub(crate) fn span_for_frame(frame: &[u8], service: &RiService) -> (Span, u64) {
-    let span = match RoapPdu::decode(frame) {
+pub(crate) fn span_for_frame(frame: &[u8]) -> Span {
+    match RoapPdu::decode(frame) {
         Ok(pdu) => {
             let mut span = Span::new(pdu.name());
             span.session_id = pdu.session_id();
@@ -333,8 +334,7 @@ pub(crate) fn span_for_frame(frame: &[u8], service: &RiService) -> (Span, u64) {
             span
         }
         Err(_) => Span::new("Invalid"),
-    };
-    (span, service.charged_cycles())
+    }
 }
 
 /// Maps an I/O failure in `context` onto the transport error peers report.
@@ -669,6 +669,7 @@ mod tests {
     use super::*;
     use oma_drm::client::RoapClient;
     use oma_drm::roap::DeviceHello;
+    use oma_drm::service::RiService;
     use oma_drm::wire::RoapStatus;
     use oma_pki::CertificationAuthority;
     use rand::rngs::StdRng;

@@ -27,8 +27,8 @@ pub struct Span {
     pub dispatch_nanos: u64,
     /// Time writing the response back to the peer.
     pub write_nanos: u64,
-    /// Crypto cycles charged while this frame dispatched (best effort —
-    /// under concurrent dispatch the meter delta may include neighbours).
+    /// Crypto cycles of the operations this frame's own dispatch executed,
+    /// priced on the service's backend — exact under concurrent dispatch.
     pub cycles: u64,
 }
 

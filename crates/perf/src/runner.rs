@@ -9,14 +9,16 @@
 //!
 //! Beyond tracing, [`measure_use_case_on`] executes the protocol directly on
 //! the crypto backend of any [`Architecture`] variant: the backend performs
-//! every primitive (byte-identically across variants) while charging its own
-//! Table 1 cycle bill, so the hardware/software partitionings are exercised,
-//! not just priced.
+//! every primitive (byte-identically across variants) and books it in its
+//! ledger, which is the phase trace; each phase's cycles are that trace
+//! priced in the backend's Table 1 column, so the hardware/software
+//! partitionings are exercised, not just priced.
 
 use crate::arch::Architecture;
 use crate::cost::CostTable;
 use crate::phases::PhaseTraces;
 use crate::usecase::UseCaseSpec;
+use oma_crypto::backend::CryptoBackend;
 use oma_drm::{
     ContentIssuer, DrmAgent, DrmError, Permission, RiService, RightsTemplate, RoapClient,
 };
@@ -50,6 +52,17 @@ pub struct PhaseCycles {
 }
 
 impl PhaseCycles {
+    /// The cycles `backend` charged for each phase's trace: the price of
+    /// what it executed.
+    pub fn priced(traces: &PhaseTraces, backend: &dyn CryptoBackend) -> Self {
+        PhaseCycles {
+            registration: backend.price(&traces.registration),
+            acquisition: backend.price(&traces.acquisition),
+            installation: backend.price(&traces.installation),
+            consumption_per_access: backend.price(&traces.consumption_per_access),
+        }
+    }
+
     /// Total cycles for a use case with `accesses` content accesses.
     pub fn total(&self, accesses: u64) -> u64 {
         self.registration
@@ -168,26 +181,21 @@ pub fn measure_use_case_on(
 
     let now = Timestamp::new(1_000);
     let mut traces = PhaseTraces::new();
-    let mut cycles = PhaseCycles::default();
     agent.engine().reset_trace();
-    backend.take_charged_cycles();
 
     let client = RoapClient::in_proc(&ri);
     agent.register(&client, now)?;
     traces.registration = agent.engine().take_trace();
-    cycles.registration = backend.take_charged_cycles();
 
     let response = agent.acquire_rights(&client, ri.id(), &content_id, now)?;
     traces.acquisition = agent.engine().take_trace();
-    cycles.acquisition = backend.take_charged_cycles();
 
     let ro_id = agent.install_rights(&response, now)?;
     traces.installation = agent.engine().take_trace();
-    cycles.installation = backend.take_charged_cycles();
 
     let plaintext = agent.consume(&ro_id, &dcf, Permission::Play, now)?;
     traces.consumption_per_access = agent.engine().take_trace();
-    cycles.consumption_per_access = backend.take_charged_cycles();
+    let cycles = PhaseCycles::priced(&traces, backend.as_ref());
 
     Ok(MeasuredRun {
         backend: backend.name().to_string(),
@@ -347,9 +355,9 @@ mod tests {
 
     #[test]
     fn backend_charged_cycles_equal_priced_trace_exactly() {
-        // The backend's cycle meter and the Table 1 pricing of the recorded
-        // trace are two views of one accounting; per phase they must agree
-        // to the cycle.
+        // Each phase's cycles are its trace priced by the variant's backend;
+        // per phase they must equal the cost model's pricing of the same
+        // trace, to the cycle.
         let spec = small_spec();
         let table = CostTable::paper();
         for arch in Architecture::standard_variants() {
@@ -379,7 +387,7 @@ mod tests {
                 assert_eq!(
                     charged,
                     arch.cycles(trace, &table),
-                    "{}/{phase}: meter and priced trace disagree",
+                    "{}/{phase}: backend and cost model price the trace differently",
                     arch.name()
                 );
             }

@@ -4,14 +4,22 @@
 //! drives the server through a shed/reap/busy scenario — two connections
 //! held open while a third is shed with `Busy`, one connection reaped for
 //! byte idleness, one reaped for stalling mid-frame — and asserts every
-//! counter the scenario moves, plus the `Busy` frame byte for byte.
+//! counter the scenario moves, plus the `Busy` frame byte for byte. A second
+//! scenario reads `/spans` after devices register and acquire rights on
+//! concurrent connections: the spans' cycles must add up to exactly what the
+//! service's crypto backend charged.
 
-use oma_drm2::drm::{RiService, RoapPdu, RoapStatus};
-use oma_drm2::net::{read_frame, MetricsSnapshot, RoapEventServer, ServerConfig};
+use oma_drm2::drm::{
+    ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate, RoapClient, RoapPdu, RoapStatus,
+};
+use oma_drm2::net::{
+    read_frame, MetricsSnapshot, ObsConfig, RoapEventServer, ServerConfig, TcpTransport,
+};
+use oma_drm2::obs::{AdminServer, Obs};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -140,4 +148,69 @@ fn the_server_core_reports_exact_metrics_for_the_scenario() {
     assert_eq!(snap.reaped_frame, 1, "{snap}");
     assert_eq!(snap.active, 0, "{snap}");
     assert_eq!(snap.peak_active, 3, "{snap}");
+}
+
+#[test]
+fn span_cycles_sum_to_what_the_service_backend_charged() {
+    const DEVICES: usize = 3;
+    let now = Timestamp::new(1_000);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut ca = CertificationAuthority::new("cmla", BITS, &mut rng);
+    let service = Arc::new(RiService::new("ri.example.com", BITS, &mut ca, &mut rng));
+    let (dcf, cek) = ContentIssuer::new("ci.example.com").package(b"track", "cid:a", &mut rng);
+    service.add_content(
+        "cid:a",
+        cek,
+        &dcf,
+        RightsTemplate::unlimited(Permission::Play),
+    );
+    let agents: Vec<DrmAgent> = (0..DEVICES)
+        .map(|i| DrmAgent::new(&format!("dev-{i}"), BITS, &mut ca, &mut rng))
+        .collect();
+
+    let obs = Obs::new();
+    let charged_before = service.backend().charged_cycles();
+    let server = RoapEventServer::bind(
+        Arc::clone(&service),
+        ServerConfig {
+            obs: ObsConfig::On(Arc::clone(&obs)),
+            ..ServerConfig::default().with_clock(now)
+        },
+    )
+    .expect("bind server");
+    let addr = server.local_addr();
+    thread::scope(|s| {
+        for mut agent in agents {
+            s.spawn(move || {
+                let client = RoapClient::new(TcpTransport::connect(addr).expect("connect"));
+                agent.register(&client, now).expect("register");
+                agent
+                    .acquire_rights(&client, "ri.example.com", "cid:a", now)
+                    .expect("acquire");
+            });
+        }
+    });
+    // Joins the loop thread: every frame is on record after this.
+    server.shutdown();
+    let charged = service.backend().charged_cycles() - charged_before;
+
+    let mut admin = AdminServer::bind(Arc::clone(&obs), "127.0.0.1:0").expect("bind admin");
+    let mut stream = TcpStream::connect(admin.addr()).expect("connect admin");
+    write!(stream, "GET /spans HTTP/1.0\r\n\r\n").expect("request /spans");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read /spans");
+    admin.shutdown();
+
+    let (_, body) = response.split_once("\r\n\r\n").expect("HTTP body");
+    let cycles: Vec<u64> = body
+        .lines()
+        .map(|line| {
+            let (_, rest) = line.split_once("\"cycles\":").expect("cycles field");
+            rest.trim_end_matches('}').parse().expect("cycles value")
+        })
+        .collect();
+    // Hello, registration and RO request per device.
+    assert_eq!(cycles.len(), 3 * DEVICES, "{body}");
+    assert!(charged > 0);
+    assert_eq!(cycles.iter().sum::<u64>(), charged, "{body}");
 }

@@ -1,11 +1,17 @@
-//! Trace-accounting tests: the lock-free sharded counters inside
-//! [`CryptoEngine`] must account exactly like the mutex-guarded `OpTrace`
-//! they replaced — same counts over the full end-to-end lifecycle
-//! (Registration → Acquisition → Installation → Consumption), consistent
-//! snapshot/take semantics, and no lost updates under concurrency.
+//! Trace-accounting tests: an engine's trace is its backend's lock-free
+//! ledger of what it executed, and it must account exactly like the
+//! mutex-guarded `OpTrace` recorder of the seed — same counts over the full
+//! end-to-end lifecycle (Registration → Acquisition → Installation →
+//! Consumption), consistent snapshot/take semantics, no lost updates under
+//! concurrency, and cycles that are the Table 1 price of the trace. Read per
+//! thread, the same ledger gives each concurrent dispatch exactly its own
+//! operations.
 
-use oma_drm2::crypto::{Algorithm, CryptoEngine, OpTrace};
-use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate, RoapClient};
+use oma_drm2::crypto::backend::{scoped, CryptoBackend, SoftwareBackend};
+use oma_drm2::crypto::{Algorithm, OpTrace};
+use oma_drm2::drm::{
+    ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate, RoapClient, RoapPdu,
+};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
@@ -100,8 +106,8 @@ fn per_phase_takes_equal_one_cumulative_snapshot() {
 #[test]
 fn lifecycle_counts_match_the_seed_recorder_exactly() {
     // The exact per-phase counts the mutex-guarded implementation recorded
-    // on this lifecycle (asserted by the seed's test suite); the lock-free
-    // shards must reproduce them.
+    // on this lifecycle (asserted by the seed's test suite); the backend's
+    // ledger must reproduce them.
     let mut world = lifecycle(0xbeef);
     let [registration, acquisition, installation, consumption] = run_phases(&mut world);
 
@@ -130,24 +136,25 @@ fn lifecycle_counts_match_the_seed_recorder_exactly() {
 
 #[test]
 fn lock_free_counters_match_a_mutex_reference_under_concurrency() {
-    // Hammer one shared engine from several threads while mirroring every
-    // operation into a mutex-guarded reference OpTrace (the old recorder's
-    // data structure). No update may be lost or double-counted.
-    let engine = Arc::new(CryptoEngine::with_seed(1));
+    // Hammer one shared backend's ledger from several threads while
+    // mirroring every operation into a mutex-guarded reference OpTrace (the
+    // old recorder's data structure). No update may be lost or
+    // double-counted.
+    let backend = Arc::new(SoftwareBackend::new());
     let reference = Arc::new(Mutex::new(OpTrace::new()));
     let mut handles = Vec::new();
     for t in 0..4u64 {
-        let engine = Arc::clone(&engine);
+        let backend = Arc::clone(&backend);
         let reference = Arc::clone(&reference);
         handles.push(std::thread::spawn(move || {
             for i in 0..250usize {
                 let data = vec![t as u8; 16 * (i % 7 + 1)];
-                engine.sha1(&data);
+                backend.sha1(&data);
                 reference
                     .lock()
                     .unwrap()
                     .record(Algorithm::Sha1, 1, (i as u64 % 7) + 1);
-                engine.hmac_sha1(b"key", &data);
+                backend.hmac_sha1(b"key", &data);
                 reference
                     .lock()
                     .unwrap()
@@ -158,7 +165,7 @@ fn lock_free_counters_match_a_mutex_reference_under_concurrency() {
     for handle in handles {
         handle.join().unwrap();
     }
-    let lock_free = engine.take_trace();
+    let lock_free = backend.meter().take();
     let mutex_reference = reference.lock().unwrap().clone();
     assert_eq!(lock_free, mutex_reference);
     assert_eq!(lock_free.total_invocations(), 4 * 250 * 2);
@@ -166,21 +173,98 @@ fn lock_free_counters_match_a_mutex_reference_under_concurrency() {
 
 #[test]
 fn cycle_meter_agrees_with_priced_trace_on_the_full_lifecycle() {
-    // The backend's lock-free cycle meter is the second view of the same
-    // accounting: over the whole lifecycle it must equal the Table 1
-    // software pricing of the recorded trace, to the cycle.
+    // The backend prices its own ledger: per phase and over the whole
+    // lifecycle its cycles must equal the performance model's Table 1
+    // software pricing of the same trace, to the cycle.
     use oma_drm2::perf::arch::Architecture;
     use oma_drm2::perf::cost::CostTable;
 
     let mut world = lifecycle(0xcafe);
-    world.agent.engine().take_charged_cycles();
     let phases = run_phases(&mut world);
-    let charged = world.agent.engine().charged_cycles();
+    let backend = world.agent.engine().backend();
+    let model = |trace: &OpTrace| Architecture::software().cycles(trace, &CostTable::paper());
 
     let mut merged = OpTrace::new();
     for phase in &phases {
+        assert_eq!(backend.price(phase), model(phase));
         merged.merge(phase);
     }
-    let priced = Architecture::software().cycles(&merged, &CostTable::paper());
-    assert_eq!(charged, priced);
+    assert_eq!(backend.price(&merged), model(&merged));
+    assert!(backend.meter().trace().is_empty(), "each phase was taken");
+}
+
+#[test]
+fn concurrent_dispatches_each_carry_exactly_their_own_cycles() {
+    // Two devices push pre-signed RoRequests into one service from two
+    // threads at once. Each dispatch's scope must hold exactly one
+    // RoRequest's operations — never a neighbour's — and the scopes must
+    // add up to what the service's backend booked meanwhile.
+    const OPS: usize = 8;
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5ca1e);
+    let mut ca = CertificationAuthority::new("cmla", 512, &mut rng);
+    let ri = RiService::new("ri.example.com", 512, &mut ca, &mut rng);
+    let (dcf, cek) = ContentIssuer::new("ci.example.com").package(b"track", "cid:t", &mut rng);
+    ri.add_content(
+        "cid:t",
+        cek,
+        &dcf,
+        RightsTemplate::unlimited(Permission::Play),
+    );
+    let client = RoapClient::in_proc(&ri);
+    let now = Timestamp::new(1_000);
+    let frames: Vec<Vec<Vec<u8>>> = ["dev-a", "dev-b"]
+        .into_iter()
+        .map(|id| {
+            let mut agent = DrmAgent::new(id, 512, &mut ca, &mut rng);
+            agent.register(&client, now).unwrap();
+            (0..=OPS)
+                .map(|_| {
+                    let request = agent.ro_request(ri.id(), "cid:t", None, now).unwrap();
+                    RoapPdu::RoRequest(request).encode()
+                })
+                .collect()
+        })
+        .collect();
+
+    // One op's reference: a warm RoRequest dispatched alone.
+    let (_, reference) = scoped(|| ri.dispatch(&frames[0][OPS]));
+    assert!(reference.count(Algorithm::RsaPrivate).invocations > 0);
+    let one_op = ri.backend().price(&reference);
+
+    let before = ri.backend().meter().trace();
+    let scopes: Vec<OpTrace> = std::thread::scope(|s| {
+        let workers: Vec<_> = frames
+            .iter()
+            .map(|device| {
+                let ri = &ri;
+                s.spawn(move || {
+                    device[..OPS]
+                        .iter()
+                        .map(|frame| {
+                            let (response, ops) = scoped(|| ri.dispatch(frame));
+                            assert!(matches!(
+                                RoapPdu::decode(&response),
+                                Ok(RoapPdu::RoResponse(_))
+                            ));
+                            ops
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| worker.join().unwrap())
+            .collect()
+    });
+
+    let mut summed = before;
+    for ops in &scopes {
+        assert_eq!(ops, &reference);
+        assert_eq!(ri.backend().price(ops), one_op);
+        summed.merge(ops);
+    }
+    assert_eq!(scopes.len(), 2 * OPS);
+    assert_eq!(summed, ri.backend().meter().trace());
 }

@@ -10,10 +10,10 @@
 //! the channel. Everything deterministic must match: the encoded
 //! `ROResponse` frames (covering the Rights Issuer PSS signatures, the RO
 //! MAC and the wrapped keys byte for byte), the recovered plaintexts, the
-//! per-phase operation traces and the per-phase cycle totals charged by the
-//! metered backend.
+//! per-phase operation traces the device's backend executed and their
+//! per-phase cycle prices.
 
-use oma_drm2::crypto::backend::{CryptoBackend, SoftwareBackend};
+use oma_drm2::crypto::backend::SoftwareBackend;
 use oma_drm2::crypto::OpTrace;
 use oma_drm2::drm::client::{serve, ChannelTransport, RoapClient, RoapTransport};
 use oma_drm2::drm::{
@@ -31,7 +31,6 @@ const BITS: usize = 512;
 struct World {
     service: RiService,
     agent: DrmAgent,
-    backend: Arc<SoftwareBackend>,
     dcf: Dcf,
     domain: DomainId,
 }
@@ -49,18 +48,16 @@ fn world() -> World {
         RightsTemplate::unlimited(Permission::Play),
     );
     let domain = service.create_domain("family", 4);
-    let backend = Arc::new(SoftwareBackend::new());
     let agent = DrmAgent::with_backend(
         "phone-001",
         BITS,
         &mut ca,
-        Arc::<SoftwareBackend>::clone(&backend),
+        Arc::new(SoftwareBackend::new()),
         &mut rng,
     );
     World {
         service,
         agent,
-        backend,
         dcf,
         domain,
     }
@@ -80,7 +77,6 @@ struct Outcome {
 /// the trace and cycle bill of each phase.
 fn drive<T: RoapTransport>(
     agent: &mut DrmAgent,
-    backend: &SoftwareBackend,
     dcf: &Dcf,
     domain: &DomainId,
     client: &RoapClient<T>,
@@ -91,8 +87,9 @@ fn drive<T: RoapTransport>(
     let mut phase_cycles = Vec::new();
     let mut plaintexts = Vec::new();
     let mut end_phase = |agent: &DrmAgent| {
-        phase_traces.push(agent.engine().take_trace());
-        phase_cycles.push(backend.take_charged_cycles());
+        let trace = agent.engine().take_trace();
+        phase_cycles.push(agent.engine().backend().price(&trace));
+        phase_traces.push(trace);
     };
 
     agent.register(client, now).unwrap();
@@ -135,23 +132,21 @@ fn run_lifecycle(in_proc: bool) -> Outcome {
     let World {
         service,
         mut agent,
-        backend,
         dcf,
         domain,
     } = world();
     agent.engine().reset_trace();
-    backend.take_charged_cycles();
 
     let outcome = if in_proc {
         let client = RoapClient::in_proc(&service);
-        drive(&mut agent, &backend, &dcf, &domain, &client)
+        drive(&mut agent, &dcf, &domain, &client)
     } else {
         let (client_end, server_end) = ChannelTransport::pair();
         std::thread::scope(|scope| {
             let service_ref = &service;
             let server = scope.spawn(move || serve(service_ref, &server_end));
             let client = RoapClient::new(client_end);
-            let outcome = drive(&mut agent, &backend, &dcf, &domain, &client);
+            let outcome = drive(&mut agent, &dcf, &domain, &client);
             // Dropping the client closes the channel; `serve` surfaces the
             // disconnect as a Transport error instead of spinning on the
             // dead endpoint.
