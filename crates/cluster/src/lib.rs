@@ -1,5 +1,5 @@
-//! Multi-RI scale-out for the Rights Issuer: WAL log-shipping replication,
-//! epoch-fenced primary failover, and consistent-hash sharding.
+//! Replication for the Rights Issuer: WAL log shipping to a follower and
+//! epoch-fenced primary failover.
 //!
 //! The `oma-store` write-ahead log is a totally-ordered, CRC-framed event
 //! stream with snapshots — exactly the primitive classic primary/backup
@@ -19,11 +19,8 @@
 //!   snapshot + tail, an [`AckPolicy`] choosing async or
 //!   ack-on-fsync durability, and [`promote`](ship::Follower::promote)
 //!   turning a caught-up follower into a serving primary that provably
-//!   never re-issues an RO id or session id,
-//! * [`router`] — the [`ClusterRouter`] spreading a
-//!   device fleet across N shards by consistent hashing, so adding or
-//!   removing one shard remaps only ~K/N devices, plus the
-//!   `NotPrimary` redirect machinery misrouted clients retarget on.
+//!   never re-issues an RO id or session id. A fenced primary refuses
+//!   every later PDU with [`ClusterError::Fenced`].
 //!
 //! Replication is observable through the ordinary per-server metrics
 //! surface: [`ServerMetrics`](oma_net::ServerMetrics) carries records
@@ -34,11 +31,9 @@
 #![warn(missing_docs)]
 
 pub mod proto;
-pub mod router;
 pub mod ship;
 
 pub use proto::ReplPdu;
-pub use router::{frame_device_id, ClusterRouter};
 pub use ship::{
     replicate, serve_replication, sync_over_tcp, AckPolicy, Follower, Primary, Promoted,
 };

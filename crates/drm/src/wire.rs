@@ -284,9 +284,8 @@ impl RoapPdu {
     }
 
     /// The device identity a request PDU names, when it names one.
-    /// `None` for responses, triggers and status PDUs — the routing and
-    /// tracing layers (cluster sharding, request spans) treat those as
-    /// identity-less.
+    /// `None` for responses, triggers and status PDUs — request spans
+    /// treat those as identity-less.
     pub fn device_id(&self) -> Option<&str> {
         match self {
             RoapPdu::DeviceHello(hello) => Some(&hello.device_id),

@@ -151,7 +151,7 @@ pub fn drive_idle_clients(
 ) -> Result<IdleClientReport, DrmError> {
     // The deterministic replica world: same CA, same catalog, and a fresh
     // reference service, all derived from the spec's seed.
-    let (ca, reference, catalog) = build_world(&spec.fleet);
+    let (ca, reference, catalog) = build_world(&spec.fleet, None)?;
     let ri_id = reference.id();
     let reference_client = RoapClient::in_proc(&reference);
 
@@ -244,7 +244,7 @@ pub struct IdleFleetReport {
 ///
 /// [`DrmError::Transport`] when binding the loopback listener fails.
 pub fn bind_idle_server(spec: &IdleFleetSpec) -> Result<RoapEventServer, DrmError> {
-    let (_ca, service, _catalog) = build_world(&spec.fleet);
+    let (_ca, service, _catalog) = build_world(&spec.fleet, None)?;
     RoapEventServer::bind(
         Arc::new(service),
         ServerConfig {

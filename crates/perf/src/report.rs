@@ -449,72 +449,6 @@ pub fn energy_comparison(
     }
 }
 
-/// Throughput and per-phase cycle totals of one device-fleet load run
-/// against a shared `RiService` (produced by the `oma-load` harness and
-/// printed next to the Fig 6/7 tables by the repro binary).
-///
-/// The type carries plain numbers so `oma-perf` stays independent of the
-/// load harness; `oma-load` fills it in from a [`crate::runner::PhaseCycles`]
-/// aggregate and wall-clock timings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSummary {
-    /// Scenario name (e.g. "Ringtone fleet").
-    pub name: String,
-    /// Worker threads that drove the fleet.
-    pub workers: usize,
-    /// Devices simulated.
-    pub devices: usize,
-    /// Wall-clock duration of the run in seconds.
-    pub elapsed_secs: f64,
-    /// Successful registrations.
-    pub registrations: u64,
-    /// Rights Objects issued.
-    pub rights_objects: u64,
-    /// Fleet-wide per-phase cycle totals charged by the terminals' backends.
-    /// This is a [`runner::PhaseCycles::merge`]d aggregate: the consumption
-    /// field holds the sum over all accesses, so price it with
-    /// [`runner::PhaseCycles::sum`], never `total(accesses)`.
-    pub phase_cycles: runner::PhaseCycles,
-}
-
-impl FleetSummary {
-    /// Registrations completed per wall-clock second.
-    pub fn registrations_per_sec(&self) -> f64 {
-        self.registrations as f64 / self.elapsed_secs.max(f64::EPSILON)
-    }
-
-    /// Rights Objects issued per wall-clock second.
-    pub fn ros_per_sec(&self) -> f64 {
-        self.rights_objects as f64 / self.elapsed_secs.max(f64::EPSILON)
-    }
-}
-
-impl fmt::Display for FleetSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} — {} devices on {} workers in {:.3} s",
-            self.name, self.devices, self.workers, self.elapsed_secs
-        )?;
-        writeln!(
-            f,
-            "  throughput: {:>10.1} registrations/s {:>10.1} ROs/s",
-            self.registrations_per_sec(),
-            self.ros_per_sec()
-        )?;
-        writeln!(f, "  {:<14} {:>16}", "Phase", "Cycles")?;
-        for phase in crate::phases::Phase::ALL {
-            writeln!(
-                f,
-                "  {:<14} {:>16}",
-                phase.name(),
-                self.phase_cycles.phase(phase)
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,30 +631,6 @@ mod tests {
         let expected = (1.0f64 - 1.0 / 1.1).abs();
         assert!((consistency.max_relative_error() - expected).abs() < 1e-9);
         assert!(!consistency.agrees_within(0.01));
-    }
-
-    #[test]
-    fn fleet_summary_reports_throughput_and_phases() {
-        let summary = FleetSummary {
-            name: "Ringtone fleet".into(),
-            workers: 8,
-            devices: 512,
-            elapsed_secs: 2.0,
-            registrations: 512,
-            rights_objects: 1024,
-            phase_cycles: crate::runner::PhaseCycles {
-                registration: 4_000,
-                acquisition: 2_000,
-                installation: 1_000,
-                consumption_per_access: 500,
-            },
-        };
-        assert!((summary.registrations_per_sec() - 256.0).abs() < 1e-9);
-        assert!((summary.ros_per_sec() - 512.0).abs() < 1e-9);
-        let text = summary.to_string();
-        assert!(text.contains("registrations/s"));
-        assert!(text.contains("registration"));
-        assert!(text.contains("4000"));
     }
 
     #[test]

@@ -9,9 +9,32 @@
 //!
 //! Run with: `cargo run --release --example fleet`
 
-use oma_drm2::load::{run_fleet, run_fleet_durable, run_fleet_tcp, run_sequential, FleetSpec};
+use oma_drm2::load::{
+    run_fleet, run_fleet_durable, run_fleet_tcp, run_sequential, FleetReport, FleetSpec,
+};
+use oma_drm2::perf::phases::Phase;
 use oma_drm2::store::RiStore;
 use std::sync::Arc;
+
+/// Prints one run's counts, wall-clock time and per-phase cycle totals.
+fn print_run(name: &str, run: &FleetReport) {
+    println!(
+        "{name} — {} devices on {} worker thread(s) in {:.3} s: {} registrations, {} ROs",
+        run.devices.len(),
+        run.workers,
+        run.elapsed.as_secs_f64(),
+        run.registrations,
+        run.rights_objects
+    );
+    for phase in Phase::ALL {
+        println!(
+            "  {:<14} {:>16} cycles",
+            phase.name(),
+            run.cycles.phase(phase)
+        );
+    }
+    println!();
+}
 
 fn main() {
     let spec = FleetSpec {
@@ -27,11 +50,11 @@ fn main() {
     );
 
     let concurrent = run_fleet(&spec).expect("concurrent fleet run");
-    println!("{}", concurrent.summary("Concurrent fleet"));
+    print_run("Concurrent fleet", &concurrent);
 
     println!("re-running the same fleet sequentially as the reference...\n");
     let sequential = run_sequential(&spec).expect("sequential fleet run");
-    println!("{}", sequential.summary("Sequential reference"));
+    print_run("Sequential reference", &sequential);
 
     let duplicates = concurrent.duplicate_ro_ids();
     println!(
@@ -57,7 +80,7 @@ fn main() {
 
     println!("\nre-running the same fleet over loopback TCP (one connection per device)...\n");
     let tcp = run_fleet_tcp(&spec).expect("tcp fleet run");
-    println!("{}", tcp.summary("Loopback-TCP fleet"));
+    print_run("Loopback-TCP fleet", &tcp);
     assert!(
         tcp.matches(&sequential),
         "TCP outcomes must be byte-identical to the in-process runs"
@@ -72,11 +95,13 @@ fn main() {
     );
     let durable =
         run_fleet_durable(&spec, Arc::new(RiStore::in_memory()), None).expect("durable fleet run");
-    println!("{}", durable.fleet.summary("Durable (journaled) fleet"));
+    print_run("Durable (journaled) fleet", &durable.fleet);
     assert!(
         durable.fleet.matches(&sequential),
         "journaling must not change any deterministic observable"
     );
-    let journaled = durable.fleet.elapsed.as_secs_f64() / concurrent.elapsed.as_secs_f64();
-    println!("journaling overhead vs the in-process run: {journaled:.2}x wall-clock");
+    // The durable driver runs its devices on one thread, so its peer is the
+    // sequential reference, not the concurrent run.
+    let journaled = durable.fleet.elapsed.as_secs_f64() / sequential.elapsed.as_secs_f64();
+    println!("journaling overhead vs the sequential run: {journaled:.2}x wall-clock");
 }

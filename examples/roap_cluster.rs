@@ -14,17 +14,18 @@
 //! 2. **Replicate** — a follower connects to the primary's replication
 //!    endpoint, bootstraps from the snapshot and applies the record tail,
 //!    acking each batch after fsync.
-//! 3. **Fail over** — the primary is fenced (a deposed node answers
-//!    `NotPrimary` redirects, it never forks history), the follower
+//! 3. **Fail over** — the primary is fenced (a deposed node refuses to
+//!    ship anything more, so it never forks history), the follower
 //!    promotes itself, and the device's second purchase completes against
 //!    the new primary with the RO-id sequence intact.
 //!
 //! Run with: `cargo run --release --example roap_cluster`
 
-use oma_drm2::cluster::{serve_replication, sync_over_tcp, AckPolicy, Follower, Primary};
+use oma_drm2::cluster::{
+    serve_replication, sync_over_tcp, AckPolicy, ClusterError, Follower, Primary,
+};
 use oma_drm2::drm::client::RoapClient;
 use oma_drm2::drm::journal::RiJournal;
-use oma_drm2::drm::wire::{RoapPdu, RoapStatus};
 use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate};
 use oma_drm2::net::ServerMetrics;
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
@@ -103,12 +104,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         promoted.epoch
     );
 
-    // A client that still talks to the deposed node is redirected.
-    let redirect = RoapPdu::Status(RoapStatus::NotPrimary(0)).encode();
-    let RoapPdu::Status(status) = RoapPdu::decode(&redirect)? else {
-        unreachable!("status frames decode to Status");
-    };
-    println!("deposed node answers: {status:?} — client re-resolves the shard");
+    // A follower that still syncs from the deposed node is refused.
+    let stale = Follower::in_memory("node.c", AckPolicy::OnFsync).handshake();
+    let refusal = primary
+        .handle(&stale)
+        .expect_err("a fenced primary ships nothing");
+    assert!(matches!(refusal, ClusterError::Fenced { .. }));
+    println!("deposed node.a answers a handshake with: {refusal}");
 
     // Alice's second purchase runs against the promoted node; her RI
     // context is intact and the RO-id sequence continues where it left off.

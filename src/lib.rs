@@ -23,18 +23,17 @@
 //! * [`store`] — durable Rights Issuer storage: the CRC-framed write-ahead
 //!   log, full-state snapshots and crash recovery behind
 //!   [`RiService::recover`](drm::RiService::recover),
-//! * [`cluster`] — multi-RI scale-out: WAL log-shipping replication
-//!   ([`Primary`](cluster::ship::Primary)/[`Follower`](cluster::ship::Follower)),
-//!   epoch-fenced primary failover that provably never re-issues an id,
-//!   and consistent-hash sharding via
-//!   [`ClusterRouter`](cluster::ClusterRouter),
+//! * [`cluster`] — replication: WAL log shipping
+//!   ([`Primary`](cluster::ship::Primary)/[`Follower`](cluster::ship::Follower))
+//!   and epoch-fenced primary failover that provably never re-issues an id,
 //! * [`perf`] — the Table 1 cost model, architecture variants (each mapping
 //!   1:1 onto an executable backend), use cases, the analytic and measured
 //!   models and figure generators,
-//! * [`load`] — the deterministic device-fleet load harness: worker threads
-//!   drive per-device-seeded agents against one shared concurrent
-//!   [`RiService`](drm::RiService) and report throughput next to the paper's
-//!   tables,
+//! * [`load`] — the deterministic device-fleet load harness: one per-device
+//!   life-cycle drives per-device-seeded agents against one shared
+//!   [`RiService`](drm::RiService) — in process, over loopback TCP,
+//!   journaled and killed, or replicated and failed over — and checks every
+//!   run against a sequential reference,
 //! * [`explore`] — the model-checking-style interleaving
 //!   [`explorer`](explore::explore) over the typed ROAP session machines
 //!   (reorder/duplicate/drop faults, state-hash pruning, protocol

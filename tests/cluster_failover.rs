@@ -1,6 +1,6 @@
-//! Cluster failover acceptance suite: kill the primary of a sharded,
-//! replicated Rights Issuer fleet mid-wave and prove the failover is
-//! invisible.
+//! Cluster failover acceptance suite: kill the primary of a replicated
+//! Rights Issuer pair at every point of a fleet run and prove the failover
+//! is invisible.
 //!
 //! The invariants, in order of decreasing strength:
 //!
@@ -14,12 +14,13 @@
 //!    replicated state; the epoch change cannot reset them.
 //! 3. **Surviving devices cannot tell** — every device completes its full
 //!    lifecycle, and the raw `RoResponse` frames are byte-identical to an
-//!    unkilled run of the same topology. The whole cluster run `matches`
-//!    the single-service sequential reference, so sharding + replication
-//!    + failover together change no deterministic observable.
+//!    unkilled run. The whole cluster run `matches` the single-service
+//!    sequential reference, so replication + failover together change no
+//!    deterministic observable.
 //!
-//! Run under `--release` in CI (two full cluster runs plus the sequential
-//! reference).
+//! CI runs this file under `--release`, where the sweep covers 6 devices
+//! × 2 acquisitions; debug builds sweep a smaller fleet to keep the tier-1
+//! `cargo test` pass fast.
 
 use oma_drm2::cluster::{replicate, AckPolicy, Follower, Primary};
 use oma_drm2::drm::journal::RiJournal;
@@ -32,57 +33,71 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// The acceptance scenario: a 6-device fleet over 3 shards, 2 acquisition
-/// cycles each, with the primary serving the 8th frame killed mid-wave.
-#[test]
-fn kill_the_primary_mid_wave_is_invisible() {
-    let spec = FleetSpec::new(6, 3).with_acquisitions(2);
-    let reference = run_fleet_cluster(&spec, 3, None).unwrap();
-    let killed = run_fleet_cluster(&spec, 3, Some(7)).unwrap();
-
-    // Exactly one primary died and was failed over; the deposed node
-    // redirected at least one misrouted client.
-    assert_eq!(killed.failovers, 1);
-    assert!(killed.redirects >= 1, "the deposed node must redirect");
-    let promoted_shards = killed
-        .final_epochs
-        .iter()
-        .filter(|&&epoch| epoch > 1)
-        .count();
-    assert_eq!(promoted_shards, 1, "exactly one shard changed epoch");
-
-    // Invariant 1: byte-identical takeover.
-    let pre_kill = killed.pre_kill_image.as_ref().expect("a primary died");
-    let promoted = killed
-        .promoted_image
-        .as_ref()
-        .expect("a follower took over");
-    assert_eq!(
-        pre_kill, promoted,
-        "promoted follower must hold the dead primary's exact durable state"
-    );
-
-    // Invariant 2: no identity re-issued across the epoch change.
-    assert!(killed.fleet.duplicate_ro_ids().is_empty());
-
-    // Invariant 3: surviving devices cannot tell.
-    assert!(killed.fleet.matches(&reference.fleet));
-    assert_eq!(
-        killed.ro_response_frames, reference.ro_response_frames,
-        "RoResponse bytes must survive the failover byte-identically"
-    );
+/// 6 devices × 2 acquisitions in release; 3 × 2 in debug builds.
+fn spec() -> FleetSpec {
+    if cfg!(debug_assertions) {
+        FleetSpec::new(3, 1).with_acquisitions(2)
+    } else {
+        FleetSpec::new(6, 1).with_acquisitions(2)
+    }
 }
 
-/// The cluster run — sharded, replicated, failed over — still matches the
-/// plain single-service sequential reference: scale-out changes nothing a
+/// Frames one run serves: a hello, a registration and one RoRequest per
+/// acquisition, for every device.
+fn frames(spec: &FleetSpec) -> u64 {
+    (spec.devices * (2 + spec.acquisitions_per_device)) as u64
+}
+
+/// The acceptance scenario: the primary is killed before each frame of the
+/// run in turn, and every kill must be invisible.
+#[test]
+fn kill_the_primary_mid_wave_is_invisible() {
+    let spec = spec();
+    let reference = run_fleet_cluster(&spec, None).unwrap();
+    assert_eq!(reference.failovers, 0);
+
+    for kill_after in 0..frames(&spec) {
+        let killed = run_fleet_cluster(&spec, Some(kill_after)).unwrap();
+
+        // Exactly one primary died and its follower took over.
+        assert_eq!(killed.failovers, 1, "kill point {kill_after} must fire");
+        assert_eq!(killed.final_epoch, 2);
+
+        // Invariant 1: byte-identical takeover.
+        let pre_kill = killed.pre_kill_image.as_ref().expect("a primary died");
+        let promoted = killed
+            .promoted_image
+            .as_ref()
+            .expect("a follower took over");
+        assert_eq!(
+            pre_kill, promoted,
+            "kill point {kill_after}: promoted follower must hold the dead primary's exact state"
+        );
+
+        // Invariant 2: no identity re-issued across the epoch change.
+        assert!(killed.fleet.duplicate_ro_ids().is_empty());
+
+        // Invariant 3: surviving devices cannot tell.
+        assert!(
+            killed.fleet.matches(&reference.fleet),
+            "kill point {kill_after}: device outcomes diverged"
+        );
+        assert_eq!(
+            killed.ro_response_frames, reference.ro_response_frames,
+            "kill point {kill_after}: RoResponse bytes must survive the failover byte-identically"
+        );
+    }
+}
+
+/// The cluster run — replicated and failed over — still matches the plain
+/// single-service sequential reference: replication changes nothing a
 /// device can observe.
 #[test]
 fn failed_over_cluster_matches_the_sequential_reference() {
-    let spec = FleetSpec::new(6, 3).with_acquisitions(2);
-    let killed = run_fleet_cluster(&spec, 3, Some(7)).unwrap();
+    let spec = spec();
+    let killed = run_fleet_cluster(&spec, Some(frames(&spec) / 2)).unwrap();
     let sequential = run_sequential(&spec).unwrap();
     assert_eq!(killed.failovers, 1);
-    assert_eq!(killed.shard_devices.iter().sum::<usize>(), spec.devices);
     assert!(
         killed.fleet.matches(&sequential),
         "cluster observables must equal the single-service reference"

@@ -8,7 +8,12 @@
 //! interleave with each other's RSA work); debug builds use a scaled-down
 //! fleet to keep the tier-1 `cargo test` pass fast.
 
+use oma_drm2::drm::client::RoapClient;
+use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate};
 use oma_drm2::load::{run_fleet, run_sequential, FleetSpec};
+use oma_drm2::pki::{CertificationAuthority, Timestamp};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashSet;
 
 /// 8 threads × 64 devices in release; 4 × 16 in debug builds.
@@ -67,14 +72,40 @@ fn concurrent_fleet_is_consistent_and_deterministic() {
 
 #[test]
 fn reregistration_is_idempotent_for_the_count() {
-    // Running the same fleet twice against one service would re-register the
-    // same device ids; the registered set must not double-count. Simulate by
-    // running a fleet where two spec runs share ids through determinism.
-    let spec = FleetSpec::new(4, 2);
-    let first = run_fleet(&spec).expect("first run");
-    let second = run_fleet(&spec).expect("second run");
-    // Each run uses its own service, so counts match rather than accumulate,
-    // and outcomes are identical run over run.
-    assert_eq!(first.registrations, second.registrations);
-    assert!(first.matches(&second));
+    // The same agents register twice with one service, buying a Rights
+    // Object after each registration: the registered set must not
+    // double-count, and no RO id may repeat across the two passes.
+    let mut rng = StdRng::seed_from_u64(0x2e9);
+    let mut ca = CertificationAuthority::new("cmla", 384, &mut rng);
+    let service = RiService::new("ri.rereg", 384, &mut ca, &mut rng);
+    let (dcf, cek) = ContentIssuer::new("ci.rereg").package(b"tune", "cid:tune", &mut rng);
+    service.add_content(
+        "cid:tune",
+        cek,
+        &dcf,
+        RightsTemplate::unlimited(Permission::Play),
+    );
+    let client = RoapClient::in_proc(&service);
+    let now = Timestamp::new(1_000);
+    let mut agents: Vec<DrmAgent> = (0..4)
+        .map(|i| DrmAgent::new(&format!("dev-{i}"), 384, &mut ca, &mut rng))
+        .collect();
+
+    let mut ro_ids = Vec::new();
+    for pass in 0..2 {
+        for agent in &mut agents {
+            agent.register(&client, now).expect("registration");
+            let response = agent
+                .acquire_rights(&client, "ri.rereg", "cid:tune", now)
+                .expect("acquisition");
+            ro_ids.push(agent.install_rights(&response, now).expect("install"));
+        }
+        assert_eq!(
+            service.registered_count(),
+            agents.len(),
+            "pass {pass}: re-registration must not double-count"
+        );
+    }
+    let distinct: HashSet<_> = ro_ids.iter().collect();
+    assert_eq!(distinct.len(), ro_ids.len(), "RO ids repeated: {ro_ids:?}");
 }
