@@ -6,7 +6,7 @@
 //! Objects protect `K_MAC ‖ K_REK` under that domain key instead of a single
 //! device's public key, so any member can install and consume them.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a domain, unique per Rights Issuer.
@@ -37,14 +37,29 @@ impl From<&str> for DomainId {
     }
 }
 
-/// Rights Issuer side state of a domain.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Rights Issuer side state of a domain. Members are kept sorted, so the
+/// domain iterates — and encodes into a snapshot — in one canonical order.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Domain {
     id: DomainId,
     key: [u8; 16],
     generation: u32,
-    members: HashSet<String>,
+    members: BTreeSet<String>,
     max_members: usize,
+}
+
+impl fmt::Debug for Domain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The domain key protects every Domain Rights Object; like every
+        // other secret it never reaches debug output.
+        f.debug_struct("Domain")
+            .field("id", &self.id)
+            .field("key", &"<redacted>")
+            .field("generation", &self.generation)
+            .field("members", &self.members)
+            .field("max_members", &self.max_members)
+            .finish()
+    }
 }
 
 impl Domain {
@@ -54,7 +69,7 @@ impl Domain {
             id,
             key,
             generation: 0,
-            members: HashSet::new(),
+            members: BTreeSet::new(),
             max_members,
         }
     }
@@ -69,12 +84,12 @@ impl Domain {
         &self.key
     }
 
-    /// Domain-key generation, bumped on every upgrade (member eviction).
+    /// Domain-key generation.
     pub fn generation(&self) -> u32 {
         self.generation
     }
 
-    /// Registered member device identifiers.
+    /// Registered member device identifiers, in ascending order.
     pub fn members(&self) -> impl Iterator<Item = &str> {
         self.members.iter().map(String::as_str)
     }
@@ -92,18 +107,6 @@ impl Domain {
     /// Whether `device_id` is a member.
     pub fn is_member(&self, device_id: &str) -> bool {
         self.members.contains(device_id)
-    }
-
-    /// Adds a member if the domain still has capacity.
-    ///
-    /// Returns `false` (and leaves the domain unchanged) when the domain is
-    /// full or the device is already a member.
-    pub fn add_member(&mut self, device_id: &str) -> bool {
-        if self.members.len() >= self.max_members || self.members.contains(device_id) {
-            return false;
-        }
-        self.members.insert(device_id.to_string());
-        true
     }
 
     /// Removes a member. Returns whether it was present.
@@ -151,15 +154,6 @@ impl Domain {
             max_members,
         }
     }
-
-    /// Rotates the domain key (a "domain upgrade"): installs `new_key` and
-    /// bumps the generation. Existing members must re-join to learn the new
-    /// key.
-    pub fn upgrade(&mut self, new_key: [u8; 16]) {
-        self.key = new_key;
-        self.generation += 1;
-        self.members.clear();
-    }
 }
 
 #[cfg(test)]
@@ -178,26 +172,30 @@ mod tests {
     fn membership_lifecycle() {
         let mut d = Domain::new(DomainId::new("d1"), [1u8; 16], 2);
         assert_eq!(d.member_count(), 0);
-        assert!(d.add_member("phone"));
-        assert!(!d.add_member("phone"), "duplicate join refused");
-        assert!(d.add_member("player"));
-        assert!(!d.add_member("tablet"), "domain full");
+        assert!(d.admits("phone"));
+        d.admit("phone");
+        d.admit("phone");
+        assert_eq!(d.member_count(), 1, "a repeated join is one membership");
+        d.admit("player");
+        assert!(d.admits("phone"), "a member is always admitted again");
+        assert!(!d.admits("tablet"), "domain full");
         assert!(d.is_member("phone"));
-        assert_eq!(d.member_count(), 2);
+        assert_eq!(d.members().collect::<Vec<_>>(), ["phone", "player"]);
         assert!(d.remove_member("phone"));
         assert!(!d.remove_member("phone"));
         assert_eq!(d.members().count(), 1);
+        assert!(d.admits("tablet"), "a leave frees a place");
     }
 
     #[test]
-    fn upgrade_rotates_key_and_clears_members() {
-        let mut d = Domain::new(DomainId::new("d1"), [1u8; 16], 4);
-        d.add_member("phone");
-        let old_generation = d.generation();
-        d.upgrade([2u8; 16]);
-        assert_eq!(d.key(), &[2u8; 16]);
-        assert_eq!(d.generation(), old_generation + 1);
-        assert_eq!(d.member_count(), 0);
-        assert_eq!(d.id().as_str(), "d1");
+    fn debug_redacts_the_domain_key() {
+        let mut d = Domain::new(DomainId::new("d1"), [0xD7; 16], 4);
+        d.admit("phone");
+        let shown = format!("{d:?}");
+        assert!(
+            shown.contains("<redacted>") && shown.contains("phone"),
+            "{shown}"
+        );
+        assert!(!shown.contains("215"), "domain key bytes leaked: {shown}");
     }
 }

@@ -16,11 +16,13 @@
 //!   Recovery and replication feed the logged events through that same
 //!   `apply` via [`RiService::replay`], so there is no second copy of any
 //!   transition to drift out of step.
-//! * [`RiStateImage`] — the snapshot's form: a complete, canonical copy of
-//!   the mutable service state, including the RSA identity and the
-//!   service's random stream checkpoint. [`RiService::state_image`] and
-//!   [`RiService::from_image`] convert to and from it; events never apply
-//!   to an image.
+//! * [`RiTables`] — the persistent state itself: tables, counters, the
+//!   OCSP response and the random stream. The live service holds one behind
+//!   its lock, and events apply to it there.
+//! * [`RiStateImage`] — a snapshot: the RSA identity plus a copy of the
+//!   tables. [`RiService::state_image`] clones the live tables into one;
+//!   [`RiService::from_image`] moves them back in. It has one
+//!   [`Encode`]/[`Decode`] pair, the snapshot payload.
 //! * [`RiJournal`] — what the service needs from a store: record an event,
 //!   flush buffered records, persist a snapshot. Implemented by
 //!   `oma_store::RiStore`.
@@ -40,14 +42,17 @@
 //! write thus recovers to a consistent cut: the state *and* the random
 //! stream as of the last durable event.
 
-use crate::domain::DomainId;
+use crate::domain::{Domain, DomainId};
 use crate::error::DrmError;
 use crate::rel::RightsTemplate;
 use crate::service::RiService;
-use oma_crypto::rsa::RsaKeyPair;
+use oma_crypto::rsa::{RsaKeyPair, RsaPrivateKey};
 use oma_crypto::sha1::DIGEST_SIZE;
+use oma_pki::codec::{put_bytes, put_str, Decode, DecodeError, Encode, Reader};
 use oma_pki::ocsp::OcspResponse;
 use oma_pki::{Certificate, Timestamp};
+use rand::rngs::StdRng;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// One durable state mutation of the Rights Issuer service, in the order the
@@ -167,68 +172,94 @@ pub(crate) fn session_expired(ttl_seconds: u64, opened_at: Timestamp, now: Times
     ttl_seconds > 0 && now.seconds().saturating_sub(opened_at.seconds()) > ttl_seconds
 }
 
-/// Redaction marker used by the `Debug` impls below: images and events
+/// Redaction marker used by the `Debug` impls below: tables and events
 /// carry raw key material (CEKs, domain keys, the RNG checkpoint), and the
 /// repo's discipline — set by `RsaPrivateKey`'s `Debug` — is that secrets
 /// never reach debug output.
 const REDACTED: &str = "<redacted>";
 
-/// A pending ROAP session as it appears in a state image.
+/// A pending ROAP registration session created by a `DeviceHello`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionImage {
-    /// Session id.
-    pub session_id: u64,
+pub struct PendingSession {
     /// Device that opened the session.
     pub device_id: String,
-    /// The RI nonce issued for it.
+    /// The RI nonce the device must echo into its signed request.
     pub ri_nonce: Vec<u8>,
-    /// Server clock at open time.
+    /// Server clock when the hello arrived (`Timestamp::new(0)` when the
+    /// entry point had no clock); drives the TTL sweep.
     pub opened_at: Timestamp,
 }
 
-/// A registered device as it appears in a state image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegisteredImage {
-    /// Device identifier.
-    pub device_id: String,
-    /// The certificate pinned at registration.
-    pub certificate: Certificate,
-}
-
-/// A catalogue entry as it appears in a state image.
+/// A license the Rights Issuer can sell for one piece of content.
 #[derive(Clone, PartialEq, Eq)]
-pub struct ContentImage {
-    /// Content identifier.
-    pub content_id: String,
-    /// Content encryption key.
+pub struct ContentEntry {
+    /// Content encryption key received from the Content Issuer.
     pub cek: [u8; 16],
-    /// DCF hash binding.
+    /// Hash binding of the DCF the CEK encrypts.
     pub dcf_hash: [u8; DIGEST_SIZE],
     /// License template on sale.
     pub template: RightsTemplate,
 }
 
-/// A domain as it appears in a state image.
+/// Everything about the Rights Issuer that changes after construction and
+/// must survive a restart: the tables, the counters, the OCSP response and
+/// the random stream. The live service holds exactly this value behind its
+/// lock, and a snapshot is a copy of it, so two services in the same
+/// logical state hold equal tables — and encode them identically.
+///
+/// Every table is keyed and ordered by its `BTreeMap`, which is also the
+/// snapshot's order: a snapshot whose keys are not strictly ascending is
+/// refused, never reordered, and so is one whose pending sessions no live
+/// service could hold.
 #[derive(Clone, PartialEq, Eq)]
-pub struct DomainImage {
-    /// Domain identifier.
-    pub domain_id: DomainId,
-    /// Current shared domain key.
-    pub key: [u8; 16],
-    /// Key generation.
-    pub generation: u32,
-    /// Member capacity.
-    pub max_members: u64,
-    /// Member device ids, sorted.
-    pub members: Vec<String>,
+pub struct RiTables {
+    /// The cached OCSP response presented during registration.
+    pub ocsp: OcspResponse,
+    /// Next ROAP session id to allocate.
+    pub next_session: u64,
+    /// Total Rights Objects issued.
+    pub issued_ros: u64,
+    /// Pending-session TTL in seconds (0 = sweeping disabled).
+    pub session_ttl: u64,
+    /// Pending ROAP sessions by session id.
+    pub sessions: BTreeMap<u64, PendingSession>,
+    /// Registered devices and the certificate each one pinned.
+    pub registered: BTreeMap<String, Certificate>,
+    /// Content catalogue by content id.
+    pub content: BTreeMap<String, ContentEntry>,
+    /// Domains by domain id.
+    pub domains: BTreeMap<DomainId, Domain>,
+    /// Per-scope Rights-Object-id sequences (`scope` → next sequence).
+    pub ro_sequences: BTreeMap<String, u64>,
+    /// The one stream every nonce, key, KEM secret and PSS salt is drawn
+    /// from; its checkpoint also travels with each journal record.
+    pub rng: StdRng,
 }
 
-/// A complete snapshot of the mutable Rights Issuer state, canonicalised
-/// (every list sorted by its key) so that two images of the same logical
-/// state compare — and encode — identically.
+impl RiTables {
+    /// The tables of a fresh service: no sessions, devices, content or
+    /// domains, and session ids starting at 1.
+    pub fn new(ocsp: OcspResponse, rng: StdRng) -> Self {
+        RiTables {
+            ocsp,
+            next_session: 1,
+            issued_ros: 0,
+            session_ttl: 0,
+            sessions: BTreeMap::new(),
+            registered: BTreeMap::new(),
+            content: BTreeMap::new(),
+            domains: BTreeMap::new(),
+            ro_sequences: BTreeMap::new(),
+            rng,
+        }
+    }
+}
+
+/// A complete snapshot of the Rights Issuer: its identity and its
+/// [`RiTables`].
 ///
 /// The image deliberately contains the full identity (RSA key pair,
-/// certificates, OCSP) and the engine RNG checkpoint: recovery must
+/// certificates) and, through the tables, the random stream: recovery must
 /// reproduce *signatures*, not just table contents.
 #[derive(Clone, PartialEq, Eq)]
 pub struct RiStateImage {
@@ -240,27 +271,8 @@ pub struct RiStateImage {
     pub certificate: Certificate,
     /// The trusted CA root.
     pub ca_root: Certificate,
-    /// The cached OCSP response presented during registration.
-    pub ocsp: OcspResponse,
-    /// Next ROAP session id to allocate.
-    pub next_session: u64,
-    /// Total Rights Objects issued.
-    pub issued_ros: u64,
-    /// Pending-session TTL in seconds (0 = sweeping disabled).
-    pub session_ttl: u64,
-    /// Pending ROAP sessions, sorted by session id.
-    pub sessions: Vec<SessionImage>,
-    /// Registered devices, sorted by device id.
-    pub registered: Vec<RegisteredImage>,
-    /// Content catalogue, sorted by content id.
-    pub content: Vec<ContentImage>,
-    /// Domains, sorted by domain id.
-    pub domains: Vec<DomainImage>,
-    /// Per-scope Rights-Object-id sequences (`scope` → next sequence),
-    /// sorted by scope.
-    pub ro_sequences: Vec<(String, u64)>,
-    /// Checkpoint of the engine's deterministic random stream.
-    pub rng_state: [u8; 32],
+    /// Everything else, exactly as the live service holds it.
+    pub tables: RiTables,
 }
 
 impl std::fmt::Debug for RiEvent {
@@ -354,10 +366,9 @@ impl std::fmt::Debug for RiEvent {
     }
 }
 
-impl std::fmt::Debug for ContentImage {
+impl std::fmt::Debug for ContentEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ContentImage")
-            .field("content_id", &self.content_id)
+        f.debug_struct("ContentEntry")
             .field("cek", &REDACTED)
             .field("dcf_hash", &self.dcf_hash)
             .field("template", &self.template)
@@ -365,27 +376,12 @@ impl std::fmt::Debug for ContentImage {
     }
 }
 
-impl std::fmt::Debug for DomainImage {
+impl std::fmt::Debug for RiTables {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DomainImage")
-            .field("domain_id", &self.domain_id)
-            .field("key", &REDACTED)
-            .field("generation", &self.generation)
-            .field("max_members", &self.max_members)
-            .field("members", &self.members)
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for RiStateImage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // `keys` relies on RsaPrivateKey's own redacting Debug; the RNG
-        // checkpoint is a secret in its own right (it predicts every
-        // future nonce and salt).
-        f.debug_struct("RiStateImage")
-            .field("id", &self.id)
-            .field("keys", &self.keys)
-            .field("certificate", &self.certificate)
+        // The RNG state is a secret in its own right: it predicts every
+        // future nonce and salt.
+        f.debug_struct("RiTables")
+            .field("ocsp", &self.ocsp)
             .field("next_session", &self.next_session)
             .field("issued_ros", &self.issued_ros)
             .field("session_ttl", &self.session_ttl)
@@ -394,8 +390,180 @@ impl std::fmt::Debug for RiStateImage {
             .field("content", &self.content)
             .field("domains", &self.domains)
             .field("ro_sequences", &self.ro_sequences)
-            .field("rng_state", &REDACTED)
+            .field("rng", &REDACTED)
+            .finish()
+    }
+}
+
+impl std::fmt::Debug for RiStateImage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // `keys` relies on RsaPrivateKey's own redacting Debug.
+        f.debug_struct("RiStateImage")
+            .field("id", &self.id)
+            .field("keys", &self.keys)
+            .field("certificate", &self.certificate)
+            .field("tables", &self.tables)
             .finish_non_exhaustive()
+    }
+}
+
+/// Reads a counted map (see [`Reader::list`]) whose keys must be strictly
+/// ascending — the order a `BTreeMap` encodes in. Anything else (a key out
+/// of order, a duplicate) is refused rather than collapsed, so every
+/// accepted snapshot is the one encoding of the tables it decodes to.
+fn read_map<K: Ord, V>(
+    r: &mut Reader<'_>,
+    min_len: usize,
+    entry: impl FnMut(&mut Reader<'_>) -> Result<(K, V), DecodeError>,
+) -> Result<BTreeMap<K, V>, DecodeError> {
+    let entries = r.list(min_len, entry)?;
+    if entries.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+        return Err(DecodeError("keys not strictly ascending"));
+    }
+    Ok(entries.into_iter().collect())
+}
+
+impl Encode for RiTables {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.ocsp.encode(out);
+        out.extend_from_slice(&self.next_session.to_be_bytes());
+        out.extend_from_slice(&self.issued_ros.to_be_bytes());
+        out.extend_from_slice(&self.session_ttl.to_be_bytes());
+        out.extend_from_slice(&(self.sessions.len() as u32).to_be_bytes());
+        for (session_id, session) in &self.sessions {
+            out.extend_from_slice(&session_id.to_be_bytes());
+            put_str(out, &session.device_id);
+            put_bytes(out, &session.ri_nonce);
+            session.opened_at.encode(out);
+        }
+        out.extend_from_slice(&(self.registered.len() as u32).to_be_bytes());
+        for (device_id, certificate) in &self.registered {
+            put_str(out, device_id);
+            certificate.encode(out);
+        }
+        out.extend_from_slice(&(self.content.len() as u32).to_be_bytes());
+        for (content_id, entry) in &self.content {
+            put_str(out, content_id);
+            out.extend_from_slice(&entry.cek);
+            out.extend_from_slice(&entry.dcf_hash);
+            entry.template.rights().encode(out);
+        }
+        out.extend_from_slice(&(self.domains.len() as u32).to_be_bytes());
+        for (domain_id, domain) in &self.domains {
+            put_str(out, domain_id.as_str());
+            out.extend_from_slice(domain.key());
+            out.extend_from_slice(&domain.generation().to_be_bytes());
+            out.extend_from_slice(&(domain.max_members() as u64).to_be_bytes());
+            out.extend_from_slice(&(domain.member_count() as u32).to_be_bytes());
+            for member in domain.members() {
+                put_str(out, member);
+            }
+        }
+        out.extend_from_slice(&(self.ro_sequences.len() as u32).to_be_bytes());
+        for (scope, next) in &self.ro_sequences {
+            put_str(out, scope);
+            out.extend_from_slice(&next.to_be_bytes());
+        }
+        out.extend_from_slice(&self.rng.state_bytes());
+    }
+}
+
+impl Decode for RiTables {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let ocsp = Decode::decode(r)?;
+        let next_session = r.u64()?;
+        let issued_ros = r.u64()?;
+        let session_ttl = r.u64()?;
+        let sessions = read_map(r, 8 + 4 + 4 + 8, |r| {
+            let session_id = r.u64()?;
+            let session = PendingSession {
+                device_id: r.str()?,
+                ri_nonce: r.bytes()?,
+                opened_at: Decode::decode(r)?,
+            };
+            Ok((session_id, session))
+        })?;
+        // A live service never holds two pending sessions for one device
+        // or a session id it has not issued yet. Restore would evict or
+        // bump either, and the service would no longer equal the image.
+        let mut devices = BTreeSet::new();
+        if sessions
+            .iter()
+            .any(|(id, session)| *id >= next_session || !devices.insert(&session.device_id))
+        {
+            return Err(DecodeError("pending sessions not as issued"));
+        }
+        Ok(RiTables {
+            ocsp,
+            next_session,
+            issued_ros,
+            session_ttl,
+            sessions,
+            registered: read_map(r, 4, |r| Ok((r.str()?, Decode::decode(r)?)))?,
+            content: read_map(r, 4 + 16 + DIGEST_SIZE + 4, |r| {
+                let content_id = r.str()?;
+                let entry = ContentEntry {
+                    cek: r.array()?,
+                    dcf_hash: r.array()?,
+                    template: RightsTemplate::from_rights(Decode::decode(r)?),
+                };
+                Ok((content_id, entry))
+            })?,
+            domains: read_map(r, 4 + 16 + 4 + 8 + 4, |r| {
+                let id = DomainId::new(&r.str()?);
+                let key = r.array()?;
+                let generation = r.u32()?;
+                let max_members = r.u64()? as usize;
+                let members = read_map(r, 4, |r| Ok((r.str()?, ())))?.into_keys();
+                let domain = Domain::restore(id.clone(), key, generation, members, max_members);
+                Ok((id, domain))
+            })?,
+            ro_sequences: read_map(r, 4 + 8, |r| Ok((r.str()?, r.u64()?)))?,
+            rng: match r.array()? {
+                // xoshiro never reaches the all-zero state, and
+                // `from_state_bytes` would replace it with another.
+                state if state == [0; 32] => {
+                    return Err(DecodeError("all-zero random stream state"))
+                }
+                state => StdRng::from_state_bytes(state),
+            },
+        })
+    }
+}
+
+impl Encode for RiStateImage {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.id);
+        let private = self.keys.private();
+        let (p, q) = private.primes();
+        self.keys.public().encode(out);
+        private.d().encode(out);
+        p.encode(out);
+        q.encode(out);
+        self.certificate.encode(out);
+        self.ca_root.encode(out);
+        self.tables.encode(out);
+    }
+}
+
+impl Decode for RiStateImage {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let id = r.str()?;
+        let public = Decode::decode(r)?;
+        let private = RsaPrivateKey::from_components(
+            public,
+            Decode::decode(r)?,
+            Decode::decode(r)?,
+            Decode::decode(r)?,
+        )
+        .map_err(|_| DecodeError("inconsistent RSA key components"))?;
+        Ok(RiStateImage {
+            id,
+            keys: RsaKeyPair::from_private(private),
+            certificate: Decode::decode(r)?,
+            ca_root: Decode::decode(r)?,
+            tables: Decode::decode(r)?,
+        })
     }
 }
 
@@ -507,9 +675,7 @@ mod tests {
 
     use super::*;
     use crate::rel::{Permission, RightsTemplate};
-    use oma_crypto::rsa::RsaKeyPair;
     use oma_pki::{CertificationAuthority, EntityRole, ValidityPeriod};
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// A service with an empty state (fresh identity, no tables).
@@ -535,16 +701,7 @@ mod tests {
             keys,
             certificate,
             ca_root: ca.root_certificate().clone(),
-            ocsp,
-            next_session: 1,
-            issued_ros: 0,
-            session_ttl: 0,
-            sessions: Vec::new(),
-            registered: Vec::new(),
-            content: Vec::new(),
-            domains: Vec::new(),
-            ro_sequences: Vec::new(),
-            rng_state: [0u8; 32],
+            tables: RiTables::new(ocsp, StdRng::seed_from_u64(1)),
         })
     }
 
@@ -552,6 +709,14 @@ mod tests {
     /// under test here.
     fn apply(service: &RiService, event: &RiEvent) {
         service.replay(event, [0u8; 32]);
+    }
+
+    fn members(service: &RiService, domain: &DomainId) -> Vec<String> {
+        let tables = service.state_image().tables;
+        tables.domains[domain]
+            .members()
+            .map(str::to_string)
+            .collect()
     }
 
     fn open(service: &RiService, session_id: u64, device: &str, at: u64) {
@@ -571,15 +736,13 @@ mod tests {
         let service = service();
         open(&service, 1, "dev-a", 0);
         open(&service, 2, "dev-a", 5);
-        let image = service.state_image();
-        assert_eq!(image.sessions.len(), 1);
-        assert_eq!(image.sessions[0].session_id, 2);
-        assert_eq!(image.next_session, 3);
+        let tables = service.state_image().tables;
+        assert_eq!(tables.sessions.keys().collect::<Vec<_>>(), [&2]);
+        assert_eq!(tables.next_session, 3);
         // A stale (smaller-id) open replayed out of order does not clobber.
         open(&service, 1, "dev-a", 0);
-        let image = service.state_image();
-        assert_eq!(image.sessions.len(), 1);
-        assert_eq!(image.sessions[0].session_id, 2);
+        let tables = service.state_image().tables;
+        assert_eq!(tables.sessions.keys().collect::<Vec<_>>(), [&2]);
         assert_eq!(service.pending_session_count(), 1);
     }
 
@@ -595,10 +758,9 @@ mod tests {
                 certificate: service.certificate().clone(),
             },
         );
-        let image = service.state_image();
-        assert!(image.sessions.is_empty());
-        assert_eq!(image.registered.len(), 1);
-        assert_eq!(image.registered[0].device_id, "dev-a");
+        let tables = service.state_image().tables;
+        assert!(tables.sessions.is_empty());
+        assert_eq!(tables.registered.keys().collect::<Vec<_>>(), ["dev-a"]);
         assert!(service.is_registered("dev-a"));
     }
 
@@ -614,12 +776,13 @@ mod tests {
                 },
             );
         }
-        let image = service.state_image();
+        let tables = service.state_image().tables;
+        let sequences: Vec<_> = tables.ro_sequences.into_iter().collect();
         assert_eq!(
-            image.ro_sequences,
-            vec![("dev:a".to_string(), 2), ("dev:b".to_string(), 1)]
+            sequences,
+            [("dev:a".to_string(), 2), ("dev:b".to_string(), 1)]
         );
-        assert_eq!(image.issued_ros, 3);
+        assert_eq!(tables.issued_ros, 3);
         assert_eq!(service.issued_ro_count(), 3);
     }
 
@@ -647,7 +810,7 @@ mod tests {
                 },
             );
         }
-        assert_eq!(service.state_image().domains[0].members, vec!["a", "b"]);
+        assert_eq!(members(&service, &family), ["a", "b"]);
         apply(
             &service,
             &RiEvent::DomainLeft {
@@ -655,7 +818,7 @@ mod tests {
                 device_id: "a".into(),
             },
         );
-        assert_eq!(service.state_image().domains[0].members, vec!["b"]);
+        assert_eq!(members(&service, &family), ["b"]);
         assert_eq!(service.domain_member_count(&family), Some(1));
     }
 
@@ -674,10 +837,10 @@ mod tests {
                 session_ids: vec![1],
             },
         );
-        let image = service.state_image();
-        assert_eq!(image.session_ttl, 10);
-        assert_eq!(image.sessions.len(), 1);
-        assert_eq!(image.sessions[0].device_id, "dev-new");
+        let tables = service.state_image().tables;
+        assert_eq!(tables.session_ttl, 10);
+        assert_eq!(tables.sessions.keys().collect::<Vec<_>>(), [&2]);
+        assert_eq!(tables.sessions[&2].device_id, "dev-new");
         assert!(session_expired(10, Timestamp::new(0), Timestamp::new(100)));
         assert!(!session_expired(0, Timestamp::new(0), Timestamp::new(100)));
     }
@@ -699,21 +862,21 @@ mod tests {
                 max_members: 4,
             },
         );
-        let image = service.state_image();
-        assert_eq!(image.domains[0].key, [7; 16]);
-        assert_eq!(image.domains[0].generation, 3);
-        assert_eq!(image.domains[0].members, vec!["phone-001"]);
+        let domain = service.state_image().tables.domains[&family].clone();
+        assert_eq!(domain.key(), &[7; 16]);
+        assert_eq!(domain.generation(), 3);
+        assert_eq!(members(&service, &family), ["phone-001"]);
         // When the creation record *did* survive, it merges without
         // clobbering the membership.
         apply(
             &service,
             &RiEvent::DomainCreated {
-                domain_id: family,
+                domain_id: family.clone(),
                 key: [7; 16],
                 max_members: 4,
             },
         );
-        assert_eq!(service.state_image().domains[0].members, vec!["phone-001"]);
+        assert_eq!(members(&service, &family), ["phone-001"]);
     }
 
     #[test]
@@ -730,11 +893,53 @@ mod tests {
                 },
             );
         }
-        let image = service.state_image();
-        assert_eq!(image.content.len(), 1);
+        let content = service.state_image().tables.content;
+        assert_eq!(content.len(), 1);
         assert_eq!(
-            image.content[0].template,
+            content["cid:x"].template,
             RightsTemplate::counted(Permission::Play, 2)
         );
+    }
+
+    #[test]
+    fn image_debug_shows_no_key_material() {
+        let service = service();
+        let (cek, domain_key) = ([0xC1; 16], [0xD2; 16]);
+        apply(
+            &service,
+            &RiEvent::ContentAdded {
+                content_id: "cid:x".into(),
+                cek,
+                dcf_hash: [0; DIGEST_SIZE],
+                template: RightsTemplate::unlimited(Permission::Play),
+            },
+        );
+        let family = DomainId::new("family");
+        apply(
+            &service,
+            &RiEvent::DomainJoined {
+                domain_id: family.clone(),
+                device_id: "phone-001".into(),
+                key: domain_key,
+                generation: 0,
+                max_members: 4,
+            },
+        );
+        let image = service.state_image();
+        let shown = format!("{image:?}");
+        assert!(
+            shown.contains("cid:x") && shown.contains("phone-001"),
+            "{shown}"
+        );
+        assert!(!shown.contains(&format!("{cek:?}")), "CEK leaked");
+        assert!(
+            !shown.contains(&format!("{domain_key:?}")),
+            "domain key leaked"
+        );
+        assert!(!shown.contains("StdRng"), "random stream leaked");
+        for word in image.tables.rng.state_bytes().chunks_exact(8) {
+            let word = u64::from_le_bytes(word.try_into().unwrap());
+            assert!(!shown.contains(&word.to_string()), "random stream leaked");
+        }
     }
 }

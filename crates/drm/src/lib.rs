@@ -81,7 +81,7 @@ pub use client::{ChannelTransport, InProcTransport, RoapClient, RoapTransport};
 pub use dcf::Dcf;
 pub use domain::{Domain, DomainId};
 pub use error::DrmError;
-pub use journal::{RiEvent, RiJournal, RiStateImage, StateSource};
+pub use journal::{RiEvent, RiJournal, RiStateImage, RiTables, StateSource};
 pub use rel::{Constraint, Permission, Rights, RightsTemplate};
 pub use ro::{ProtectedRightsObject, RightsObjectId};
 pub use roap::RoapError;

@@ -45,8 +45,8 @@ use crate::dcf::Dcf;
 use crate::domain::{Domain, DomainId};
 use crate::error::DrmError;
 use crate::journal::{
-    session_expired, ContentImage, DomainImage, RegisteredImage, RiEvent, RiJournal, RiStateImage,
-    SessionImage, StateSource,
+    session_expired, ContentEntry, PendingSession, RiEvent, RiJournal, RiStateImage, RiTables,
+    StateSource,
 };
 use crate::rel::RightsTemplate;
 use crate::ro::{KeyProtection, ProtectedRightsObject, RightsObjectId, RightsObjectPayload};
@@ -73,24 +73,6 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::CERT_VALIDITY_SECONDS;
-
-/// A license the Rights Issuer can sell for one piece of content.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ContentEntry {
-    pub(crate) cek: [u8; 16],
-    pub(crate) dcf_hash: [u8; DIGEST_SIZE],
-    pub(crate) template: RightsTemplate,
-}
-
-/// A pending ROAP registration session created by a `DeviceHello`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PendingSession {
-    pub(crate) device_id: String,
-    pub(crate) ri_nonce: Vec<u8>,
-    /// Server clock when the hello arrived ([`Timestamp::new(0)`] when the
-    /// entry point had no clock); drives the TTL sweep.
-    pub(crate) opened_at: Timestamp,
-}
 
 /// How many dispatches with a server-pinned clock pass between two TTL
 /// sweeps of the pending-session table. Sweeping is O(sessions), so it is
@@ -161,26 +143,15 @@ struct RoGrant<'a> {
     seal: RoSeal<'a>,
 }
 
-/// Everything about the Rights Issuer that changes after construction:
-/// the tables, the counters and the random stream, behind [`RiService`]'s
-/// one lock. The tables and counters change only through
-/// [`RiState::apply`].
+/// Everything about the Rights Issuer that changes after construction,
+/// behind [`RiService`]'s one lock: the persistent [`RiTables`], which
+/// change only through [`RiState::apply`], and what lives only as long as
+/// the process.
 struct RiState {
-    ocsp: OcspResponse,
-    next_session: u64,
-    issued_ros: u64,
-    /// Pending-session TTL in seconds; 0 disables the sweep.
-    session_ttl: u64,
-    sessions: BTreeMap<u64, PendingSession>,
+    tables: RiTables,
+    /// Each device's pending session id: an index over `tables.sessions`,
+    /// kept by [`RiState::open_session`] and [`RiState::release_session`].
     pending_by_device: BTreeMap<String, u64>,
-    /// Registered devices and the certificate each one pinned.
-    registered: BTreeMap<String, Certificate>,
-    content: BTreeMap<String, ContentEntry>,
-    domains: BTreeMap<DomainId, Domain>,
-    ro_sequences: BTreeMap<String, u64>,
-    /// The one stream every nonce, key, KEM secret and PSS salt is drawn
-    /// from; its checkpoint travels with each record.
-    rng: StdRng,
     /// Attached write-ahead journal; `None` runs the service in-memory only.
     journal: Option<Arc<dyn RiJournal>>,
     /// Clocked dispatches since start, for amortising the TTL sweep.
@@ -195,7 +166,7 @@ impl RiState {
     fn commit(&mut self, event: RiEvent) {
         self.apply(&event);
         if let Some(journal) = &self.journal {
-            journal.record(&event, &|| self.rng.state_bytes());
+            journal.record(&event, &|| self.tables.rng.state_bytes());
         }
     }
 
@@ -210,7 +181,7 @@ impl RiState {
                 dcf_hash,
                 template,
             } => {
-                self.content.insert(
+                self.tables.content.insert(
                     content_id.clone(),
                     ContentEntry {
                         cek: *cek,
@@ -238,17 +209,18 @@ impl RiState {
                 certificate,
             } => {
                 self.release_session(*session_id);
-                self.registered
+                self.tables
+                    .registered
                     .insert(device_id.clone(), certificate.clone());
             }
             RiEvent::RoIssued { scope, sequence } => {
                 // Replay meets an existing scope on all but its first RO:
                 // advance it in place, allocating a key only for a new one.
-                let next = match self.ro_sequences.get_mut(scope) {
+                let next = match self.tables.ro_sequences.get_mut(scope) {
                     Some(next) => next,
-                    None => self.ro_sequences.entry(scope.clone()).or_insert(0),
+                    None => self.tables.ro_sequences.entry(scope.clone()).or_insert(0),
                 };
-                self.issued_ros += advance_sequence(next, *sequence);
+                self.tables.issued_ros += advance_sequence(next, *sequence);
             }
             RiEvent::DomainCreated {
                 domain_id: id,
@@ -259,7 +231,8 @@ impl RiState {
                 // snapshot that holds it, or a join replayed from a log
                 // whose creation record was torn off. Its members survive.
                 let max = *max_members as usize;
-                self.domains
+                self.tables
+                    .domains
                     .entry(id.clone())
                     .and_modify(|domain| domain.merge_creation(*key, max))
                     .or_insert_with(|| Domain::new(id.clone(), *key, max));
@@ -275,7 +248,8 @@ impl RiState {
                 // rebuilds the domain from the key material the member was
                 // acknowledged with, never a zeroed stub.
                 let max = *max_members as usize;
-                self.domains
+                self.tables
+                    .domains
                     .entry(id.clone())
                     .or_insert_with(|| Domain::restore(id.clone(), *key, *generation, [], max))
                     .admit(device_id);
@@ -284,12 +258,12 @@ impl RiState {
                 domain_id,
                 device_id,
             } => {
-                if let Some(domain) = self.domains.get_mut(domain_id) {
+                if let Some(domain) = self.tables.domains.get_mut(domain_id) {
                     domain.remove_member(device_id);
                 }
             }
-            RiEvent::OcspRefreshed { response } => self.ocsp = response.clone(),
-            RiEvent::SessionTtlSet { seconds } => self.session_ttl = *seconds,
+            RiEvent::OcspRefreshed { response } => self.tables.ocsp = response.clone(),
+            RiEvent::SessionTtlSet { seconds } => self.tables.session_ttl = *seconds,
             RiEvent::SessionsSwept { session_ids, .. } => {
                 for session_id in session_ids {
                     self.release_session(*session_id);
@@ -299,12 +273,13 @@ impl RiState {
     }
 
     /// Inserts pending session `session_id` — the rule of
-    /// [`RiEvent::SessionOpened`], shared with [`RiService::from_image`].
+    /// [`RiEvent::SessionOpened`], shared with [`RiService::from_image`],
+    /// which rebuilds the per-device index through it.
     /// Supersession is decided by session id, not by arrival order: of two
     /// sessions for one device the *older* one is always evicted, even when
     /// it is applied last.
     fn open_session(&mut self, session_id: u64, session: PendingSession) {
-        self.next_session = self.next_session.max(session_id + 1);
+        self.tables.next_session = self.tables.next_session.max(session_id + 1);
         let current = self
             .pending_by_device
             .entry(session.device_id.clone())
@@ -315,16 +290,16 @@ impl RiState {
         }
         let stale = std::mem::replace(current, session_id);
         if stale != session_id {
-            self.sessions.remove(&stale);
+            self.tables.sessions.remove(&stale);
         }
-        self.sessions.insert(session_id, session);
+        self.tables.sessions.insert(session_id, session);
     }
 
     /// Removes pending session `session_id` together with its per-device
     /// index entry (when that still names it) — the rule of registration and
     /// of the TTL sweep. Returns whether the session was pending.
     fn release_session(&mut self, session_id: u64) -> bool {
-        let Some(session) = self.sessions.remove(&session_id) else {
+        let Some(session) = self.tables.sessions.remove(&session_id) else {
             return false;
         };
         if self.pending_by_device.get(&session.device_id) == Some(&session_id) {
@@ -335,7 +310,7 @@ impl RiState {
 
     fn random_key(&mut self) -> [u8; 16] {
         let mut key = [0u8; 16];
-        self.rng.fill_bytes(&mut key);
+        self.tables.rng.fill_bytes(&mut key);
         key
     }
 
@@ -349,12 +324,16 @@ impl RiState {
         scope: String,
         holder: RoHolder<'a>,
     ) -> (RoGrant<'a>, RiEvent) {
-        let sequence = self.ro_sequences.get(&scope).copied().unwrap_or(0);
+        let sequence = self.tables.ro_sequences.get(&scope).copied().unwrap_or(0);
         let kmac = self.random_key();
         let krek = self.random_key();
         let seal = match holder {
-            RoHolder::Device(key) => RoSeal::Device(key, kem::random_secret(key, &mut self.rng)),
-            RoHolder::Domain(domain) => RoSeal::Domain(domain, pss::random_salt(&mut self.rng)),
+            RoHolder::Device(key) => {
+                RoSeal::Device(key, kem::random_secret(key, &mut self.tables.rng))
+            }
+            RoHolder::Domain(domain) => {
+                RoSeal::Domain(domain, pss::random_salt(&mut self.tables.rng))
+            }
         };
         let grant = RoGrant {
             id: RightsObjectId::new(&format!("ro:{ri_id}:{scope}:{sequence}")),
@@ -369,7 +348,7 @@ impl RiState {
     /// [`RiService::session_state`]).
     fn session_state(&self, device_id: &str) -> RiSessionState {
         RiSessionState::derive(
-            self.registered.contains_key(device_id),
+            self.tables.registered.contains_key(device_id),
             self.pending_by_device.contains_key(device_id),
         )
     }
@@ -419,9 +398,9 @@ pub struct RiService {
     /// Fingerprints (SHA-1 of TBS bytes ‖ signature bytes) of device
     /// certificates whose issuer signature has already verified. Only the
     /// time-independent signature check is memoized; issuer, role and
-    /// validity-window checks still run on every request. Purely a cache —
-    /// deliberately absent from [`RiStateImage`], a recovered service
-    /// re-verifies on first sight.
+    /// validity-window checks still run on every request. Purely a cache,
+    /// kept outside [`RiTables`] and so outside every snapshot: a recovered
+    /// service re-verifies on first sight.
     verified_certs: Mutex<HashSet<[u8; DIGEST_SIZE]>>,
 }
 
@@ -430,9 +409,9 @@ impl std::fmt::Debug for RiService {
         let state = self.state();
         f.debug_struct("RiService")
             .field("id", &self.id)
-            .field("registered", &state.registered.len())
-            .field("pending_sessions", &state.sessions.len())
-            .field("issued_ros", &state.issued_ros)
+            .field("registered", &state.tables.registered.len())
+            .field("pending_sessions", &state.tables.sessions.len())
+            .field("issued_ros", &state.tables.issued_ros)
             .field("journaled", &state.journal.is_some())
             .finish_non_exhaustive()
     }
@@ -477,86 +456,43 @@ impl RiService {
             Timestamp::new(0),
         );
         let seed = rng.next_u64();
-        Self::restore(
-            RiStateImage {
-                id: id.to_string(),
-                keys,
-                certificate,
-                ca_root: ca.root_certificate().clone(),
-                ocsp,
-                next_session: 1,
-                issued_ros: 0,
-                session_ttl: 0,
-                sessions: Vec::new(),
-                registered: Vec::new(),
-                content: Vec::new(),
-                domains: Vec::new(),
-                ro_sequences: Vec::new(),
-                rng_state: StdRng::seed_from_u64(seed).state_bytes(),
-            },
-            backend,
-        )
+        let image = RiStateImage {
+            id: id.to_string(),
+            keys,
+            certificate,
+            ca_root: ca.root_certificate().clone(),
+            tables: RiTables::new(ocsp, StdRng::seed_from_u64(seed)),
+        };
+        Self::restore(image, backend)
     }
 
     /// Builds the service an image describes, on `backend` — the one
-    /// constructor behind [`RiService::with_backend`] (an empty image) and
-    /// [`RiService::from_image`].
+    /// constructor behind [`RiService::with_backend`] (empty tables) and
+    /// [`RiService::from_image`]. The tables move in as they are; only the
+    /// per-device session index is rebuilt, by the one supersession rule.
     fn restore(image: RiStateImage, backend: Arc<dyn CryptoBackend>) -> Self {
+        let RiStateImage {
+            id,
+            keys,
+            certificate,
+            ca_root,
+            mut tables,
+        } = image;
+        let sessions = std::mem::take(&mut tables.sessions);
         let mut state = RiState {
-            ocsp: image.ocsp,
-            next_session: image.next_session,
-            issued_ros: image.issued_ros,
-            session_ttl: image.session_ttl,
-            sessions: BTreeMap::new(),
+            tables,
             pending_by_device: BTreeMap::new(),
-            registered: image
-                .registered
-                .into_iter()
-                .map(|device| (device.device_id, device.certificate))
-                .collect(),
-            content: image
-                .content
-                .into_iter()
-                .map(|c| {
-                    let entry = ContentEntry {
-                        cek: c.cek,
-                        dcf_hash: c.dcf_hash,
-                        template: c.template,
-                    };
-                    (c.content_id, entry)
-                })
-                .collect(),
-            domains: image
-                .domains
-                .into_iter()
-                .map(|d| {
-                    let max = d.max_members as usize;
-                    let domain =
-                        Domain::restore(d.domain_id.clone(), d.key, d.generation, d.members, max);
-                    (d.domain_id, domain)
-                })
-                .collect(),
-            ro_sequences: image.ro_sequences.into_iter().collect(),
-            rng: StdRng::from_state_bytes(image.rng_state),
             journal: None,
             clocked_dispatches: 0,
         };
-        // The per-device index is rebuilt by the one supersession rule.
-        for session in image.sessions {
-            state.open_session(
-                session.session_id,
-                PendingSession {
-                    device_id: session.device_id,
-                    ri_nonce: session.ri_nonce,
-                    opened_at: session.opened_at,
-                },
-            );
+        for (session_id, session) in sessions {
+            state.open_session(session_id, session);
         }
         let service = RiService {
-            id: image.id,
-            keys: image.keys,
-            certificate: image.certificate,
-            ca_root: image.ca_root,
+            id,
+            keys,
+            certificate,
+            ca_root,
             engine: CryptoEngine::with_backend(backend, 0),
             state: Mutex::new(state),
             verified_certs: Mutex::default(),
@@ -612,76 +548,26 @@ impl RiService {
     /// Whatever [`RiJournal::snapshot`] reports.
     pub fn snapshot_to(&self, journal: &dyn RiJournal) -> Result<(), DrmError> {
         let state = self.state();
-        let image = self.image_of(&state);
+        let image = self.image(state.tables.clone());
         journal.snapshot(&|| image.clone())
     }
 
-    /// Captures a complete, canonical snapshot of the service's mutable
-    /// state — identity, tables, counters and the RNG checkpoint — as of
-    /// one instant: the image is taken under the state lock.
+    /// Captures a complete snapshot of the service — identity, tables,
+    /// counters and the random stream — as of one instant: the tables are
+    /// copied under the state lock.
     pub fn state_image(&self) -> RiStateImage {
-        self.image_of(&self.state())
+        let tables = self.state().tables.clone();
+        self.image(tables)
     }
 
-    fn image_of(&self, state: &RiState) -> RiStateImage {
+    /// The service's identity together with `tables`.
+    fn image(&self, tables: RiTables) -> RiStateImage {
         RiStateImage {
             id: self.id.clone(),
             keys: self.keys.clone(),
             certificate: self.certificate.clone(),
             ca_root: self.ca_root.clone(),
-            ocsp: state.ocsp.clone(),
-            next_session: state.next_session,
-            issued_ros: state.issued_ros,
-            session_ttl: state.session_ttl,
-            sessions: state
-                .sessions
-                .iter()
-                .map(|(id, s)| SessionImage {
-                    session_id: *id,
-                    device_id: s.device_id.clone(),
-                    ri_nonce: s.ri_nonce.clone(),
-                    opened_at: s.opened_at,
-                })
-                .collect(),
-            registered: state
-                .registered
-                .iter()
-                .map(|(id, certificate)| RegisteredImage {
-                    device_id: id.clone(),
-                    certificate: certificate.clone(),
-                })
-                .collect(),
-            content: state
-                .content
-                .iter()
-                .map(|(id, c)| ContentImage {
-                    content_id: id.clone(),
-                    cek: c.cek,
-                    dcf_hash: c.dcf_hash,
-                    template: c.template.clone(),
-                })
-                .collect(),
-            domains: state
-                .domains
-                .iter()
-                .map(|(id, d)| {
-                    let mut members: Vec<String> = d.members().map(str::to_string).collect();
-                    members.sort_unstable();
-                    DomainImage {
-                        domain_id: id.clone(),
-                        key: *d.key(),
-                        generation: d.generation(),
-                        max_members: d.max_members() as u64,
-                        members,
-                    }
-                })
-                .collect(),
-            ro_sequences: state
-                .ro_sequences
-                .iter()
-                .map(|(scope, next)| (scope.clone(), *next))
-                .collect(),
-            rng_state: state.rng.state_bytes(),
+            tables,
         }
     }
 
@@ -719,13 +605,13 @@ impl RiService {
     pub fn replay(&self, event: &RiEvent, rng_after: [u8; 32]) {
         let mut state = self.state();
         state.apply(event);
-        state.rng = StdRng::from_state_bytes(rng_after);
+        state.tables.rng = StdRng::from_state_bytes(rng_after);
     }
 
     /// The TTL applied to pending registration sessions by the sweep, in
     /// seconds (0 = sweeping disabled).
     pub fn session_ttl(&self) -> u64 {
-        self.state().session_ttl
+        self.state().tables.session_ttl
     }
 
     /// Sets the pending-session TTL. Sessions whose `DeviceHello` arrived
@@ -747,11 +633,12 @@ impl RiService {
     /// removed.
     pub fn sweep_sessions(&self, now: Timestamp) -> usize {
         let mut state = self.state();
-        let ttl = state.session_ttl;
+        let ttl = state.tables.session_ttl;
         if ttl == 0 {
             return 0;
         }
         let expired: Vec<u64> = state
+            .tables
             .sessions
             .iter()
             .filter(|(_, session)| session_expired(ttl, session.opened_at, now))
@@ -791,7 +678,7 @@ impl RiService {
 
     /// The current OCSP response presented during registration.
     pub fn ocsp_response(&self) -> OcspResponse {
-        self.state().ocsp.clone()
+        self.state().tables.ocsp.clone()
     }
 
     /// Re-fetches the cached OCSP response for this service's certificate (a
@@ -830,12 +717,12 @@ impl RiService {
 
     /// Whether the service offers rights for `content_id`.
     pub fn has_content(&self, content_id: &str) -> bool {
-        self.state().content.contains_key(content_id)
+        self.state().tables.content.contains_key(content_id)
     }
 
     /// Whether `device_id` holds a trusted relationship with this service.
     pub fn is_registered(&self, device_id: &str) -> bool {
-        self.state().registered.contains_key(device_id)
+        self.state().tables.registered.contains_key(device_id)
     }
 
     /// The typed session-machine state of `device_id`, derived from the
@@ -849,18 +736,18 @@ impl RiService {
 
     /// Number of registered devices.
     pub fn registered_count(&self) -> usize {
-        self.state().registered.len()
+        self.state().tables.registered.len()
     }
 
     /// Total number of Rights Objects issued by this service.
     pub fn issued_ro_count(&self) -> u64 {
-        self.state().issued_ros
+        self.state().tables.issued_ros
     }
 
     /// Number of ROAP registration sessions currently pending (opened by a
     /// `DeviceHello`, not yet consumed by a successful registration).
     pub fn pending_session_count(&self) -> usize {
-        self.state().sessions.len()
+        self.state().tables.sessions.len()
     }
 
     // ----- ROAP: registration -------------------------------------------------
@@ -889,8 +776,8 @@ impl RiService {
         let mut ri_nonce = vec![0u8; NONCE_LEN];
         let session_id = {
             let mut state = self.state();
-            let session_id = state.next_session;
-            state.rng.fill_bytes(&mut ri_nonce);
+            let session_id = state.tables.next_session;
+            state.tables.rng.fill_bytes(&mut ri_nonce);
             state.commit(RiEvent::SessionOpened {
                 session_id,
                 device_id: hello.device_id.clone(),
@@ -979,7 +866,7 @@ impl RiService {
         // [`RiSessionState::Reregistering`]). The pending-session entry is
         // the witness of that state — a miss is the machine's
         // `UnknownSession` rejection.
-        match self.state().sessions.get(&request.session_id) {
+        match self.state().tables.sessions.get(&request.session_id) {
             None => return Err(RoapError::UnknownSession),
             Some(session) if session.device_id != request.device_id => {
                 return Err(RoapError::Malformed)
@@ -1015,16 +902,16 @@ impl RiService {
         // so a session still pending is the one checked above.)
         let (ocsp, salt) = {
             let mut state = self.state();
-            if !state.sessions.contains_key(&request.session_id) {
+            if !state.tables.sessions.contains_key(&request.session_id) {
                 return Err(RoapError::UnknownSession);
             }
-            let salt = pss::random_salt(&mut state.rng);
+            let salt = pss::random_salt(&mut state.tables.rng);
             state.commit(RiEvent::DeviceRegistered {
                 session_id: request.session_id,
                 device_id: request.device_id.clone(),
                 certificate: request.certificate.clone(),
             });
-            (state.ocsp.clone(), salt)
+            (state.tables.ocsp.clone(), salt)
         };
         let signed = RegistrationResponse::signed_bytes(
             request.session_id,
@@ -1056,6 +943,7 @@ impl RiService {
     /// rejection.
     fn registered_certificate(&self, device_id: &str) -> Result<Certificate, RoapError> {
         self.state()
+            .tables
             .registered
             .get(device_id)
             .cloned()
@@ -1099,6 +987,7 @@ impl RiService {
         let (entry, grant, salt) = {
             let mut state = self.state();
             let entry = state
+                .tables
                 .content
                 .get(&request.content_id)
                 .cloned()
@@ -1110,6 +999,7 @@ impl RiService {
                 None => RoHolder::Device(certificate.public_key()),
                 Some(domain_id) => RoHolder::Domain(
                     state
+                        .tables
                         .domains
                         .get(domain_id)
                         .filter(|domain| domain.is_member(&request.device_id))
@@ -1119,7 +1009,7 @@ impl RiService {
             };
             let scope = format!("dev:{}", request.device_id);
             let (grant, event) = state.grant_ro(&self.id, scope, holder);
-            let salt = pss::random_salt(&mut state.rng);
+            let salt = pss::random_salt(&mut state.tables.rng);
             state.commit(event);
             (entry, grant, salt)
         };
@@ -1155,11 +1045,13 @@ impl RiService {
         let (entry, grant) = {
             let mut state = self.state();
             let entry = state
+                .tables
                 .content
                 .get(content_id)
                 .cloned()
                 .ok_or(RoapError::UnknownRightsObject)?;
             let domain = state
+                .tables
                 .domains
                 .get(domain_id)
                 .map(DomainKey::of)
@@ -1245,7 +1137,7 @@ impl RiService {
     pub fn create_domain(&self, domain_id: &str, max_members: usize) -> DomainId {
         let id = DomainId::new(domain_id);
         let mut state = self.state();
-        if !state.domains.contains_key(&id) {
+        if !state.tables.domains.contains_key(&id) {
             let key = state.random_key();
             state.commit(RiEvent::DomainCreated {
                 domain_id: id.clone(),
@@ -1258,12 +1150,13 @@ impl RiService {
 
     /// Whether a domain exists.
     pub fn has_domain(&self, domain_id: &DomainId) -> bool {
-        self.state().domains.contains_key(domain_id)
+        self.state().tables.domains.contains_key(domain_id)
     }
 
     /// Number of members currently registered in `domain_id`.
     pub fn domain_member_count(&self, domain_id: &DomainId) -> Option<usize> {
         self.state()
+            .tables
             .domains
             .get(domain_id)
             .map(Domain::member_count)
@@ -1306,7 +1199,10 @@ impl RiService {
         }
         let (key, generation, max_members) = {
             let state = self.state();
-            let domain = admission(state.domains.get(&request.domain_id), &request.device_id)?;
+            let domain = admission(
+                state.tables.domains.get(&request.domain_id),
+                &request.device_id,
+            )?;
             (*domain.key(), domain.generation(), domain.max_members())
         };
         let encrypted_domain_key = self
@@ -1315,8 +1211,11 @@ impl RiService {
             .expect("16-byte key is always below the modulus");
         let salt = {
             let mut state = self.state();
-            admission(state.domains.get(&request.domain_id), &request.device_id)?;
-            let salt = pss::random_salt(&mut state.rng);
+            admission(
+                state.tables.domains.get(&request.domain_id),
+                &request.device_id,
+            )?;
+            let salt = pss::random_salt(&mut state.tables.rng);
             state.commit(RiEvent::DomainJoined {
                 domain_id: request.domain_id.clone(),
                 device_id: request.device_id.clone(),
@@ -1373,6 +1272,7 @@ impl RiService {
             .step(PduKind::LeaveDomainRequest)
             .map_err(DrmError::Roap)?;
         let domain = state
+            .tables
             .domains
             .get(domain_id)
             .ok_or(DrmError::Roap(RoapError::UnknownDomain))?;

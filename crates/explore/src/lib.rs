@@ -18,9 +18,9 @@
 //!   yield a `RegistrationResponse` at most once; the second delivery is
 //!   answered `UnknownSession`.
 //!
-//! States are hashed (service image digest + device model states + network
-//! buffer) and revisits pruned, so the explorer covers the reachable state
-//! space instead of the trace tree. When an invariant fails, the full
+//! States are hashed (the service's encoded tables + device model states +
+//! network buffer) and revisits pruned, so the explorer covers the
+//! reachable state space instead of the trace tree. When an invariant fails, the full
 //! action trace from the initial state is reported as a counterexample.
 //!
 //! The sibling [`fuzz`] module attacks the same machines from the other
@@ -43,6 +43,7 @@ use oma_drm::roap::{DeviceHello, RegistrationRequest, RoRequest, NONCE_LEN};
 use oma_drm::session::{PduKind, RiSessionState};
 use oma_drm::wire::{RoapPdu, RoapStatus};
 use oma_drm::{ContentIssuer, Permission, RiService, RightsTemplate, RoapError};
+use oma_pki::codec::Encode;
 use oma_pki::{Certificate, CertificationAuthority, EntityRole, Timestamp, ValidityPeriod};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -353,25 +354,7 @@ pub fn explore(config: &ExploreConfig) -> ExploreReport {
         script.push(Step::Acquire(k));
     }
 
-    let mut explorer = Explorer {
-        service,
-        devices,
-        config: config.clone(),
-        visited: HashSet::new(),
-        script,
-        trace: Vec::new(),
-        report: ExploreReport {
-            states_explored: 0,
-            distinct_states: 0,
-            pruned: 0,
-            completed_traces: 0,
-            max_depth_reached: 0,
-            truncated: false,
-            violations: Vec::new(),
-            elapsed: Duration::ZERO,
-        },
-        started: Instant::now(),
-    };
+    let mut explorer = Explorer::new(service, devices, config, script);
 
     let root = Node {
         devices: vec![
@@ -394,6 +377,33 @@ pub fn explore(config: &ExploreConfig) -> ExploreReport {
 }
 
 impl Explorer {
+    fn new(
+        service: RiService,
+        devices: Vec<Device>,
+        config: &ExploreConfig,
+        script: Vec<Step>,
+    ) -> Explorer {
+        Explorer {
+            service,
+            devices,
+            config: config.clone(),
+            visited: HashSet::new(),
+            script,
+            trace: Vec::new(),
+            report: ExploreReport {
+                states_explored: 0,
+                distinct_states: 0,
+                pruned: 0,
+                completed_traces: 0,
+                max_depth_reached: 0,
+                truncated: false,
+                violations: Vec::new(),
+                elapsed: Duration::ZERO,
+            },
+            started: Instant::now(),
+        }
+    }
+
     fn budget_left(&self) -> bool {
         self.report.states_explored < self.config.max_states
             && self.started.elapsed() < self.config.time_budget
@@ -749,25 +759,16 @@ impl Explorer {
         });
     }
 
-    /// Digest of one node: service image + device states + network buffer.
+    /// Digest of one node: the service's encoded tables (its identity is
+    /// constant within an exploration), device states and network buffer.
+    /// Hashing the whole encoding keeps every table field — and the length
+    /// prefix of every string — in the digest, so two states that differ
+    /// anywhere in the service are never pruned as one.
     fn digest(&self, node: &Node) -> [u8; DIGEST_SIZE] {
-        let image = self.service.state_image();
+        let mut tables = Vec::new();
+        self.service.state_image().tables.encode(&mut tables);
         let mut hasher = Sha1::new();
-        hasher.update(&image.rng_state);
-        hasher.update(&image.next_session.to_be_bytes());
-        hasher.update(&image.issued_ros.to_be_bytes());
-        for session in &image.sessions {
-            hasher.update(&session.session_id.to_be_bytes());
-            hasher.update(session.device_id.as_bytes());
-            hasher.update(&session.ri_nonce);
-        }
-        for device in &image.registered {
-            hasher.update(device.device_id.as_bytes());
-        }
-        for (scope, seq) in &image.ro_sequences {
-            hasher.update(scope.as_bytes());
-            hasher.update(&seq.to_be_bytes());
-        }
+        hasher.update(&tables);
         for dev in &node.devices {
             hasher.update(&[
                 dev.script_pos as u8,
@@ -793,6 +794,7 @@ impl Explorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oma_drm::{Domain, DomainId};
 
     #[test]
     fn faults_display_names_every_class() {
@@ -816,6 +818,38 @@ mod tests {
         assert!(report.completed_traces >= 1);
         assert!(!report.truncated);
         assert!(report.states_explored >= 6);
+    }
+
+    #[test]
+    fn digest_separates_services_that_differ_in_one_domain_member() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut ca = CertificationAuthority::new("cmla", BITS, &mut rng);
+        let base = RiService::new("ri.explore", BITS, &mut ca, &mut rng).state_image();
+        let config = ExploreConfig {
+            sessions: 0,
+            seed: 3,
+            faults: Faults::none(),
+            acquisitions: 0,
+            max_depth: 1,
+            max_states: 1,
+            time_budget: Duration::from_secs(1),
+        };
+        let root = Node {
+            devices: Vec::new(),
+            network: Vec::new(),
+            next_seq: 0,
+            ro_ids: Vec::new(),
+        };
+        let digest_with_member = |member: &str| {
+            let mut image = base.clone();
+            let family = DomainId::new("family");
+            let domain = Domain::restore(family.clone(), [7; 16], 0, [member.to_string()], 4);
+            image.tables.domains.insert(family, domain);
+            let service = RiService::from_image(image);
+            Explorer::new(service, Vec::new(), &config, Vec::new()).digest(&root)
+        };
+        assert_eq!(digest_with_member("dev-00"), digest_with_member("dev-00"));
+        assert_ne!(digest_with_member("dev-00"), digest_with_member("dev-01"));
     }
 
     #[test]

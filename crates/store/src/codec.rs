@@ -18,14 +18,15 @@
 //! snapshot := "OMSS" | u8 version | u64 last_sequence
 //!             | u32 payload_len | u32 crc32(payload) | payload = image
 //! ```
+//!
+//! The image body is `RiStateImage`'s own [`Encode`]/[`Decode`] pair,
+//! written next to the type in `oma_drm::journal`; this module only frames
+//! it.
 
 use crate::StoreError;
-use oma_crypto::rsa::{RsaKeyPair, RsaPrivateKey};
 use oma_crypto::sha1::DIGEST_SIZE;
 use oma_drm::domain::DomainId;
-use oma_drm::journal::{
-    ContentImage, DomainImage, RegisteredImage, RiEvent, RiStateImage, SessionImage,
-};
+use oma_drm::journal::{RiEvent, RiStateImage};
 use oma_drm::rel::RightsTemplate;
 use oma_pki::codec::{put_bytes, put_str, Decode, DecodeError, Encode, Reader};
 
@@ -337,129 +338,11 @@ pub fn decode_record_prefix(stream: &[u8]) -> Result<(Record, usize), StoreError
 
 // ----- snapshots -------------------------------------------------------------
 
-/// Encodes a full state image (the payload of a snapshot blob).
-pub fn encode_image(image: &RiStateImage) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024);
-    put_str(&mut out, &image.id);
-    let private = image.keys.private();
-    let (p, q) = private.primes();
-    image.keys.public().encode(&mut out);
-    private.d().encode(&mut out);
-    p.encode(&mut out);
-    q.encode(&mut out);
-    image.certificate.encode(&mut out);
-    image.ca_root.encode(&mut out);
-    image.ocsp.encode(&mut out);
-    put_u64(&mut out, image.next_session);
-    put_u64(&mut out, image.issued_ros);
-    put_u64(&mut out, image.session_ttl);
-    put_u32(&mut out, image.sessions.len() as u32);
-    for session in &image.sessions {
-        put_u64(&mut out, session.session_id);
-        put_str(&mut out, &session.device_id);
-        put_bytes(&mut out, &session.ri_nonce);
-        session.opened_at.encode(&mut out);
-    }
-    put_u32(&mut out, image.registered.len() as u32);
-    for device in &image.registered {
-        put_str(&mut out, &device.device_id);
-        device.certificate.encode(&mut out);
-    }
-    put_u32(&mut out, image.content.len() as u32);
-    for content in &image.content {
-        put_str(&mut out, &content.content_id);
-        out.extend_from_slice(&content.cek);
-        out.extend_from_slice(&content.dcf_hash);
-        content.template.rights().encode(&mut out);
-    }
-    put_u32(&mut out, image.domains.len() as u32);
-    for domain in &image.domains {
-        put_str(&mut out, domain.domain_id.as_str());
-        out.extend_from_slice(&domain.key);
-        put_u32(&mut out, domain.generation);
-        put_u64(&mut out, domain.max_members);
-        put_u32(&mut out, domain.members.len() as u32);
-        for member in &domain.members {
-            put_str(&mut out, member);
-        }
-    }
-    put_u32(&mut out, image.ro_sequences.len() as u32);
-    for (scope, next) in &image.ro_sequences {
-        put_str(&mut out, scope);
-        put_u64(&mut out, *next);
-    }
-    out.extend_from_slice(&image.rng_state);
-    out
-}
-
-/// Decodes a state image (the inverse of [`encode_image`]).
-///
-/// # Errors
-///
-/// [`StoreError::Corrupt`] for any malformed input, including RSA key
-/// components that do not form a consistent key.
-pub fn decode_image(bytes: &[u8]) -> Result<RiStateImage, StoreError> {
-    let mut r = Reader::new(bytes);
-    let id = r.str()?;
-    let public = Decode::decode(&mut r)?;
-    let private = RsaPrivateKey::from_components(
-        public,
-        Decode::decode(&mut r)?,
-        Decode::decode(&mut r)?,
-        Decode::decode(&mut r)?,
-    )
-    .map_err(|_| corrupt("inconsistent RSA key components"))?;
-    let image = RiStateImage {
-        id,
-        keys: RsaKeyPair::from_private(private),
-        certificate: Decode::decode(&mut r)?,
-        ca_root: Decode::decode(&mut r)?,
-        ocsp: Decode::decode(&mut r)?,
-        next_session: r.u64()?,
-        issued_ros: r.u64()?,
-        session_ttl: r.u64()?,
-        sessions: r.list(8 + 4 + 4 + 8, |r| {
-            Ok(SessionImage {
-                session_id: r.u64()?,
-                device_id: r.str()?,
-                ri_nonce: r.bytes()?,
-                opened_at: Decode::decode(r)?,
-            })
-        })?,
-        registered: r.list(4, |r| {
-            Ok(RegisteredImage {
-                device_id: r.str()?,
-                certificate: Decode::decode(r)?,
-            })
-        })?,
-        content: r.list(4 + 16 + DIGEST_SIZE + 4, |r| {
-            Ok(ContentImage {
-                content_id: r.str()?,
-                cek: r.array()?,
-                dcf_hash: r.array()?,
-                template: RightsTemplate::from_rights(Decode::decode(r)?),
-            })
-        })?,
-        domains: r.list(4 + 16 + 4 + 8 + 4, |r| {
-            Ok(DomainImage {
-                domain_id: DomainId::new(&r.str()?),
-                key: r.array()?,
-                generation: r.u32()?,
-                max_members: r.u64()?,
-                members: r.list(4, Reader::str)?,
-            })
-        })?,
-        ro_sequences: r.list(4 + 8, |r| Ok((r.str()?, r.u64()?)))?,
-        rng_state: r.array()?,
-    };
-    r.finish()?;
-    Ok(image)
-}
-
 /// Encodes a snapshot blob: header, coverage watermark and CRC-protected
 /// image payload.
 pub fn encode_snapshot(image: &RiStateImage, last_sequence: u64) -> Vec<u8> {
-    let payload = encode_image(image);
+    let mut payload = Vec::with_capacity(1024);
+    image.encode(&mut payload);
     let mut out = Vec::with_capacity(17 + payload.len());
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.push(SNAPSHOT_VERSION);
@@ -496,7 +379,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(RiStateImage, u64), StoreError> 
     if crc32(payload) != expected_crc {
         return Err(corrupt("snapshot crc mismatch"));
     }
-    Ok((decode_image(payload)?, last_sequence))
+    let mut r = Reader::new(payload);
+    let image = RiStateImage::decode(&mut r)?;
+    r.finish()?;
+    Ok((image, last_sequence))
 }
 
 #[cfg(test)]

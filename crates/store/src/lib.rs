@@ -753,7 +753,14 @@ mod tests {
         let replayed = recovered.hello_at(&DeviceHello::new("dev-2"), Timestamp::new(0));
         assert_eq!(
             replayed.ri_nonce,
-            clean.state_image().sessions.last().unwrap().ri_nonce,
+            clean
+                .state_image()
+                .tables
+                .sessions
+                .values()
+                .last()
+                .unwrap()
+                .ri_nonce,
             "post-recovery draws must match the uninterrupted stream"
         );
     }
@@ -822,8 +829,9 @@ mod tests {
         assert!(
             recovered
                 .state_image()
+                .tables
                 .sessions
-                .iter()
+                .values()
                 .any(|s| s.device_id == "post-reopen"),
             "acknowledged post-reopen state must survive the second crash"
         );

@@ -223,7 +223,7 @@ fn a_registration_on_a_guessed_session_reaches_the_log_after_its_hello() {
     // been answered.
     let guessed = RiHello {
         ri_id: service.id().to_string(),
-        session_id: start.next_session,
+        session_id: start.tables.next_session,
         ri_nonce: vec![0; NONCE_LEN],
         selected_algorithms: Vec::new(),
         trusted_authorities: Vec::new(),
@@ -334,9 +334,10 @@ fn one_device_from_many_threads_recovers_exactly() {
     assert_eq!(service.issued_ro_count(), N as u64);
 
     let image = service.state_image();
-    assert_eq!(image.sessions.len(), 1, "one pending session per device");
+    let sessions: Vec<u64> = image.tables.sessions.keys().copied().collect();
+    assert_eq!(sessions.len(), 1, "one pending session per device");
     assert_eq!(
-        Some(image.sessions[0].session_id),
+        sessions.first().copied(),
         hellos.iter().copied().max(),
         "the newest hello holds the slot"
     );

@@ -17,15 +17,15 @@
 use oma_drm2::bignum::BigUint;
 use oma_drm2::crypto::pss::PssSignature;
 use oma_drm2::crypto::rsa::{RsaKeyPair, RsaPrivateKey, RsaPublicKey};
-use oma_drm2::drm::journal::{
-    ContentImage, DomainImage, RegisteredImage, RiEvent, RiStateImage, SessionImage,
-};
-use oma_drm2::drm::{Constraint, DomainId, Permission, Rights, RightsTemplate};
+use oma_drm2::drm::journal::{ContentEntry, PendingSession, RiEvent, RiStateImage, RiTables};
+use oma_drm2::drm::{Constraint, Domain, DomainId, Permission, Rights, RightsTemplate};
 use oma_drm2::pki::ocsp::{CertificateStatus, OcspResponse, TbsOcspResponse};
 use oma_drm2::pki::{Certificate, EntityRole, TbsCertificate, Timestamp, ValidityPeriod};
 use oma_drm2::store::codec::{
     decode_record_prefix, decode_snapshot, encode_record, encode_snapshot, Record,
 };
+use rand::rngs::StdRng;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 fn signature(byte: u8, len: usize) -> PssSignature {
@@ -174,40 +174,42 @@ fn golden_records() -> Vec<(&'static str, Record)> {
 
 /// A literal state image exercising every section of the snapshot encoding.
 fn golden_image() -> RiStateImage {
+    let family = DomainId::new("family");
+    let members = ["phone-001".to_string(), "phone-002".to_string()];
     RiStateImage {
         id: "ri.example.com".into(),
         keys: literal_keys(),
         certificate: certificate("ri.example.com", 1),
         ca_root: certificate("cmla", 0),
-        ocsp: ocsp(),
-        next_session: 43,
-        issued_ros: 5,
-        session_ttl: 3_600,
-        sessions: vec![SessionImage {
-            session_id: 42,
-            device_id: "phone-002".into(),
-            ri_nonce: vec![0x88; 14],
-            opened_at: Timestamp::new(950),
-        }],
-        registered: vec![RegisteredImage {
-            device_id: "phone-001".into(),
-            certificate: certificate("phone-001", 9),
-        }],
-        content: vec![ContentImage {
-            content_id: "cid:track-1".into(),
-            cek: [0x11; 16],
-            dcf_hash: [0x5A; 20],
-            template: RightsTemplate::counted(Permission::Play, 5),
-        }],
-        domains: vec![DomainImage {
-            domain_id: DomainId::new("family"),
-            key: [0x22; 16],
-            generation: 2,
-            max_members: 4,
-            members: vec!["phone-001".into(), "phone-002".into()],
-        }],
-        ro_sequences: vec![("dev:phone-001".into(), 4), ("dom:family".into(), 1)],
-        rng_state: [0x5C; 32],
+        tables: RiTables {
+            ocsp: ocsp(),
+            next_session: 43,
+            issued_ros: 5,
+            session_ttl: 3_600,
+            sessions: BTreeMap::from([(
+                42,
+                PendingSession {
+                    device_id: "phone-002".into(),
+                    ri_nonce: vec![0x88; 14],
+                    opened_at: Timestamp::new(950),
+                },
+            )]),
+            registered: BTreeMap::from([("phone-001".into(), certificate("phone-001", 9))]),
+            content: BTreeMap::from([(
+                "cid:track-1".into(),
+                ContentEntry {
+                    cek: [0x11; 16],
+                    dcf_hash: [0x5A; 20],
+                    template: RightsTemplate::counted(Permission::Play, 5),
+                },
+            )]),
+            domains: BTreeMap::from([(
+                family.clone(),
+                Domain::restore(family, [0x22; 16], 2, members, 4),
+            )]),
+            ro_sequences: BTreeMap::from([("dev:phone-001".into(), 4), ("dom:family".into(), 1)]),
+            rng: StdRng::from_state_bytes([0x5C; 32]),
+        },
     }
 }
 

@@ -17,13 +17,15 @@
 //!
 //! A third property holds below the CRC: **canonicality** — a damaged
 //! record or snapshot whose checksum is recomputed either fails to decode
-//! or re-encodes to exactly its own bytes.
+//! or re-encodes to exactly its own bytes; a snapshot whose table keys are
+//! out of order or repeated fails to decode.
 //!
 //! Run under `--release` in CI (the corpus loops over every byte position).
 
-use oma_drm2::drm::journal::RiJournal;
+use oma_drm2::drm::journal::{PendingSession, RiJournal};
 use oma_drm2::drm::roap::DeviceHello;
-use oma_drm2::drm::{RiService, RightsTemplate};
+use oma_drm2::drm::{Domain, DomainId, RiService, RightsTemplate};
+use oma_drm2::pki::codec::{put_str, Encode};
 use oma_drm2::pki::{CertificationAuthority, Timestamp};
 use oma_drm2::store::codec::{
     crc32, decode_record_prefix, decode_snapshot, encode_record, encode_snapshot, RECORD_HEADER_LEN,
@@ -35,6 +37,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::sync::OnceLock;
+
+/// Bytes of a snapshot blob before its payload: "OMSS", version,
+/// watermark, payload length, CRC.
+const SNAPSHOT_HEADER_LEN: usize = 4 + 1 + 8 + 4 + 4;
 
 /// The pristine store bytes: snapshot blob + one segment of `EVENTS`
 /// records, produced once by a real journaled service.
@@ -174,8 +180,6 @@ fn missing_segment_header_drops_the_whole_segment() {
 /// the damage), either fails to decode or re-encodes to exactly its bytes.
 #[test]
 fn decodable_mutations_reencode_byte_for_byte() {
-    // "OMSS", version, watermark, payload length, CRC.
-    const SNAPSHOT_HEADER_LEN: usize = 4 + 1 + 8 + 4 + 4;
     let fx = fixture();
     let mutations = |bytes: &[u8], from: usize| {
         let mut out = Vec::new();
@@ -206,6 +210,112 @@ fn decodable_mutations_reencode_byte_for_byte() {
         if let Ok((image, last_sequence)) = decode_snapshot(&bent) {
             assert_eq!(encode_snapshot(&image, last_sequence), bent);
         }
+    }
+}
+
+/// The golden snapshot re-encodes to exactly its own bytes.
+#[test]
+fn golden_snapshot_reencodes_byte_for_byte() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/store_snapshot.bin"
+    );
+    let golden = std::fs::read(path).unwrap();
+    let (image, last_sequence) = decode_snapshot(&golden).unwrap();
+    assert_eq!(encode_snapshot(&image, last_sequence), golden);
+}
+
+/// Every table decodes into an ordered map, so a snapshot must list its
+/// keys strictly ascending. One whose CRC is valid but whose keys are out of
+/// order or repeated is refused: decoding it would collapse the repeats and
+/// recover a service that no longer equals the image it decoded. So is one
+/// with pending sessions restore would have to evict or renumber, or with a
+/// random stream state no generator can be in.
+#[test]
+fn out_of_order_or_repeated_snapshot_keys_are_corrupt() {
+    let fx = fixture();
+    let (mut image, _) = decode_snapshot(&fx.snapshot).unwrap();
+    let certificate = image.certificate.clone();
+    let tables = &mut image.tables;
+    for device in ["dev-a", "dev-b"] {
+        tables.registered.insert(device.into(), certificate.clone());
+    }
+    tables.next_session = 3;
+    for (session_id, device) in [(1, "dev-c"), (2, "dev-d")] {
+        let session = PendingSession {
+            device_id: device.into(),
+            ri_nonce: vec![0x5E; 14],
+            opened_at: Timestamp::new(0),
+        };
+        tables.sessions.insert(session_id, session);
+    }
+    let family = DomainId::new("family");
+    let members = ["member-a".to_string(), "member-b".to_string()];
+    let domain = Domain::restore(family.clone(), [0x22; 16], 0, members, 4);
+    tables.domains.insert(family, domain);
+
+    let entry = |head: &[u8], text: &str, tail: &[u8]| {
+        let mut out = head.to_vec();
+        put_str(&mut out, text);
+        out.extend_from_slice(tail);
+        out
+    };
+    let mut cert = Vec::new();
+    certificate.encode(&mut cert);
+    let registered_a = entry(&[], "dev-a", &cert);
+    let registered_b = entry(&[], "dev-b", &cert);
+    let cases = [
+        (
+            "registered devices in descending order",
+            [registered_a.clone(), registered_b.clone()].concat(),
+            [registered_b, registered_a].concat(),
+        ),
+        (
+            "a duplicate session id",
+            entry(&2u64.to_be_bytes(), "dev-d", &[]),
+            entry(&1u64.to_be_bytes(), "dev-d", &[]),
+        ),
+        (
+            "two pending sessions for one device",
+            entry(&2u64.to_be_bytes(), "dev-d", &[]),
+            entry(&2u64.to_be_bytes(), "dev-c", &[]),
+        ),
+        (
+            "a pending session id not yet issued",
+            entry(&2u64.to_be_bytes(), "dev-d", &[]),
+            entry(&7u64.to_be_bytes(), "dev-d", &[]),
+        ),
+        (
+            "duplicate domain members",
+            entry(&[], "member-b", &[]),
+            entry(&[], "member-a", &[]),
+        ),
+        (
+            "an all-zero random stream state",
+            image.tables.rng.state_bytes().to_vec(),
+            vec![0; 32],
+        ),
+    ];
+    let honest = encode_snapshot(&image, 0);
+    assert_eq!(decode_snapshot(&honest).unwrap().0, image);
+    for (case, from, to) in cases {
+        let mut bent = honest.clone();
+        let at = SNAPSHOT_HEADER_LEN
+            + bent[SNAPSHOT_HEADER_LEN..]
+                .windows(from.len())
+                .position(|window| window == from)
+                .unwrap_or_else(|| panic!("{case}: entry not found"));
+        bent[at..at + from.len()].copy_from_slice(&to);
+        let crc = crc32(&bent[SNAPSHOT_HEADER_LEN..]);
+        bent[SNAPSHOT_HEADER_LEN - 4..SNAPSHOT_HEADER_LEN].copy_from_slice(&crc.to_be_bytes());
+        assert!(
+            matches!(decode_snapshot(&bent), Err(StoreError::Corrupt(_))),
+            "{case} was accepted"
+        );
+        assert!(
+            try_store_over(&bent, &fx.segment).is_err(),
+            "{case}: a store opened over it"
+        );
     }
 }
 
