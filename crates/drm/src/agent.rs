@@ -790,9 +790,8 @@ impl DrmAgent {
         Ok(())
     }
 
-    /// Leaves a domain: forgets the domain key locally and notifies the
-    /// Rights Issuer over a [`RoapClient`]. The local domain key is removed
-    /// even when the Rights Issuer reports a failure.
+    /// Leaves a domain: notifies the Rights Issuer over a [`RoapClient`]
+    /// and, once it has accepted, forgets the domain key locally.
     ///
     /// # Errors
     ///
@@ -800,14 +799,15 @@ impl DrmAgent {
     /// [`DrmError::Roap`]/[`RoapError::UnknownDomain`] for an unknown domain
     /// or [`DrmError::NotInDomain`] when the device was not a member — and
     /// [`DrmError::Transport`] when the transport fails. The local domain
-    /// key is removed in every case.
+    /// key is kept in every such case: the device has not left.
     pub fn leave_domain<T: RoapTransport>(
         &mut self,
         client: &RoapClient<T>,
         domain_id: &DomainId,
     ) -> Result<(), DrmError> {
+        client.leave_domain(&self.device_id, domain_id)?;
         self.storage.remove_domain_key(domain_id);
-        client.leave_domain(&self.device_id, domain_id)
+        Ok(())
     }
 }
 
@@ -1087,6 +1087,34 @@ mod tests {
             w.agent.leave_domain(&client, &domain),
             Err(DrmError::NotInDomain)
         );
+    }
+
+    #[test]
+    fn a_refused_leave_keeps_the_domain_key() {
+        let mut w = world(RightsTemplate::unlimited(Permission::Play));
+        let client = RoapClient::in_proc(&w.ri);
+        let now = Timestamp::new(1_000);
+        w.agent.register(&client, now).unwrap();
+        let domain = w.ri.create_domain("family", 4);
+        w.agent
+            .join_domain(&client, "ri.example.com", &domain, now)
+            .unwrap();
+        // The Rights Issuer dropped the membership on its own side, so it
+        // refuses the device's leave.
+        w.ri.process_leave_domain("phone-001", &domain).unwrap();
+        assert_eq!(
+            w.agent.leave_domain(&client, &domain),
+            Err(DrmError::NotInDomain)
+        );
+        assert_eq!(w.agent.joined_domains(), vec![domain.clone()]);
+        // A domain the Rights Issuer never heard of is refused the same way.
+        let ghost = DomainId::new("ghost");
+        w.agent.storage.store_domain_key(ghost.clone(), 0, [7; 16]);
+        assert!(matches!(
+            w.agent.leave_domain(&client, &ghost),
+            Err(DrmError::Roap(RoapError::UnknownDomain))
+        ));
+        assert!(w.agent.joined_domains().contains(&ghost));
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //!   [`Encode`]/[`Decode`] pair, the snapshot payload.
 //! * [`RiJournal`] — what the service needs from a store: record an event,
 //!   flush buffered records, persist a snapshot. Implemented by
-//!   `oma_store::RiStore`.
+//!   `oma_store::RiStore`. A record is synced before the handler returns,
+//!   except inside a [`deferred`] scope, whose owner runs one
+//!   [`RiJournal::flush`] for everything the scope recorded before it
+//!   releases any response (group commit).
 //! * [`StateSource`] — what recovery needs from a store: a service built
 //!   from the latest snapshot with every surviving record replayed onto it.
 //!   [`RiService::recover`] asks for it.
@@ -52,6 +55,7 @@ use oma_pki::codec::{put_bytes, put_str, Decode, DecodeError, Encode, Reader};
 use oma_pki::ocsp::OcspResponse;
 use oma_pki::{Certificate, Timestamp};
 use rand::rngs::StdRng;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -588,9 +592,14 @@ pub trait RiJournal: Send + Sync {
     /// its response needs was drawn, so records arrive one at a time in
     /// apply order. `rng_checkpoint` yields the service's random-stream
     /// state, which cannot move during the call.
+    ///
+    /// A durable implementation syncs the record before returning, unless
+    /// the calling thread runs inside a [`deferred`] scope: then the sync
+    /// is left to the scope's barrier.
     fn record(&self, event: &RiEvent, rng_checkpoint: &dyn Fn() -> [u8; 32]);
 
-    /// Forces every buffered record onto durable media.
+    /// The durability barrier: forces every record appended so far onto
+    /// durable media. A journal with nothing unsynced returns at once.
     ///
     /// # Errors
     ///
@@ -645,6 +654,39 @@ impl<J: RiJournal + ?Sized> RiJournal for Arc<J> {
     fn health(&self) -> Result<(), DrmError> {
         (**self).health()
     }
+}
+
+thread_local! {
+    /// Whether the calling thread runs inside a [`deferred`] scope.
+    static DEFERRED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with durability deferred to a barrier the caller owes: a
+/// journal that honours the scope ([`sync_deferred`]) appends the records
+/// made on this thread while `f` runs without syncing each one, and the
+/// caller must run one [`RiJournal::flush`] before it releases any response
+/// `f` produced. This is group commit: the event loop dispatches a whole
+/// readiness batch inside one scope, then syncs once, then writes the
+/// batch's responses. Every caller outside a scope keeps one sync per
+/// record. Scopes nest; the outermost one decides when the barrier runs.
+pub fn deferred<R>(f: impl FnOnce() -> R) -> R {
+    /// Restores the enclosing state — also when `f` unwinds.
+    struct Restore(bool);
+
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            DEFERRED.with(|deferred| deferred.set(self.0));
+        }
+    }
+
+    let _restore = Restore(DEFERRED.with(|deferred| deferred.replace(true)));
+    f()
+}
+
+/// Whether records made on the calling thread may skip their own sync
+/// because a [`deferred`] scope owes the barrier.
+pub fn sync_deferred() -> bool {
+    DEFERRED.with(Cell::get)
 }
 
 /// What recovery needs from a durable store: a service rebuilt from the

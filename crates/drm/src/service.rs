@@ -62,6 +62,7 @@ use oma_crypto::pss::{self, SALT_LEN};
 use oma_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use oma_crypto::sha1::{Sha1, DIGEST_SIZE};
 use oma_crypto::CryptoEngine;
+use oma_pki::codec::Encode;
 use oma_pki::ocsp::{OcspRequest, OcspResponse};
 use oma_pki::{
     verify::{check_anchor_and_issuer, check_validity},
@@ -558,6 +559,13 @@ impl RiService {
     pub fn state_image(&self) -> RiStateImage {
         let tables = self.state().tables.clone();
         self.image(tables)
+    }
+
+    /// Appends the encoding of the live tables — the snapshot payload
+    /// without the identity — to `out`, under the state lock and without
+    /// copying them: a digest of the whole mutable state.
+    pub fn encode_tables(&self, out: &mut Vec<u8>) {
+        self.state().tables.encode(out);
     }
 
     /// The service's identity together with `tables`.

@@ -43,7 +43,6 @@ use oma_drm::roap::{DeviceHello, RegistrationRequest, RoRequest, NONCE_LEN};
 use oma_drm::session::{PduKind, RiSessionState};
 use oma_drm::wire::{RoapPdu, RoapStatus};
 use oma_drm::{ContentIssuer, Permission, RiService, RightsTemplate, RoapError};
-use oma_pki::codec::Encode;
 use oma_pki::{Certificate, CertificationAuthority, EntityRole, Timestamp, ValidityPeriod};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -766,7 +765,7 @@ impl Explorer {
     /// anywhere in the service are never pruned as one.
     fn digest(&self, node: &Node) -> [u8; DIGEST_SIZE] {
         let mut tables = Vec::new();
-        self.service.state_image().tables.encode(&mut tables);
+        self.service.encode_tables(&mut tables);
         let mut hasher = Sha1::new();
         hasher.update(&tables);
         for dev in &node.devices {

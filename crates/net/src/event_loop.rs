@@ -8,13 +8,26 @@
 //! ```text
 //!             ┌────────────── epoll wait (≤25ms tick) ──────────────┐
 //!             ▼                                                     │
-//!   listener readable ─▶ accept* ─▶ register(READ)                  │
-//!   conn readable ─▶ fill ─▶ next_frame* ─▶ dispatch_at ─▶ queue ─▶ flush
-//!   flush ─▶ (drained? READ : WRITE)                                │
-//!   conn writable ─▶ flush ─▶ (drained? READ : WRITE)               │
+//!   ┌─ deferred ────────────────────────────────────────────────┐   │
+//!   │ listener readable ─▶ accept* ─▶ register(READ)            │   │
+//!   │ conn readable ─▶ fill ─▶ next_frame* ─▶ dispatch_at ─▶ queue  │
+//!   └───────────────────────────────────────────────────────────┘   │
+//!   barrier: journal.flush() — one sync for the whole batch         │
+//!   each conn of the batch ─▶ flush ─▶ (drained? READ : WRITE)      │
 //!             │                                                     │
 //!             └─▶ deadline wheel sweep ─▶ reap idle / slowloris ────┘
 //! ```
+//!
+//! Each readiness batch is one group commit. Its frames are dispatched
+//! inside one [`deferred`] scope, so the records they journal are appended
+//! without a sync each; one barrier — the [`RiJournal::flush`] of the
+//! service's attached journal — then syncs them all, and only after it do
+//! the batch's responses reach their sockets. A response a peer holds is
+//! therefore always durable, at one sync per batch instead of one per
+//! record. If the barrier fails, no response of the batch is released:
+//! its connections are closed and the server stops. A service with no
+//! journal attached has nothing to sync, so there each connection is
+//! answered as soon as it is served.
 //!
 //! Concurrency is therefore *connection-count*-bound
 //! ([`ServerConfig::max_connections`]), and the 10k-mostly-idle fleet
@@ -34,7 +47,7 @@ use crate::conn::{Connection, Expiry};
 use crate::poll::{Event, Interest, Poller};
 use crate::{span_for_frame, transport_err, NetObs, ServerConfig, ServerMetrics, POLL_INTERVAL};
 use oma_crypto::backend::scoped;
-use oma_drm::journal::RiJournal;
+use oma_drm::journal::{deferred, RiJournal};
 use oma_drm::service::RiService;
 use oma_drm::wire::{RoapPdu, RoapStatus};
 use oma_drm::DrmError;
@@ -226,7 +239,7 @@ impl RoapEventServer {
             idle_timeout: config.idle_timeout,
             frame_timeout: config.frame_timeout,
             max_connections: config.max_connections.max(1),
-            store: config.store.clone(),
+            journal: service.journal(),
             metrics: Arc::clone(&metrics),
             shutdown: Arc::clone(&shutdown),
             conns: HashMap::new(),
@@ -305,7 +318,10 @@ struct EventLoop {
     idle_timeout: Duration,
     frame_timeout: Duration,
     max_connections: usize,
-    store: Option<Arc<dyn RiJournal>>,
+    /// The service's attached journal as of the current batch: whatever
+    /// journals the records is what must sync them, also on a server bound
+    /// without a store of its own.
+    journal: Option<Arc<dyn RiJournal>>,
     metrics: Arc<ServerMetrics>,
     shutdown: Arc<AtomicBool>,
     conns: HashMap<u64, Connection>,
@@ -319,23 +335,64 @@ impl EventLoop {
         let mut events: Vec<Event> = Vec::new();
         // One loop-owned scratch buffer serves every connection's reads.
         let mut scratch = vec![0u8; 16 * 1024];
+        // The connections a batch served, with whether their peer is still
+        // open: their responses wait for the batch's barrier.
+        let mut served: Vec<(u64, bool)> = Vec::new();
         while !self.shutdown.load(Ordering::Relaxed) {
             // The tick bounds shutdown latency and paces wheel sweeps.
             if self.poller.wait(&mut events, Some(POLL_INTERVAL)).is_err() {
                 break;
             }
+            self.journal = self.service.journal();
+            let group_commit = self.journal.is_some();
             // Tokens can die mid-batch (a close invalidates later events
             // for the same token); handlers tolerate missing entries.
-            for &ev in &events {
-                if ev.token == LISTENER_TOKEN {
-                    self.accept_ready();
-                } else {
-                    self.conn_ready(ev, &mut scratch);
+            let mut serve = || {
+                for &ev in &events {
+                    if ev.token == LISTENER_TOKEN {
+                        self.accept_ready();
+                    } else if let Some(peer_open) = self.read_ready(ev, &mut scratch) {
+                        if group_commit {
+                            served.push((ev.token, peer_open));
+                        } else {
+                            // Nothing is journaled, so nothing waits for a
+                            // sync: the peer gets its answers at once and
+                            // overlaps its next request with the batch.
+                            self.write_ready(ev.token, peer_open);
+                        }
+                    }
                 }
+            };
+            if group_commit {
+                deferred(serve);
+                if !self.barrier() {
+                    for (token, _) in served.drain(..) {
+                        self.close(token, None);
+                    }
+                    break;
+                }
+                for (token, peer_open) in served.drain(..) {
+                    self.write_ready(token, peer_open);
+                }
+            } else {
+                serve();
             }
             self.reap_due();
         }
         self.drain();
+    }
+
+    /// Syncs every record the batch journaled. A journal that can no
+    /// longer persist stops the server, and the caller releases nothing.
+    fn barrier(&mut self) -> bool {
+        let synced = self
+            .journal
+            .as_ref()
+            .is_none_or(|journal| journal.flush().is_ok());
+        if !synced {
+            self.shutdown.store(true, Ordering::Relaxed);
+        }
+        synced
     }
 
     fn accept_ready(&mut self) {
@@ -382,39 +439,39 @@ impl EventLoop {
         }
     }
 
-    fn conn_ready(&mut self, ev: Event, scratch: &mut [u8]) {
-        let Some(conn) = self.conns.get_mut(&ev.token) else {
-            return;
-        };
-
-        let mut peer_open = true;
-        if ev.readable && !conn.is_closing() {
-            match conn.fill(scratch) {
-                Ok(open) => peer_open = open,
-                Err(_) => {
-                    self.close(ev.token, None);
-                    return;
-                }
-            }
-            if !self.dispatch_buffered(ev.token) {
-                return;
-            }
+    /// Reads what `ev` brought and answers every complete frame, queueing
+    /// the responses. Returns whether the peer is still open, or `None`
+    /// when the connection is gone.
+    fn read_ready(&mut self, ev: Event, scratch: &mut [u8]) -> Option<bool> {
+        let conn = self.conns.get_mut(&ev.token)?;
+        if !ev.readable || conn.is_closing() {
+            return Some(true);
         }
+        let peer_open = match conn.fill(scratch) {
+            Ok(open) => open,
+            Err(_) => {
+                self.close(ev.token, None);
+                return None;
+            }
+        };
+        self.dispatch_buffered(ev.token).then_some(peer_open)
+    }
 
-        let Some(conn) = self.conns.get_mut(&ev.token) else {
+    /// Writes what `token` is owed and re-arms it: read interest once
+    /// drained, write interest while the peer lags.
+    fn write_ready(&mut self, token: u64, peer_open: bool) {
+        let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         match conn.flush() {
             Ok(true) => {
                 if conn.is_closing() || !peer_open {
-                    self.close(ev.token, None);
+                    self.close(token, None);
                     return;
                 }
                 // Fully drained: back to read-only interest (a no-op most
                 // of the time, but required after a backpressure episode).
-                let _ = self
-                    .poller
-                    .reregister(conn.stream(), ev.token, Interest::READ);
+                let _ = self.poller.reregister(conn.stream(), token, Interest::READ);
             }
             Ok(false) => {
                 if !peer_open && !conn.is_closing() {
@@ -426,9 +483,9 @@ impl EventLoop {
                 // what it is owed.
                 let _ = self
                     .poller
-                    .reregister(conn.stream(), ev.token, Interest::WRITE);
+                    .reregister(conn.stream(), token, Interest::WRITE);
             }
-            Err(_) => self.close(ev.token, None),
+            Err(_) => self.close(token, None),
         }
     }
 
@@ -444,8 +501,8 @@ impl EventLoop {
                     // A durable server that can no longer persist must not
                     // keep acknowledging: stop this conversation and the
                     // whole server.
-                    if let Some(store) = &self.store {
-                        if store.health().is_err() {
+                    if let Some(journal) = &self.journal {
+                        if journal.health().is_err() {
                             self.shutdown.store(true, Ordering::Relaxed);
                             self.close(token, None);
                             return false;
@@ -549,11 +606,12 @@ impl EventLoop {
     /// never complete it once we stop reading, so it simply gets closed.
     fn drain(&mut self) {
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        let store_healthy = self
-            .store
+        let journal_healthy = self
+            .journal
             .as_ref()
-            .is_none_or(|store| store.health().is_ok());
-        if store_healthy {
+            .is_none_or(|journal| journal.health().is_ok());
+        // Outside a deferred scope, every record is synced by its handler.
+        if journal_healthy {
             for token in tokens {
                 self.dispatch_buffered(token);
             }
@@ -876,8 +934,10 @@ mod tests {
         agent.register(&client, Timestamp::new(1_000)).unwrap();
         drop(client);
         // Hard kill: no graceful shutdown, no final snapshot. (The leaked
-        // loop thread dies with the test process.)
+        // loop thread dies with the test process.) The power goes too:
+        // every byte the registration's barrier did not sync is lost.
         std::mem::forget(server);
+        store.log().lose_unsynced();
 
         let recovered = RiService::recover(&store).expect("fresh-store bind wrote a genesis");
         assert!(

@@ -19,8 +19,12 @@
 //!
 //! The log backends ([`MemLog`] in memory, [`FileLog`] on disk) share one
 //! byte format, so the deterministic corruption corpus exercises exactly
-//! the bytes a production directory would hold. Every append is synced
-//! before its handler returns ([`FsyncPolicy::Always`]).
+//! the bytes a production directory would hold. No response leaves before
+//! the records it depends on are synced ([`FsyncPolicy::Always`]): a record
+//! is synced by its own handler, or — inside a
+//! [`deferred`](oma_drm::journal::deferred) scope such as one readiness
+//! batch of the event loop — by the one barrier
+//! ([`RiJournal::flush`]) the whole batch shares (group commit).
 //!
 //! # Recover and serve
 //!
@@ -74,7 +78,7 @@ pub mod log;
 
 use codec::Record;
 pub use log::{FileLog, MemLog, Wal};
-use oma_drm::journal::{RiEvent, RiJournal, RiStateImage, StateSource};
+use oma_drm::journal::{sync_deferred, RiEvent, RiJournal, RiStateImage, StateSource};
 use oma_drm::{DrmError, RiService};
 use oma_obs::{Histogram, ObsConfig};
 use std::error::Error;
@@ -126,14 +130,19 @@ impl From<StoreError> for DrmError {
 
 /// When appended records are forced onto durable media.
 ///
-/// One policy today: every record is synced before the handler that
-/// recorded it returns, so a power loss never undoes an acknowledged
-/// response. Group commit (several handlers sharing one sync) is the
-/// planned second.
+/// One policy: a power loss never undoes a response a peer holds. A record
+/// is synced before the handler that recorded it returns — unless the
+/// handler ran inside a [`deferred`](oma_drm::journal::deferred) scope.
+/// Then the scope's owner runs one barrier ([`RiJournal::flush`]) for every
+/// record the scope appended before it releases any of its responses. The
+/// event loop opens one scope per readiness batch (group commit), so a
+/// pipelined batch shares one sync; in-process clients, direct dispatch
+/// and the shutdown drain keep one sync per record. A barrier over a batch
+/// that appended nothing syncs nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync after every record — the response a peer holds is always
-    /// durable.
+    /// Every record is synced before a response that depends on it
+    /// leaves — by its handler, or by its deferred scope's barrier.
     Always,
 }
 
@@ -173,6 +182,9 @@ pub struct RecoveryReport {
 struct Appender {
     next_sequence: u64,
     segment_bytes: u64,
+    /// Whether bytes were appended since the last sync — what makes a
+    /// barrier over a batch that journaled nothing free.
+    unsynced: bool,
     fault: Option<StoreError>,
 }
 
@@ -296,6 +308,9 @@ impl<L: Wal> RiStore<L> {
             appender: Mutex::new(Appender {
                 next_sequence: last_sequence + 1,
                 segment_bytes,
+                // A previous owner may have left appended bytes unsynced (a
+                // crash, not a power loss): the first barrier syncs them.
+                unsynced: true,
                 fault: None,
             }),
             obs: OnceLock::new(),
@@ -387,9 +402,20 @@ impl<L: Wal> RiStore<L> {
         )?;
         appender.next_sequence += 1;
         appender.segment_bytes += framed.len() as u64;
+        appender.unsynced = true;
         match self.config.fsync {
-            FsyncPolicy::Always => self.timed(|h| &h.fsync_nanos, || self.log.sync()),
+            // A deferred scope owes the barrier that syncs this record.
+            FsyncPolicy::Always if sync_deferred() => Ok(()),
+            FsyncPolicy::Always => self.sync_locked(appender),
         }
+    }
+
+    /// Syncs the log (timed as `store_fsync_nanos`) and notes that nothing
+    /// appended so far is left unsynced.
+    fn sync_locked(&self, appender: &mut Appender) -> Result<(), StoreError> {
+        self.timed(|h| &h.fsync_nanos, || self.log.sync())?;
+        appender.unsynced = false;
+        Ok(())
     }
 
     /// Recovers the service: the latest snapshot through
@@ -566,7 +592,10 @@ impl<L: Wal> RiJournal for RiStore<L> {
         if let Some(fault) = &appender.fault {
             return Err(fault.clone().into());
         }
-        if let Err(e) = self.timed(|h| &h.fsync_nanos, || self.log.sync()) {
+        if !appender.unsynced {
+            return Ok(());
+        }
+        if let Err(e) = self.sync_locked(&mut appender) {
             // Latch: callers that discard the Result (drop-path shutdown)
             // still leave the failure visible through `fault()`.
             appender.fault = Some(e.clone());
@@ -614,6 +643,7 @@ impl<L: Wal> RiStore<L> {
         // The WAL must be durable up to the coverage watermark before the
         // snapshot claims to cover it.
         self.log.sync()?;
+        appender.unsynced = false;
         let last_sequence = appender.next_sequence - 1;
         let blob = codec::encode_snapshot(&image, last_sequence);
         self.log.write_snapshot(&blob)?;
@@ -695,6 +725,50 @@ mod tests {
         assert_eq!(count("store_append_nanos"), 3);
         assert!(count("store_fsync_nanos") >= 3);
         assert_eq!(count("store_snapshot_nanos"), 1);
+    }
+
+    #[test]
+    fn a_barrier_syncs_once_and_only_when_something_is_unsynced() {
+        let (_ca, service, store, _rng) = durable_world();
+        let syncs = || store.log().syncs();
+        let after_genesis = syncs();
+        // Outside a deferred scope, each record is synced by its handler.
+        service.hello_at(&DeviceHello::new("dev-0"), Timestamp::new(0));
+        assert_eq!(syncs(), after_genesis + 1);
+        store.flush().unwrap();
+        assert_eq!(
+            syncs(),
+            after_genesis + 1,
+            "nothing appended, nothing synced"
+        );
+        // Inside one, records wait for the barrier: two flushes, one sync.
+        oma_drm::journal::deferred(|| {
+            service.hello_at(&DeviceHello::new("dev-1"), Timestamp::new(0));
+            service.hello_at(&DeviceHello::new("dev-2"), Timestamp::new(0));
+        });
+        assert_eq!(syncs(), after_genesis + 1);
+        store.flush().unwrap();
+        store.flush().unwrap();
+        assert_eq!(syncs(), after_genesis + 2);
+        // And what the barrier synced survives a power loss.
+        store.log().lose_unsynced();
+        let (recovered, report) = store.load_with_report().unwrap();
+        assert_eq!(report.events_applied, 3);
+        assert_eq!(recovered.state_image(), service.state_image());
+    }
+
+    #[test]
+    fn deferred_records_are_lost_to_a_power_loss_until_the_barrier() {
+        let (_ca, service, store, _rng) = durable_world();
+        service.hello_at(&DeviceHello::new("synced"), Timestamp::new(0));
+        oma_drm::journal::deferred(|| {
+            service.hello_at(&DeviceHello::new("unsynced"), Timestamp::new(0));
+        });
+        store.log().lose_unsynced();
+        let (recovered, report) = store.load_with_report().unwrap();
+        assert_eq!(report.events_applied, 1);
+        assert_eq!(report.stopped_early, None, "a power loss tears nothing");
+        assert_eq!(recovered.pending_session_count(), 1);
     }
 
     #[test]

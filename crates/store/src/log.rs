@@ -19,6 +19,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Magic + version prefix of every log segment. A segment that does not
 /// start with these bytes is not scanned at all.
@@ -170,7 +171,21 @@ impl<W: Wal + ?Sized> Wal for &W {
 #[derive(Debug, Default)]
 struct MemInner {
     segments: BTreeMap<u64, Vec<u8>>,
+    /// How many bytes of each segment a power loss would keep: the length
+    /// at its last sync (its header, for a segment never synced since it
+    /// was opened).
+    synced: BTreeMap<u64, usize>,
     snapshot: Option<Vec<u8>>,
+    syncs: u64,
+    fail_next_sync: bool,
+    sync_delay: Duration,
+}
+
+impl MemInner {
+    fn open_segment(&mut self, index: u64) {
+        self.segments.insert(index, SEGMENT_HEADER.to_vec());
+        self.synced.insert(index, SEGMENT_HEADER.len());
+    }
 }
 
 /// An in-memory [`Wal`]: identical segment streams to [`FileLog`], no disk.
@@ -179,6 +194,12 @@ struct MemInner {
 /// would never let a test do safely: [`MemLog::mutate_segment`] and
 /// [`MemLog::truncate_tail`] corrupt "storage" in place, which is how the
 /// torn-write/bit-flip recovery corpus simulates power loss mid-write.
+///
+/// It also models what a sync promises. Each segment keeps the length it
+/// had at its last [`Wal::sync`] (as [`FileLog`] does, a rotation syncs the
+/// segment it closes), and [`MemLog::lose_unsynced`] cuts every segment
+/// back to it — a power loss. [`MemLog::fail_next_sync`] and
+/// [`MemLog::set_sync_delay`] stand in for a failing and a slow disk.
 #[derive(Debug, Default)]
 pub struct MemLog {
     inner: Mutex<MemInner>,
@@ -190,11 +211,7 @@ impl MemLog {
         let log = MemLog {
             inner: Mutex::new(MemInner::default()),
         };
-        log.inner
-            .lock()
-            .expect("memlog lock")
-            .segments
-            .insert(1, SEGMENT_HEADER.to_vec());
+        log.inner.lock().expect("memlog lock").open_segment(1);
         log
     }
 
@@ -233,6 +250,33 @@ impl MemLog {
             f(bytes);
         }
     }
+
+    /// Power loss (test hook): drops every byte appended to any segment
+    /// since its last sync. Snapshots are written durably and survive.
+    pub fn lose_unsynced(&self) {
+        let inner = &mut *self.inner.lock().expect("memlog lock");
+        for (index, bytes) in inner.segments.iter_mut() {
+            bytes.truncate(inner.synced[index]);
+        }
+    }
+
+    /// Makes the next [`Wal::sync`] fail with [`StoreError::Io`] and leave
+    /// the bytes unsynced (test hook: a disk that refuses a flush).
+    pub fn fail_next_sync(&self) {
+        self.inner.lock().expect("memlog lock").fail_next_sync = true;
+    }
+
+    /// Makes every later [`Wal::sync`] take `delay` before the bytes it
+    /// covers count as synced (test hook: a slow disk, which widens the
+    /// window in which a response released before its sync is visible).
+    pub fn set_sync_delay(&self, delay: Duration) {
+        self.inner.lock().expect("memlog lock").sync_delay = delay;
+    }
+
+    /// Successful syncs so far (test hook).
+    pub fn syncs(&self) -> u64 {
+        self.inner.lock().expect("memlog lock").syncs
+    }
 }
 
 impl Wal for MemLog {
@@ -248,6 +292,29 @@ impl Wal for MemLog {
     }
 
     fn sync(&self) -> Result<(), StoreError> {
+        // The sync covers what was appended when it was issued; the lock is
+        // not held across the delay, so a power loss can land inside it.
+        let (covered, delay) = {
+            let mut inner = self.inner.lock().expect("memlog lock");
+            if std::mem::take(&mut inner.fail_next_sync) {
+                return Err(StoreError::Io("fsync: injected failure".into()));
+            }
+            let covered: Vec<(u64, usize)> =
+                inner.segments.iter().map(|(i, b)| (*i, b.len())).collect();
+            (covered, inner.sync_delay)
+        };
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+        let inner = &mut *self.inner.lock().expect("memlog lock");
+        for (index, len) in covered {
+            if let (Some(bytes), Some(synced)) =
+                (inner.segments.get(&index), inner.synced.get_mut(&index))
+            {
+                *synced = (*synced).max(len.min(bytes.len()));
+            }
+        }
+        inner.syncs += 1;
         Ok(())
     }
 
@@ -262,17 +329,21 @@ impl Wal for MemLog {
     }
 
     fn rotate(&self) -> Result<u64, StoreError> {
-        let mut inner = self.inner.lock().expect("memlog lock");
-        let next = inner.segments.keys().next_back().expect("segment") + 1;
-        inner.segments.insert(next, SEGMENT_HEADER.to_vec());
-        Ok(next)
+        let inner = &mut *self.inner.lock().expect("memlog lock");
+        let (&current, bytes) = inner.segments.iter().next_back().expect("segment");
+        // Closing a segment syncs it, as `FileLog::rotate` does.
+        inner.synced.insert(current, bytes.len());
+        inner.open_segment(current + 1);
+        Ok(current + 1)
     }
 
     fn truncate_segment(&self, index: u64, len: u64) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock().expect("memlog lock");
+        let inner = &mut *self.inner.lock().expect("memlog lock");
         match inner.segments.get_mut(&index) {
             Some(bytes) => {
                 bytes.truncate(len as usize);
+                // The truncation is synced, as `FileLog`'s is.
+                inner.synced.insert(index, bytes.len());
                 Ok(())
             }
             None => Err(StoreError::Io(format!("no segment {index}"))),
@@ -296,6 +367,7 @@ impl Wal for MemLog {
     fn remove_segments_before(&self, index: u64) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().expect("memlog lock");
         inner.segments.retain(|i, _| *i >= index);
+        inner.synced.retain(|i, _| *i >= index);
         Ok(())
     }
 
@@ -558,6 +630,34 @@ mod tests {
             [&SEGMENT_HEADER[..], b"xYZ!"].concat()
         );
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn memlog_power_loss_keeps_exactly_what_was_synced() {
+        let log = MemLog::new();
+        log.append(b"abc").unwrap();
+        log.sync().unwrap();
+        log.append(b"def").unwrap();
+        // Closing a segment syncs it; the new one holds only its header.
+        assert_eq!(log.rotate().unwrap(), 2);
+        log.append(b"xyz").unwrap();
+        log.fail_next_sync();
+        assert!(matches!(log.sync(), Err(StoreError::Io(_))));
+        assert_eq!(log.syncs(), 1, "a failed sync is not counted");
+        log.lose_unsynced();
+        assert_eq!(
+            log.read_segment(1).unwrap(),
+            [&SEGMENT_HEADER[..], b"abcdef"].concat()
+        );
+        assert_eq!(log.read_segment(2).unwrap(), SEGMENT_HEADER);
+        // The failure was one-shot.
+        log.append(b"!").unwrap();
+        log.sync().unwrap();
+        log.lose_unsynced();
+        assert_eq!(
+            log.read_segment(2).unwrap(),
+            [&SEGMENT_HEADER[..], b"!"].concat()
+        );
     }
 
     #[test]
