@@ -390,12 +390,6 @@ impl RsaKeyPair {
         &self.private
     }
 
-    /// Consumes the pair and returns the private key (which still carries the
-    /// public key).
-    pub fn into_private(self) -> RsaPrivateKey {
-        self.private
-    }
-
     /// Wraps a restored private key back into a pair.
     pub fn from_private(private: RsaPrivateKey) -> Self {
         RsaKeyPair { private }

@@ -549,8 +549,7 @@ impl RiService {
     /// Whatever [`RiJournal::snapshot`] reports.
     pub fn snapshot_to(&self, journal: &dyn RiJournal) -> Result<(), DrmError> {
         let state = self.state();
-        let image = self.image(state.tables.clone());
-        journal.snapshot(&|| image.clone())
+        journal.snapshot(&|| self.image(state.tables.clone()))
     }
 
     /// Captures a complete snapshot of the service — identity, tables,

@@ -466,16 +466,6 @@ impl TcpTransport {
         Err(last_err)
     }
 
-    /// Wraps an already-established connection (e.g. accepted by a custom
-    /// listener) without touching its socket options. No deadline is
-    /// applied; add one with [`TcpTransport::set_deadline`].
-    pub fn from_stream(stream: TcpStream) -> Self {
-        TcpTransport {
-            stream,
-            deadline: None,
-        }
-    }
-
     /// The per-roundtrip deadline currently in force, if any.
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline

@@ -11,32 +11,49 @@
 //! repro energy        # §3 energy estimate
 //! repro measured      # measured (protocol-run) cross-check of the model
 //! ```
+//!
+//! Sections may be combined (`repro fig6 fig7`); an unknown one prints the
+//! usage to stderr and exits with status 2.
 
-use oma_bench::{Experiment, FIGURE6_PAPER_MS, FIGURE7_PAPER_MS};
+use oma_perf::arch::Architecture;
+use oma_perf::cost::CostTable;
 use oma_perf::energy::EnergyModel;
-use oma_perf::report;
+use oma_perf::report::{self, ArchitectureComparison, FIGURE6_PAPER_MS, FIGURE7_PAPER_MS};
 use oma_perf::runner;
 use oma_perf::usecase::UseCaseSpec;
 
-fn print_table1(experiment: &Experiment) {
+/// RSA modulus of the measured runs: small test keys keep them fast, while
+/// the cost model still charges per 1024-bit operation exactly as the
+/// paper's Table 1 does.
+const MEASURED_RSA_BITS: usize = 512;
+
+const SECTIONS: [&str; 6] = ["table1", "fig5", "fig6", "fig7", "energy", "measured"];
+
+const USAGE: &str = "usage: repro [SECTION]...
+
+Prints the named sections of the paper's evaluation, or all of them:
+  table1      Table 1
+  fig5        Figure 5
+  fig6        Figure 6
+  fig7        Figure 7
+  energy      §3 energy estimate
+  measured    measured (protocol-run) cross-check of the model";
+
+fn print_table1(table: &CostTable) {
     println!("=== Table 1: execution times per cryptographic algorithm ===");
-    print!("{}", report::table1(&experiment.table));
+    print!("{}", report::table1(table));
     println!();
 }
 
-fn print_fig5(experiment: &Experiment) {
+fn print_fig5(table: &CostTable) {
     println!("=== Figure 5: relative importance of cryptographic algorithms (SW variant) ===");
-    for breakdown in experiment.figure5() {
+    for breakdown in report::figure5(table) {
         print!("{breakdown}");
     }
     println!();
 }
 
-fn print_comparison(
-    title: &str,
-    comparison: &oma_perf::report::ArchitectureComparison,
-    paper: &[(&str, f64)],
-) {
+fn print_comparison(title: &str, comparison: &ArchitectureComparison, paper: &[(&str, f64)]) {
     println!("=== {title} ===");
     print!("{comparison}");
     println!("Paper reference values:");
@@ -53,23 +70,19 @@ fn print_comparison(
     println!();
 }
 
-fn print_energy(experiment: &Experiment) {
+fn print_energy(table: &CostTable, variants: &[Architecture]) {
     println!("=== Energy estimate (energy proportional to cycles, §3) ===");
     for spec in UseCaseSpec::paper_use_cases() {
-        let energy = report::energy_comparison(
-            &spec,
-            &experiment.table,
-            &experiment.variants,
-            &EnergyModel::proportional(),
-        );
+        let energy =
+            report::energy_comparison(&spec, table, variants, &EnergyModel::proportional());
         print!("{energy}");
     }
     println!("With 2x-more-efficient hardware macros (the paper's future-work hypothesis):");
     for spec in UseCaseSpec::paper_use_cases() {
         let energy = report::energy_comparison(
             &spec,
-            &experiment.table,
-            &experiment.variants,
+            table,
+            variants,
             &EnergyModel::with_hardware_factor(0.5),
         );
         print!("{energy}");
@@ -77,11 +90,11 @@ fn print_energy(experiment: &Experiment) {
     println!();
 }
 
-fn print_measured(experiment: &Experiment) {
+fn print_measured(table: &CostTable, variants: &[Architecture]) {
     println!("=== Measured cross-check: protocol runs on each variant's crypto backend ===");
     println!("(512-bit test keys; the cost model charges RSA per 1024-bit operation");
     println!(" regardless, exactly as the paper's Table 1 does)\n");
-    let spec = UseCaseSpec::ringtone().with_rsa_modulus_bits(oma_bench::MEASURED_RSA_BITS);
+    let spec = UseCaseSpec::ringtone().with_rsa_modulus_bits(MEASURED_RSA_BITS);
     match runner::measure_use_case(&spec, 42) {
         Ok(run) => {
             let total = run.traces.total(spec.accesses());
@@ -102,8 +115,11 @@ fn print_measured(experiment: &Experiment) {
         ("Figure 6 (Music Player)", UseCaseSpec::music_player()),
         ("Figure 7 (Ringtone)", UseCaseSpec::ringtone()),
     ] {
-        match experiment.consistency(&spec, 42) {
-            Ok(consistency) => {
+        let spec = spec.with_rsa_modulus_bits(MEASURED_RSA_BITS);
+        match report::measured_architecture_comparison(&spec, table, variants, 42) {
+            Ok(measured) => {
+                let analytic = report::architecture_comparison(&spec, table, variants);
+                let consistency = report::consistency_check(&measured, &analytic);
                 println!("--- {name}: measured backends vs analytic model ---");
                 print!("{consistency}");
                 println!(
@@ -123,33 +139,38 @@ fn print_measured(experiment: &Experiment) {
 
 fn main() {
     let selection: Vec<String> = std::env::args().skip(1).collect();
-    let experiment = Experiment::new();
+    if let Some(unknown) = selection.iter().find(|s| !SECTIONS.contains(&s.as_str())) {
+        eprintln!("repro: unknown section `{unknown}`\n\n{USAGE}");
+        std::process::exit(2);
+    }
     let want = |name: &str| selection.is_empty() || selection.iter().any(|s| s == name);
+    let table = CostTable::paper();
+    let variants = Architecture::standard_variants();
 
     if want("table1") {
-        print_table1(&experiment);
+        print_table1(&table);
     }
     if want("fig5") {
-        print_fig5(&experiment);
+        print_fig5(&table);
     }
     if want("fig6") {
         print_comparison(
             "Figure 6: Music Player use case, execution time per architecture variant",
-            &experiment.figure6(),
+            &report::architecture_comparison(&UseCaseSpec::music_player(), &table, &variants),
             &FIGURE6_PAPER_MS,
         );
     }
     if want("fig7") {
         print_comparison(
             "Figure 7: Ringtone use case, execution time per architecture variant",
-            &experiment.figure7(),
+            &report::architecture_comparison(&UseCaseSpec::ringtone(), &table, &variants),
             &FIGURE7_PAPER_MS,
         );
     }
     if want("energy") {
-        print_energy(&experiment);
+        print_energy(&table, &variants);
     }
     if want("measured") {
-        print_measured(&experiment);
+        print_measured(&table, &variants);
     }
 }

@@ -30,6 +30,9 @@
 //!   analytic model and from measured per-backend runs, plus the
 //!   measured-vs-analytic [`consistency_check`](report::consistency_check).
 //!
+//! The crate's `repro` binary prints all of them
+//! (`cargo run --release --bin repro [table1|fig5|fig6|fig7|energy|measured]...`).
+//!
 //! # Example: reproduce Figure 6
 //!
 //! The paper's headline: dedicating hardware macros to all six algorithms

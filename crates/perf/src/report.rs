@@ -14,8 +14,9 @@
 //!   (the paper's approximation holds when the two agree),
 //! * [`energy_comparison`] — the energy ∝ cycles estimate of §3.
 //!
-//! Every report implements [`std::fmt::Display`] so the `repro` binary in
-//! `oma-bench` can print the same rows/series the paper reports.
+//! Every report implements [`std::fmt::Display`] so this crate's `repro`
+//! binary can print the same rows/series the paper reports, next to the
+//! paper's own totals ([`FIGURE6_PAPER_MS`], [`FIGURE7_PAPER_MS`]).
 
 use crate::analytic;
 use crate::arch::Architecture;
@@ -265,6 +266,12 @@ impl fmt::Display for ArchitectureComparison {
     }
 }
 
+/// The paper's Figure 6 totals (Music Player), in milliseconds per variant.
+pub const FIGURE6_PAPER_MS: [(&str, f64); 3] = [("SW", 7_730.0), ("SW/HW", 800.0), ("HW", 190.0)];
+
+/// The paper's Figure 7 totals (Ringtone), in milliseconds per variant.
+pub const FIGURE7_PAPER_MS: [(&str, f64); 3] = [("SW", 900.0), ("SW/HW", 620.0), ("HW", 12.0)];
+
 /// Evaluates one use case on a set of architecture variants using the
 /// analytic operation model (Figures 6 and 7 of the paper).
 pub fn architecture_comparison(
@@ -453,10 +460,6 @@ pub fn energy_comparison(
 mod tests {
     use super::*;
 
-    /// Paper values for Figures 6 and 7 (milliseconds).
-    const FIGURE6_PAPER: [(&str, f64); 3] = [("SW", 7_730.0), ("SW/HW", 800.0), ("HW", 190.0)];
-    const FIGURE7_PAPER: [(&str, f64); 3] = [("SW", 900.0), ("SW/HW", 620.0), ("HW", 12.0)];
-
     fn within(actual: f64, expected: f64, tolerance: f64) -> bool {
         (actual - expected).abs() / expected <= tolerance
     }
@@ -479,7 +482,7 @@ mod tests {
             &CostTable::paper(),
             &Architecture::standard_variants(),
         );
-        for (variant, expected) in FIGURE6_PAPER {
+        for (variant, expected) in FIGURE6_PAPER_MS {
             let actual = comparison.total_millis(variant).unwrap();
             assert!(
                 within(actual, expected, 0.15),
@@ -496,7 +499,7 @@ mod tests {
             &CostTable::paper(),
             &Architecture::standard_variants(),
         );
-        for (variant, expected) in FIGURE7_PAPER {
+        for (variant, expected) in FIGURE7_PAPER_MS {
             let actual = comparison.total_millis(variant).unwrap();
             assert!(
                 within(actual, expected, 0.15),

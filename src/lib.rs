@@ -48,8 +48,8 @@
 //!   [`ObsConfig`](obs::ObsConfig).
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
-//! `crates/bench` for the benchmark harness that regenerates every table and
-//! figure of the paper.
+//! `oma-perf`'s `repro` binary (`cargo run --release --bin repro`), which
+//! regenerates every table and figure of the paper.
 //!
 //! # Quickstart
 //!

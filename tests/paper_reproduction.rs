@@ -1,5 +1,5 @@
 //! Integration tests that reproduce the paper's headline numbers from the
-//! public API of the umbrella crate — the executable form of EXPERIMENTS.md.
+//! public API of the umbrella crate — the checks behind what `repro` prints.
 
 use oma_drm2::perf::arch::Architecture;
 use oma_drm2::perf::cost::CostTable;
@@ -7,11 +7,15 @@ use oma_drm2::perf::report;
 use oma_drm2::perf::runner;
 use oma_drm2::perf::usecase::UseCaseSpec;
 
-fn assert_close(actual: f64, expected: f64, tolerance: f64, what: &str) {
-    assert!(
-        (actual - expected).abs() / expected <= tolerance,
-        "{what}: model {actual:.1} vs paper {expected:.1} (tolerance {tolerance})"
-    );
+fn assert_matches_paper(comparison: &report::ArchitectureComparison, paper: &[(&str, f64)]) {
+    for &(variant, expected) in paper {
+        let actual = comparison.total_millis(variant).unwrap();
+        assert!(
+            (actual - expected).abs() / expected <= 0.15,
+            "{} {variant}: model {actual:.1} vs paper {expected:.1} (tolerance 0.15)",
+            comparison.use_case
+        );
+    }
 }
 
 #[test]
@@ -21,24 +25,7 @@ fn figure6_music_player_totals() {
         &CostTable::paper(),
         &Architecture::standard_variants(),
     );
-    assert_close(
-        comparison.total_millis("SW").unwrap(),
-        7_730.0,
-        0.15,
-        "Figure 6 SW",
-    );
-    assert_close(
-        comparison.total_millis("SW/HW").unwrap(),
-        800.0,
-        0.15,
-        "Figure 6 SW/HW",
-    );
-    assert_close(
-        comparison.total_millis("HW").unwrap(),
-        190.0,
-        0.15,
-        "Figure 6 HW",
-    );
+    assert_matches_paper(&comparison, &report::FIGURE6_PAPER_MS);
 }
 
 #[test]
@@ -48,24 +35,21 @@ fn figure7_ringtone_totals() {
         &CostTable::paper(),
         &Architecture::standard_variants(),
     );
-    assert_close(
-        comparison.total_millis("SW").unwrap(),
-        900.0,
-        0.15,
-        "Figure 7 SW",
-    );
-    assert_close(
-        comparison.total_millis("SW/HW").unwrap(),
-        620.0,
-        0.15,
-        "Figure 7 SW/HW",
-    );
-    assert_close(
-        comparison.total_millis("HW").unwrap(),
-        12.0,
-        0.15,
-        "Figure 7 HW",
-    );
+    assert_matches_paper(&comparison, &report::FIGURE7_PAPER_MS);
+}
+
+#[test]
+fn measured_ringtone_totals_match_figure7() {
+    // The backends' own cycle bills over real protocol runs (512-bit test
+    // keys, RSA still priced per 1024-bit op) land on the paper's totals too.
+    let comparison = report::measured_architecture_comparison(
+        &UseCaseSpec::ringtone().with_rsa_modulus_bits(512),
+        &CostTable::paper(),
+        &Architecture::standard_variants(),
+        3,
+    )
+    .expect("measured protocol runs");
+    assert_matches_paper(&comparison, &report::FIGURE7_PAPER_MS);
 }
 
 #[test]
