@@ -430,7 +430,6 @@ pub fn charged_cbc_blocks(
 /// The pure-software backend: every algorithm on the processor core.
 #[derive(Debug)]
 pub struct SoftwareBackend {
-    name: String,
     profile: CostProfile,
     meter: CycleMeter,
 }
@@ -443,14 +442,7 @@ impl SoftwareBackend {
 
     /// A software backend with a custom cost profile (sensitivity studies).
     pub fn with_profile(profile: CostProfile) -> Self {
-        Self::named("SW", profile)
-    }
-
-    /// A software backend with an explicit display name (used when an
-    /// all-software architecture variant carries a custom name).
-    pub fn named(name: &str, profile: CostProfile) -> Self {
         SoftwareBackend {
-            name: name.to_string(),
             profile,
             meter: CycleMeter::new(),
         }
@@ -465,7 +457,7 @@ impl Default for SoftwareBackend {
 
 impl CryptoBackend for SoftwareBackend {
     fn name(&self) -> &str {
-        &self.name
+        "SW"
     }
 
     fn realisation(&self, _algorithm: Algorithm) -> Realisation {
@@ -509,16 +501,17 @@ pub struct HwMacroBackend {
 }
 
 impl HwMacroBackend {
-    /// A fully custom partitioning with explicit cost columns.
+    /// A partitioning with explicit cost columns: the algorithms in `macros`
+    /// run as hardware macros, every other one on the core.
     pub fn partitioned(
         name: &str,
-        assignment: impl Fn(Algorithm) -> Realisation,
+        macros: &[Algorithm],
         software: CostProfile,
         hardware: CostProfile,
     ) -> Self {
         let mut assignments = [Realisation::Software; 6];
-        for alg in Algorithm::ALL {
-            assignments[alg.index()] = assignment(alg);
+        for &alg in macros {
+            assignments[alg.index()] = Realisation::HardwareMacro;
         }
         HwMacroBackend {
             name: name.to_string(),
@@ -533,7 +526,7 @@ impl HwMacroBackend {
     pub fn full() -> Self {
         Self::partitioned(
             "HW",
-            |_| Realisation::HardwareMacro,
+            &Algorithm::ALL,
             CostProfile::paper_software(),
             CostProfile::paper_hardware(),
         )
@@ -544,13 +537,12 @@ impl HwMacroBackend {
     pub fn hybrid() -> Self {
         Self::partitioned(
             "SW/HW",
-            |alg| match alg {
-                Algorithm::AesEncrypt
-                | Algorithm::AesDecrypt
-                | Algorithm::Sha1
-                | Algorithm::HmacSha1 => Realisation::HardwareMacro,
-                Algorithm::RsaPublic | Algorithm::RsaPrivate => Realisation::Software,
-            },
+            &[
+                Algorithm::AesEncrypt,
+                Algorithm::AesDecrypt,
+                Algorithm::Sha1,
+                Algorithm::HmacSha1,
+            ],
             CostProfile::paper_software(),
             CostProfile::paper_hardware(),
         )

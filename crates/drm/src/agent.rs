@@ -82,9 +82,9 @@ impl DrmAgent {
     }
 
     /// Creates a DRM Agent whose cryptography executes on `backend` — the
-    /// terminal architecture under evaluation. `oma-perf` maps each
-    /// `Architecture` variant onto a backend and measures the protocol on
-    /// it.
+    /// terminal architecture under evaluation. Each of `oma-perf`'s
+    /// architecture variants is such a backend, and its measured runs
+    /// execute the protocol on it.
     pub fn with_backend<R: RngCore + ?Sized>(
         device_id: &str,
         modulus_bits: usize,

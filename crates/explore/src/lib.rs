@@ -467,10 +467,12 @@ impl Explorer {
             self.report.truncated = true;
             return;
         }
-        // The service image at this node: children mutate the live service
-        // and restore from this snapshot afterwards.
-        let image = self.service.state_image();
-        for action in actions {
+        // Children mutate the live service. The service a call leaves
+        // behind is its caller's to restore, so this node takes its image
+        // only when a later sibling will start from it.
+        let last = actions.len() - 1;
+        let mut image = (last > 0).then(|| self.service.state_image());
+        for (i, action) in actions.into_iter().enumerate() {
             if !self.budget_left() {
                 self.report.truncated = true;
                 return;
@@ -487,9 +489,14 @@ impl Explorer {
                 self.report.pruned += 1;
             }
             self.trace.pop();
-            // Restore the service to this node's snapshot before trying the
-            // next sibling action.
-            self.service = RiService::from_image(image.clone());
+            if i < last {
+                let image = if i + 1 == last {
+                    image.take()
+                } else {
+                    image.clone()
+                };
+                self.service = RiService::from_image(image.expect("taken for siblings"));
+            }
         }
     }
 

@@ -6,8 +6,8 @@
 //! that drive per-device-seeded [`DrmAgent`]s through full Registration →
 //! Acquisition → Installation → Consumption cycles against **one shared
 //! [`RiService`]**, and reports registration and Rights Object counts plus
-//! fleet-wide per-phase operation traces and cycle totals — the quantities
-//! the paper's Figure 6/7 tables price.
+//! fleet-wide per-phase operation traces — the quantities the paper's
+//! Figure 6/7 tables price.
 //!
 //! Determinism is the harness's defining property: everything a device
 //! observes is derived from that device's seed, and Rights-Object ids are
@@ -34,7 +34,9 @@
 //! `benchmark/` package, which does not use this crate.
 //!
 //! Every driver runs one per-device life-cycle (`drive_device`, over any
-//! `RoapClient` transport); the drivers differ only in the transport. The
+//! `RoapClient` transport, through `oma_perf::runner::drive_lifecycle`, the
+//! drive the paper's measured runs use too); the drivers differ only in the
+//! transport. The
 //! durable and cluster drivers share one transport that can kill the
 //! serving instance between two frames and serve the next frame on its
 //! replacement; they differ only in how the replacement is made.
@@ -74,7 +76,7 @@ use oma_drm::wire::RoapPdu;
 use oma_drm::{ContentIssuer, Dcf, DrmAgent, DrmError, Permission, RiService, RightsTemplate};
 use oma_net::{RoapEventServer, ServerConfig, TcpTransport};
 use oma_perf::phases::PhaseTraces;
-use oma_perf::runner::PhaseCycles;
+use oma_perf::runner::drive_lifecycle;
 use oma_pki::{CertificationAuthority, EntityRole, Timestamp, ValidityPeriod};
 use oma_store::{MemLog, RiStore, Wal};
 use rand::rngs::StdRng;
@@ -186,12 +188,9 @@ pub struct DeviceOutcome {
     /// SHA-1 digest of each recovered plaintext, in acquisition order.
     pub content_digests: Vec<[u8; DIGEST_SIZE]>,
     /// Per-phase operation traces of the device's crypto engine (consumption
-    /// holds the sum over all accesses).
+    /// holds the sum over all accesses). Every device runs on the software
+    /// backend, so these also fix its cycles.
     pub traces: PhaseTraces,
-    /// Per-phase cycles: `traces` priced on the device's backend. The
-    /// consumption field holds the sum over all of this device's accesses,
-    /// so total this with [`PhaseCycles::sum`], not `total(accesses)`.
-    pub cycles: PhaseCycles,
 }
 
 /// The result of a fleet run.
@@ -209,9 +208,6 @@ pub struct FleetReport {
     pub devices: Vec<DeviceOutcome>,
     /// Fleet-wide per-phase operation traces (sum over devices).
     pub traces: PhaseTraces,
-    /// Fleet-wide per-phase cycle totals (sum over devices; the consumption
-    /// field holds the summed figure — see [`PhaseCycles::sum`]).
-    pub cycles: PhaseCycles,
 }
 
 impl FleetReport {
@@ -231,14 +227,13 @@ impl FleetReport {
     }
 
     /// Whether this run's deterministic observables — per-device outcomes,
-    /// aggregate traces and cycles, registration and RO counts — equal
+    /// aggregate traces, registration and RO counts — equal
     /// `other`'s. Wall-clock time and worker count are excluded: they are
     /// the two things *allowed* to differ between a concurrent run and its
     /// sequential reference.
     pub fn matches(&self, other: &FleetReport) -> bool {
         self.devices == other.devices
             && self.traces == other.traces
-            && self.cycles == other.cycles
             && self.registrations == other.registrations
             && self.rights_objects == other.rights_objects
     }
@@ -353,8 +348,9 @@ fn provision_device(
 }
 
 /// Drives one device through registration plus its acquisition cycles over
-/// an arbitrary ROAP transport. Every driver runs this one code path, which is what makes their per-device outcomes
-/// (traces, cycles, RO ids, recovered content) byte-identical.
+/// an arbitrary ROAP transport. Every driver runs this one code path, which
+/// is what makes their per-device outcomes (traces, RO ids, recovered
+/// content) byte-identical.
 fn drive_device<T: RoapTransport>(
     spec: &FleetSpec,
     index: usize,
@@ -365,43 +361,35 @@ fn drive_device<T: RoapTransport>(
 ) -> Result<DeviceOutcome, DrmError> {
     let mut agent = provision_device(spec, index, ca);
     let device_id = spec.device_id(index);
-
-    let mut traces = PhaseTraces::new();
-    agent.engine().reset_trace();
-
-    agent.register(client, now())?;
-    traces.registration.merge(&agent.engine().take_trace());
-
-    let mut ro_ids = Vec::with_capacity(spec.acquisitions_per_device);
-    let mut content_digests = Vec::with_capacity(spec.acquisitions_per_device);
-    for k in 0..spec.acquisitions_per_device {
-        let item = &catalog[(index + k) % catalog.len()];
-
-        let response = agent.acquire_rights(client, ri_id, &item.content_id, now())?;
-        traces.acquisition.merge(&agent.engine().take_trace());
-
-        let ro_id = agent.install_rights(&response, now())?;
-        traces.installation.merge(&agent.engine().take_trace());
-
-        let plaintext = agent.consume(&ro_id, &item.dcf, Permission::Play, now())?;
-        traces
-            .consumption_per_access
-            .merge(&agent.engine().take_trace());
-
-        let digest = sha1(&plaintext);
-        assert_eq!(
-            digest, item.digest,
-            "{device_id} recovered corrupted content for {}",
-            item.content_id
-        );
-        content_digests.push(digest);
-        ro_ids.push(ro_id.as_str().to_string());
-    }
+    let items: Vec<&CatalogItem> = (0..spec.acquisitions_per_device)
+        .map(|k| &catalog[(index + k) % catalog.len()])
+        .collect();
+    let mut ro_ids = Vec::with_capacity(items.len());
+    let mut content_digests = Vec::with_capacity(items.len());
+    let traces = drive_lifecycle(
+        &mut agent,
+        client,
+        ri_id,
+        items
+            .iter()
+            .map(|item| (item.content_id.as_str(), &item.dcf)),
+        now(),
+        |ro_id, plaintext| {
+            let item = items[ro_ids.len()];
+            let digest = sha1(plaintext);
+            assert_eq!(
+                digest, item.digest,
+                "{device_id} recovered corrupted content for {}",
+                item.content_id
+            );
+            content_digests.push(digest);
+            ro_ids.push(ro_id.as_str().to_string());
+        },
+    )?;
 
     Ok(DeviceOutcome {
         device_id,
         ro_ids,
-        cycles: PhaseCycles::priced(&traces, agent.engine().backend().as_ref()),
         content_digests,
         traces,
     })
@@ -441,10 +429,8 @@ fn collect_report(
     devices.sort_by(|a, b| a.device_id.cmp(&b.device_id));
 
     let mut traces = PhaseTraces::new();
-    let mut cycles = PhaseCycles::default();
     for device in &devices {
         traces.merge(&device.traces);
-        cycles.merge(&device.cycles);
     }
 
     FleetReport {
@@ -454,7 +440,6 @@ fn collect_report(
         rights_objects: service.issued_ro_count(),
         devices,
         traces,
-        cycles,
     }
 }
 
@@ -612,7 +597,7 @@ fn drive_killable<N: Replaceable>(
 /// recovery replayed.
 #[derive(Debug, Clone)]
 pub struct DurableReport {
-    /// The regular fleet report (outcomes, traces, cycles, counts).
+    /// The regular fleet report (outcomes, traces, counts).
     pub fleet: FleetReport,
     /// How many times the service was killed and recovered.
     pub recoveries: u64,
@@ -706,7 +691,7 @@ pub fn run_fleet_durable<L: Wal + 'static>(
 /// byte-identical to an unkilled run of the same spec.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// The regular fleet report (outcomes, traces, cycles, counts).
+    /// The regular fleet report (outcomes, traces, counts).
     pub fleet: FleetReport,
     /// How many primaries were killed and failed over.
     pub failovers: u64,
@@ -853,7 +838,6 @@ mod tests {
         for device in &run.devices {
             assert_eq!(device.ro_ids.len(), spec.acquisitions_per_device);
             assert!(!device.traces.registration.is_empty());
-            assert!(device.cycles.registration > 0);
         }
         // Per-device RO ids depend only on the device, so the report is
         // reproducible run over run.
@@ -869,7 +853,6 @@ mod tests {
         assert_eq!(concurrent.workers, 3);
         assert_eq!(sequential.workers, 1);
         assert!(concurrent.matches(&sequential));
-        assert_eq!(concurrent.cycles, sequential.cycles);
     }
 
     #[test]

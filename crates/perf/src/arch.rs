@@ -8,179 +8,57 @@
 //! * **SW/HW** — AES and SHA-1 (and therefore HMAC SHA-1) as hardware
 //!   macros, RSA in software,
 //! * **HW** — dedicated macros for every algorithm.
+//!
+//! A variant is an executable [`HwMacroBackend`]: the set of algorithms that
+//! run as macros, priced in a [`CostTable`]'s columns. The analytic model
+//! prices a trace with [`CryptoBackend::price`]; the measured runner
+//! executes the protocol on the same backend.
 
 use crate::cost::CostTable;
-use oma_crypto::backend::{CryptoBackend, HwMacroBackend, Realisation, SoftwareBackend};
-use oma_crypto::{Algorithm, OpTrace};
+use oma_crypto::backend::{CryptoBackend, HwMacroBackend};
+use oma_crypto::Algorithm;
 use std::sync::Arc;
 
-/// Where one algorithm is realised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Implementation {
-    /// Software running on the general-purpose processor core.
-    Software,
-    /// A dedicated hardware macro attached to the system bus.
-    Hardware,
+/// The clock frequency of the paper's application processor (200 MHz).
+pub const CLOCK_HZ: u64 = 200_000_000;
+
+/// The variant `name`: the algorithms in `macros` run as hardware macros,
+/// every other one on the core, each priced in `table`'s column for it.
+pub fn variant(table: &CostTable, name: &str, macros: &[Algorithm]) -> HwMacroBackend {
+    HwMacroBackend::partitioned(
+        name,
+        macros,
+        table.software_profile().clone(),
+        table.hardware_profile().clone(),
+    )
 }
 
-/// The default clock frequency assumed by the paper (200 MHz).
-pub const DEFAULT_CLOCK_HZ: u64 = 200_000_000;
-
-/// A hardware/software partitioning of the six algorithms plus a clock
-/// frequency.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Architecture {
-    name: String,
-    assignments: [Implementation; 6],
-    clock_hz: u64,
+/// The three variants of the paper's evaluation, in figure order
+/// (SW, SW/HW, HW).
+pub fn standard_variants(table: &CostTable) -> Vec<Arc<dyn CryptoBackend>> {
+    let hybrid = [
+        Algorithm::AesEncrypt,
+        Algorithm::AesDecrypt,
+        Algorithm::Sha1,
+        Algorithm::HmacSha1,
+    ];
+    vec![
+        Arc::new(variant(table, "SW", &[])),
+        Arc::new(variant(table, "SW/HW", &hybrid)),
+        Arc::new(variant(table, "HW", &Algorithm::ALL)),
+    ]
 }
 
-fn index(algorithm: Algorithm) -> usize {
-    match algorithm {
-        Algorithm::AesEncrypt => 0,
-        Algorithm::AesDecrypt => 1,
-        Algorithm::Sha1 => 2,
-        Algorithm::HmacSha1 => 3,
-        Algorithm::RsaPublic => 4,
-        Algorithm::RsaPrivate => 5,
-    }
-}
-
-impl Architecture {
-    /// A fully custom partitioning.
-    pub fn custom(
-        name: &str,
-        assignment: impl Fn(Algorithm) -> Implementation,
-        clock_hz: u64,
-    ) -> Self {
-        let mut assignments = [Implementation::Software; 6];
-        for alg in Algorithm::ALL {
-            assignments[index(alg)] = assignment(alg);
-        }
-        Architecture {
-            name: name.to_string(),
-            assignments,
-            clock_hz,
-        }
-    }
-
-    /// The pure-software variant ("SW").
-    pub fn software() -> Self {
-        Self::custom("SW", |_| Implementation::Software, DEFAULT_CLOCK_HZ)
-    }
-
-    /// The mixed variant ("SW/HW"): AES, SHA-1 and HMAC SHA-1 in hardware,
-    /// RSA in software.
-    pub fn hybrid() -> Self {
-        Self::custom(
-            "SW/HW",
-            |alg| match alg {
-                Algorithm::AesEncrypt
-                | Algorithm::AesDecrypt
-                | Algorithm::Sha1
-                | Algorithm::HmacSha1 => Implementation::Hardware,
-                Algorithm::RsaPublic | Algorithm::RsaPrivate => Implementation::Software,
-            },
-            DEFAULT_CLOCK_HZ,
-        )
-    }
-
-    /// The full-hardware variant ("HW").
-    pub fn full_hardware() -> Self {
-        Self::custom("HW", |_| Implementation::Hardware, DEFAULT_CLOCK_HZ)
-    }
-
-    /// The three variants of the paper's evaluation, in figure order
-    /// (SW, SW/HW, HW).
-    pub fn standard_variants() -> Vec<Architecture> {
-        vec![Self::software(), Self::hybrid(), Self::full_hardware()]
-    }
-
-    /// The variant name used in the figures.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Clock frequency in Hz.
-    pub fn clock_hz(&self) -> u64 {
-        self.clock_hz
-    }
-
-    /// Returns a copy with a different clock frequency.
-    pub fn with_clock_hz(mut self, clock_hz: u64) -> Self {
-        self.clock_hz = clock_hz;
-        self
-    }
-
-    /// Where `algorithm` runs in this architecture.
-    pub fn implementation_of(&self, algorithm: Algorithm) -> Implementation {
-        self.assignments[index(algorithm)]
-    }
-
-    /// Whether any algorithm is realised in hardware.
-    pub fn has_hardware(&self) -> bool {
-        self.assignments.contains(&Implementation::Hardware)
-    }
-
-    /// Builds the executable [`CryptoBackend`] realising this architecture
-    /// under `table`'s cycle costs: the pure-software variant maps onto
-    /// [`SoftwareBackend`], every variant with at least one macro onto a
-    /// partitioned [`HwMacroBackend`]. This is the 1:1 bridge between the
-    /// analytic model's variants and the measured runner's backends.
-    pub fn backend(&self, table: &CostTable) -> Arc<dyn CryptoBackend> {
-        if !self.has_hardware() {
-            return Arc::new(SoftwareBackend::named(
-                &self.name,
-                table.software_profile().clone(),
-            ));
-        }
-        let assignments = self.assignments;
-        Arc::new(HwMacroBackend::partitioned(
-            &self.name,
-            move |alg| match assignments[index(alg)] {
-                Implementation::Software => Realisation::Software,
-                Implementation::Hardware => Realisation::HardwareMacro,
-            },
-            table.software_profile().clone(),
-            table.hardware_profile().clone(),
-        ))
-    }
-
-    /// Cycles consumed to execute `trace` on this architecture under the
-    /// given cost table.
-    pub fn cycles(&self, trace: &OpTrace, table: &CostTable) -> u64 {
-        trace
-            .iter()
-            .map(|(alg, count)| table.cost(alg, self.implementation_of(alg)).cycles(count))
-            .sum()
-    }
-
-    /// Cycles per algorithm for `trace` (used for the Figure 5 breakdown).
-    pub fn cycles_per_algorithm(
-        &self,
-        trace: &OpTrace,
-        table: &CostTable,
-    ) -> Vec<(Algorithm, u64)> {
-        trace
-            .iter()
-            .map(|(alg, count)| {
-                (
-                    alg,
-                    table.cost(alg, self.implementation_of(alg)).cycles(count),
-                )
-            })
-            .collect()
-    }
-
-    /// Wall-clock milliseconds to execute `trace` on this architecture.
-    pub fn millis(&self, trace: &OpTrace, table: &CostTable) -> f64 {
-        self.cycles(trace, table) as f64 / self.clock_hz as f64 * 1_000.0
-    }
+/// Wall-clock milliseconds `cycles` take at [`CLOCK_HZ`].
+pub fn millis(cycles: u64) -> f64 {
+    cycles as f64 / CLOCK_HZ as f64 * 1_000.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oma_crypto::backend::Realisation;
+    use oma_crypto::OpTrace;
 
     fn sample_trace() -> OpTrace {
         let mut t = OpTrace::new();
@@ -192,45 +70,35 @@ mod tests {
 
     #[test]
     fn standard_variants_have_expected_assignments() {
-        let sw = Architecture::software();
-        let hybrid = Architecture::hybrid();
-        let hw = Architecture::full_hardware();
+        let variants = standard_variants(&CostTable::paper());
+        let [sw, hybrid, hw] = &variants[..] else {
+            panic!("three variants");
+        };
         for alg in Algorithm::ALL {
-            assert_eq!(sw.implementation_of(alg), Implementation::Software);
-            assert_eq!(hw.implementation_of(alg), Implementation::Hardware);
+            assert_eq!(sw.realisation(alg), Realisation::Software);
+            assert_eq!(hw.realisation(alg), Realisation::HardwareMacro);
+        }
+        for alg in [Algorithm::AesDecrypt, Algorithm::Sha1, Algorithm::HmacSha1] {
+            assert_eq!(hybrid.realisation(alg), Realisation::HardwareMacro);
         }
         assert_eq!(
-            hybrid.implementation_of(Algorithm::AesDecrypt),
-            Implementation::Hardware
+            hybrid.realisation(Algorithm::RsaPrivate),
+            Realisation::Software
         );
-        assert_eq!(
-            hybrid.implementation_of(Algorithm::Sha1),
-            Implementation::Hardware
-        );
-        assert_eq!(
-            hybrid.implementation_of(Algorithm::HmacSha1),
-            Implementation::Hardware
-        );
-        assert_eq!(
-            hybrid.implementation_of(Algorithm::RsaPrivate),
-            Implementation::Software
-        );
-        assert!(!sw.has_hardware());
-        assert!(hybrid.has_hardware());
-        let names: Vec<String> = Architecture::standard_variants()
-            .iter()
-            .map(|a| a.name().to_string())
-            .collect();
-        assert_eq!(names, vec!["SW", "SW/HW", "HW"]);
+        let names: Vec<&str> = variants.iter().map(|v| v.name()).collect();
+        assert_eq!(names, ["SW", "SW/HW", "HW"]);
     }
 
     #[test]
     fn cycle_ordering_sw_ge_hybrid_ge_hw() {
-        let table = CostTable::paper();
         let trace = sample_trace();
-        let sw = Architecture::software().cycles(&trace, &table);
-        let hybrid = Architecture::hybrid().cycles(&trace, &table);
-        let hw = Architecture::full_hardware().cycles(&trace, &table);
+        let cycles: Vec<u64> = standard_variants(&CostTable::paper())
+            .iter()
+            .map(|v| v.price(&trace))
+            .collect();
+        let [sw, hybrid, hw] = cycles[..] else {
+            panic!("three variants");
+        };
         assert!(sw > hybrid, "sw={sw} hybrid={hybrid}");
         assert!(hybrid > hw, "hybrid={hybrid} hw={hw}");
     }
@@ -240,73 +108,67 @@ mod tests {
         let table = CostTable::paper();
         let trace = sample_trace();
         let expected_sw = (950 + 830 * 1_000) + 400 * 1_000 + 2 * 37_740_000;
-        assert_eq!(Architecture::software().cycles(&trace, &table), expected_sw);
+        assert_eq!(variant(&table, "SW", &[]).price(&trace), expected_sw);
         let expected_hw = (10 + 10 * 1_000) + 20 * 1_000 + 2 * 260_000;
         assert_eq!(
-            Architecture::full_hardware().cycles(&trace, &table),
+            variant(&table, "HW", &Algorithm::ALL).price(&trace),
             expected_hw
         );
     }
 
     #[test]
     fn millis_uses_clock() {
-        let table = CostTable::paper();
         let mut trace = OpTrace::new();
         trace.record(Algorithm::RsaPrivate, 1, 1);
-        let arch = Architecture::software();
-        let ms = arch.millis(&trace, &table);
+        let ms = millis(variant(&CostTable::paper(), "SW", &[]).price(&trace));
         assert!(
             (ms - 188.7).abs() < 0.1,
             "37.74 Mcycles at 200 MHz = 188.7 ms, got {ms}"
         );
-        let slow = Architecture::software().with_clock_hz(100_000_000);
-        assert!((slow.millis(&trace, &table) - 2.0 * ms).abs() < 1e-9);
-        assert_eq!(slow.clock_hz(), 100_000_000);
     }
 
     #[test]
     fn per_algorithm_breakdown_sums_to_total() {
-        let table = CostTable::paper();
         let trace = sample_trace();
-        for arch in Architecture::standard_variants() {
-            let total: u64 = arch
-                .cycles_per_algorithm(&trace, &table)
+        for v in standard_variants(&CostTable::paper()) {
+            let total: u64 = trace
                 .iter()
-                .map(|(_, c)| c)
+                .map(|(alg, count)| v.cost(alg).cycles(count))
                 .sum();
-            assert_eq!(total, arch.cycles(&trace, &table));
+            assert_eq!(total, v.price(&trace), "{}", v.name());
         }
     }
 
     #[test]
     fn empty_trace_costs_nothing() {
-        let table = CostTable::paper();
-        assert_eq!(Architecture::software().cycles(&OpTrace::new(), &table), 0);
-        assert_eq!(
-            Architecture::full_hardware().millis(&OpTrace::new(), &table),
-            0.0
-        );
+        for v in standard_variants(&CostTable::paper()) {
+            assert_eq!(v.price(&OpTrace::new()), 0);
+        }
+        assert_eq!(millis(0), 0.0);
     }
 
     #[test]
     fn custom_partitioning() {
         // RSA-only accelerator (the paper argues this is rarely worth it).
-        let rsa_only = Architecture::custom(
+        let table = CostTable::paper();
+        let rsa_only = variant(
+            &table,
             "RSA-HW",
-            |alg| match alg {
-                Algorithm::RsaPublic | Algorithm::RsaPrivate => Implementation::Hardware,
-                _ => Implementation::Software,
-            },
-            DEFAULT_CLOCK_HZ,
+            &[Algorithm::RsaPublic, Algorithm::RsaPrivate],
         );
         assert_eq!(rsa_only.name(), "RSA-HW");
+        assert_eq!(rsa_only.realisation(Algorithm::Sha1), Realisation::Software);
         assert_eq!(
-            rsa_only.implementation_of(Algorithm::Sha1),
-            Implementation::Software
+            rsa_only.cost(Algorithm::Sha1),
+            table.software(Algorithm::Sha1)
         );
         assert_eq!(
-            rsa_only.implementation_of(Algorithm::RsaPrivate),
-            Implementation::Hardware
+            rsa_only.realisation(Algorithm::RsaPrivate),
+            Realisation::HardwareMacro
+        );
+        assert_eq!(
+            rsa_only.cost(Algorithm::RsaPrivate),
+            table.hardware(Algorithm::RsaPrivate)
         );
     }
 }

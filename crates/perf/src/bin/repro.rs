@@ -13,14 +13,18 @@
 //! ```
 //!
 //! Sections may be combined (`repro fig6 fig7`); an unknown one prints the
-//! usage to stderr and exits with status 2.
+//! usage to stderr and exits with status 2. When the measured cross-check
+//! fails — a protocol run errs, or a figure's measured and analytic totals
+//! disagree — every section is still printed and the exit status is 1.
 
-use oma_perf::arch::Architecture;
+use oma_crypto::backend::CryptoBackend;
+use oma_perf::arch;
 use oma_perf::cost::CostTable;
 use oma_perf::energy::EnergyModel;
 use oma_perf::report::{self, ArchitectureComparison, FIGURE6_PAPER_MS, FIGURE7_PAPER_MS};
 use oma_perf::runner;
 use oma_perf::usecase::UseCaseSpec;
+use std::sync::Arc;
 
 /// RSA modulus of the measured runs: small test keys keep them fast, while
 /// the cost model still charges per 1024-bit operation exactly as the
@@ -70,27 +74,25 @@ fn print_comparison(title: &str, comparison: &ArchitectureComparison, paper: &[(
     println!();
 }
 
-fn print_energy(table: &CostTable, variants: &[Architecture]) {
+fn print_energy(variants: &[Arc<dyn CryptoBackend>]) {
     println!("=== Energy estimate (energy proportional to cycles, §3) ===");
     for spec in UseCaseSpec::paper_use_cases() {
-        let energy =
-            report::energy_comparison(&spec, table, variants, &EnergyModel::proportional());
+        let energy = report::energy_comparison(&spec, variants, &EnergyModel::proportional());
         print!("{energy}");
     }
     println!("With 2x-more-efficient hardware macros (the paper's future-work hypothesis):");
     for spec in UseCaseSpec::paper_use_cases() {
-        let energy = report::energy_comparison(
-            &spec,
-            table,
-            variants,
-            &EnergyModel::with_hardware_factor(0.5),
-        );
+        let energy =
+            report::energy_comparison(&spec, variants, &EnergyModel::with_hardware_factor(0.5));
         print!("{energy}");
     }
     println!();
 }
 
-fn print_measured(table: &CostTable, variants: &[Architecture]) {
+/// Prints the measured cross-check; returns whether every protocol run
+/// succeeded and both figures agree with the analytic model.
+fn print_measured(variants: &[Arc<dyn CryptoBackend>]) -> bool {
+    let mut healthy = true;
     println!("=== Measured cross-check: protocol runs on each variant's crypto backend ===");
     println!("(512-bit test keys; the cost model charges RSA per 1024-bit operation");
     println!(" regardless, exactly as the paper's Table 1 does)\n");
@@ -109,32 +111,37 @@ fn print_measured(table: &CostTable, variants: &[Architecture]) {
             }
             println!();
         }
-        Err(e) => println!("protocol run failed: {e}"),
+        Err(e) => {
+            println!("protocol run failed: {e}");
+            healthy = false;
+        }
     }
     for (name, spec) in [
         ("Figure 6 (Music Player)", UseCaseSpec::music_player()),
         ("Figure 7 (Ringtone)", UseCaseSpec::ringtone()),
     ] {
         let spec = spec.with_rsa_modulus_bits(MEASURED_RSA_BITS);
-        match report::measured_architecture_comparison(&spec, table, variants, 42) {
+        match report::measured_architecture_comparison(&spec, variants, 42) {
             Ok(measured) => {
-                let analytic = report::architecture_comparison(&spec, table, variants);
+                let analytic = report::architecture_comparison(&spec, variants);
                 let consistency = report::consistency_check(&measured, &analytic);
+                let agrees = consistency.agrees_within(0.10);
+                healthy &= agrees;
                 println!("--- {name}: measured backends vs analytic model ---");
                 print!("{consistency}");
                 println!(
                     "  max deviation {:.2} % ({})\n",
                     consistency.max_relative_error() * 100.0,
-                    if consistency.agrees_within(0.10) {
-                        "agrees"
-                    } else {
-                        "DISAGREES"
-                    }
+                    if agrees { "agrees" } else { "DISAGREES" }
                 );
             }
-            Err(e) => println!("{name}: measured run failed: {e}"),
+            Err(e) => {
+                println!("{name}: measured run failed: {e}");
+                healthy = false;
+            }
         }
     }
+    healthy
 }
 
 fn main() {
@@ -145,7 +152,7 @@ fn main() {
     }
     let want = |name: &str| selection.is_empty() || selection.iter().any(|s| s == name);
     let table = CostTable::paper();
-    let variants = Architecture::standard_variants();
+    let variants = arch::standard_variants(&table);
 
     if want("table1") {
         print_table1(&table);
@@ -156,21 +163,21 @@ fn main() {
     if want("fig6") {
         print_comparison(
             "Figure 6: Music Player use case, execution time per architecture variant",
-            &report::architecture_comparison(&UseCaseSpec::music_player(), &table, &variants),
+            &report::architecture_comparison(&UseCaseSpec::music_player(), &variants),
             &FIGURE6_PAPER_MS,
         );
     }
     if want("fig7") {
         print_comparison(
             "Figure 7: Ringtone use case, execution time per architecture variant",
-            &report::architecture_comparison(&UseCaseSpec::ringtone(), &table, &variants),
+            &report::architecture_comparison(&UseCaseSpec::ringtone(), &variants),
             &FIGURE7_PAPER_MS,
         );
     }
     if want("energy") {
-        print_energy(&table, &variants);
+        print_energy(&variants);
     }
-    if want("measured") {
-        print_measured(&table, &variants);
+    if want("measured") && !print_measured(&variants) {
+        std::process::exit(1);
     }
 }

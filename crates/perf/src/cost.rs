@@ -14,7 +14,7 @@
 
 use oma_crypto::backend::CostProfile;
 use oma_crypto::provider::OpCount;
-use oma_crypto::{Algorithm, OpTrace};
+use oma_crypto::Algorithm;
 
 pub use oma_crypto::backend::AlgorithmCost;
 
@@ -70,26 +70,6 @@ impl CostTable {
     /// The full hardware cost column (for constructing backends).
     pub fn hardware_profile(&self) -> &CostProfile {
         &self.hardware
-    }
-
-    /// Cost of `algorithm` in the given realisation.
-    pub fn cost(
-        &self,
-        algorithm: Algorithm,
-        implementation: crate::arch::Implementation,
-    ) -> AlgorithmCost {
-        match implementation {
-            crate::arch::Implementation::Software => self.software(algorithm),
-            crate::arch::Implementation::Hardware => self.hardware(algorithm),
-        }
-    }
-
-    /// Cycles a trace costs when every algorithm runs in software.
-    pub fn software_cycles(&self, trace: &OpTrace) -> u64 {
-        trace
-            .iter()
-            .map(|(alg, count)| self.software(alg).cycles(count))
-            .sum()
     }
 
     /// Speed-up factor hardware offers over software for one algorithm,
@@ -163,11 +143,16 @@ mod tests {
 
     #[test]
     fn software_trace_costing() {
+        use oma_crypto::OpTrace;
         let t = CostTable::paper();
         let mut trace = OpTrace::new();
         trace.record(Algorithm::RsaPrivate, 1, 1);
         trace.record(Algorithm::Sha1, 1, 100);
-        assert_eq!(t.software_cycles(&trace), 37_740_000 + 40_000);
+        let cycles: u64 = trace
+            .iter()
+            .map(|(alg, count)| t.software(alg).cycles(count))
+            .sum();
+        assert_eq!(cycles, 37_740_000 + 40_000);
     }
 
     #[test]

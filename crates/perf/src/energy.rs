@@ -8,8 +8,7 @@
 //! (1.0 reproduces the paper's first-order assumption; values below 1.0
 //! model the wider gap the authors anticipate).
 
-use crate::arch::{Architecture, Implementation};
-use crate::cost::CostTable;
+use oma_crypto::backend::{CryptoBackend, Realisation};
 use oma_crypto::OpTrace;
 
 /// Energy-per-cycle parameters.
@@ -48,22 +47,16 @@ impl EnergyModel {
         }
     }
 
-    /// Energy in millijoules to execute `trace` on `architecture` under
-    /// `table`.
-    pub fn millijoules(
-        &self,
-        trace: &OpTrace,
-        architecture: &Architecture,
-        table: &CostTable,
-    ) -> f64 {
+    /// Energy in millijoules to execute `trace` on `backend`: each
+    /// algorithm's cycles at the per-cycle energy of where it runs.
+    pub fn millijoules(&self, trace: &OpTrace, backend: &dyn CryptoBackend) -> f64 {
         let nanojoules: f64 = trace
             .iter()
             .map(|(alg, count)| {
-                let implementation = architecture.implementation_of(alg);
-                let cycles = table.cost(alg, implementation).cycles(count) as f64;
-                let per_cycle = match implementation {
-                    Implementation::Software => self.software_nj_per_cycle,
-                    Implementation::Hardware => self.hardware_nj_per_cycle,
+                let cycles = backend.cost(alg).cycles(count) as f64;
+                let per_cycle = match backend.realisation(alg) {
+                    Realisation::Software => self.software_nj_per_cycle,
+                    Realisation::HardwareMacro => self.hardware_nj_per_cycle,
                 };
                 cycles * per_cycle
             })
@@ -75,6 +68,8 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::{standard_variants, variant};
+    use crate::cost::CostTable;
     use oma_crypto::Algorithm;
 
     fn trace() -> OpTrace {
@@ -86,13 +81,12 @@ mod tests {
 
     #[test]
     fn proportional_model_matches_cycle_ratio() {
-        let table = CostTable::paper();
         let model = EnergyModel::proportional();
         let trace = trace();
-        for arch in Architecture::standard_variants() {
-            let energy = model.millijoules(&trace, &arch, &table);
-            let cycles = arch.cycles(&trace, &table) as f64;
-            assert!((energy - cycles / 1.0e6).abs() < 1e-9, "{}", arch.name());
+        for v in standard_variants(&CostTable::paper()) {
+            let energy = model.millijoules(&trace, v.as_ref());
+            let cycles = v.price(&trace) as f64;
+            assert!((energy - cycles / 1.0e6).abs() < 1e-9, "{}", v.name());
         }
     }
 
@@ -100,13 +94,12 @@ mod tests {
     fn hardware_energy_savings_exceed_time_savings_with_efficient_macros() {
         let table = CostTable::paper();
         let trace = trace();
-        let sw = Architecture::software();
-        let hw = Architecture::full_hardware();
-        let time_gap = sw.cycles(&trace, &table) as f64 / hw.cycles(&trace, &table) as f64;
+        let sw = variant(&table, "SW", &[]);
+        let hw = variant(&table, "HW", &Algorithm::ALL);
+        let time_gap = sw.price(&trace) as f64 / hw.price(&trace) as f64;
 
         let efficient = EnergyModel::with_hardware_factor(0.5);
-        let energy_gap =
-            efficient.millijoules(&trace, &sw, &table) / efficient.millijoules(&trace, &hw, &table);
+        let energy_gap = efficient.millijoules(&trace, &sw) / efficient.millijoules(&trace, &hw);
         assert!(
             energy_gap > time_gap,
             "energy gap {energy_gap} should exceed time gap {time_gap}"
@@ -115,22 +108,19 @@ mod tests {
 
     #[test]
     fn empty_trace_costs_no_energy() {
-        let model = EnergyModel::default();
-        let e = model.millijoules(
-            &OpTrace::new(),
-            &Architecture::software(),
-            &CostTable::paper(),
+        let sw = variant(&CostTable::paper(), "SW", &[]);
+        assert_eq!(
+            EnergyModel::default().millijoules(&OpTrace::new(), &sw),
+            0.0
         );
-        assert_eq!(e, 0.0);
     }
 
     #[test]
     fn software_only_architecture_ignores_hardware_factor() {
-        let table = CostTable::paper();
         let trace = trace();
-        let sw = Architecture::software();
-        let a = EnergyModel::with_hardware_factor(0.1).millijoules(&trace, &sw, &table);
-        let b = EnergyModel::proportional().millijoules(&trace, &sw, &table);
+        let sw = variant(&CostTable::paper(), "SW", &[]);
+        let a = EnergyModel::with_hardware_factor(0.1).millijoules(&trace, &sw);
+        let b = EnergyModel::proportional().millijoules(&trace, &sw);
         assert!((a - b).abs() < 1e-12);
     }
 }

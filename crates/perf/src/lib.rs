@@ -13,18 +13,19 @@
 //!   (software on an ARM9-class core vs dedicated hardware macros), shared
 //!   with the executable crypto backends in `oma-crypto`,
 //! * [`arch`] — architecture variants: pure software, AES/SHA-1 hardware
-//!   with RSA in software, and full hardware; each variant maps 1:1 onto an
-//!   executable [`oma_crypto::backend::CryptoBackend`] via
-//!   [`Architecture::backend`](arch::Architecture::backend),
+//!   with RSA in software, and full hardware; each variant is an executable
+//!   [`HwMacroBackend`](oma_crypto::backend::HwMacroBackend), and a trace's
+//!   cycles on it are its
+//!   [`CryptoBackend::price`](oma_crypto::backend::CryptoBackend::price),
 //! * [`phases`] — per-phase operation traces (Registration, Acquisition,
 //!   Installation, Consumption),
 //! * [`usecase`] — the two end-user use cases of the evaluation
 //!   (Music Player: 3.5 MB × 5 playbacks; Ringtone: 30 KB × 25 accesses),
 //! * [`analytic`] — closed-form operation counts derived from the protocol
 //!   analysis (the spreadsheet model of the paper),
-//! * [`runner`] — a *measured* trace source that runs the real protocol from
-//!   `oma-drm` on any variant's backend and records both the operations
-//!   performed and the cycles the backend charged,
+//! * [`runner`] — a *measured* trace source that drives the real protocol
+//!   from `oma-drm` on any variant's backend and records the operations it
+//!   performed,
 //! * [`energy`] — the energy ∝ cycles first-order estimate,
 //! * [`report`] — generators for Table 1 and Figures 5, 6 and 7, from the
 //!   analytic model and from measured per-backend runs, plus the
@@ -40,25 +41,19 @@
 //! of magnitude compared to the pure-software terminal.
 //!
 //! ```
-//! use oma_perf::{arch::Architecture, cost::CostTable, report};
+//! use oma_perf::{arch, cost::CostTable, report};
 //! use oma_perf::usecase::UseCaseSpec;
 //!
-//! let figure6 = report::architecture_comparison(
-//!     &UseCaseSpec::music_player(),
-//!     &CostTable::paper(),
-//!     &Architecture::standard_variants(),
-//! );
+//! // Each variant is a crypto backend: the same one prices the analytic
+//! // trace and executes the measured protocol run.
+//! let variants = arch::standard_variants(&CostTable::paper());
+//! let names: Vec<&str> = variants.iter().map(|v| v.name()).collect();
+//! assert_eq!(names, ["SW", "SW/HW", "HW"]);
+//!
+//! let figure6 = report::architecture_comparison(&UseCaseSpec::music_player(), &variants);
 //! let sw = figure6.total_millis("SW").unwrap();
 //! let hw = figure6.total_millis("HW").unwrap();
 //! assert!(sw / hw > 20.0, "hardware acceleration must win by a wide margin");
-//!
-//! // The same variants are executable: each maps onto a crypto backend.
-//! let table = CostTable::paper();
-//! let names: Vec<String> = Architecture::standard_variants()
-//!     .iter()
-//!     .map(|arch| arch.backend(&table).name().to_string())
-//!     .collect();
-//! assert_eq!(names, ["SW", "SW/HW", "HW"]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,7 +68,6 @@ pub mod report;
 pub mod runner;
 pub mod usecase;
 
-pub use arch::{Architecture, Implementation};
 pub use cost::{AlgorithmCost, CostTable};
 pub use phases::{Phase, PhaseTraces};
 pub use usecase::UseCaseSpec;

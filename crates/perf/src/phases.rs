@@ -161,4 +161,13 @@ mod tests {
         assert_eq!(total.count(Algorithm::AesDecrypt).blocks, 2_500);
         assert_eq!(t.total(0).count(Algorithm::AesDecrypt).blocks, 0);
     }
+
+    #[test]
+    fn merge_accumulates_phase_by_phase() {
+        let mut merged = traces();
+        merged.merge(&traces());
+        for phase in Phase::ALL {
+            assert_eq!(merged.phase(phase), &traces().phase(phase).scaled(2));
+        }
+    }
 }

@@ -19,14 +19,16 @@
 //! paper's own totals ([`FIGURE6_PAPER_MS`], [`FIGURE7_PAPER_MS`]).
 
 use crate::analytic;
-use crate::arch::Architecture;
+use crate::arch::millis;
 use crate::cost::CostTable;
 use crate::energy::EnergyModel;
 use crate::runner;
 use crate::usecase::UseCaseSpec;
+use oma_crypto::backend::CryptoBackend;
 use oma_crypto::Algorithm;
 use oma_drm::DrmError;
 use std::fmt;
+use std::sync::Arc;
 
 /// A formatted view of the cost table (the paper's Table 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,12 +192,14 @@ impl fmt::Display for AlgorithmBreakdown {
 }
 
 /// Computes the Figure 5 breakdown for one use case using the analytic
-/// operation model and the pure-software architecture.
+/// operation model and `table`'s software column.
 pub fn algorithm_breakdown(spec: &UseCaseSpec, table: &CostTable) -> AlgorithmBreakdown {
     let traces = analytic::phase_traces(spec);
-    let total_trace = traces.total(spec.accesses());
-    let software = Architecture::software();
-    let per_algorithm = software.cycles_per_algorithm(&total_trace, table);
+    let per_algorithm: Vec<(Algorithm, u64)> = traces
+        .total(spec.accesses())
+        .iter()
+        .map(|(alg, count)| (alg, table.software(alg).cycles(count)))
+        .collect();
     let total: u64 = per_algorithm.iter().map(|(_, c)| *c).sum();
 
     let mut shares = Vec::with_capacity(BreakdownCategory::ALL.len());
@@ -273,23 +277,19 @@ pub const FIGURE6_PAPER_MS: [(&str, f64); 3] = [("SW", 7_730.0), ("SW/HW", 800.0
 pub const FIGURE7_PAPER_MS: [(&str, f64); 3] = [("SW", 900.0), ("SW/HW", 620.0), ("HW", 12.0)];
 
 /// Evaluates one use case on a set of architecture variants using the
-/// analytic operation model (Figures 6 and 7 of the paper).
+/// analytic operation model (Figures 6 and 7 of the paper): each variant's
+/// price of the use case's trace.
 pub fn architecture_comparison(
     spec: &UseCaseSpec,
-    table: &CostTable,
-    variants: &[Architecture],
+    variants: &[Arc<dyn CryptoBackend>],
 ) -> ArchitectureComparison {
     let traces = analytic::phase_traces(spec);
     let total_trace = traces.total(spec.accesses());
     let entries = variants
         .iter()
-        .map(|arch| {
-            let cycles = arch.cycles(&total_trace, table);
-            (
-                arch.name().to_string(),
-                cycles,
-                arch.millis(&total_trace, table),
-            )
+        .map(|variant| {
+            let cycles = variant.price(&total_trace);
+            (variant.name().to_string(), cycles, millis(cycles))
         })
         .collect();
     ArchitectureComparison {
@@ -302,26 +302,24 @@ pub fn architecture_comparison(
 /// the protocol on each variant's crypto backend (Figures 6 and 7 from
 /// measured runs instead of the analytic model).
 ///
-/// The reported cycles are the ones the backend charged while performing the
-/// run's cryptography (consumption measured once and scaled by the spec's
-/// access count, like the paper's per-access accounting).
+/// The reported cycles are the backend's price of what it executed during
+/// the run (consumption measured once and scaled by the spec's access
+/// count, like the paper's per-access accounting).
 ///
 /// # Errors
 ///
 /// Propagates any [`DrmError`] from the underlying protocol runs.
 pub fn measured_architecture_comparison(
     spec: &UseCaseSpec,
-    table: &CostTable,
-    variants: &[Architecture],
+    variants: &[Arc<dyn CryptoBackend>],
     seed: u64,
 ) -> Result<ArchitectureComparison, DrmError> {
     let entries = variants
         .iter()
-        .map(|arch| {
-            let run = runner::measure_use_case_on(spec, arch, table, seed)?;
-            let cycles = run.cycles.total(spec.accesses());
-            let millis = cycles as f64 / arch.clock_hz() as f64 * 1_000.0;
-            Ok((arch.name().to_string(), cycles, millis))
+        .map(|variant| {
+            let run = runner::measure_use_case_on(spec, Arc::clone(variant), seed)?;
+            let cycles = variant.price(&run.traces.total(spec.accesses()));
+            Ok((variant.name().to_string(), cycles, millis(cycles)))
         })
         .collect::<Result<Vec<_>, DrmError>>()?;
     Ok(ArchitectureComparison {
@@ -435,18 +433,17 @@ impl fmt::Display for EnergyComparison {
 /// Evaluates the energy model for one use case across architecture variants.
 pub fn energy_comparison(
     spec: &UseCaseSpec,
-    table: &CostTable,
-    variants: &[Architecture],
+    variants: &[Arc<dyn CryptoBackend>],
     model: &EnergyModel,
 ) -> EnergyComparison {
     let traces = analytic::phase_traces(spec);
     let total_trace = traces.total(spec.accesses());
     let entries = variants
         .iter()
-        .map(|arch| {
+        .map(|variant| {
             (
-                arch.name().to_string(),
-                model.millijoules(&total_trace, arch, table),
+                variant.name().to_string(),
+                model.millijoules(&total_trace, variant.as_ref()),
             )
         })
         .collect();
@@ -459,6 +456,7 @@ pub fn energy_comparison(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::standard_variants;
 
     fn within(actual: f64, expected: f64, tolerance: f64) -> bool {
         (actual - expected).abs() / expected <= tolerance
@@ -479,8 +477,7 @@ mod tests {
     fn figure6_music_player_matches_paper_within_15_percent() {
         let comparison = architecture_comparison(
             &UseCaseSpec::music_player(),
-            &CostTable::paper(),
-            &Architecture::standard_variants(),
+            &standard_variants(&CostTable::paper()),
         );
         for (variant, expected) in FIGURE6_PAPER_MS {
             let actual = comparison.total_millis(variant).unwrap();
@@ -496,8 +493,7 @@ mod tests {
     fn figure7_ringtone_matches_paper_within_15_percent() {
         let comparison = architecture_comparison(
             &UseCaseSpec::ringtone(),
-            &CostTable::paper(),
-            &Architecture::standard_variants(),
+            &standard_variants(&CostTable::paper()),
         );
         for (variant, expected) in FIGURE7_PAPER_MS {
             let actual = comparison.total_millis(variant).unwrap();
@@ -514,8 +510,7 @@ mod tests {
         // realizing AES and SHA-1 as dedicated hardware macros".
         let comparison = architecture_comparison(
             &UseCaseSpec::music_player(),
-            &CostTable::paper(),
-            &Architecture::standard_variants(),
+            &standard_variants(&CostTable::paper()),
         );
         let sw_over_hybrid = comparison.speedup("SW", "SW/HW").unwrap();
         assert!(
@@ -532,8 +527,7 @@ mod tests {
         // providing PKI hardware support."
         let comparison = architecture_comparison(
             &UseCaseSpec::ringtone(),
-            &CostTable::paper(),
-            &Architecture::standard_variants(),
+            &standard_variants(&CostTable::paper()),
         );
         let sw_to_hybrid = comparison.speedup("SW", "SW/HW").unwrap();
         let hybrid_to_hw = comparison.speedup("SW/HW", "HW").unwrap();
@@ -556,10 +550,9 @@ mod tests {
             let breakdown = algorithm_breakdown(&spec, &table);
             let pki_share = breakdown.share(BreakdownCategory::PkiPrivateKeyOp)
                 + breakdown.share(BreakdownCategory::PkiPublicKeyOp);
-            let pki_ms = breakdown.total_cycles as f64 * pki_share
-                / 100.0
-                / crate::arch::DEFAULT_CLOCK_HZ as f64
-                * 1_000.0;
+            let pki_ms =
+                breakdown.total_cycles as f64 * pki_share / 100.0 / crate::arch::CLOCK_HZ as f64
+                    * 1_000.0;
             assert!(
                 (pki_ms - 600.0).abs() < 80.0,
                 "{}: PKI total {pki_ms:.0} ms should be ~600 ms",
@@ -602,10 +595,9 @@ mod tests {
         // the paper's approximation (protocol-message sizes are modelled
         // with representative constants, so a few percent of slack).
         let spec = UseCaseSpec::ringtone().with_rsa_modulus_bits(512);
-        let table = CostTable::paper();
-        let variants = Architecture::standard_variants();
-        let measured = measured_architecture_comparison(&spec, &table, &variants, 7).unwrap();
-        let analytic = architecture_comparison(&spec, &table, &variants);
+        let variants = standard_variants(&CostTable::paper());
+        let measured = measured_architecture_comparison(&spec, &variants, 7).unwrap();
+        let analytic = architecture_comparison(&spec, &variants);
         let consistency = consistency_check(&measured, &analytic);
         assert_eq!(consistency.entries.len(), 3);
         assert!(
@@ -638,11 +630,10 @@ mod tests {
 
     #[test]
     fn energy_comparison_tracks_time_under_proportional_model() {
-        let table = CostTable::paper();
-        let variants = Architecture::standard_variants();
+        let variants = standard_variants(&CostTable::paper());
         let spec = UseCaseSpec::ringtone();
-        let time = architecture_comparison(&spec, &table, &variants);
-        let energy = energy_comparison(&spec, &table, &variants, &EnergyModel::proportional());
+        let time = architecture_comparison(&spec, &variants);
+        let energy = energy_comparison(&spec, &variants, &EnergyModel::proportional());
         let time_ratio = time.total_millis("SW").unwrap() / time.total_millis("HW").unwrap();
         let energy_ratio = energy.millijoules("SW").unwrap() / energy.millijoules("HW").unwrap();
         assert!((time_ratio - energy_ratio).abs() / time_ratio < 1e-9);

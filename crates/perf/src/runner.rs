@@ -7,20 +7,22 @@
 //! The analytic model in [`crate::analytic`] is cross-checked against these
 //! measured traces in the test suite.
 //!
-//! Beyond tracing, [`measure_use_case_on`] executes the protocol directly on
-//! the crypto backend of any [`Architecture`] variant: the backend performs
-//! every primitive (byte-identically across variants) and books it in its
-//! ledger, which is the phase trace; each phase's cycles are that trace
-//! priced in the backend's Table 1 column, so the hardware/software
-//! partitionings are exercised, not just priced.
+//! [`drive_lifecycle`] is the one life-cycle drive: registration, then
+//! acquisition, installation and consumption per content item, with the
+//! agent's trace taken after each call. [`measure_use_case_on`] runs it on
+//! any architecture variant's crypto backend (see [`crate::arch`]): the
+//! backend performs every primitive (byte-identically across variants) and
+//! books it in its ledger, which is the phase trace, so the
+//! hardware/software partitionings are exercised, not just priced. A phase's
+//! cycles are its trace priced by [`CryptoBackend::price`]. The `oma-load`
+//! fleet drives each of its devices through the same function.
 
-use crate::arch::Architecture;
-use crate::cost::CostTable;
 use crate::phases::PhaseTraces;
 use crate::usecase::UseCaseSpec;
-use oma_crypto::backend::CryptoBackend;
+use oma_crypto::backend::{CryptoBackend, SoftwareBackend};
 use oma_drm::{
-    ContentIssuer, DrmAgent, DrmError, Permission, RiService, RightsTemplate, RoapClient,
+    ContentIssuer, Dcf, DrmAgent, DrmError, Permission, RiService, RightsObjectId, RightsTemplate,
+    RoapClient, RoapTransport,
 };
 use oma_pki::{CertificationAuthority, Timestamp};
 use rand::rngs::StdRng;
@@ -37,89 +39,56 @@ pub fn synthetic_content(len: usize, seed: u64) -> Vec<u8> {
     out
 }
 
-/// Cycles the DRM Agent's backend charged during each phase of a measured
-/// run (the executable counterpart of pricing a trace under Table 1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseCycles {
-    /// Registration-phase cycles (once per lifetime).
-    pub registration: u64,
-    /// Acquisition-phase cycles (once per license).
-    pub acquisition: u64,
-    /// Installation-phase cycles (once per license).
-    pub installation: u64,
-    /// Cycles for a *single* content access.
-    pub consumption_per_access: u64,
-}
-
-impl PhaseCycles {
-    /// The cycles `backend` charged for each phase's trace: the price of
-    /// what it executed.
-    pub fn priced(traces: &PhaseTraces, backend: &dyn CryptoBackend) -> Self {
-        PhaseCycles {
-            registration: backend.price(&traces.registration),
-            acquisition: backend.price(&traces.acquisition),
-            installation: backend.price(&traces.installation),
-            consumption_per_access: backend.price(&traces.consumption_per_access),
-        }
-    }
-
-    /// Total cycles for a use case with `accesses` content accesses.
-    pub fn total(&self, accesses: u64) -> u64 {
-        self.registration
-            + self.acquisition
-            + self.installation
-            + self.consumption_per_access * accesses
-    }
-
-    /// Adds another phase bill into this one. The `oma-load` fleet harness
-    /// sums per-device bills into fleet-wide per-phase totals with this;
-    /// addition commutes, so the aggregate is schedule-independent.
-    ///
-    /// In a merged aggregate the `consumption_per_access` field holds the
-    /// *sum* of the merged consumption figures, no longer a per-access
-    /// value — price such aggregates with [`PhaseCycles::sum`], not
-    /// [`PhaseCycles::total`].
-    pub fn merge(&mut self, other: &PhaseCycles) {
-        self.registration += other.registration;
-        self.acquisition += other.acquisition;
-        self.installation += other.installation;
-        self.consumption_per_access += other.consumption_per_access;
-    }
-
-    /// Grand total of the four phase fields as stored, with no per-access
-    /// scaling. This is the correct total for [`PhaseCycles::merge`]d
-    /// aggregates, where the consumption field already holds a sum over
-    /// accesses.
-    pub fn sum(&self) -> u64 {
-        self.registration + self.acquisition + self.installation + self.consumption_per_access
-    }
-
-    /// The cycle count of one phase (the consumption field as stored: a
-    /// per-access figure for a single measured run, a summed figure in a
-    /// merged aggregate).
-    pub fn phase(&self, phase: crate::phases::Phase) -> u64 {
-        match phase {
-            crate::phases::Phase::Registration => self.registration,
-            crate::phases::Phase::Acquisition => self.acquisition,
-            crate::phases::Phase::Installation => self.installation,
-            crate::phases::Phase::Consumption => self.consumption_per_access,
-        }
-    }
-}
-
-/// The result of a measured protocol run: per-phase traces, the cycles the
-/// backend charged per phase, and the decrypted content length (as a sanity
-/// check that the run really worked).
+/// The result of a measured protocol run: per-phase traces and the
+/// decrypted content length (as a sanity check that the run really worked).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeasuredRun {
     /// Name of the backend (architecture variant) the agent executed on.
     pub backend: String,
     /// The per-phase operation traces of the DRM Agent.
     pub traces: PhaseTraces,
-    /// The per-phase cycle bill charged by the agent's backend.
-    pub cycles: PhaseCycles,
     /// Length of the plaintext recovered during the first consumption.
     pub recovered_len: usize,
+}
+
+/// Drives `agent` through the content life-cycle over `client`: it
+/// registers with the Rights Issuer `ri_id`, then acquires, installs and
+/// consumes each `(content_id, dcf)` of `contents` in turn, taking the
+/// agent's trace after each call and handing each installed Rights Object
+/// id and recovered plaintext to `consumed`. Each phase's trace sums over
+/// all contents, consumption included.
+///
+/// # Errors
+///
+/// Propagates the first [`DrmError`] of the protocol run.
+pub fn drive_lifecycle<'a, T: RoapTransport>(
+    agent: &mut DrmAgent,
+    client: &RoapClient<T>,
+    ri_id: &str,
+    contents: impl IntoIterator<Item = (&'a str, &'a Dcf)>,
+    now: Timestamp,
+    mut consumed: impl FnMut(&RightsObjectId, &[u8]),
+) -> Result<PhaseTraces, DrmError> {
+    let mut traces = PhaseTraces::new();
+    agent.engine().reset_trace();
+
+    agent.register(client, now)?;
+    traces.registration.merge(&agent.engine().take_trace());
+
+    for (content_id, dcf) in contents {
+        let response = agent.acquire_rights(client, ri_id, content_id, now)?;
+        traces.acquisition.merge(&agent.engine().take_trace());
+
+        let ro_id = agent.install_rights(&response, now)?;
+        traces.installation.merge(&agent.engine().take_trace());
+
+        let plaintext = agent.consume(&ro_id, dcf, Permission::Play, now)?;
+        traces
+            .consumption_per_access
+            .merge(&agent.engine().take_trace());
+        consumed(&ro_id, &plaintext);
+    }
+    Ok(traces)
 }
 
 /// Runs the full use case (registration → acquisition → installation →
@@ -135,39 +104,31 @@ pub struct MeasuredRun {
 /// Propagates any [`DrmError`] from the protocol run — a failure here means
 /// the functional model itself is broken, not the measurement.
 pub fn measure_use_case(spec: &UseCaseSpec, seed: u64) -> Result<MeasuredRun, DrmError> {
-    measure_use_case_on(spec, &Architecture::software(), &CostTable::paper(), seed)
+    measure_use_case_on(spec, Arc::new(SoftwareBackend::new()), seed)
 }
 
-/// Runs the full use case on the executable backend of `architecture`,
-/// charging `table`'s cycle costs as the protocol executes.
+/// Runs the full use case with the DRM Agent's cryptography on `backend`,
+/// which books every operation as the protocol executes.
 ///
-/// Every [`Architecture::standard_variants`] entry maps 1:1 onto a backend
-/// configuration via [`Architecture::backend`]; content, keys and protocol
-/// bytes are identical across variants for the same `seed` — only the cycle
-/// bill differs.
+/// Content, keys and protocol bytes are identical across backends for the
+/// same `seed` — only the cycle bill, `backend.price` of the traces,
+/// differs.
 ///
 /// # Errors
 ///
 /// Propagates any [`DrmError`] from the protocol run.
 pub fn measure_use_case_on(
     spec: &UseCaseSpec,
-    architecture: &Architecture,
-    table: &CostTable,
+    backend: Arc<dyn CryptoBackend>,
     seed: u64,
 ) -> Result<MeasuredRun, DrmError> {
-    let backend = architecture.backend(table);
     let mut rng = StdRng::seed_from_u64(seed);
     let bits = spec.rsa_modulus_bits();
     let mut ca = CertificationAuthority::new("cmla", bits, &mut rng);
     let ri = RiService::new("ri.example.com", bits, &mut ca, &mut rng);
     let ci = ContentIssuer::new("ci.example.com");
-    let mut agent = DrmAgent::with_backend(
-        "terminal-under-test",
-        bits,
-        &mut ca,
-        Arc::clone(&backend),
-        &mut rng,
-    );
+    let name = backend.name().to_string();
+    let mut agent = DrmAgent::with_backend("terminal-under-test", bits, &mut ca, backend, &mut rng);
 
     let content = synthetic_content(spec.content_len(), seed ^ 0x5eed);
     let content_id = format!("cid:{}", spec.name().to_lowercase().replace(' ', "-"));
@@ -179,29 +140,21 @@ pub fn measure_use_case_on(
         RightsTemplate::unlimited(Permission::Play),
     );
 
-    let now = Timestamp::new(1_000);
-    let mut traces = PhaseTraces::new();
-    agent.engine().reset_trace();
-
     let client = RoapClient::in_proc(&ri);
-    agent.register(&client, now)?;
-    traces.registration = agent.engine().take_trace();
-
-    let response = agent.acquire_rights(&client, ri.id(), &content_id, now)?;
-    traces.acquisition = agent.engine().take_trace();
-
-    let ro_id = agent.install_rights(&response, now)?;
-    traces.installation = agent.engine().take_trace();
-
-    let plaintext = agent.consume(&ro_id, &dcf, Permission::Play, now)?;
-    traces.consumption_per_access = agent.engine().take_trace();
-    let cycles = PhaseCycles::priced(&traces, backend.as_ref());
+    let mut recovered_len = 0;
+    let traces = drive_lifecycle(
+        &mut agent,
+        &client,
+        ri.id(),
+        [(content_id.as_str(), &dcf)],
+        Timestamp::new(1_000),
+        |_, plaintext| recovered_len = plaintext.len(),
+    )?;
 
     Ok(MeasuredRun {
-        backend: backend.name().to_string(),
+        backend: name,
         traces,
-        cycles,
-        recovered_len: plaintext.len(),
+        recovered_len,
     })
 }
 
@@ -209,6 +162,10 @@ pub fn measure_use_case_on(
 mod tests {
     use super::*;
     use crate::analytic;
+    use crate::arch::standard_variants;
+    use crate::cost::CostTable;
+    use crate::phases::Phase;
+    use oma_crypto::backend::Realisation;
     use oma_crypto::Algorithm;
 
     /// A scaled-down spec that keeps the measured run fast in tests.
@@ -313,13 +270,20 @@ mod tests {
     #[test]
     fn all_standard_variants_execute_and_recover_content() {
         let spec = small_spec();
-        let table = CostTable::paper();
-        for arch in Architecture::standard_variants() {
-            let run = measure_use_case_on(&spec, &arch, &table, 23).unwrap();
-            assert_eq!(run.backend, arch.name());
-            assert_eq!(run.recovered_len, 30_720, "{}", arch.name());
-            assert!(run.cycles.registration > 0, "{}", arch.name());
-            assert!(run.cycles.consumption_per_access > 0, "{}", arch.name());
+        for variant in standard_variants(&CostTable::paper()) {
+            let run = measure_use_case_on(&spec, Arc::clone(&variant), 23).unwrap();
+            assert_eq!(run.backend, variant.name());
+            assert_eq!(run.recovered_len, 30_720, "{}", variant.name());
+            assert!(
+                variant.price(&run.traces.registration) > 0,
+                "{}",
+                variant.name()
+            );
+            assert!(
+                variant.price(&run.traces.consumption_per_access) > 0,
+                "{}",
+                variant.name()
+            );
         }
     }
 
@@ -328,16 +292,17 @@ mod tests {
         // The hardware macros implement the same algorithms: for one seed,
         // every variant performs the same operations on the same bytes.
         let spec = small_spec();
-        let table = CostTable::paper();
-        let runs: Vec<MeasuredRun> = Architecture::standard_variants()
+        let variants = standard_variants(&CostTable::paper());
+        let runs: Vec<MeasuredRun> = variants
             .iter()
-            .map(|arch| measure_use_case_on(&spec, arch, &table, 29).unwrap())
+            .map(|variant| measure_use_case_on(&spec, Arc::clone(variant), 29).unwrap())
             .collect();
         assert_eq!(runs[0].traces, runs[1].traces);
         assert_eq!(runs[0].traces, runs[2].traces);
-        let totals: Vec<u64> = runs
+        let totals: Vec<u64> = variants
             .iter()
-            .map(|r| r.cycles.total(spec.accesses()))
+            .zip(&runs)
+            .map(|(variant, run)| variant.price(&run.traces.total(spec.accesses())))
             .collect();
         assert!(
             totals[0] > totals[1],
@@ -356,75 +321,32 @@ mod tests {
     #[test]
     fn backend_charged_cycles_equal_priced_trace_exactly() {
         // Each phase's cycles are its trace priced by the variant's backend;
-        // per phase they must equal the cost model's pricing of the same
-        // trace, to the cycle.
+        // per phase they must equal Table 1's column for where each
+        // algorithm runs, to the cycle.
         let spec = small_spec();
         let table = CostTable::paper();
-        for arch in Architecture::standard_variants() {
-            let run = measure_use_case_on(&spec, &arch, &table, 31).unwrap();
-            for (phase, trace, charged) in [
-                (
-                    "registration",
-                    &run.traces.registration,
-                    run.cycles.registration,
-                ),
-                (
-                    "acquisition",
-                    &run.traces.acquisition,
-                    run.cycles.acquisition,
-                ),
-                (
-                    "installation",
-                    &run.traces.installation,
-                    run.cycles.installation,
-                ),
-                (
-                    "consumption",
-                    &run.traces.consumption_per_access,
-                    run.cycles.consumption_per_access,
-                ),
-            ] {
+        for variant in standard_variants(&table) {
+            let run = measure_use_case_on(&spec, Arc::clone(&variant), 31).unwrap();
+            for phase in Phase::ALL {
+                let trace = run.traces.phase(phase);
+                let table1: u64 = trace
+                    .iter()
+                    .map(|(alg, count)| {
+                        let cost = match variant.realisation(alg) {
+                            Realisation::Software => table.software(alg),
+                            Realisation::HardwareMacro => table.hardware(alg),
+                        };
+                        cost.cycles(count)
+                    })
+                    .sum();
                 assert_eq!(
-                    charged,
-                    arch.cycles(trace, &table),
-                    "{}/{phase}: backend and cost model price the trace differently",
-                    arch.name()
+                    variant.price(trace),
+                    table1,
+                    "{}/{phase}: backend and Table 1 price the trace differently",
+                    variant.name()
                 );
             }
         }
-    }
-
-    #[test]
-    fn phase_cycles_total_scales_consumption() {
-        let cycles = PhaseCycles {
-            registration: 100,
-            acquisition: 10,
-            installation: 1,
-            consumption_per_access: 7,
-        };
-        assert_eq!(cycles.total(0), 111);
-        assert_eq!(cycles.total(25), 111 + 175);
-        assert_eq!(cycles.sum(), 118, "sum never scales consumption");
-    }
-
-    #[test]
-    fn phase_cycles_merge_accumulates_fieldwise() {
-        let mut a = PhaseCycles {
-            registration: 1,
-            acquisition: 2,
-            installation: 3,
-            consumption_per_access: 4,
-        };
-        let b = PhaseCycles {
-            registration: 10,
-            acquisition: 20,
-            installation: 30,
-            consumption_per_access: 40,
-        };
-        a.merge(&b);
-        assert_eq!(a.registration, 11);
-        assert_eq!(a.phase(crate::phases::Phase::Consumption), 44);
-        assert_eq!(a.sum(), 110);
     }
 
     #[test]

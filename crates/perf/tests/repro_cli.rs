@@ -1,4 +1,6 @@
-//! The `repro` binary's command line: known sections print, unknown ones fail.
+//! The `repro` binary's command line: known sections print, unknown ones
+//! fail, the paper sections print the pinned figures and the measured
+//! cross-check agrees.
 
 use std::process::Command;
 
@@ -36,5 +38,32 @@ fn figures_6_and_7_print_paper_and_model_per_variant() {
             .filter(|line| line.contains(" model "))
             .count();
         assert_eq!(rows, 2, "{variant}: one row per figure\n{stdout}");
+    }
+}
+
+#[test]
+fn the_paper_sections_print_the_pinned_figures() {
+    // Every digit of Table 1, Figures 5–7 and the energy estimate, as the
+    // analytic model printed them when this file was pinned.
+    let out = repro(&["table1", "fig5", "fig6", "fig7", "energy"]);
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        include_str!("golden/repro.txt")
+    );
+}
+
+#[test]
+fn the_measured_cross_check_agrees_for_both_figures() {
+    let out = repro(&["measured"]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    for figure in ["Figure 6 (Music Player)", "Figure 7 (Ringtone)"] {
+        let verdict = stdout
+            .split(&format!("--- {figure}:"))
+            .nth(1)
+            .and_then(|section| section.lines().find(|l| l.contains("max deviation")))
+            .unwrap_or_else(|| panic!("{figure}: no verdict\n{stdout}"));
+        assert!(verdict.ends_with("(agrees)"), "{figure}: {verdict}");
     }
 }

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release --example fleet`
 
+use oma_drm2::crypto::backend::{CryptoBackend, SoftwareBackend};
 use oma_drm2::load::{
     run_fleet, run_fleet_durable, run_fleet_tcp, run_sequential, FleetReport, FleetSpec,
 };
@@ -16,8 +17,10 @@ use oma_drm2::perf::phases::Phase;
 use oma_drm2::store::RiStore;
 use std::sync::Arc;
 
-/// Prints one run's counts, wall-clock time and per-phase cycle totals.
+/// Prints one run's counts, wall-clock time and per-phase cycle totals: the
+/// fleet's traces priced on the software backend every device runs on.
 fn print_run(name: &str, run: &FleetReport) {
+    let software = SoftwareBackend::new();
     println!(
         "{name} — {} devices on {} worker thread(s) in {:.3} s: {} registrations, {} ROs",
         run.devices.len(),
@@ -30,7 +33,7 @@ fn print_run(name: &str, run: &FleetReport) {
         println!(
             "  {:<14} {:>16} cycles",
             phase.name(),
-            run.cycles.phase(phase)
+            software.price(run.traces.phase(phase))
         );
     }
     println!();

@@ -10,45 +10,41 @@
 //!
 //! Run with: `cargo run --release --example hw_exploration`
 
+use oma_drm2::crypto::backend::CryptoBackend;
 use oma_drm2::crypto::Algorithm;
 use oma_drm2::perf::analytic;
-use oma_drm2::perf::arch::{Architecture, Implementation, DEFAULT_CLOCK_HZ};
+use oma_drm2::perf::arch::{self, millis};
 use oma_drm2::perf::cost::CostTable;
 use oma_drm2::perf::energy::EnergyModel;
 use oma_drm2::perf::usecase::UseCaseSpec;
+use std::sync::Arc;
 
-fn variants() -> Vec<Architecture> {
-    let mk = |name: &str, hw: &'static [Algorithm]| {
-        Architecture::custom(
-            name,
-            move |alg| {
-                if hw.contains(&alg) {
-                    Implementation::Hardware
-                } else {
-                    Implementation::Software
-                }
-            },
-            DEFAULT_CLOCK_HZ,
-        )
-    };
-    vec![
-        Architecture::software(),
-        mk("AES", &[Algorithm::AesEncrypt, Algorithm::AesDecrypt]),
-        mk("SHA", &[Algorithm::Sha1, Algorithm::HmacSha1]),
-        mk("RSA", &[Algorithm::RsaPublic, Algorithm::RsaPrivate]),
-        Architecture::hybrid(),
-        Architecture::full_hardware(),
-    ]
+/// Each partitioning: its name and the algorithms it runs as macros.
+fn variants(table: &CostTable) -> Vec<Arc<dyn CryptoBackend>> {
+    use Algorithm::*;
+    let partitions: [(&str, &[Algorithm]); 6] = [
+        ("SW", &[]),
+        ("AES", &[AesEncrypt, AesDecrypt]),
+        ("SHA", &[Sha1, HmacSha1]),
+        ("RSA", &[RsaPublic, RsaPrivate]),
+        ("SW/HW", &[AesEncrypt, AesDecrypt, Sha1, HmacSha1]),
+        ("HW", &Algorithm::ALL),
+    ];
+    partitions
+        .into_iter()
+        .map(|(name, macros)| -> Arc<dyn CryptoBackend> {
+            Arc::new(arch::variant(table, name, macros))
+        })
+        .collect()
 }
 
 fn main() {
-    let table = CostTable::paper();
-    let variants = variants();
+    let variants = variants(&CostTable::paper());
 
     println!("Total DRM processing time [ms] per partitioning (200 MHz clock)\n");
     print!("{:<28}", "workload");
-    for arch in &variants {
-        print!("{:>10}", arch.name());
+    for variant in &variants {
+        print!("{:>10}", variant.name());
     }
     println!();
 
@@ -73,8 +69,8 @@ fn main() {
         let traces = analytic::phase_traces(spec);
         let total = traces.total(spec.accesses());
         print!("{label:<28}");
-        for arch in &variants {
-            print!("{:>10.1}", arch.millis(&total, &table));
+        for variant in &variants {
+            print!("{:>10.1}", millis(variant.price(&total)));
         }
         println!();
     }
@@ -89,8 +85,8 @@ fn main() {
         ("efficient HW", EnergyModel::with_hardware_factor(0.5)),
     ] {
         print!("{label:<28}");
-        for arch in &variants {
-            print!("{:>10.2}", model.millijoules(&total, arch, &table));
+        for variant in &variants {
+            print!("{:>10.2}", model.millijoules(&total, variant.as_ref()));
         }
         println!();
     }

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example ringtone`
 
 use oma_drm2::drm::{ContentIssuer, DrmAgent, Permission, RiService, RightsTemplate, RoapClient};
-use oma_drm2::perf::arch::Architecture;
+use oma_drm2::perf::arch::{millis, standard_variants};
 use oma_drm2::perf::cost::CostTable;
 use oma_drm2::perf::phases::PhaseTraces;
 use oma_drm2::perf::report;
@@ -19,8 +19,7 @@ use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = UseCaseSpec::ringtone();
-    let table = CostTable::paper();
-    let variants = Architecture::standard_variants();
+    let variants = standard_variants(&CostTable::paper());
     let mut rng = rand::rngs::StdRng::seed_from_u64(25);
 
     println!(
@@ -84,17 +83,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nexecution time of the measured trace under each architecture variant:");
-    for arch in &variants {
+    for variant in &variants {
         println!(
             "  {:<8} {:>8.1} ms",
-            arch.name(),
-            arch.millis(&total, &table)
+            variant.name(),
+            millis(variant.price(&total))
         );
     }
     println!("paper reports (Figure 7): SW 900 ms, SW/HW 620 ms, HW 12 ms\n");
 
     // The analytic model for comparison.
-    let comparison = report::architecture_comparison(&spec, &table, &variants);
+    let comparison = report::architecture_comparison(&spec, &variants);
     println!("analytic model:\n{comparison}");
     Ok(())
 }

@@ -2,7 +2,7 @@
 //!
 //! Two claims are on trial. **Equivalence:** a TCP fleet driven against
 //! the event loop produces byte-identical per-device observables (RO ids,
-//! recovered content digests, operation traces, cycle bills) to the
+//! recovered content digests, operation traces) to the
 //! sequential in-process reference. **Parking:** its one loop thread holds
 //! a parked fleet far larger than any thread-per-connection server could,
 //! while still answering the few devices that wake up.

@@ -217,7 +217,7 @@ fn split_and_coalesced_frames_decode_identically() {
 }
 
 /// The TCP fleet driver reports the same deterministic observables — RO
-/// ids, content digests, per-phase traces and cycle bills — as the
+/// ids, content digests and per-phase traces — as the
 /// single-threaded in-process reference. Registration counts come from the
 /// server-side service, so nothing is lost across connection churn.
 #[test]

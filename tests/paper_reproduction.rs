@@ -1,7 +1,7 @@
 //! Integration tests that reproduce the paper's headline numbers from the
 //! public API of the umbrella crate — the checks behind what `repro` prints.
 
-use oma_drm2::perf::arch::Architecture;
+use oma_drm2::perf::arch::{self, millis, standard_variants};
 use oma_drm2::perf::cost::CostTable;
 use oma_drm2::perf::report;
 use oma_drm2::perf::runner;
@@ -22,8 +22,7 @@ fn assert_matches_paper(comparison: &report::ArchitectureComparison, paper: &[(&
 fn figure6_music_player_totals() {
     let comparison = report::architecture_comparison(
         &UseCaseSpec::music_player(),
-        &CostTable::paper(),
-        &Architecture::standard_variants(),
+        &standard_variants(&CostTable::paper()),
     );
     assert_matches_paper(&comparison, &report::FIGURE6_PAPER_MS);
 }
@@ -32,8 +31,7 @@ fn figure6_music_player_totals() {
 fn figure7_ringtone_totals() {
     let comparison = report::architecture_comparison(
         &UseCaseSpec::ringtone(),
-        &CostTable::paper(),
-        &Architecture::standard_variants(),
+        &standard_variants(&CostTable::paper()),
     );
     assert_matches_paper(&comparison, &report::FIGURE7_PAPER_MS);
 }
@@ -44,8 +42,7 @@ fn measured_ringtone_totals_match_figure7() {
     // keys, RSA still priced per 1024-bit op) land on the paper's totals too.
     let comparison = report::measured_architecture_comparison(
         &UseCaseSpec::ringtone().with_rsa_modulus_bits(512),
-        &CostTable::paper(),
-        &Architecture::standard_variants(),
+        &standard_variants(&CostTable::paper()),
         3,
     )
     .expect("measured protocol runs");
@@ -82,16 +79,15 @@ fn measured_protocol_trace_prices_close_to_the_analytic_model() {
     // of the methodology must agree.
     let spec = UseCaseSpec::ringtone().with_rsa_modulus_bits(512);
     let run = runner::measure_use_case(&spec, 99).expect("protocol run");
-    let table = CostTable::paper();
 
     let analytic_traces = oma_drm2::perf::analytic::phase_traces(&spec);
-    for arch in Architecture::standard_variants() {
-        let measured_ms = arch.millis(&run.traces.total(spec.accesses()), &table);
-        let analytic_ms = arch.millis(&analytic_traces.total(spec.accesses()), &table);
+    for variant in standard_variants(&CostTable::paper()) {
+        let measured_ms = millis(variant.price(&run.traces.total(spec.accesses())));
+        let analytic_ms = millis(variant.price(&analytic_traces.total(spec.accesses())));
         assert!(
             (measured_ms - analytic_ms).abs() / analytic_ms < 0.05,
             "{}: measured {measured_ms:.1} ms vs analytic {analytic_ms:.1} ms",
-            arch.name()
+            variant.name()
         );
     }
 }
@@ -100,25 +96,23 @@ fn measured_protocol_trace_prices_close_to_the_analytic_model() {
 fn rsa_accelerator_alone_is_a_poor_investment_for_bulk_content() {
     // The §4 discussion: PKI hardware has "only limited benefits" for the
     // Music Player case because its cost does not depend on the DCF size.
+    use oma_drm2::crypto::backend::CryptoBackend;
     use oma_drm2::crypto::Algorithm;
-    use oma_drm2::perf::arch::{Implementation, DEFAULT_CLOCK_HZ};
 
-    let rsa_only = Architecture::custom(
-        "RSA-HW",
-        |alg| match alg {
-            Algorithm::RsaPublic | Algorithm::RsaPrivate => Implementation::Hardware,
-            _ => Implementation::Software,
-        },
-        DEFAULT_CLOCK_HZ,
-    );
     let table = CostTable::paper();
+    let rsa_only = arch::variant(
+        &table,
+        "RSA-HW",
+        &[Algorithm::RsaPublic, Algorithm::RsaPrivate],
+    );
+    let variants = standard_variants(&table);
     let spec = UseCaseSpec::music_player();
     let traces = oma_drm2::perf::analytic::phase_traces(&spec);
     let total = traces.total(spec.accesses());
 
-    let software_ms = Architecture::software().millis(&total, &table);
-    let rsa_only_ms = rsa_only.millis(&total, &table);
-    let hybrid_ms = Architecture::hybrid().millis(&total, &table);
+    let software_ms = millis(variants[0].price(&total));
+    let rsa_only_ms = millis(rsa_only.price(&total));
+    let hybrid_ms = millis(variants[1].price(&total));
 
     // RSA acceleration saves well under 10% on the music player...
     assert!(rsa_only_ms > software_ms * 0.90);

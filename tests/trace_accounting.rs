@@ -174,15 +174,20 @@ fn lock_free_counters_match_a_mutex_reference_under_concurrency() {
 #[test]
 fn cycle_meter_agrees_with_priced_trace_on_the_full_lifecycle() {
     // The backend prices its own ledger: per phase and over the whole
-    // lifecycle its cycles must equal the performance model's Table 1
-    // software pricing of the same trace, to the cycle.
-    use oma_drm2::perf::arch::Architecture;
+    // lifecycle its cycles must equal Table 1's software column applied to
+    // the same trace, to the cycle.
     use oma_drm2::perf::cost::CostTable;
 
     let mut world = lifecycle(0xcafe);
     let phases = run_phases(&mut world);
     let backend = world.agent.engine().backend();
-    let model = |trace: &OpTrace| Architecture::software().cycles(trace, &CostTable::paper());
+    let table = CostTable::paper();
+    let model = |trace: &OpTrace| -> u64 {
+        trace
+            .iter()
+            .map(|(alg, count)| table.software(alg).cycles(count))
+            .sum()
+    };
 
     let mut merged = OpTrace::new();
     for phase in &phases {
